@@ -11,6 +11,12 @@ Exit codes: 0 success with no violations, 1 at least one violation found,
 2 usage or validation error.  Data goes to stdout, diagnostics to stderr.
 JSON floats are emitted value-preserving (shortest round-trip form); text
 mode prints 6 significant digits.
+
+`verify` (per claim) and `report` build the lam-independent search inputs
+once and share them across their searches, so the first record of each
+group of searches with the same pinned p1 also times building them in its
+duration_ms.  --workers (default: COEFBOUND_WORKERS, else all cores) is
+validated but changes neither speed nor output.
 """
 
 from __future__ import annotations
@@ -140,7 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
             sp.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
             sp.add_argument("--tol", type=float, default=oracle.DEFAULT_TOL)
-            sp.add_argument("--workers", type=int, default=None)
+            sp.add_argument(
+                "--workers", type=int, default=None, help="accepted for compatibility; no effect"
+            )
         sp.add_argument("--psi2-variant", choices=("proof", "statement"), default="proof")
 
     sp = sub.add_parser("bound", help="evaluate one bound")

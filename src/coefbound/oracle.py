@@ -8,16 +8,20 @@ more than the tolerance; violations are findings, never errors, because the
 harness exists in part to document transcription defects.
 
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
-variant) produce bit-identical reports.  Worker counts only partition the
-evaluation of a fixed candidate array, and the reduction is an argmax over
-the concatenated value vector with first-index tie-break, so results are
-independent of partitioning and scheduling.
+variant) produce bit-identical reports.  Every search of a run at one
+(seed, budget) draws the same lam-independent inputs, so a run builds them
+once and shares them: each exploration set (canonical, grid and random
+candidates with their moments p2, p3) per effective p1, and the refine
+offsets of each round.  Sharing reorders no floating-point operation, so a
+shared search returns the same bits as a standalone one.  The worker count
+is accepted for compatibility; it changes neither speed nor output.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -28,6 +32,8 @@ from .schwarz import (
     CaratheodoryParams,
     caratheodory_moments,
     caratheodory_to_schwarz,
+    refine_around,
+    refine_offsets,
     sample_param_arrays,
 )
 
@@ -42,6 +48,10 @@ DEFAULT_SEED = 42
 _REFINE_ROUNDS = 5
 _REFINE_SHRINK = 0.3
 _REFINE_RADIUS0 = 0.3
+#: Radius of each refine round: r0, r0*s, (r0*s)*s, ... as a running product.
+_REFINE_RADII = tuple(
+    itertools.accumulate([_REFINE_RADIUS0] + [_REFINE_SHRINK] * (_REFINE_ROUNDS - 1), operator.mul)
+)
 
 
 @dataclass(frozen=True)
@@ -72,11 +82,16 @@ class Functional:
         return self.fixed_p if self.cls == "starlike" else 2.0 * self.fixed_p
 
 
-def _coefficient_values(lam, p1, x, y, cls):
-    """a2, a3, a4 from the closed moment formulas; works on scalars or arrays."""
+def _moments(p1, x, y):
+    """Moments p2, p3 of (p1, x, y); they do not depend on lam."""
     q = 4.0 - p1 * p1
     p2 = 0.5 * (p1 * p1 + q * x)
     p3 = 0.25 * (p1 ** 3 + 2.0 * q * p1 * x - q * p1 * x * x + 2.0 * q * (1.0 - np.abs(x) ** 2) * y)
+    return p2, p3
+
+
+def _coefficient_values(lam, p1, p2, p3, cls):
+    """a2, a3, a4 from the closed moment formulas; works on scalars or arrays."""
     inner3 = p2 + (3.0 * lam - 2.0) / 4.0 * p1 * p1
     inner4 = p3 + (5.0 * lam - 4.0) / 4.0 * p1 * p2 + (
         17.0 * lam * lam - 30.0 * lam + 12.0
@@ -86,8 +101,8 @@ def _coefficient_values(lam, p1, x, y, cls):
     return 0.25 * lam * p1, lam / 12.0 * inner3, lam / 24.0 * inner4
 
 
-def _functional_values(fn: Functional, lam, p1, x, y):
-    a2, a3, a4 = _coefficient_values(lam, p1, x, y, fn.cls)
+def _functional_values(fn: Functional, lam, p1, p2, p3):
+    a2, a3, a4 = _coefficient_values(lam, p1, p2, p3, fn.cls)
     if fn.kind == "abs_a2":
         return np.abs(a2)
     if fn.kind == "abs_a3":
@@ -105,35 +120,19 @@ def functional_value(fn: Functional, lam: float, params: CaratheodoryParams) -> 
     p1 = fn.effective_p1
     if p1 is None:
         p1 = params.p1
-    return float(_functional_values(fn, lam, np.float64(p1), np.complex128(params.x), np.complex128(params.y)))
+    p1 = np.float64(p1)
+    p2, p3 = _moments(p1, np.complex128(params.x), np.complex128(params.y))
+    return float(_functional_values(fn, lam, p1, p2, p3))
 
 
-def _chunked_eval(fn, lam, p1, x, y, workers: int) -> np.ndarray:
-    """Evaluate the functional over candidate arrays, optionally in parallel.
-
-    Chunking only splits elementwise work; the concatenated result is
-    bit-identical for every worker count.
-    """
-    n = p1.size
-    if workers <= 1 or n < 4096:
-        return _functional_values(fn, lam, p1, x, y)
-    out = np.empty(n, dtype=np.float64)
-    step = -(-n // workers)
-    spans = [(i, min(i + step, n)) for i in range(0, n, step)]
-
-    def work(span):
-        lo, hi = span
-        out[lo:hi] = _functional_values(fn, lam, p1[lo:hi], x[lo:hi], y[lo:hi])
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, spans))
-    return out
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
 
 
-def _canonical_arrays(fn: Functional) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _canonical_arrays(eff: Optional[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Boundary/axis witnesses evaluated unconditionally before any search."""
     units = np.array([0.0, 1.0, -1.0, 1.0j, -1.0j], dtype=np.complex128)
-    eff = fn.effective_p1
     p1_levels = [eff] if eff is not None else [0.0, 1.0, 2.0]
     p1s, xs, ys = [], [], []
     for p in p1_levels:
@@ -143,6 +142,60 @@ def _canonical_arrays(fn: Functional) -> tuple[np.ndarray, np.ndarray, np.ndarra
                 xs.append(xv)
                 ys.append(yv)
     return np.array(p1s, dtype=float), np.array(xs), np.array(ys)
+
+
+def _explore_arrays(seed: int, budget: int, eff: Optional[float]):
+    """(p1, x, y, p2, p3) of the canonical, grid and random candidates.
+
+    Exploration gets what the refine rounds (a tenth of the budget each)
+    and the canonical witnesses leave, half of it for the grid.
+    """
+    canonical = _canonical_arrays(eff)
+    explore = max(budget - _REFINE_ROUNDS * (budget // 10) - canonical[0].size, 0)
+    grid = sample_param_arrays(seed, max(explore // 2, 1), "grid", fixed_p1=eff)
+    rand = sample_param_arrays(seed, max(explore - grid[0].size, 1), "random", fixed_p1=eff)
+    p1, x, y = (np.concatenate(parts) for parts in zip(canonical, grid, rand))
+    del grid, rand  # the parts are copied; free them before the moments' temporaries
+    return (p1, x, y, *_moments(p1, x, y))
+
+
+def _p1_key(eff: Optional[float]) -> Optional[str]:
+    """Groups searches by the bits of their pinned p1 (0.0 and -0.0 differ)."""
+    return None if eff is None else float(eff).hex()
+
+
+class _SearchInputs:
+    """The lam-independent inputs of every search at one (seed, budget).
+
+    Holds one exploration set at a time, for the effective p1 last asked
+    for.  With ``keep_offsets`` it also keeps the refine offsets of each
+    round once built; a lone search never reuses them, and holding all
+    rounds at once would only cost it fresh pages.  Callers own an instance
+    for one run and drop it after.
+    """
+
+    def __init__(self, seed: int, budget: int, keep_offsets: bool = False):
+        self.seed = seed
+        self.budget = budget
+        self._keep_offsets = keep_offsets
+        self._explore: dict = {}
+        self._offsets: dict = {}
+
+    def explore(self, eff: Optional[float]):
+        key = _p1_key(eff)
+        if key not in self._explore:
+            # Free the previous set before building the next one.
+            self._explore.clear()
+            self._explore[key] = _explore_arrays(self.seed, self.budget, eff)
+        return self._explore[key]
+
+    def offsets(self, rnd: int):
+        if rnd in self._offsets:
+            return self._offsets[rnd]
+        offsets = refine_offsets([self.seed, rnd], self.budget // 10, _REFINE_RADII[rnd])
+        if self._keep_offsets:
+            self._offsets[rnd] = offsets
+        return offsets
 
 
 @dataclass(frozen=True)
@@ -158,6 +211,8 @@ def extremal_search(
     budget: int = DEFAULT_BUDGET,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
+    *,
+    inputs: Optional[_SearchInputs] = None,
 ) -> SearchResult:
     """Maximize the functional over the admissible parameter body.
 
@@ -166,41 +221,37 @@ def extremal_search(
     each) shrinking the neighborhood geometrically around the incumbent.
     The incumbent is never discarded, and replacement requires strict
     improvement, so canonical witnesses win all exact ties.
+
+    ``inputs`` carries the lam-independent candidates and offsets that
+    verify_claim and run_claim_suite share across a run; a call without it
+    builds its own and returns the same result.  ``workers`` has no effect.
     """
     bounds._check_lambda(lam)
     if budget < 1000:
         raise ValueError("budget must be at least 1000")
+    _check_workers(workers)
+    if inputs is None:
+        inputs = _SearchInputs(seed, budget)
+    elif (inputs.seed, inputs.budget) != (seed, budget):
+        raise ValueError("inputs were built for another seed or budget")
     eff = fn.effective_p1
-    cp1, cx, cy = _canonical_arrays(fn)
 
-    per_round = budget // 10
-    explore = max(budget - _REFINE_ROUNDS * per_round - cp1.size, 0)
-    gp1, gx, gy = sample_param_arrays(seed, max(explore // 2, 1), "grid", fixed_p1=eff)
-    n_random = max(explore - gp1.size, 1)
-    rp1, rx, ry = sample_param_arrays(seed, n_random, "random", fixed_p1=eff)
-
-    p1 = np.concatenate([cp1, gp1, rp1])
-    x = np.concatenate([cx, gx, rx])
-    y = np.concatenate([cy, gy, ry])
-    vals = _chunked_eval(fn, lam, p1, x, y, workers)
+    p1, x, y, p2, p3 = inputs.explore(eff)
+    vals = _functional_values(fn, lam, p1, p2, p3)
     i = int(np.argmax(vals))
     best = float(vals[i])
     bp1, bx, by = float(p1[i]), complex(x[i]), complex(y[i])
     evaluated = p1.size
 
-    radius = _REFINE_RADIUS0
     for rnd in range(_REFINE_ROUNDS):
         center = CaratheodoryParams(bp1, bx, by)
-        qp1, qx, qy = sample_param_arrays(
-            [seed, rnd], per_round, "refine-around", fixed_p1=eff, center=center, radius=radius
-        )
-        vals = _chunked_eval(fn, lam, qp1, qx, qy, workers)
+        qp1, qx, qy = refine_around(inputs.offsets(rnd), center, eff)
+        vals = _functional_values(fn, lam, qp1, *_moments(qp1, qx, qy))
         j = int(np.argmax(vals))
         if float(vals[j]) > best:
             best = float(vals[j])
             bp1, bx, by = float(qp1[j]), complex(qx[j]), complex(qy[j])
         evaluated += qp1.size
-        radius *= _REFINE_SHRINK
 
     return SearchResult(value=best, witness=CaratheodoryParams(bp1, bx, by), samples=evaluated)
 
@@ -330,6 +381,63 @@ def _claim_bound(claim: ClaimDef, lam: float, p: Optional[float], psi2_variant: 
     return bounds.k_diff_bound(claim.which, lam, p)
 
 
+def _verify_points(
+    points: Sequence[tuple[ClaimDef, float, Optional[float]]],
+    budget: int,
+    seed: int,
+    tol: float,
+    psi2_variant: str,
+    workers: int,
+) -> list[VerificationReport]:
+    """One report per (claim, lam, p) point, in the order given.
+
+    The searches run grouped by effective p1, in order of first appearance,
+    so that each exploration set is built once and only one is held at a
+    time.  A group's first record therefore also times building its set.
+    """
+    _check_workers(workers)
+    groups: dict = {}
+    for i, (claim, lam, p) in enumerate(points):
+        fn = Functional(kind=claim.kind, cls=claim.cls, fixed_p=p)
+        groups.setdefault(_p1_key(fn.effective_p1), []).append((i, claim, fn, lam, p))
+    inputs = _SearchInputs(seed, budget, keep_offsets=len(points) > 1)
+    reports: list = [None] * len(points)
+    for group in groups.values():
+        for i, claim, fn, lam, p in group:
+            t0 = time.perf_counter()
+            result = extremal_search(fn, lam, budget=budget, seed=seed, inputs=inputs)
+            b = _claim_bound(claim, lam, p, psi2_variant)
+            gap = b.value - result.value
+            duration_ms = int((time.perf_counter() - t0) * 1000.0)
+            reports[i] = VerificationReport(
+                claim_id=claim.claim_id,
+                lam=lam,
+                p=p,
+                bound=b.value,
+                branch=b.branch,
+                oracle_max=result.value,
+                witness=result.witness,
+                gap=gap,
+                violation=bool(result.value > b.value + tol),
+                samples=result.samples,
+                seed=seed,
+                duration_ms=duration_ms,
+                variant=b.variant,
+            )
+    return reports
+
+
+def _claim_points(claim: ClaimDef, lam_grid, p_grid) -> list:
+    """(claim, lam, p) per grid point, lam outer and p inner."""
+    if claim.default_ps is not None:
+        ps: Sequence[Optional[float]] = tuple(p_grid) if p_grid is not None else claim.default_ps
+        if not ps:
+            raise ValueError(f"{claim.claim_id} constrains f''(0); a p grid is required")
+    else:
+        ps = (None,)
+    return [(claim, lam, p) for lam in lam_grid for p in ps]
+
+
 def verify_claim(
     claim_id: str,
     lam_grid: Sequence[float],
@@ -342,45 +450,14 @@ def verify_claim(
 ) -> list[VerificationReport]:
     """Run the extremal oracle against one registered claim over a grid.
 
-    Emits one report per grid point.  The violation flag is exactly
-    oracle_max > bound + tol; violations never abort the run.
+    Emits one report per grid point, lam outer and p inner.  The violation
+    flag is exactly oracle_max > bound + tol; violations never abort the run.
+    ``workers`` has no effect on speed or output.
     """
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}; registered: {sorted(CLAIMS)}")
-    claim = CLAIMS[claim_id]
-    if claim.default_ps is not None:
-        ps: Sequence[Optional[float]] = tuple(p_grid) if p_grid is not None else claim.default_ps
-        if not ps:
-            raise ValueError(f"{claim_id} constrains f''(0); a p grid is required")
-    else:
-        ps = (None,)
-    reports = []
-    for lam in lam_grid:
-        for p in ps:
-            t0 = time.perf_counter()
-            fn = Functional(kind=claim.kind, cls=claim.cls, fixed_p=p)
-            result = extremal_search(fn, lam, budget=budget, seed=seed, workers=workers)
-            b = _claim_bound(claim, lam, p, psi2_variant)
-            gap = b.value - result.value
-            duration_ms = int((time.perf_counter() - t0) * 1000.0)
-            reports.append(
-                VerificationReport(
-                    claim_id=claim_id,
-                    lam=lam,
-                    p=p,
-                    bound=b.value,
-                    branch=b.branch,
-                    oracle_max=result.value,
-                    witness=result.witness,
-                    gap=gap,
-                    violation=bool(result.value > b.value + tol),
-                    samples=result.samples,
-                    seed=seed,
-                    duration_ms=duration_ms,
-                    variant=b.variant,
-                )
-            )
-    return reports
+    points = _claim_points(CLAIMS[claim_id], lam_grid, p_grid)
+    return _verify_points(points, budget, seed, tol, psi2_variant, workers)
 
 
 def run_claim_suite(
@@ -391,21 +468,10 @@ def run_claim_suite(
     workers: int = 1,
 ) -> list[VerificationReport]:
     """Every registered claim over its default grids, in registry order."""
-    out = []
-    for claim_id, claim in CLAIMS.items():
-        out.extend(
-            verify_claim(
-                claim_id,
-                claim.default_lambdas,
-                claim.default_ps,
-                budget=budget,
-                seed=seed,
-                tol=tol,
-                psi2_variant=psi2_variant,
-                workers=workers,
-            )
-        )
-    return out
+    points = []
+    for claim in CLAIMS.values():
+        points.extend(_claim_points(claim, claim.default_lambdas, claim.default_ps))
+    return _verify_points(points, budget, seed, tol, psi2_variant, workers)
 
 
 def series_cross_check(lam: float, cls: str, params: CaratheodoryParams) -> float:
@@ -419,9 +485,9 @@ def series_cross_check(lam: float, cls: str, params: CaratheodoryParams) -> floa
     c = caratheodory_to_schwarz(m)
     omega = series.TruncatedSeries([0.0, c.c1, c.c2, c.c3])
     a_series = series.coefficients_from_schwarz(omega, lam, cls, 4)
-    a2, a3, a4 = _coefficient_values(
-        lam, np.float64(params.p1), np.complex128(params.x), np.complex128(params.y), cls
-    )
+    p1 = np.float64(params.p1)
+    p2, p3 = _moments(p1, np.complex128(params.x), np.complex128(params.y))
+    a2, a3, a4 = _coefficient_values(lam, p1, p2, p3, cls)
     closed = np.array([a2, a3, a4], dtype=np.complex128)
     return float(np.max(np.abs(a_series - closed)))
 

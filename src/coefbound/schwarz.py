@@ -128,7 +128,7 @@ def sample_param_arrays(
     if strategy == "refine-around":
         if center is None:
             raise ValueError("refine-around requires a center")
-        return _refine_arrays(seed, count, center, radius, fixed_p1)
+        return refine_around(refine_offsets(seed, count, radius), center, fixed_p1)
     raise ValueError(f"unknown sampling strategy {strategy!r}")
 
 
@@ -200,18 +200,32 @@ def _random_arrays(seed, count, fixed_p1):
     return p1, x, y
 
 
-def _refine_arrays(seed, count, center, radius, fixed_p1):
+def refine_offsets(seed, count: int, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets (dp1, dx, dy) of a refine-around draw.
+
+    They depend only on (seed, count, radius), never on the centre, so the
+    searches of one run share them; refine_around applies a centre.
+    """
     rng = np.random.default_rng(seed)
     u = rng.random((count, 6))
-    if fixed_p1 is None:
-        p1 = np.clip(center.p1 + 2.0 * radius * (2.0 * u[:, 0] - 1.0), 0.0, 2.0)
-    else:
-        p1 = np.full(count, float(fixed_p1))
+    dp1 = 2.0 * radius * (2.0 * u[:, 0] - 1.0)
     dx = radius * np.sqrt(u[:, 1]) * np.exp(2j * np.pi * u[:, 2])
     dy = radius * np.sqrt(u[:, 3]) * np.exp(2j * np.pi * u[:, 4])
-    x = _project_disk(center.x + dx)
-    y = _project_disk(center.y + dy)
-    return p1, x, y
+    return dp1, dx, dy
+
+
+def refine_around(
+    offsets: tuple[np.ndarray, np.ndarray, np.ndarray],
+    center: CaratheodoryParams,
+    fixed_p1: Optional[float] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidates ``center + offsets``, clipped and projected back into the body."""
+    dp1, dx, dy = offsets
+    if fixed_p1 is None:
+        p1 = np.clip(center.p1 + dp1, 0.0, 2.0)
+    else:
+        p1 = np.full(dp1.size, float(fixed_p1))
+    return p1, _project_disk(center.x + dx), _project_disk(center.y + dy)
 
 
 def sample_params(

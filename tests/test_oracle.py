@@ -10,7 +10,9 @@ from coefbound.oracle import (
     VerificationReport,
     extremal_search,
     functional_value,
+    _SearchInputs,
     general_bound_probe,
+    run_claim_suite,
     series_cross_check,
     verify_claim,
 )
@@ -124,6 +126,19 @@ class TestExtremalSearch:
         with pytest.raises(ValueError):
             extremal_search(Functional("abs_a2", "starlike"), 1.0, budget=500)
 
+    def test_workers_must_be_positive(self):
+        with pytest.raises(ValueError):
+            extremal_search(Functional("abs_a2", "starlike"), 1.0, budget=1000, workers=0)
+        with pytest.raises(ValueError):
+            verify_claim("thm3.1-a2", [1.0], budget=1000, workers=0)
+
+    def test_inputs_built_for_another_run_rejected(self):
+        fn = Functional("abs_a2", "starlike")
+        with pytest.raises(ValueError):
+            extremal_search(fn, 1.0, budget=2000, seed=1, inputs=_SearchInputs(2, 2000))
+        with pytest.raises(ValueError):
+            extremal_search(fn, 1.0, budget=2000, seed=1, inputs=_SearchInputs(1, 3000))
+
     def test_canonical_seeding_reaches_bound_with_minimal_budget(self):
         # the seeded witnesses alone attain the sharp |a2| bound
         out = extremal_search(Functional("abs_a2", "starlike"), 1.4, budget=1000, seed=0)
@@ -181,6 +196,33 @@ class TestVerifyClaim:
         for r in reports:
             assert r.violation == (r.oracle_max > r.bound + 1e-9)
             assert r.gap == r.bound - r.oracle_max
+
+
+class TestSharedInputs:
+    def test_suite_records_match_standalone_searches(self):
+        # Sharing inputs across a run must not change a single bit.
+        reports = run_claim_suite(budget=5000, seed=42)
+        assert len(reports) == 106
+        for r in reports:
+            claim = CLAIMS[r.claim_id]
+            fn = Functional(claim.kind, claim.cls, fixed_p=r.p)
+            out = extremal_search(fn, r.lam, budget=5000, seed=42)
+            assert repr((r.oracle_max, r.witness, r.samples)) == repr(
+                (out.value, out.witness, out.samples)
+            ), (r.claim_id, r.lam, r.p)
+
+    def test_signed_zero_p_gets_its_own_inputs(self):
+        # p = 0.0 and p = -0.0 compare equal but pin p1 arrays of different bits.
+        reports = verify_claim("thm3.3-d32", [1.0], [0.0, -0.0], budget=2000, seed=3)
+        for r in reports:
+            fn = Functional("abs_a3_minus_a2", "starlike", fixed_p=r.p)
+            out = extremal_search(fn, 1.0, budget=2000, seed=3)
+            assert repr(r.witness) == repr(out.witness)
+
+    def test_records_keep_lambda_outer_p_inner_order(self):
+        lams, ps = (1.0, 0.3, 1.4), (0.75, 0.0, 0.5)
+        reports = verify_claim("thm3.5-d43", lams, ps, budget=2000, seed=3)
+        assert [(r.lam, r.p) for r in reports] == [(lam, p) for lam in lams for p in ps]
 
 
 class TestRegistry:

@@ -10,6 +10,8 @@ from coefbound.schwarz import (
     SchwarzCoefficients,
     caratheodory_moments,
     caratheodory_to_schwarz,
+    refine_around,
+    refine_offsets,
     sample_param_arrays,
     sample_params,
     validate_schwarz,
@@ -157,3 +159,45 @@ class TestSampler:
         assert np.allclose(p1, [o.p1 for o in objs])
         assert np.allclose(x, [o.x for o in objs])
         assert np.allclose(y, [o.y for o in objs])
+
+
+def _refine_reference(seed, count, center, radius, fixed_p1):
+    """The refine-around draw with the centre applied inline, offsets unnamed."""
+    u = np.random.default_rng(seed).random((count, 6))
+    if fixed_p1 is None:
+        p1 = np.clip(center.p1 + 2.0 * radius * (2.0 * u[:, 0] - 1.0), 0.0, 2.0)
+    else:
+        p1 = np.full(count, float(fixed_p1))
+    x = center.x + radius * np.sqrt(u[:, 1]) * np.exp(2j * np.pi * u[:, 2])
+    y = center.y + radius * np.sqrt(u[:, 3]) * np.exp(2j * np.pi * u[:, 4])
+    project = lambda z: np.where(np.abs(z) > 1.0, z / np.abs(z), z)  # noqa: E731
+    return p1, project(x), project(y)
+
+
+def _bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+centers = st.builds(CaratheodoryParams, st.floats(min_value=0.0, max_value=2.0), unit_disk, unit_disk)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=64),
+    st.floats(min_value=1e-6, max_value=1.0),
+    centers,
+    centers,
+    st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0)),
+)
+@settings(max_examples=200, deadline=None)
+def test_refine_around_is_shared_offsets_plus_centre(seed, count, radius, a, b, fixed_p1):
+    # One offset draw serves every centre: applying one leaves the offsets
+    # as a fresh draw gives them, and each composition is bit-for-bit the
+    # refine-around sample at that centre.
+    offsets = refine_offsets(seed, count, radius)
+    for center in (a, b):
+        got = refine_around(offsets, center, fixed_p1)
+        sampled = sample_param_arrays(seed, count, "refine-around", fixed_p1, center, radius)
+        want = _refine_reference(seed, count, center, radius, fixed_p1)
+        assert _bits(got) == _bits(sampled) == _bits(want)
+        assert _bits(offsets) == _bits(refine_offsets(seed, count, radius))
