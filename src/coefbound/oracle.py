@@ -19,8 +19,6 @@ is accepted for compatibility; it changes neither speed nor output.
 
 from __future__ import annotations
 
-import itertools
-import operator
 import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -48,10 +46,6 @@ DEFAULT_SEED = 42
 _REFINE_ROUNDS = 5
 _REFINE_SHRINK = 0.3
 _REFINE_RADIUS0 = 0.3
-#: Radius of each refine round: r0, r0*s, (r0*s)*s, ... as a running product.
-_REFINE_RADII = tuple(
-    itertools.accumulate([_REFINE_RADIUS0] + [_REFINE_SHRINK] * (_REFINE_ROUNDS - 1), operator.mul)
-)
 
 
 @dataclass(frozen=True)
@@ -167,35 +161,31 @@ def _p1_key(eff: Optional[float]) -> Optional[str]:
 class _SearchInputs:
     """The lam-independent inputs of every search at one (seed, budget).
 
-    Holds one exploration set at a time, for the effective p1 last asked
-    for.  With ``keep_offsets`` it also keeps the refine offsets of each
-    round once built; a lone search never reuses them, and holding all
-    rounds at once would only cost it fresh pages.  Callers own an instance
-    for one run and drop it after.
+    Holds the exploration set of the effective p1 last asked for, one set at
+    a time, and the refine offsets of each round once built.  Callers own an
+    instance for one run and drop it after.
     """
 
-    def __init__(self, seed: int, budget: int, keep_offsets: bool = False):
+    def __init__(self, seed: int, budget: int):
         self.seed = seed
         self.budget = budget
-        self._keep_offsets = keep_offsets
-        self._explore: dict = {}
+        self._key: Optional[str] = None
+        self._arrays = None
         self._offsets: dict = {}
 
     def explore(self, eff: Optional[float]):
         key = _p1_key(eff)
-        if key not in self._explore:
-            # Free the previous set before building the next one.
-            self._explore.clear()
-            self._explore[key] = _explore_arrays(self.seed, self.budget, eff)
-        return self._explore[key]
+        if self._arrays is None or key != self._key:
+            self._arrays = None  # free the previous set before building the next one
+            self._arrays = _explore_arrays(self.seed, self.budget, eff)
+            self._key = key
+        return self._arrays
 
-    def offsets(self, rnd: int):
-        if rnd in self._offsets:
-            return self._offsets[rnd]
-        offsets = refine_offsets([self.seed, rnd], self.budget // 10, _REFINE_RADII[rnd])
-        if self._keep_offsets:
-            self._offsets[rnd] = offsets
-        return offsets
+    def offsets(self, rnd: int, radius: float):
+        """Offsets of refine round ``rnd``; its radius is the same in every search."""
+        if rnd not in self._offsets:
+            self._offsets[rnd] = refine_offsets([self.seed, rnd], self.budget // 10, radius)
+        return self._offsets[rnd]
 
 
 @dataclass(frozen=True)
@@ -243,15 +233,17 @@ def extremal_search(
     bp1, bx, by = float(p1[i]), complex(x[i]), complex(y[i])
     evaluated = p1.size
 
+    radius = _REFINE_RADIUS0
     for rnd in range(_REFINE_ROUNDS):
         center = CaratheodoryParams(bp1, bx, by)
-        qp1, qx, qy = refine_around(inputs.offsets(rnd), center, eff)
+        qp1, qx, qy = refine_around(inputs.offsets(rnd, radius), center, eff)
         vals = _functional_values(fn, lam, qp1, *_moments(qp1, qx, qy))
         j = int(np.argmax(vals))
         if float(vals[j]) > best:
             best = float(vals[j])
             bp1, bx, by = float(qp1[j]), complex(qx[j]), complex(qy[j])
         evaluated += qp1.size
+        radius *= _REFINE_SHRINK
 
     return SearchResult(value=best, witness=CaratheodoryParams(bp1, bx, by), samples=evaluated)
 
@@ -400,7 +392,7 @@ def _verify_points(
     for i, (claim, lam, p) in enumerate(points):
         fn = Functional(kind=claim.kind, cls=claim.cls, fixed_p=p)
         groups.setdefault(_p1_key(fn.effective_p1), []).append((i, claim, fn, lam, p))
-    inputs = _SearchInputs(seed, budget, keep_offsets=len(points) > 1)
+    inputs = _SearchInputs(seed, budget)
     reports: list = [None] * len(points)
     for group in groups.values():
         for i, claim, fn, lam, p in group:
