@@ -13,6 +13,7 @@ The package splits along the pipeline:
 
 from .bounds import (
     BoundResult,
+    bound,
     general_coeff_bound,
     k_coeff_bound,
     k_diff_bound,

@@ -10,6 +10,9 @@ exp(lam*z) with 0 < lam <= pi/2:
 * sup over p of each difference bound;
 * the general |a_n| product bounds for every n >= 2.
 
+``bound`` picks the evaluator for one point.  ``check_lambda``, ``P_MAX`` and
+``DEFAULT_PS`` are the (lam, p) domain that every layer checks against.
+
 The |a4 - a3| starlike bound carries a known transcription defect: for
 lam > 3/5 the theorem statement prints the second-branch linear coefficient
 as (48 - 120*lam)*p, while the proof and the lam = 1 corollary both give
@@ -37,10 +40,17 @@ LAMBDA_MAX = math.pi / 2
 #: Interval-membership slack at piecewise breakpoints.
 BREAK_TOL = 1e-12
 
+#: Upper end of the admissible normalized second coefficient p, per class.
+P_MAX = {"starlike": 2.0, "convex": 1.0}
+
+#: Default p grid per class: five evenly spaced points of [0, P_MAX].
+DEFAULT_PS = {"starlike": (0.0, 0.5, 1.0, 1.5, 2.0), "convex": (0.0, 0.25, 0.5, 0.75, 1.0)}
+
 _SQRT_32_43 = math.sqrt(32.0 / 43.0)
 
 
-def _check_lambda(lam: float) -> None:
+def check_lambda(lam: float) -> None:
+    """Raise ValueError unless 0 < lam <= pi/2 (up to the breakpoint slack)."""
     if not 0.0 < lam <= LAMBDA_MAX + BREAK_TOL:
         raise ValueError(f"lambda must lie in (0, pi/2], got {lam}")
 
@@ -86,7 +96,7 @@ def r0_root() -> float:
 
 def k_coeff_bound(n: int, lam: float) -> BoundResult:
     """Sharp |a_n| bound for the convex class, n in {2, 3, 4}."""
-    _check_lambda(lam)
+    check_lambda(lam)
     if n == 2:
         value, branch = lam / 2.0, "all"
     elif n == 3:
@@ -121,7 +131,7 @@ def s_star_coeff_bound(n: int, lam: float) -> BoundResult:
 
 
 def _check_p(p: float, cls: str) -> None:
-    pmax = 2.0 if cls == "starlike" else 1.0
+    pmax = P_MAX[cls]
     if not -BREAK_TOL <= p <= pmax + BREAK_TOL:
         raise ValueError(f"p must lie in [0, {pmax}] for the {cls} class, got {p}")
 
@@ -130,7 +140,7 @@ def s_diff_bound(
     which: str, lam: float, p: float, psi2_variant: str = "proof"
 ) -> BoundResult:
     """Starlike successive-difference bound, |a3 - a2| (d32) or |a4 - a3| (d43)."""
-    _check_lambda(lam)
+    check_lambda(lam)
     _check_p(p, "starlike")
     if psi2_variant not in ("proof", "statement"):
         raise ValueError(f"psi2_variant must be 'proof' or 'statement', got {psi2_variant!r}")
@@ -194,7 +204,7 @@ def s_diff_bound(
 
 def k_diff_bound(which: str, lam: float, p: float) -> BoundResult:
     """Convex successive-difference bound, |a3 - a2| (d32) or |a4 - a3| (d43)."""
-    _check_lambda(lam)
+    check_lambda(lam)
     _check_p(p, "convex")
     if which == "d32":
         value = (lam / 12.0) * (2.0 + 6.0 * p - (3.0 * lam + 2.0) * p * p)
@@ -233,6 +243,34 @@ def k_diff_bound(which: str, lam: float, p: float) -> BoundResult:
     return BoundResult(value=value, branch=branch, lam=lam, cls="convex", p=p, which=which)
 
 
+def bound(
+    cls: str,
+    lam: float,
+    n: Optional[int] = None,
+    which: Optional[str] = None,
+    p: Optional[float] = None,
+    psi2_variant: str = "proof",
+) -> BoundResult:
+    """The sharp bound of one point: |a_n| (give n) or a difference (give which and p).
+
+    Dispatches to the four named evaluators; psi2_variant only selects the
+    starlike |a4 - a3| branch.
+    """
+    if cls not in P_MAX:
+        raise ValueError(f"unknown class {cls!r}")
+    if (n is None) == (which is None):
+        raise ValueError("give exactly one of n and which")
+    if n is not None:
+        if p is not None:
+            raise ValueError(f"the |a_{n}| bound takes no p")
+        return s_star_coeff_bound(n, lam) if cls == "starlike" else k_coeff_bound(n, lam)
+    if p is None:
+        raise ValueError(f"the {which} bound needs p")
+    if cls == "starlike":
+        return s_diff_bound(which, lam, p, psi2_variant=psi2_variant)
+    return k_diff_bound(which, lam, p)
+
+
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
     """Golden-section maximum of f on [lo, hi] to absolute tolerance tol."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -262,20 +300,18 @@ def sup_over_p(
     breakpoints and endpoints; the result is never below the bound at any of
     those candidate points.
     """
-    _check_lambda(lam)
+    check_lambda(lam)
     if cls == "starlike":
-        pmax = 2.0
-        f = lambda p: s_diff_bound(which, lam, p, psi2_variant).value
         if which == "d32":
             inner = [8.0 / (3.0 * lam)]
         else:
             inner = [2.0 / (4.0 - 5.0 * lam)] if lam <= 0.6 else [14.0 / (4.0 + 5.0 * lam)]
     elif cls == "convex":
-        pmax = 1.0
-        f = lambda p: k_diff_bound(which, lam, p).value
         inner = [8.0 / (4.0 + 5.0 * lam)] if (which == "d43" and lam >= 0.8) else []
     else:
         raise ValueError(f"unknown class {cls!r}")
+    pmax = P_MAX[cls]
+    f = lambda p: bound(cls, lam, which=which, p=p, psi2_variant=psi2_variant).value
     knots = sorted({0.0, pmax, *[b for b in inner if 0.0 < b < pmax]})
     best_p, best_v = 0.0, f(0.0)
     for q in knots[1:]:
@@ -294,7 +330,7 @@ def general_coeff_bound(cls: str, n: int, lam: float) -> float:
     Starlike: prod_{k=0}^{n-2}(lam + k) / (n-1)!; convex: the same over n!.
     Shares the closed-form sequence kernel tested in exact arithmetic.
     """
-    _check_lambda(lam)
+    check_lambda(lam)
     if n < 2:
         raise ValueError("general bounds start at n = 2")
     base = a_sequence_closed(float(lam), n)

@@ -7,9 +7,14 @@ Subcommands
     report  run the full registered claim suite, emit consolidated JSON
     roots   print the cubic root r0 used by the |a4| branch structure
 
-Exit codes: 0 success with no violations, 1 at least one violation found,
-2 usage or validation error.  Data goes to stdout, diagnostics to stderr.
-JSON floats are emitted value-preserving (shortest round-trip form); text
+Exit codes:
+    0   success, and no emitted report is a violation
+    1   at least one emitted report is a violation (a finding, not an error)
+    2   usage or validation error, including a --p that no selected bound or
+        claim uses and a --budget whose arrays cannot be allocated
+Data goes to stdout, diagnostics (one "error:" line) to stderr.  JSON floats
+are emitted value-preserving (shortest round-trip form); CSV cells use the
+same form, with empty cells for absent values and true/false for flags; text
 mode prints 6 significant digits.
 
 `verify` (per claim) and `report` build the lam-independent search inputs
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -32,6 +36,9 @@ from typing import Optional
 from . import bounds, oracle
 
 _FORMATS = ("text", "json", "csv")
+
+#: Documented column order for `bound` CSV output.
+BOUND_COLUMNS = ["lambda", "p", "class", "n", "which", "value", "branch"]
 
 #: Documented column order for `table` CSV output.
 TABLE_COLUMNS = [
@@ -119,13 +126,16 @@ def _parse_floats(items: Optional[list[str]], flag: str) -> list[float]:
 
 def _validate_lambdas(lams: list[float]) -> list[float]:
     for lam in lams:
-        if not 0.0 < lam <= math.pi / 2 + 1e-12:
-            raise UsageError(f"lambda must lie in (0, pi/2], got {lam}")
+        try:
+            bounds.check_lambda(lam)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     return lams
 
 
 def _validate_ps(ps: list[float], cls: str) -> list[float]:
-    pmax = 2.0 if cls == "starlike" else 1.0
+    # Strict [0, P_MAX]: a pinned p1 (p, or 2p for convex) must stay in [0, 2].
+    pmax = bounds.P_MAX[cls]
     for p in ps:
         if not 0.0 <= p <= pmax:
             raise UsageError(f"p must lie in [0, {pmax}] for the {cls} class, got {p}")
@@ -152,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--psi2-variant", choices=("proof", "statement"), default="proof")
 
     sp = sub.add_parser("bound", help="evaluate one bound")
-    sp.add_argument("--class", dest="cls", choices=("starlike", "convex"), required=True)
+    sp.add_argument("--class", dest="cls", choices=tuple(bounds.P_MAX), required=True)
     sp.add_argument("--lambda", dest="lambdas", action="append", required=True)
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, choices=(2, 3, 4))
@@ -161,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, with_oracle=False)
 
     sp = sub.add_parser("table", help="grid of all bounds")
-    sp.add_argument("--class", dest="cls", choices=("starlike", "convex"), required=True)
+    sp.add_argument("--class", dest="cls", choices=tuple(bounds.P_MAX), required=True)
     sp.add_argument("--lambda", dest="lambdas", action="append", required=True)
     sp.add_argument("--p", dest="ps", action="append")
     common(sp, with_oracle=False)
@@ -209,6 +219,11 @@ def parse_args(argv: list[str]) -> RunConfig:
             raise UsageError(f"workers must be positive, got {cfg.workers}")
         if cfg.tol < 0:
             raise UsageError(f"tol must be nonnegative, got {cfg.tol}")
+    if cfg.command == "bound":
+        if cfg.n is not None and cfg.ps is not None:
+            raise UsageError(f"--n {cfg.n} takes no --p")
+        if cfg.which is not None and cfg.ps is None:
+            raise UsageError(f"--which {cfg.which} needs --p")
     if cfg.command in ("bound", "table") and cfg.ps is not None:
         _validate_ps(cfg.ps, cfg.cls)
     if cfg.command == "verify":
@@ -218,7 +233,9 @@ def parse_args(argv: list[str]) -> RunConfig:
                     f"unknown claim {claim!r}; registered: {', '.join(sorted(oracle.CLAIMS))}"
                 )
             spec = oracle.CLAIMS[claim]
-            if cfg.ps is not None and spec.default_ps is not None:
+            if cfg.ps is not None:
+                if spec.default_ps is None:
+                    raise UsageError(f"{claim} has no p grid; drop --p")
                 _validate_ps(cfg.ps, spec.cls)
     return cfg
 
@@ -231,20 +248,20 @@ def _emit_json(doc) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _default_table_ps(cls: str) -> list[float]:
-    return [0.0, 0.5, 1.0, 1.5, 2.0] if cls == "starlike" else [0.0, 0.25, 0.5, 0.75, 1.0]
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
 
 
-def _bound_for(cfg: RunConfig, lam: float, p: Optional[float]) -> bounds.BoundResult:
-    if cfg.n is not None:
-        if cfg.cls == "starlike":
-            return bounds.s_star_coeff_bound(cfg.n, lam)
-        return bounds.k_coeff_bound(cfg.n, lam)
-    if p is None:
-        raise UsageError(f"--which {cfg.which} needs --p")
-    if cfg.cls == "starlike":
-        return bounds.s_diff_bound(cfg.which, lam, p, psi2_variant=cfg.psi2_variant)
-    return bounds.k_diff_bound(cfg.which, lam, p)
+def _emit_csv(columns: list[str], rows: list[dict]) -> None:
+    print(",".join(columns))
+    for row in rows:
+        print(",".join(_csv_cell(row[c]) for c in columns))
 
 
 def _bound_result_dict(b: bounds.BoundResult) -> dict:
@@ -261,20 +278,15 @@ def _bound_result_dict(b: bounds.BoundResult) -> dict:
 
 
 def _cmd_bound(cfg: RunConfig) -> int:
-    rows = []
-    ps = cfg.ps if cfg.ps is not None else [None]
-    for lam in cfg.lambdas:
-        for p in ps:
-            rows.append(_bound_for(cfg, lam, p))
+    rows = [
+        bounds.bound(cfg.cls, lam, cfg.n, cfg.which, p, cfg.psi2_variant)
+        for lam in cfg.lambdas
+        for p in cfg.ps or [None]
+    ]
     if cfg.fmt == "json":
         _emit_json([_bound_result_dict(b) for b in rows])
     elif cfg.fmt == "csv":
-        print("lambda,p,class,n,which,value,branch")
-        for b in rows:
-            p = "" if b.p is None else repr(b.p)
-            n = "" if b.n is None else b.n
-            w = b.which or ""
-            print(f"{b.lam!r},{p},{b.cls},{n},{w},{b.value!r},{b.branch}")
+        _emit_csv(BOUND_COLUMNS, [_bound_result_dict(b) for b in rows])
     else:
         for b in rows:
             print(f"{_fmt_text(b.value)} (branch: {b.branch})")
@@ -282,42 +294,23 @@ def _cmd_bound(cfg: RunConfig) -> int:
 
 
 def _cmd_table(cfg: RunConfig) -> int:
-    ps = cfg.ps if cfg.ps is not None else _default_table_ps(cfg.cls)
-    _validate_ps(ps, cfg.cls)
-    diff = bounds.s_diff_bound if cfg.cls == "starlike" else bounds.k_diff_bound
-    coeff = bounds.s_star_coeff_bound if cfg.cls == "starlike" else bounds.k_coeff_bound
+    ps = cfg.ps if cfg.ps is not None else bounds.DEFAULT_PS[cfg.cls]
     rows = []
     for lam in cfg.lambdas:
-        a2, a3, a4 = (coeff(n, lam) for n in (2, 3, 4))
+        coeffs = {f"a{n}": bounds.bound(cfg.cls, lam, n=n) for n in (2, 3, 4)}
         for p in ps:
-            kwargs = {"psi2_variant": cfg.psi2_variant} if cfg.cls == "starlike" else {}
-            d32 = diff("d32", lam, p, **kwargs)
-            d43 = diff("d43", lam, p, **kwargs)
-            rows.append(
-                {
-                    "lambda": lam,
-                    "p": p,
-                    "a2_bound": a2.value,
-                    "a3_bound": a3.value,
-                    "a4_bound": a4.value,
-                    "d32_bound": d32.value,
-                    "d43_bound": d43.value,
-                    "a3_branch": a3.branch,
-                    "a4_branch": a4.branch,
-                    "d32_branch": d32.branch,
-                    "d43_branch": d43.branch,
-                }
-            )
+            named = dict(coeffs)
+            for w in ("d32", "d43"):
+                named[w] = bounds.bound(cfg.cls, lam, which=w, p=p, psi2_variant=cfg.psi2_variant)
+            row = {"lambda": lam, "p": p}
+            for col in TABLE_COLUMNS[2:]:  # "<name>_bound" or "<name>_branch"
+                name, field = col.split("_")
+                row[col] = named[name].value if field == "bound" else named[name].branch
+            rows.append(row)
     if cfg.fmt == "json":
         _emit_json(rows)
     elif cfg.fmt == "csv":
-        print(",".join(TABLE_COLUMNS))
-        for r in rows:
-            cells = []
-            for col in TABLE_COLUMNS:
-                v = r[col]
-                cells.append(repr(v) if isinstance(v, float) else str(v))
-            print(",".join(cells))
+        _emit_csv(TABLE_COLUMNS, rows)
     else:
         for r in rows:
             print(
@@ -329,38 +322,13 @@ def _cmd_table(cfg: RunConfig) -> int:
     return 0
 
 
-def _report_csv_row(d: dict) -> str:
-    w = d["witness"]
-    flat = {
-        "claim_id": d["claim_id"],
-        "lambda": repr(d["lambda"]),
-        "p": "" if d["p"] is None else repr(d["p"]),
-        "bound": repr(d["bound"]),
-        "branch": d["branch"],
-        "oracle_max": repr(d["oracle_max"]),
-        "witness_p1": repr(w["p1"]),
-        "witness_x_re": repr(w["x_re"]),
-        "witness_x_im": repr(w["x_im"]),
-        "witness_y_re": repr(w["y_re"]),
-        "witness_y_im": repr(w["y_im"]),
-        "gap": repr(d["gap"]),
-        "violation": str(d["violation"]).lower(),
-        "samples": str(d["samples"]),
-        "seed": str(d["seed"]),
-        "duration_ms": str(d["duration_ms"]),
-        "variant": d["variant"] or "",
-    }
-    return ",".join(flat[c] for c in REPORT_COLUMNS)
-
-
 def _print_reports(reports, fmt: str) -> None:
     dicts = [r.to_dict() for r in reports]
     if fmt == "json":
         _emit_json(dicts)
     elif fmt == "csv":
-        print(",".join(REPORT_COLUMNS))
-        for d in dicts:
-            print(_report_csv_row(d))
+        flat = [{**d, **{f"witness_{k}": v for k, v in d["witness"].items()}} for d in dicts]
+        _emit_csv(REPORT_COLUMNS, flat)
     else:
         for d in dicts:
             p = "" if d["p"] is None else f" p={_fmt_text(d['p'])}"
@@ -423,8 +391,7 @@ def _cmd_roots(cfg: RunConfig) -> int:
     if cfg.fmt == "json":
         _emit_json({"r0": r0, "residual": residual})
     elif cfg.fmt == "csv":
-        print("r0,residual")
-        print(f"{r0!r},{residual!r}")
+        _emit_csv(["r0", "residual"], [{"r0": r0, "residual": residual}])
     else:
         print(f"r0 = {r0:.17g}  residual = {residual:.3e}")
     return 0
@@ -455,7 +422,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return run(cfg)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, MemoryError) as exc:
+        # exit 1 means a violation, so an unallocatable budget maps to 2 as well
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

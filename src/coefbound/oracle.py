@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds, series
+from .bounds import DEFAULT_PS
 from .schwarz import (
     CaratheodoryParams,
     caratheodory_moments,
@@ -59,12 +60,12 @@ class Functional:
     def __post_init__(self):
         if self.kind not in FUNCTIONAL_KINDS:
             raise ValueError(f"unknown functional {self.kind!r}")
-        if self.cls not in ("starlike", "convex"):
+        if self.cls not in bounds.P_MAX:
             raise ValueError(f"unknown class {self.cls!r}")
         if self.kind in _DIFFERENCE_KINDS and self.fixed_p is None:
             raise ValueError(f"{self.kind} constrains f''(0); fixed_p is required")
         if self.fixed_p is not None:
-            pmax = 2.0 if self.cls == "starlike" else 1.0
+            pmax = bounds.P_MAX[self.cls]
             if not 0.0 <= self.fixed_p <= pmax:
                 raise ValueError(f"fixed_p must lie in [0, {pmax}] for {self.cls}")
 
@@ -110,7 +111,7 @@ def _functional_values(fn: Functional, lam, p1, p2, p3):
 
 def functional_value(fn: Functional, lam: float, params: CaratheodoryParams) -> float:
     """The requested modulus at one parameter point (fixed_p overrides p1)."""
-    bounds._check_lambda(lam)
+    bounds.check_lambda(lam)
     p1 = fn.effective_p1
     if p1 is None:
         p1 = params.p1
@@ -216,7 +217,7 @@ def extremal_search(
     verify_claim and run_claim_suite share across a run; a call without it
     builds its own and returns the same result.  ``workers`` has no effect.
     """
-    bounds._check_lambda(lam)
+    bounds.check_lambda(lam)
     if budget < 1000:
         raise ValueError("budget must be at least 1000")
     _check_workers(workers)
@@ -326,8 +327,6 @@ class ClaimDef:
 
 
 _FULL_GRID = (0.3, 0.6, 1.0, 1.4)
-_STAR_PS = (0.0, 0.5, 1.0, 1.5, 2.0)
-_CONVEX_PS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 # Default lambda grids probe every branch that the in-paper anchors confirm.
 # The |a4| bounds are probed inside (1/5, ~0.51] as well, where the printed
@@ -344,8 +343,8 @@ CLAIMS: dict[str, ClaimDef] = {
         ClaimDef("thm3.2-a2", "abs_a2", "convex", 2, None, _FULL_GRID, None),
         ClaimDef("thm3.2-a3", "abs_a3", "convex", 3, None, _FULL_GRID, None),
         ClaimDef("thm3.2-a4", "abs_a4", "convex", 4, None, (0.1, 1.0, 1.4), None),
-        ClaimDef("thm3.3-d32", "abs_a3_minus_a2", "starlike", None, "d32", _FULL_GRID, _STAR_PS),
-        ClaimDef("thm3.3-d43", "abs_a4_minus_a3", "starlike", None, "d43", _FULL_GRID, _STAR_PS),
+        ClaimDef("thm3.3-d32", "abs_a3_minus_a2", "starlike", None, "d32", _FULL_GRID, DEFAULT_PS["starlike"]),
+        ClaimDef("thm3.3-d43", "abs_a4_minus_a3", "starlike", None, "d43", _FULL_GRID, DEFAULT_PS["starlike"]),
         ClaimDef(
             "thm3.3-d43-psi2-statement",
             "abs_a4_minus_a3",
@@ -356,21 +355,10 @@ CLAIMS: dict[str, ClaimDef] = {
             (2.0,),
             pinned_variant="statement",
         ),
-        ClaimDef("thm3.5-d32", "abs_a3_minus_a2", "convex", None, "d32", _FULL_GRID, _CONVEX_PS),
-        ClaimDef("thm3.5-d43", "abs_a4_minus_a3", "convex", None, "d43", _FULL_GRID, _CONVEX_PS),
+        ClaimDef("thm3.5-d32", "abs_a3_minus_a2", "convex", None, "d32", _FULL_GRID, DEFAULT_PS["convex"]),
+        ClaimDef("thm3.5-d43", "abs_a4_minus_a3", "convex", None, "d43", _FULL_GRID, DEFAULT_PS["convex"]),
     ]
 }
-
-
-def _claim_bound(claim: ClaimDef, lam: float, p: Optional[float], psi2_variant: str):
-    if claim.n is not None:
-        if claim.cls == "starlike":
-            return bounds.s_star_coeff_bound(claim.n, lam)
-        return bounds.k_coeff_bound(claim.n, lam)
-    variant = claim.pinned_variant or psi2_variant
-    if claim.cls == "starlike":
-        return bounds.s_diff_bound(claim.which, lam, p, psi2_variant=variant)
-    return bounds.k_diff_bound(claim.which, lam, p)
 
 
 def _verify_points(
@@ -398,7 +386,9 @@ def _verify_points(
         for i, claim, fn, lam, p in group:
             t0 = time.perf_counter()
             result = extremal_search(fn, lam, budget=budget, seed=seed, inputs=inputs)
-            b = _claim_bound(claim, lam, p, psi2_variant)
+            b = bounds.bound(
+                claim.cls, lam, claim.n, claim.which, p, claim.pinned_variant or psi2_variant
+            )
             gap = b.value - result.value
             duration_ms = int((time.perf_counter() - t0) * 1000.0)
             reports[i] = VerificationReport(
@@ -507,7 +497,7 @@ def general_bound_probe(
     |a_n| <= the product bound + 1e-9 for both classes.  Positive excesses
     are violations; the maxima are reported either way.
     """
-    bounds._check_lambda(lam)
+    bounds.check_lambda(lam)
     if n_max > series.DEFAULT_ORDER:
         raise ValueError(f"n_max must stay within the default order {series.DEFAULT_ORDER}")
     rng = np.random.default_rng(seed)

@@ -13,10 +13,11 @@ value, so series may be shared freely across threads.
 from __future__ import annotations
 
 import cmath
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .bounds import check_lambda
 
 #: Default truncation order; covers general-bound probes well past n = 4.
 DEFAULT_ORDER = 12
@@ -144,8 +145,7 @@ def coefficients_from_schwarz(
     condition on 1 + z*f''/f': there g = z*f' satisfies the starlike equation
     with the same w, so a_n = b_n / n with b_n the starlike coefficients.
     """
-    if not 0.0 < lam <= math.pi / 2:
-        raise ValueError(f"lambda must lie in (0, pi/2], got {lam}")
+    check_lambda(lam)
     if cls not in ("starlike", "convex"):
         raise ValueError(f"unknown class {cls!r}")
     if omega.coeffs[0] != 0:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coefbound.bounds import (
+    bound,
     k_coeff_bound,
     k_diff_bound,
     general_coeff_bound,
@@ -17,6 +18,13 @@ from coefbound.bounds import (
 from coefbound.lemmas import a_sequence_closed
 
 lambdas = st.floats(min_value=1e-3, max_value=math.pi / 2)
+
+#: Each side of every lambda breakpoint: 1/5, 3/5, 2/3, 0.8, r0 and sqrt(32/43).
+BREAKPOINT_SIDES = [
+    b + side
+    for b in (0.2, 0.6, 2.0 / 3.0, 0.8, r0_root(), math.sqrt(32.0 / 43.0))
+    for side in (-1e-6, 1e-6)
+]
 
 
 class TestR0Root:
@@ -110,6 +118,35 @@ class TestConvexCoefficientBounds:
     @settings(max_examples=200, deadline=None)
     def test_branches_match(self, n, lam):
         assert k_coeff_bound(n, lam).branch == s_star_coeff_bound(n, lam).branch
+
+
+class TestBoundDispatch:
+    @pytest.mark.parametrize("lam", BREAKPOINT_SIDES)
+    def test_dispatch_is_the_direct_evaluator_bitwise(self, lam):
+        for n in (2, 3, 4):
+            assert bound("starlike", lam, n=n) == s_star_coeff_bound(n, lam)
+            assert bound("convex", lam, n=n) == k_coeff_bound(n, lam)
+            assert bound("starlike", lam, n=n).value == n * bound("convex", lam, n=n).value
+        for which in ("d32", "d43"):
+            for variant in ("proof", "statement"):
+                for p in (0.0, 0.5, 1.0, 1.5, 2.0):
+                    got = bound("starlike", lam, which=which, p=p, psi2_variant=variant)
+                    assert got == s_diff_bound(which, lam, p, psi2_variant=variant)
+                for p in (0.0, 0.25, 0.5, 0.75, 1.0):
+                    got = bound("convex", lam, which=which, p=p, psi2_variant=variant)
+                    assert got == k_diff_bound(which, lam, p)
+
+    def test_point_must_be_fully_specified(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            bound("starlike", 1.0)
+        with pytest.raises(ValueError, match="exactly one"):
+            bound("starlike", 1.0, n=2, which="d32", p=1.0)
+        with pytest.raises(ValueError, match="needs p"):
+            bound("convex", 1.0, which="d32")
+        with pytest.raises(ValueError, match="takes no p"):
+            bound("convex", 1.0, n=2, p=0.5)
+        with pytest.raises(ValueError, match="unknown class"):
+            bound("spiral", 1.0, n=2)
 
 
 class TestStarlikeDifferenceBounds:

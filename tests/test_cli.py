@@ -1,9 +1,10 @@
 import json
 import math
+import types
 
 import pytest
 
-from coefbound import cli
+from coefbound import cli, oracle
 from coefbound.oracle import CLAIMS, VerificationReport
 
 
@@ -60,6 +61,15 @@ class TestParseArgs:
         with pytest.raises(cli.UsageError):
             cli.parse_args(["verify", "--claim", "thm3.1-a2", "--budget", "10"])
 
+    def test_p_for_a_claim_without_p_grid_rejected(self):
+        with pytest.raises(cli.UsageError, match="thm3.1-a2 has no p grid"):
+            cli.parse_args(["verify", "--claim", "thm3.1-a2", "--lambda", "1", "--p", "0.5"])
+        # one selected claim without a p grid is enough
+        with pytest.raises(cli.UsageError, match="thm3.2-a4 has no p grid"):
+            cli.parse_args(
+                ["verify", "--claim", "thm3.3-d32", "--claim", "thm3.2-a4", "--p", "0.5"]
+            )
+
 
 class TestExitCodes:
     def test_empty_argv_is_usage_error(self, capsys):
@@ -94,6 +104,28 @@ class TestExitCodes:
         )
         assert code == 0
 
+    def test_ignored_p_exit_2_with_single_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--claim", "thm3.1-a2", "--lambda", "1", "--p", "0.5"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        code, out, err = run_cli(
+            capsys, "bound", "--class", "starlike", "--n", "2", "--lambda", "1", "--p", "0,1"
+        )
+        assert (code, out) == (2, "") and "takes no --p" in err
+
+    def test_unallocatable_budget_exit_2_with_single_line(self, capsys):
+        # 10**15 asks numpy for 1.77 PiB at once, which is refused before
+        # anything is allocated; never use a budget that could fit in memory.
+        code, out, err = run_cli(
+            capsys, "verify", "--claim", "thm3.1-a2", "--lambda", "1", "--budget", str(10**15)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
 
 class TestBoundCommand:
     def test_quoted_example(self, capsys):
@@ -104,6 +136,8 @@ class TestBoundCommand:
     def test_diff_bound_needs_p(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--class", "starlike", "--which", "d32", "--lambda", "1")
         assert code == 2 and "needs --p" in err
+        with pytest.raises(cli.UsageError, match="needs --p"):
+            cli.parse_args(["bound", "--class", "convex", "--which", "d43", "--lambda", "1"])
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -112,6 +146,24 @@ class TestBoundCommand:
         doc = json.loads(out)
         assert doc[0]["value"] == pytest.approx(17 / 144)
         assert doc[0]["branch"] == "lambda>sqrt(32/43)"
+
+    def test_csv_bytes(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "bound", "--class", "starlike", "--n", "4", "--lambda", "1", "--format", "csv"
+        )
+        assert out == (
+            "lambda,p,class,n,which,value,branch\n"
+            "1.0,,starlike,4,,0.4722222222222222,lambda>sqrt(32/43)\n"
+        )
+        _, out, _ = run_cli(
+            capsys,
+            "bound", "--class", "starlike", "--which", "d43", "--lambda", "1", "--p", "1.5",
+            "--format", "csv",
+        )
+        assert out == (
+            ",".join(cli.BOUND_COLUMNS) + "\n"
+            "1.0,1.5,starlike,,d43,0.3889973958333333,psi2:p<=14/(4+5*lambda)\n"
+        )
 
     def test_statement_variant_flag(self, capsys):
         code, out, _ = run_cli(
@@ -179,6 +231,23 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert lines[0] == ",".join(cli.REPORT_COLUMNS)
         assert len(lines) == 2
+
+    def test_csv_bytes(self, capsys, monkeypatch):
+        # a frozen clock makes duration_ms 0, so every byte is reproducible
+        monkeypatch.setattr(oracle, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--claim", "thm3.1-a4", "--lambda", "0.21,1", "--budget", "2000",
+            "--format", "csv",
+        )
+        assert code == 1
+        assert out == (
+            ",".join(cli.REPORT_COLUMNS) + "\n"
+            "thm3.1-a4,0.21,,0.05411496359365945,1/5<lambda<=r0,0.06999999999999999,"
+            "0.0,0.0,0.0,1.0,0.0,-0.015885036406340543,true,2000,42,0,\n"
+            "thm3.1-a4,1.0,,0.4722222222222222,lambda>sqrt(32/43),0.4722222222222222,"
+            "2.0,0.0,0.0,0.0,0.0,0.0,false,2000,42,0,\n"
+        )
 
     def test_default_grids_from_registry(self, capsys):
         code, out, _ = run_cli(

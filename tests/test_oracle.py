@@ -252,6 +252,13 @@ class TestSeriesCrossCheck:
             dev = series_cross_check(lam, "starlike", CaratheodoryParams(0.0, 0.0, 1.0))
             assert dev < 1e-12
 
+    def test_accepts_every_lambda_the_bounds_accept(self):
+        # bounds and the CLI admit pi/2 within the breakpoint slack; so must the series route
+        lam = math.pi / 2 + 5e-13
+        for cls in ("starlike", "convex"):
+            dev = series_cross_check(lam, cls, CaratheodoryParams(1.2, 0.3 - 0.4j, 0.5j))
+            assert dev < 1e-12
+
     def test_random_sweep_both_classes(self):
         params = sample_params(31, 200, "random")
         for lam in (0.5, 1.0, math.pi / 2):
