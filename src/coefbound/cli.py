@@ -11,17 +11,20 @@ Exit codes:
     0   success, and no emitted report is a violation
     1   at least one emitted report is a violation (a finding, not an error)
     2   usage or validation error, including a --p that no selected bound or
-        claim uses and a --budget whose arrays cannot be allocated
+        claim uses, a --budget outside [1000, 10**9], a negative --seed and
+        a --tol that is negative, inf or nan
 Data goes to stdout, diagnostics (one "error:" line) to stderr.  JSON floats
 are emitted value-preserving (shortest round-trip form); CSV cells use the
 same form, with empty cells for absent values and true/false for flags; text
 mode prints 6 significant digits.
 
-`verify` (per claim) and `report` build the lam-independent search inputs
-once and share them across their searches, so the first record of each
-group of searches with the same pinned p1 also times building them in its
-duration_ms.  --workers (default: COEFBOUND_WORKERS, else all cores) is
-validated but changes neither speed nor output.
+Each search streams its candidates in fixed-size blocks, so memory does not
+grow with --budget.  `verify` (per claim) and `report` draw the
+lam-independent search inputs once and share them across their searches
+while they fit under a fixed cap (budgets up to about 300,000), so the first
+record of each group of searches with the same pinned p1 also times
+drawing them in its duration_ms.  --workers (default: COEFBOUND_WORKERS,
+else all cores) is validated but changes neither speed nor output.
 """
 
 from __future__ import annotations
@@ -213,12 +216,17 @@ def parse_args(argv: list[str]) -> RunConfig:
         cfg.seed = ns.seed
         cfg.tol = ns.tol
         cfg.workers = ns.workers if ns.workers is not None else _default_workers()
-        if cfg.budget < 1000:
-            raise UsageError(f"budget must be at least 1000, got {cfg.budget}")
+        for check, flag, value in (
+            (oracle.check_budget, "--budget", cfg.budget),
+            (oracle.check_seed, "--seed", cfg.seed),
+            (oracle.check_tol, "--tol", cfg.tol),
+        ):
+            try:
+                check(value, flag)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
         if cfg.workers < 1:
             raise UsageError(f"workers must be positive, got {cfg.workers}")
-        if cfg.tol < 0:
-            raise UsageError(f"tol must be nonnegative, got {cfg.tol}")
     if cfg.command == "bound":
         if cfg.n is not None and cfg.ps is not None:
             raise UsageError(f"--n {cfg.n} takes no --p")
@@ -422,8 +430,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return run(cfg)
-    except (ValueError, KeyError, MemoryError) as exc:
-        # exit 1 means a violation, so an unallocatable budget maps to 2 as well
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,19 +8,24 @@ more than the tolerance; violations are findings, never errors, because the
 harness exists in part to document transcription defects.
 
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
-variant) produce bit-identical reports.  Every search of a run at one
-(seed, budget) draws the same lam-independent inputs, so a run builds them
-once and shares them: each exploration set (canonical, grid and random
-candidates with their moments p2, p3) per effective p1, and the refine
-offsets of each round.  Sharing reorders no floating-point operation, so a
-shared search returns the same bits as a standalone one.  The worker count
-is accepted for compatibility; it changes neither speed nor output.
+variant) produce bit-identical reports.  A search streams each phase in
+blocks of CHUNK_ROWS candidates with a running first-index argmax, so its
+memory does not grow with the budget and its result does not depend on the
+block size.  Every search of a run at one (seed, budget) draws the same
+lam-independent inputs, so while they fit in SHARED_INPUT_BYTES a run draws
+them once and shares the blocks: each exploration set (canonical, grid and
+random candidates with their moments p2, p3) per effective p1, and the
+refine offsets of each round.  Neither blocks nor sharing reorder a
+floating-point operation, so every path returns the same bits.  The worker
+count is accepted for compatibility; it changes neither speed nor output.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,9 +36,12 @@ from .schwarz import (
     CaratheodoryParams,
     caratheodory_moments,
     caratheodory_to_schwarz,
+    grid_chunks,
+    grid_size,
+    random_chunks,
     refine_around,
-    refine_offsets,
-    sample_param_arrays,
+    refine_offset_chunks,
+    sample_param_arrays,  # noqa: F401  (unused here; bench/spans.py wraps it under this name)
 )
 
 FUNCTIONAL_KINDS = ("abs_a2", "abs_a3", "abs_a4", "abs_a3_minus_a2", "abs_a4_minus_a3")
@@ -43,6 +51,16 @@ _DIFFERENCE_KINDS = ("abs_a3_minus_a2", "abs_a4_minus_a3")
 DEFAULT_BUDGET = 100_000
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 42
+
+#: The budget domain.  Memory does not grow with the budget, so the upper
+#: end only keeps a single search to minutes rather than days.
+MIN_BUDGET = 1000
+MAX_BUDGET = 10**9
+
+#: Rows per block of the streaming search; a block's arrays and temporaries stay in cache.
+CHUNK_ROWS = 8192
+#: A run keeps its lam-independent input blocks only while they fit in this many bytes.
+SHARED_INPUT_BYTES = 16 * 2**20
 
 _REFINE_ROUNDS = 5
 _REFINE_SHRINK = 0.3
@@ -120,6 +138,27 @@ def functional_value(fn: Functional, lam: float, params: CaratheodoryParams) -> 
     return float(_functional_values(fn, lam, p1, p2, p3))
 
 
+def check_budget(budget: int, name: str = "budget") -> None:
+    """Raise ValueError unless MIN_BUDGET <= budget <= MAX_BUDGET; ``name`` labels it."""
+    if not MIN_BUDGET <= budget <= MAX_BUDGET:
+        raise ValueError(f"{name} must lie in [{MIN_BUDGET}, {MAX_BUDGET}], got {budget}")
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Raise ValueError unless seed >= 0, as numpy's generators require."""
+    if seed < 0:
+        raise ValueError(f"{name} must be nonnegative, got {seed}")
+
+
+def check_tol(tol: float, name: str = "tol") -> None:
+    """Raise ValueError unless tol is finite and >= 0.
+
+    With NaN or inf the violation test oracle_max > bound + tol is never true.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
+
+
 def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
@@ -139,19 +178,34 @@ def _canonical_arrays(eff: Optional[float]) -> tuple[np.ndarray, np.ndarray, np.
     return np.array(p1s, dtype=float), np.array(xs), np.array(ys)
 
 
-def _explore_arrays(seed: int, budget: int, eff: Optional[float]):
-    """(p1, x, y, p2, p3) of the canonical, grid and random candidates.
+def _with_moments(blocks):
+    for p1, x, y in blocks:
+        yield (p1, x, y, *_moments(p1, x, y))
+
+
+def _explore_chunks(seed: int, budget: int, eff: Optional[float]):
+    """(p1, x, y, p2, p3) blocks of the canonical, grid and random candidates.
 
     Exploration gets what the refine rounds (a tenth of the budget each)
     and the canonical witnesses leave, half of it for the grid.
     """
     canonical = _canonical_arrays(eff)
     explore = max(budget - _REFINE_ROUNDS * (budget // 10) - canonical[0].size, 0)
-    grid = sample_param_arrays(seed, max(explore // 2, 1), "grid", fixed_p1=eff)
-    rand = sample_param_arrays(seed, max(explore - grid[0].size, 1), "random", fixed_p1=eff)
-    p1, x, y = (np.concatenate(parts) for parts in zip(canonical, grid, rand))
-    del grid, rand  # the parts are copied; free them before the moments' temporaries
-    return (p1, x, y, *_moments(p1, x, y))
+    grid = max(explore // 2, 1)
+    rand = max(explore - grid_size(grid, eff), 1)
+    return _with_moments(
+        itertools.chain(
+            [canonical],
+            grid_chunks(grid, eff, CHUNK_ROWS),
+            random_chunks(seed, rand, eff, CHUNK_ROWS),
+        )
+    )
+
+
+def _shared_bytes(budget: int) -> int:
+    """Bytes of one exploration set (72 per row) plus the offsets of every round (40 per row)."""
+    refine = _REFINE_ROUNDS * (budget // 10)
+    return (budget - refine) * 72 + refine * 40
 
 
 def _p1_key(eff: Optional[float]) -> Optional[str]:
@@ -160,33 +214,60 @@ def _p1_key(eff: Optional[float]) -> Optional[str]:
 
 
 class _SearchInputs:
-    """The lam-independent inputs of every search at one (seed, budget).
+    """The lam-independent input blocks of every search at one (seed, budget).
 
-    Holds the exploration set of the effective p1 last asked for, one set at
-    a time, and the refine offsets of each round once built.  Callers own an
+    While they fit in SHARED_INPUT_BYTES it keeps the blocks of the
+    exploration set of the effective p1 last asked for, one set at a time,
+    and the offset blocks of each refine round once drawn.  Above that it
+    keeps nothing and every search draws its blocks afresh.  Callers own an
     instance for one run and drop it after.
     """
 
     def __init__(self, seed: int, budget: int):
         self.seed = seed
         self.budget = budget
+        self._keep = _shared_bytes(budget) <= SHARED_INPUT_BYTES
         self._key: Optional[str] = None
-        self._arrays = None
+        self._explore = None
         self._offsets: dict = {}
 
     def explore(self, eff: Optional[float]):
+        """(p1, x, y, p2, p3) blocks of the exploration set at ``eff``."""
+        if not self._keep:
+            return _explore_chunks(self.seed, self.budget, eff)
         key = _p1_key(eff)
-        if self._arrays is None or key != self._key:
-            self._arrays = None  # free the previous set before building the next one
-            self._arrays = _explore_arrays(self.seed, self.budget, eff)
+        if self._explore is None or key != self._key:
+            self._explore = None  # free the previous set before building the next one
+            self._explore = list(_explore_chunks(self.seed, self.budget, eff))
             self._key = key
-        return self._arrays
+        return self._explore
 
     def offsets(self, rnd: int, radius: float):
-        """Offsets of refine round ``rnd``; its radius is the same in every search."""
+        """(dp1, dx, dy) blocks of refine round ``rnd``; its radius is the same in every search."""
+        blocks = refine_offset_chunks([self.seed, rnd], self.budget // 10, radius, CHUNK_ROWS)
+        if not self._keep:
+            return blocks
         if rnd not in self._offsets:
-            self._offsets[rnd] = refine_offsets([self.seed, rnd], self.budget // 10, radius)
+            self._offsets[rnd] = list(blocks)
         return self._offsets[rnd]
+
+
+def _best_of(fn: Functional, lam: float, blocks, best: float, witness):
+    """Scan (p1, x, y, p2, p3) blocks with a running first-index argmax.
+
+    A block's maximum replaces the incumbent only if strictly larger, so the
+    result is the first maximal row of the whole stream, whatever the block
+    size.  Returns the incumbent and the number of rows scanned.
+    """
+    scanned = 0
+    for p1, x, y, p2, p3 in blocks:
+        vals = _functional_values(fn, lam, p1, p2, p3)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best = float(vals[i])
+            witness = (float(p1[i]), complex(x[i]), complex(y[i]))
+        scanned += p1.size
+    return best, witness, scanned
 
 
 @dataclass(frozen=True)
@@ -210,16 +291,19 @@ def extremal_search(
     Phases: canonical witnesses, a stratified grid plus random exploration
     (half the budget), then five refine-around rounds (a tenth of the budget
     each) shrinking the neighborhood geometrically around the incumbent.
-    The incumbent is never discarded, and replacement requires strict
-    improvement, so canonical witnesses win all exact ties.
+    Each phase is scored in blocks of CHUNK_ROWS; a round is centred on the
+    incumbent at its start.  The incumbent is never discarded, and
+    replacement requires strict improvement, so canonical witnesses win all
+    exact ties.  ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET] and ``seed``
+    must be nonnegative.
 
     ``inputs`` carries the lam-independent candidates and offsets that
     verify_claim and run_claim_suite share across a run; a call without it
     builds its own and returns the same result.  ``workers`` has no effect.
     """
     bounds.check_lambda(lam)
-    if budget < 1000:
-        raise ValueError("budget must be at least 1000")
+    check_budget(budget)
+    check_seed(seed)
     _check_workers(workers)
     if inputs is None:
         inputs = _SearchInputs(seed, budget)
@@ -227,26 +311,16 @@ def extremal_search(
         raise ValueError("inputs were built for another seed or budget")
     eff = fn.effective_p1
 
-    p1, x, y, p2, p3 = inputs.explore(eff)
-    vals = _functional_values(fn, lam, p1, p2, p3)
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    bp1, bx, by = float(p1[i]), complex(x[i]), complex(y[i])
-    evaluated = p1.size
-
+    best, witness, evaluated = _best_of(fn, lam, inputs.explore(eff), -np.inf, None)
     radius = _REFINE_RADIUS0
     for rnd in range(_REFINE_ROUNDS):
-        center = CaratheodoryParams(bp1, bx, by)
-        qp1, qx, qy = refine_around(inputs.offsets(rnd, radius), center, eff)
-        vals = _functional_values(fn, lam, qp1, *_moments(qp1, qx, qy))
-        j = int(np.argmax(vals))
-        if float(vals[j]) > best:
-            best = float(vals[j])
-            bp1, bx, by = float(qp1[j]), complex(qx[j]), complex(qy[j])
-        evaluated += qp1.size
+        center = CaratheodoryParams(*witness)  # the incumbent at the start of the round
+        around = (refine_around(block, center, eff) for block in inputs.offsets(rnd, radius))
+        best, witness, scanned = _best_of(fn, lam, _with_moments(around), best, witness)
+        evaluated += scanned
         radius *= _REFINE_SHRINK
 
-    return SearchResult(value=best, witness=CaratheodoryParams(bp1, bx, by), samples=evaluated)
+    return SearchResult(value=best, witness=CaratheodoryParams(*witness), samples=evaluated)
 
 
 @dataclass(frozen=True)
@@ -375,6 +449,7 @@ def _verify_points(
     so that each exploration set is built once and only one is held at a
     time.  A group's first record therefore also times building its set.
     """
+    check_tol(tol)
     _check_workers(workers)
     groups: dict = {}
     for i, (claim, lam, p) in enumerate(points):

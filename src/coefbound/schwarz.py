@@ -117,14 +117,16 @@ def sample_param_arrays(
     |x' - x| <= radius and |y' - y| <= radius (clipping and disk projection
     only shrink distances).
 
-    The output depends only on the arguments, never on call order.
+    The output depends only on the arguments, never on call order.  Each
+    strategy is the concatenation of its blocks (grid_chunks, random_chunks,
+    refine_offset_chunks), whatever the block size.
     """
     if count <= 0:
         raise ValueError("count must be positive")
     if strategy == "grid":
-        return _grid_arrays(count, fixed_p1)
+        return _concat(grid_chunks(count, fixed_p1, count))
     if strategy == "random":
-        return _random_arrays(seed, count, fixed_p1)
+        return _concat(random_chunks(seed, count, fixed_p1, count))
     if strategy == "refine-around":
         if center is None:
             raise ValueError("refine-around requires a center")
@@ -154,22 +156,38 @@ def _axis_levels(count: int, fixed_p1: Optional[float]) -> list[int]:
     return levels
 
 
-def _grid_arrays(count, fixed_p1):
+def grid_size(count: int, fixed_p1: Optional[float] = None) -> int:
+    """Rows of the ``grid`` strategy at ``count``: the largest level product <= count."""
+    return math.prod(_axis_levels(count, fixed_p1))
+
+
+def _polar_levels(n_mod: int, n_phase: int) -> np.ndarray:
+    """Every modulus level times every phase level, modulus outer."""
+    mod = np.linspace(0.0, 1.0, n_mod)
+    phase = 2.0 * np.pi * np.arange(n_phase) / n_phase
+    return (mod[:, None] * np.exp(1j * phase)).ravel()
+
+
+def grid_chunks(count: int, fixed_p1: Optional[float], chunk: int):
+    """The ``grid`` rows as (p1, x, y) blocks of at most ``chunk`` rows, in order.
+
+    Rows run over p1, |x|, arg x, |y|, arg y with the last axis fastest.  A
+    block indexes the axis levels directly; exp(1j*angle) is taken once per
+    phase level.
+    """
     levels = _axis_levels(count, fixed_p1)
-    axes = []
     if fixed_p1 is None:
-        axes.append(np.linspace(0.0, 2.0, levels[0]))
+        p1_levels = np.linspace(0.0, 2.0, levels[0])
         levels = levels[1:]
     else:
-        axes.append(np.array([float(fixed_p1)]))
-    mx = np.linspace(0.0, 1.0, levels[0])
-    ax = 2.0 * np.pi * np.arange(levels[1]) / levels[1]
-    my = np.linspace(0.0, 1.0, levels[2])
-    ay = 2.0 * np.pi * np.arange(levels[3]) / levels[3]
-    p1g, mxg, axg, myg, ayg = np.meshgrid(axes[0], mx, ax, my, ay, indexing="ij")
-    x = (mxg * np.exp(1j * axg)).ravel()
-    y = (myg * np.exp(1j * ayg)).ravel()
-    return p1g.ravel().astype(float), x, y
+        p1_levels = np.array([float(fixed_p1)])
+    xs = _polar_levels(levels[0], levels[1])
+    ys = _polar_levels(levels[2], levels[3])
+    total = p1_levels.size * xs.size * ys.size
+    for start in range(0, total, chunk):
+        rest, iy = np.divmod(np.arange(start, min(start + chunk, total)), ys.size)
+        ip1, ix = np.divmod(rest, xs.size)
+        yield p1_levels[ip1], xs[ix], ys[iy]
 
 
 def _modulus_and_phase(u: np.ndarray) -> np.ndarray:
@@ -185,19 +203,40 @@ def _modulus_and_phase(u: np.ndarray) -> np.ndarray:
     return mod * np.exp(1j * phase)
 
 
-def _random_arrays(seed, count, fixed_p1):
+def _uniform_blocks(seed, count: int, width: int, chunk: int):
+    """``count`` rows of ``width`` uniforms from one generator, ``chunk`` rows at a time.
+
+    One matrix row per sample, drawn in order, so the blocks concatenate to
+    a single draw and smaller draws are a prefix of larger ones.
+    """
     rng = np.random.default_rng(seed)
-    # One matrix row per sample keeps smaller draws a prefix of larger ones.
-    u = rng.random((count, 10))
-    if fixed_p1 is None:
-        p1 = 2.0 * u[:, 1].copy()
-        p1[u[:, 0] < 0.125] = 2.0
-        p1[(u[:, 0] >= 0.125) & (u[:, 0] < 0.1875)] = 0.0
-    else:
-        p1 = np.full(count, float(fixed_p1))
-    x = _modulus_and_phase(u[:, 2:6])
-    y = _modulus_and_phase(u[:, 6:10])
-    return p1, x, y
+    for start in range(0, count, chunk):
+        yield rng.random((min(chunk, count - start), width))
+
+
+def random_chunks(seed, count: int, fixed_p1: Optional[float], chunk: int):
+    """The ``random`` rows as (p1, x, y) blocks of at most ``chunk`` rows, in order."""
+    for u in _uniform_blocks(seed, count, 10, chunk):
+        if fixed_p1 is None:
+            p1 = 2.0 * u[:, 1].copy()
+            p1[u[:, 0] < 0.125] = 2.0
+            p1[(u[:, 0] >= 0.125) & (u[:, 0] < 0.1875)] = 0.0
+        else:
+            p1 = np.full(u.shape[0], float(fixed_p1))
+        yield p1, _modulus_and_phase(u[:, 2:6]), _modulus_and_phase(u[:, 6:10])
+
+
+def refine_offset_chunks(seed, count: int, radius: float, chunk: int):
+    """The refine offsets (dp1, dx, dy) in blocks of at most ``chunk`` rows, in order."""
+    for u in _uniform_blocks(seed, count, 6, chunk):
+        dp1 = 2.0 * radius * (2.0 * u[:, 0] - 1.0)
+        dx = radius * np.sqrt(u[:, 1]) * np.exp(2j * np.pi * u[:, 2])
+        dy = radius * np.sqrt(u[:, 3]) * np.exp(2j * np.pi * u[:, 4])
+        yield dp1, dx, dy
+
+
+def _concat(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def refine_offsets(seed, count: int, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,12 +245,7 @@ def refine_offsets(seed, count: int, radius: float) -> tuple[np.ndarray, np.ndar
     They depend only on (seed, count, radius), never on the centre, so the
     searches of one run share them; refine_around applies a centre.
     """
-    rng = np.random.default_rng(seed)
-    u = rng.random((count, 6))
-    dp1 = 2.0 * radius * (2.0 * u[:, 0] - 1.0)
-    dx = radius * np.sqrt(u[:, 1]) * np.exp(2j * np.pi * u[:, 2])
-    dy = radius * np.sqrt(u[:, 3]) * np.exp(2j * np.pi * u[:, 4])
-    return dp1, dx, dy
+    return _concat(refine_offset_chunks(seed, count, radius, count))
 
 
 def refine_around(

@@ -61,6 +61,23 @@ class TestParseArgs:
         with pytest.raises(cli.UsageError):
             cli.parse_args(["verify", "--claim", "thm3.1-a2", "--budget", "10"])
 
+    def test_budget_domain(self):
+        cfg = cli.parse_args(["report", "--budget", str(oracle.MAX_BUDGET)])
+        assert cfg.budget == 10**9
+        with pytest.raises(cli.UsageError, match=r"--budget must lie in \[1000, 1000000000\]"):
+            cli.parse_args(["report", "--budget", str(oracle.MAX_BUDGET + 1)])
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(cli.UsageError, match="--tol must be finite and nonnegative"):
+            cli.parse_args(["verify", "--claim", "thm3.1-a4", f"--tol={tol}"])
+        assert cli.parse_args(["verify", "--claim", "thm3.1-a4", "--tol", "0"]).tol == 0.0
+
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(cli.UsageError, match="--seed must be nonnegative, got -1"):
+            cli.parse_args(["verify", "--claim", "thm3.1-a2", "--seed", "-1"])
+        assert cli.parse_args(["report", "--seed", "0"]).seed == 0
+
     def test_p_for_a_claim_without_p_grid_rejected(self):
         with pytest.raises(cli.UsageError, match="thm3.1-a2 has no p grid"):
             cli.parse_args(["verify", "--claim", "thm3.1-a2", "--lambda", "1", "--p", "0.5"])
@@ -117,14 +134,32 @@ class TestExitCodes:
         assert (code, out) == (2, "") and "takes no --p" in err
 
     def test_unallocatable_budget_exit_2_with_single_line(self, capsys):
-        # 10**15 asks numpy for 1.77 PiB at once, which is refused before
-        # anything is allocated; never use a budget that could fit in memory.
+        # Memory no longer grows with the budget, so a budget once too large
+        # to allocate is refused by the budget domain before any search.
         code, out, err = run_cli(
             capsys, "verify", "--claim", "thm3.1-a2", "--lambda", "1", "--budget", str(10**15)
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert err.startswith("error: --budget must lie in [1000, 1000000000]")
+        assert err.count("\n") == 1
+
+
+    def test_nan_tol_exit_2_with_single_line(self, capsys):
+        # oracle_max > bound + nan is always false, so nan would report the known violation as ok
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--claim", "thm3.1-a4", "--lambda", "0.21", "--budget", "2000", "--tol", "nan",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --tol must be finite and nonnegative, got nan\n"
+
+    def test_negative_seed_exit_2_with_single_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--claim", "thm3.1-a2", "--lambda", "1", "--budget", "2000", "--seed", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --seed must be nonnegative, got -1\n"
 
 
 class TestBoundCommand:

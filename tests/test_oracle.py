@@ -1,11 +1,16 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coefbound import oracle
 from coefbound.oracle import (
     CLAIMS,
+    FUNCTIONAL_KINDS,
     Functional,
     VerificationReport,
     extremal_search,
@@ -126,6 +131,15 @@ class TestExtremalSearch:
         with pytest.raises(ValueError):
             extremal_search(Functional("abs_a2", "starlike"), 1.0, budget=500)
 
+    def test_budget_domain(self):
+        fn = Functional("abs_a2", "starlike")
+        with pytest.raises(ValueError, match=r"budget must lie in \[1000, 1000000000\]"):
+            extremal_search(fn, 1.0, budget=oracle.MAX_BUDGET + 1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            extremal_search(Functional("abs_a2", "starlike"), 1.0, budget=1000, seed=-1)
+
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             extremal_search(Functional("abs_a2", "starlike"), 1.0, budget=1000, workers=0)
@@ -191,6 +205,14 @@ class TestVerifyClaim:
         back = VerificationReport.from_dict(json.loads(blob))
         assert back == r
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # with tol = nan the violation flag oracle_max > bound + tol is never set
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            verify_claim("thm3.1-a4", [0.21], budget=2000, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            run_claim_suite(budget=2000, tol=tol)
+
     def test_violation_flag_matches_definition(self):
         reports = verify_claim("thm3.1-a4", [0.1, 0.21, 0.3, 1.0], budget=5000, seed=3)
         for r in reports:
@@ -223,6 +245,65 @@ class TestSharedInputs:
         lams, ps = (1.0, 0.3, 1.4), (0.75, 0.0, 0.5)
         reports = verify_claim("thm3.5-d43", lams, ps, budget=2000, seed=3)
         assert [(r.lam, r.p) for r in reports] == [(lam, p) for lam in lams for p in ps]
+
+
+def _bits(result):
+    return repr((result.value, result.witness, result.samples))
+
+
+@st.composite
+def functionals(draw):
+    kind = draw(st.sampled_from(FUNCTIONAL_KINDS))
+    cls = draw(st.sampled_from(("starlike", "convex")))
+    p = st.floats(min_value=0.0, max_value=2.0 if cls == "starlike" else 1.0)
+    if kind not in ("abs_a3_minus_a2", "abs_a4_minus_a3"):
+        p = st.one_of(st.none(), p)  # free or pinned p1
+    return Functional(kind, cls, fixed_p=draw(p))
+
+
+class TestStreamingSearch:
+    @given(
+        functionals(),
+        st.floats(min_value=0.01, max_value=math.pi / 2),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1000, max_value=30000),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_block_size_never_changes_a_bit(self, fn, lam, seed, budget):
+        want = _bits(extremal_search(fn, lam, budget=budget, seed=seed))
+        # smaller blocks, one block larger than any phase, and no shared blocks at all
+        for rows, shared in ((1000, None), (4096, None), (10**9, None), (None, 0)):
+            with pytest.MonkeyPatch.context() as mp:
+                if rows is not None:
+                    mp.setattr(oracle, "CHUNK_ROWS", rows)
+                if shared is not None:
+                    mp.setattr(oracle, "SHARED_INPUT_BYTES", shared)
+                got = _bits(extremal_search(fn, lam, budget=budget, seed=seed))
+            assert got == want, (rows, shared)
+
+    def test_suite_without_shared_blocks_is_bit_equal(self, monkeypatch):
+        kept = [repr((r.oracle_max, r.witness, r.samples)) for r in run_claim_suite(budget=5000)]
+        monkeypatch.setattr(oracle, "SHARED_INPUT_BYTES", 0)
+        fresh = [repr((r.oracle_max, r.witness, r.samples)) for r in run_claim_suite(budget=5000)]
+        assert fresh == kept
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_every_suite_record_replays_its_witness(self, seed):
+        for r in run_claim_suite(budget=5000, seed=seed):
+            claim = CLAIMS[r.claim_id]
+            fn = Functional(claim.kind, claim.cls, fixed_p=r.p)
+            assert abs(functional_value(fn, r.lam, r.witness) - r.oracle_max) <= 1e-12, r
+
+    def test_peak_memory_does_not_grow_with_the_budget(self):
+        # 2,000,000 candidates take 112 MB as whole arrays; the blocks take a few MB.
+        tracemalloc.start()
+        try:
+            extremal_search(Functional("abs_a4", "starlike"), 1.0, budget=2_000_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
 
 
 class TestRegistry:

@@ -9,8 +9,13 @@ from coefbound.schwarz import (
     CaratheodoryParams,
     SchwarzCoefficients,
     caratheodory_moments,
+    _axis_levels,
     caratheodory_to_schwarz,
+    grid_chunks,
+    grid_size,
+    random_chunks,
     refine_around,
+    refine_offset_chunks,
     refine_offsets,
     sample_param_arrays,
     sample_params,
@@ -201,3 +206,57 @@ def test_refine_around_is_shared_offsets_plus_centre(seed, count, radius, a, b, 
         want = _refine_reference(seed, count, center, radius, fixed_p1)
         assert _bits(got) == _bits(sampled) == _bits(want)
         assert _bits(offsets) == _bits(refine_offsets(seed, count, radius))
+
+
+def _grid_reference(count, fixed_p1):
+    """The grid as one 5-D meshgrid, with exp taken on every row."""
+    levels = _axis_levels(count, fixed_p1)
+    if fixed_p1 is None:
+        p1 = np.linspace(0.0, 2.0, levels.pop(0))
+    else:
+        p1 = np.array([float(fixed_p1)])
+    mx = np.linspace(0.0, 1.0, levels[0])
+    ax = 2.0 * np.pi * np.arange(levels[1]) / levels[1]
+    my = np.linspace(0.0, 1.0, levels[2])
+    ay = 2.0 * np.pi * np.arange(levels[3]) / levels[3]
+    p1g, mxg, axg, myg, ayg = np.meshgrid(p1, mx, ax, my, ay, indexing="ij")
+    return p1g.ravel().astype(float), (mxg * np.exp(1j * axg)).ravel(), (myg * np.exp(1j * ayg)).ravel()
+
+
+def _joined(blocks, chunk):
+    blocks = list(blocks)
+    assert all(0 < b[0].size <= chunk for b in blocks)
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
+pinned_p1 = st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0))
+chunks = st.integers(min_value=1, max_value=5000)
+
+
+@given(st.integers(min_value=1, max_value=4000), pinned_p1, chunks)
+@settings(max_examples=100, deadline=None)
+def test_grid_chunks_concatenate_to_the_grid(count, fixed_p1, chunk):
+    got = _joined(grid_chunks(count, fixed_p1, chunk), chunk)
+    assert _bits(got) == _bits(sample_param_arrays(0, count, "grid", fixed_p1))
+    assert _bits(got) == _bits(_grid_reference(count, fixed_p1))
+    assert got[0].size == grid_size(count, fixed_p1)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4000), pinned_p1, chunks)
+@settings(max_examples=100, deadline=None)
+def test_random_chunks_concatenate_to_one_draw(seed, count, fixed_p1, chunk):
+    got = _joined(random_chunks(seed, count, fixed_p1, chunk), chunk)
+    assert _bits(got) == _bits(sample_param_arrays(seed, count, "random", fixed_p1))
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=4000),
+    st.floats(min_value=1e-6, max_value=1.0),
+    chunks,
+)
+@settings(max_examples=100, deadline=None)
+def test_refine_offset_chunks_concatenate_to_the_offsets(seed, rnd, count, radius, chunk):
+    got = _joined(refine_offset_chunks([seed, rnd], count, radius, chunk), chunk)
+    assert _bits(got) == _bits(refine_offsets([seed, rnd], count, radius))
