@@ -156,47 +156,43 @@ def s_diff_bound(
     if which != "d43":
         raise ValueError(f"which must be 'd32' or 'd43', got {which!r}")
     variant = psi2_variant
-    if p >= 2.0 - BREAK_TOL and (variant == "proof" or lam <= 0.6 + BREAK_TOL):
+    psi1 = lam <= 0.6 + BREAK_TOL
+    if psi1:
+        first_bp, first_branch = 2.0 / (4.0 - 5.0 * lam), "psi1:p<=2/(4-5*lambda)"
+    else:
+        first_bp, first_branch = 14.0 / (4.0 + 5.0 * lam), "psi2:p<=14/(4+5*lambda)"
+    if p >= 2.0 - BREAK_TOL and (variant == "proof" or psi1):
         # p = 2 pins the whole triple; the proof-version branches collapse to
         # this value.  The statement variant falls through so its printed
         # second-branch polynomial (negative here) stays observable.
         value = lam * lam * (27.0 - 17.0 * lam) / 36.0
         branch = "p=2"
-    elif lam <= 0.6 + BREAK_TOL:
-        if p <= 2.0 / (4.0 - 5.0 * lam) + BREAK_TOL:
-            value = (lam / 1152.0) * (
-                7.0 * lam * lam * p ** 3
-                + (150.0 * lam * lam + 36.0 * lam - 96.0) * p * p
-                + (108.0 - 360.0 * lam) * p
-                + 600.0
-            )
-            branch = "psi1:p<=2/(4-5*lambda)"
-        else:
-            value = (lam / 288.0) * (
-                (-17.0 * lam * lam + 30.0 * lam - 12.0) * p ** 3
-                + (54.0 * lam - 36.0) * p * p
-                + (48.0 - 120.0 * lam) * p
-                + 144.0
-            )
-            branch = "psi1:p>2/(4-5*lambda)"
+    elif p <= first_bp + BREAK_TOL:
+        # psi1 and psi2 share their first-branch polynomial.
+        value = (lam / 1152.0) * (
+            7.0 * lam * lam * p ** 3
+            + (150.0 * lam * lam + 36.0 * lam - 96.0) * p * p
+            + (108.0 - 360.0 * lam) * p
+            + 600.0
+        )
+        branch = first_branch
+    elif psi1:
+        value = (lam / 288.0) * (
+            (-17.0 * lam * lam + 30.0 * lam - 12.0) * p ** 3
+            + (54.0 * lam - 36.0) * p * p
+            + (48.0 - 120.0 * lam) * p
+            + 144.0
+        )
+        branch = "psi1:p>2/(4-5*lambda)"
     else:
-        if p <= 14.0 / (4.0 + 5.0 * lam) + BREAK_TOL:
-            value = (lam / 1152.0) * (
-                7.0 * lam * lam * p ** 3
-                + (150.0 * lam * lam + 36.0 * lam - 96.0) * p * p
-                + (108.0 - 360.0 * lam) * p
-                + 600.0
-            )
-            branch = "psi2:p<=14/(4+5*lambda)"
-        else:
-            linear = (120.0 * lam + 48.0) if variant == "proof" else (48.0 - 120.0 * lam)
-            value = (lam / 288.0) * (
-                (-17.0 * lam * lam - 30.0 * lam - 12.0) * p ** 3
-                + (54.0 * lam + 36.0) * p * p
-                + linear * p
-                - 144.0
-            )
-            branch = f"psi2-{variant}:p>14/(4+5*lambda)"
+        linear = (120.0 * lam + 48.0) if variant == "proof" else (48.0 - 120.0 * lam)
+        value = (lam / 288.0) * (
+            (-17.0 * lam * lam - 30.0 * lam - 12.0) * p ** 3
+            + (54.0 * lam + 36.0) * p * p
+            + linear * p
+            - 144.0
+        )
+        branch = f"psi2-{variant}:p>14/(4+5*lambda)"
     return BoundResult(
         value=value, branch=branch, lam=lam, cls="starlike", p=p, which=which, variant=variant
     )

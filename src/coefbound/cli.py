@@ -5,14 +5,16 @@ Subcommands
     table   CSV/JSON/text grid of all bounds over lambda and p values
     verify  run the extremal oracle against selected claims
     report  run the full registered claim suite, emit consolidated JSON
+            (its one output, so it takes only --format json)
     roots   print the cubic root r0 used by the |a4| branch structure
 
 Exit codes:
     0   success, and no emitted report is a violation
     1   at least one emitted report is a violation (a finding, not an error)
     2   usage or validation error, including a --p that no selected bound or
-        claim uses, a --budget outside [1000, 10**9], a negative --seed and
-        a --tol that is negative, inf or nan
+        claim uses, a --lambda or --p that gives no number, a --budget
+        outside [1000, 10**9], a negative --seed, a --workers below 1 and a
+        --tol that is negative, inf or nan
 Data goes to stdout, diagnostics (one "error:" line) to stderr.  JSON floats
 are emitted value-preserving (shortest round-trip form); CSV cells use the
 same form, with empty cells for absent values and true/false for flags; text
@@ -23,15 +25,15 @@ grow with --budget.  `verify` (per claim) and `report` draw the
 lam-independent search inputs once and share them across their searches
 while they fit under a fixed cap (budgets up to about 300,000), so the first
 record of each group of searches with the same pinned p1 also times
-drawing them in its duration_ms.  --workers (default: COEFBOUND_WORKERS,
-else all cores) is validated but changes neither speed nor output.
+drawing them in its duration_ms.  The search is single-threaded: --workers
+is accepted for compatibility and must be a positive integer, but it changes
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -98,21 +100,11 @@ class RunConfig:
     tol: float = oracle.DEFAULT_TOL
     psi2_variant: str = "proof"
     fmt: str = "text"
-    workers: int = 1
-
-
-def _default_workers() -> int:
-    env = os.environ.get("COEFBOUND_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise UsageError(f"COEFBOUND_WORKERS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
 
 
 def _parse_floats(items: Optional[list[str]], flag: str) -> list[float]:
-    if not items:
+    """The comma-separated numbers of a repeatable flag; [] if it was not given."""
+    if items is None:
         return []
     out = []
     for chunk in items:
@@ -124,6 +116,8 @@ def _parse_floats(items: Optional[list[str]], flag: str) -> list[float]:
                 out.append(float(tok))
             except ValueError as exc:
                 raise UsageError(f"{flag} expects numbers, got {tok!r}") from exc
+    if not out:
+        raise UsageError(f"{flag} was given no numbers")
     return out
 
 
@@ -153,16 +147,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_oracle: bool):
-        sp.add_argument("--format", choices=_FORMATS, default="text")
+    def common(sp, with_oracle: bool, formats=_FORMATS, with_psi2: bool = True):
+        sp.add_argument("--format", choices=formats, default=formats[0])
         if with_oracle:
             sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
             sp.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
             sp.add_argument("--tol", type=float, default=oracle.DEFAULT_TOL)
             sp.add_argument(
-                "--workers", type=int, default=None, help="accepted for compatibility; no effect"
+                "--workers", type=int, default=1, help="accepted for compatibility; no effect"
             )
-        sp.add_argument("--psi2-variant", choices=("proof", "statement"), default="proof")
+        if with_psi2:
+            sp.add_argument("--psi2-variant", choices=("proof", "statement"), default="proof")
 
     sp = sub.add_parser("bound", help="evaluate one bound")
     sp.add_argument("--class", dest="cls", choices=tuple(bounds.P_MAX), required=True)
@@ -186,10 +181,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, with_oracle=True)
 
     sp = sub.add_parser("report", help="run the full registered claim suite")
-    common(sp, with_oracle=True)
+    common(sp, with_oracle=True, formats=("json",))
 
     sp = sub.add_parser("roots", help="print r0 and its residual")
-    common(sp, with_oracle=False)
+    common(sp, with_oracle=False, with_psi2=False)
 
     return parser
 
@@ -203,19 +198,17 @@ def parse_args(argv: list[str]) -> RunConfig:
     ns = _build_parser().parse_args(argv)
     cfg = RunConfig(command=ns.command)
     cfg.fmt = ns.format
-    cfg.psi2_variant = ns.psi2_variant
+    cfg.psi2_variant = getattr(ns, "psi2_variant", cfg.psi2_variant)
     cfg.cls = getattr(ns, "cls", "starlike")
     cfg.n = getattr(ns, "n", None)
     cfg.which = getattr(ns, "which", None)
     cfg.claims = list(getattr(ns, "claims", []) or [])
     cfg.lambdas = _validate_lambdas(_parse_floats(getattr(ns, "lambdas", None), "--lambda"))
-    raw_ps = _parse_floats(getattr(ns, "ps", None), "--p")
-    cfg.ps = raw_ps if raw_ps else None
+    cfg.ps = _parse_floats(getattr(ns, "ps", None), "--p") or None
     if hasattr(ns, "budget"):
         cfg.budget = ns.budget
         cfg.seed = ns.seed
         cfg.tol = ns.tol
-        cfg.workers = ns.workers if ns.workers is not None else _default_workers()
         for check, flag, value in (
             (oracle.check_budget, "--budget", cfg.budget),
             (oracle.check_seed, "--seed", cfg.seed),
@@ -225,8 +218,8 @@ def parse_args(argv: list[str]) -> RunConfig:
                 check(value, flag)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
-        if cfg.workers < 1:
-            raise UsageError(f"workers must be positive, got {cfg.workers}")
+        if ns.workers < 1:  # the only use of --workers: the search is single-threaded
+            raise UsageError(f"--workers must be positive, got {ns.workers}")
     if cfg.command == "bound":
         if cfg.n is not None and cfg.ps is not None:
             raise UsageError(f"--n {cfg.n} takes no --p")
@@ -362,7 +355,6 @@ def _cmd_verify(cfg: RunConfig) -> int:
                 seed=cfg.seed,
                 tol=cfg.tol,
                 psi2_variant=cfg.psi2_variant,
-                workers=cfg.workers,
             )
         )
     _print_reports(reports, cfg.fmt)
@@ -375,7 +367,6 @@ def _cmd_report(cfg: RunConfig) -> int:
         seed=cfg.seed,
         tol=cfg.tol,
         psi2_variant=cfg.psi2_variant,
-        workers=cfg.workers,
     )
     violated = sorted({r.claim_id for r in reports if r.violation})
     doc = {

@@ -16,8 +16,8 @@ lam-independent inputs, so while they fit in SHARED_INPUT_BYTES a run draws
 them once and shares the blocks: each exploration set (canonical, grid and
 random candidates with their moments p2, p3) per effective p1, and the
 refine offsets of each round.  Neither blocks nor sharing reorder a
-floating-point operation, so every path returns the same bits.  The worker
-count is accepted for compatibility; it changes neither speed nor output.
+floating-point operation, so every path returns the same bits.  The search
+is single-threaded.
 """
 
 from __future__ import annotations
@@ -159,11 +159,6 @@ def check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-
-
 def _canonical_arrays(eff: Optional[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Boundary/axis witnesses evaluated unconditionally before any search."""
     units = np.array([0.0, 1.0, -1.0, 1.0j, -1.0j], dtype=np.complex128)
@@ -282,7 +277,6 @@ def extremal_search(
     lam: float,
     budget: int = DEFAULT_BUDGET,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
     *,
     inputs: Optional[_SearchInputs] = None,
 ) -> SearchResult:
@@ -299,12 +293,11 @@ def extremal_search(
 
     ``inputs`` carries the lam-independent candidates and offsets that
     verify_claim and run_claim_suite share across a run; a call without it
-    builds its own and returns the same result.  ``workers`` has no effect.
+    builds its own and returns the same result.
     """
     bounds.check_lambda(lam)
     check_budget(budget)
     check_seed(seed)
-    _check_workers(workers)
     if inputs is None:
         inputs = _SearchInputs(seed, budget)
     elif (inputs.seed, inputs.budget) != (seed, budget):
@@ -441,7 +434,6 @@ def _verify_points(
     seed: int,
     tol: float,
     psi2_variant: str,
-    workers: int,
 ) -> list[VerificationReport]:
     """One report per (claim, lam, p) point, in the order given.
 
@@ -450,7 +442,6 @@ def _verify_points(
     time.  A group's first record therefore also times building its set.
     """
     check_tol(tol)
-    _check_workers(workers)
     groups: dict = {}
     for i, (claim, lam, p) in enumerate(points):
         fn = Functional(kind=claim.kind, cls=claim.cls, fixed_p=p)
@@ -503,18 +494,16 @@ def verify_claim(
     seed: int = DEFAULT_SEED,
     tol: float = DEFAULT_TOL,
     psi2_variant: str = "proof",
-    workers: int = 1,
 ) -> list[VerificationReport]:
     """Run the extremal oracle against one registered claim over a grid.
 
     Emits one report per grid point, lam outer and p inner.  The violation
     flag is exactly oracle_max > bound + tol; violations never abort the run.
-    ``workers`` has no effect on speed or output.
     """
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}; registered: {sorted(CLAIMS)}")
     points = _claim_points(CLAIMS[claim_id], lam_grid, p_grid)
-    return _verify_points(points, budget, seed, tol, psi2_variant, workers)
+    return _verify_points(points, budget, seed, tol, psi2_variant)
 
 
 def run_claim_suite(
@@ -522,13 +511,12 @@ def run_claim_suite(
     seed: int = DEFAULT_SEED,
     tol: float = DEFAULT_TOL,
     psi2_variant: str = "proof",
-    workers: int = 1,
 ) -> list[VerificationReport]:
     """Every registered claim over its default grids, in registry order."""
     points = []
     for claim in CLAIMS.values():
         points.extend(_claim_points(claim, claim.default_lambdas, claim.default_ps))
-    return _verify_points(points, budget, seed, tol, psi2_variant, workers)
+    return _verify_points(points, budget, seed, tol, psi2_variant)
 
 
 def series_cross_check(lam: float, cls: str, params: CaratheodoryParams) -> float:

@@ -1,0 +1,45 @@
+"""What the benchmark under bench/ needs from the program.
+
+bench/ lies outside the default test paths, so these checks keep a change to
+the program from breaking the benchmark unnoticed: every attribute its span
+recorder wraps must exist and be callable, and the command lines its
+workloads build must still parse.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+sys.path[:0] = [str(BENCH), str(ROOT / "src")]
+
+import spans  # noqa: E402
+
+from coefbound import cli  # noqa: E402
+
+
+def test_span_targets_exist_and_are_callable():
+    targets = spans.targets()
+    names = {(module.__name__, attr) for module, attr, _, _ in targets}
+    # kept in oracle only so that the recorder can wrap it there
+    assert ("coefbound.oracle", "sample_param_arrays") in names
+    for module, attr, _, _ in targets:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--seed", "42", "--budget", "100000", "--workers", "1"],
+        ["verify", "--claim", "thm3.1-a4", "--lambda", "0.7", "--budget", "2000000",
+         "--seed", "9", "--workers", "1", "--format", "json"],
+        ["verify", "--claim", "thm3.3-d43", "--lambda", "1.2", "--budget", "2000000",
+         "--seed", "9", "--workers", "1", "--format", "json", "--p", "0.5"],
+        ["table", "--class", "convex", "--lambda", "0.3,1.0", "--format", "json"],
+    ],
+)
+def test_workload_command_lines_parse(argv):
+    assert cli.parse_args(argv).command == argv[0]

@@ -22,7 +22,6 @@ class TestParseArgs:
         assert cfg.tol == 1e-9
         assert cfg.psi2_variant == "proof"
         assert cfg.fmt == "text"
-        assert cfg.workers >= 1
 
     def test_lambda_range_rejected(self):
         with pytest.raises(cli.UsageError):
@@ -50,12 +49,18 @@ class TestParseArgs:
         with pytest.raises(cli.UsageError):
             cli.parse_args(["verify", "--claim", "thm7.7"])
 
-    def test_workers_env_override(self, monkeypatch):
-        monkeypatch.setenv("COEFBOUND_WORKERS", "3")
-        cfg = cli.parse_args(["verify", "--claim", "thm3.1-a2"])
-        assert cfg.workers == 3
+    def test_workers_flag_checked_then_dropped(self):
+        # the search is single-threaded; --workers is only range-checked
         cfg = cli.parse_args(["verify", "--claim", "thm3.1-a2", "--workers", "2"])
-        assert cfg.workers == 2
+        assert cfg == cli.parse_args(["verify", "--claim", "thm3.1-a2"])
+        with pytest.raises(cli.UsageError, match="--workers must be positive, got 0"):
+            cli.parse_args(["report", "--workers", "0"])
+
+    def test_flag_without_numbers_rejected_by_name(self):
+        with pytest.raises(cli.UsageError, match="--lambda was given no numbers"):
+            cli.parse_args(["verify", "--claim", "thm3.1-a2", "--lambda", ","])
+        with pytest.raises(cli.UsageError, match="--p was given no numbers"):
+            cli.parse_args(["table", "--class", "starlike", "--lambda", "1", "--p", ","])
 
     def test_budget_floor(self):
         with pytest.raises(cli.UsageError):
@@ -160,6 +165,35 @@ class TestExitCodes:
         )
         assert (code, out) == (2, "")
         assert err == "error: --seed must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--claim", "thm3.1-a2", "--lambda", ",", "--budget", "1000"], "--lambda"),
+            (["table", "--class", "starlike", "--lambda", "1", "--p", ","], "--p"),
+        ],
+    )
+    def test_flag_without_numbers_exit_2_with_single_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message} was given no numbers\n"
+
+    def test_zero_workers_exit_2_with_single_line(self, capsys):
+        code, out, err = run_cli(capsys, "report", "--budget", "1000", "--workers", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: --workers must be positive, got 0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--budget", "1000", "--format", "text"],
+            ["report", "--budget", "1000", "--format", "csv"],
+            ["roots", "--psi2-variant", "proof"],
+        ],
+    )
+    def test_flags_a_command_would_ignore_exit_2(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
 
 
 class TestBoundCommand:

@@ -112,13 +112,6 @@ class TestExtremalSearch:
         b = extremal_search(fn, 1.0, budget=5000, seed=11)
         assert a == b
 
-    def test_worker_count_does_not_change_result(self):
-        fn = Functional("abs_a4_minus_a3", "starlike", fixed_p=0.9)
-        a = extremal_search(fn, 1.2, budget=30000, seed=4, workers=1)
-        b = extremal_search(fn, 1.2, budget=30000, seed=4, workers=3)
-        c = extremal_search(fn, 1.2, budget=30000, seed=4, workers=7)
-        assert a == b == c
-
     def test_budget_monotone(self):
         fn = Functional("abs_a4_minus_a3", "convex", fixed_p=0.6)
         values = [
@@ -139,12 +132,6 @@ class TestExtremalSearch:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             extremal_search(Functional("abs_a2", "starlike"), 1.0, budget=1000, seed=-1)
-
-    def test_workers_must_be_positive(self):
-        with pytest.raises(ValueError):
-            extremal_search(Functional("abs_a2", "starlike"), 1.0, budget=1000, workers=0)
-        with pytest.raises(ValueError):
-            verify_claim("thm3.1-a2", [1.0], budget=1000, workers=0)
 
     def test_inputs_built_for_another_run_rejected(self):
         fn = Functional("abs_a2", "starlike")
