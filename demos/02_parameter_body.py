@@ -10,6 +10,11 @@ parameterization: pick p1 in [-2, 2] and x, y in the closed unit disk, then
 Sweeping (p1, x, y) therefore sweeps every admissible triple and nothing
 else, which is what makes brute-force extremal search sound: no candidate
 outside the true body is ever produced, and all witnesses are replayable.
+
+y enters 4 p3 linearly, with the real weight 2(4 - p1^2)(1 - |x|^2) >= 0, so
+every functional the oracle maximizes is affine in y and its maximum over y
+is a closed form.  The oracle therefore samples (p1, x) only, with the same
+samplers drawing x alone.
 """
 
 import numpy as np
@@ -56,7 +61,7 @@ print("  (|c1| <= 1 and the Carleson bound |c2| <= 1 - |c1|^2 hold by constructi
 
 print()
 print("=" * 72)
-print("3. Deterministic samplers driving the oracle")
+print("3. Deterministic samplers (the oracle draws the same blocks with x only)")
 print("=" * 72)
 grid = sample_params(seed=0, count=32, strategy="grid")
 print(f"  grid(count=32) -> {len(grid)} points; corners included:",
@@ -71,3 +76,16 @@ print(f"  refine-around(radius=0.1): max distance from center = {dist:.4f}")
 print()
 print("Boundary atoms (|x| = 1, phases 0 and pi, p1 = 2) are sampled exactly,")
 print("because every known extremal witness sits on the boundary of the body.")
+
+print()
+print("=" * 72)
+print("4. y is settled by algebra")
+print("=" * 72)
+p1, x = 0.7, 0.3 + 0.2j
+slope = caratheodory_moments(CaratheodoryParams(p1, x, 1.0)).p3 - caratheodory_moments(
+    CaratheodoryParams(p1, x, 0.0)
+).p3
+print(f"  p3(y=1) - p3(y=0) at p1={p1}, x={x}: {slope:.6f}")
+print(f"  (4 - p1^2)(1 - |x|^2)/2            : {(4 - p1 * p1) * (1 - abs(x) ** 2) / 2:.6f}")
+print("  p3 moves along a real positive direction in y, so |A + K y| is")
+print("  largest at y = A/|A|, and the search scores |A| + K on (p1, x) alone.")

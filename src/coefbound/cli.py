@@ -12,18 +12,21 @@ Exit codes:
     0   success, and no emitted report is a violation
     1   at least one emitted report is a violation (a finding, not an error)
     2   usage or validation error, including a --p that no selected bound or
-        claim uses, a --lambda or --p that gives no number, a --budget
-        outside [1000, 10**9], a negative --seed, a --workers below 1 and a
-        --tol that is negative, inf or nan
+        claim uses, a --psi2-variant where no starlike d43 bound reads it
+        (bound --n, bound --which d32, the convex class, and a verify
+        without thm3.3-d43), a --lambda or --p that gives no number, a
+        --budget outside [1000, 10**9], a negative --seed, a --workers below
+        1 and a --tol that is negative, inf or nan
 Data goes to stdout, diagnostics (one "error:" line) to stderr.  JSON floats
 are emitted value-preserving (shortest round-trip form); CSV cells use the
 same form, with empty cells for absent values and true/false for flags; text
 mode prints 6 significant digits.
 
-Each search streams its candidates in fixed-size blocks, so memory does not
-grow with --budget.  `verify` (per claim) and `report` draw the
-lam-independent search inputs once and share them across their searches
-while they fit under a fixed cap (budgets up to about 300,000), so the first
+Each search walks (p1, x) candidates and takes the maximum over y in closed
+form, and streams them in fixed-size blocks, so memory does not grow with
+--budget.  `verify` (per claim) and `report` draw the lam-independent search
+inputs once and share them across their searches while they fit under a
+fixed cap (budgets up to about 380,000), so the first
 record of each group of searches with the same pinned p1 also times
 drawing them in its duration_ms.  The search is single-threaded: --workers
 is accepted for compatibility and must be a positive integer, but it changes
@@ -157,7 +160,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--workers", type=int, default=1, help="accepted for compatibility; no effect"
             )
         if with_psi2:
-            sp.add_argument("--psi2-variant", choices=("proof", "statement"), default="proof")
+            # None means not given, so that a flag no bound would read can be refused
+            sp.add_argument("--psi2-variant", choices=("proof", "statement"))
 
     sp = sub.add_parser("bound", help="evaluate one bound")
     sp.add_argument("--class", dest="cls", choices=tuple(bounds.P_MAX), required=True)
@@ -198,7 +202,6 @@ def parse_args(argv: list[str]) -> RunConfig:
     ns = _build_parser().parse_args(argv)
     cfg = RunConfig(command=ns.command)
     cfg.fmt = ns.format
-    cfg.psi2_variant = getattr(ns, "psi2_variant", cfg.psi2_variant)
     cfg.cls = getattr(ns, "cls", "starlike")
     cfg.n = getattr(ns, "n", None)
     cfg.which = getattr(ns, "which", None)
@@ -238,7 +241,34 @@ def parse_args(argv: list[str]) -> RunConfig:
                 if spec.default_ps is None:
                     raise UsageError(f"{claim} has no p grid; drop --p")
                 _validate_ps(cfg.ps, spec.cls)
+    variant = getattr(ns, "psi2_variant", None)
+    if variant is not None:
+        _check_psi2_variant_used(cfg)
+        cfg.psi2_variant = variant
     return cfg
+
+
+def _check_psi2_variant_used(cfg: RunConfig) -> None:
+    """Raise UsageError unless a bound of the command reads --psi2-variant.
+
+    Only the starlike d43 bound has variants, and a claim that pins its
+    variant ignores the flag.
+    """
+    if cfg.command == "report":
+        return
+    if cfg.command == "verify":
+        specs = [oracle.CLAIMS[c] for c in cfg.claims]
+        if not any(
+            s.cls == "starlike" and s.which == "d43" and s.pinned_variant is None for s in specs
+        ):
+            raise UsageError(
+                "--psi2-variant selects the variant of thm3.3-d43; no selected claim reads it"
+            )
+    elif cfg.cls != "starlike" or cfg.which == "d32" or cfg.n is not None:
+        raise UsageError(
+            "--psi2-variant selects the starlike d43 bound; "
+            f"this {cfg.command} command evaluates none"
+        )
 
 
 def _fmt_text(x: float) -> str:

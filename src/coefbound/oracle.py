@@ -7,6 +7,12 @@ triples.  A claim is *violated* when the search exceeds the printed bound by
 more than the tolerance; violations are findings, never errors, because the
 harness exists in part to document transcription defects.
 
+Every functional is affine in y: F = A(p1, x) + k (4 - p1^2)(1 - |x|^2) y
+with k >= 0 (k = 0 for |a2|, |a3| and |a3 - a2|).  So the maximum over y is
+|A| + k (4 - p1^2)(1 - |x|^2), attained at y = A/|A|, and the search walks
+(p1, x) only.  Its witness is a full (p1, x, y) triple with that y (y = 1
+where A = 0), which functional_value replays through the full moments.
+
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
 variant) produce bit-identical reports.  A search streams each phase in
 blocks of CHUNK_ROWS candidates with a running first-index argmax, so its
@@ -14,8 +20,8 @@ memory does not grow with the budget and its result does not depend on the
 block size.  Every search of a run at one (seed, budget) draws the same
 lam-independent inputs, so while they fit in SHARED_INPUT_BYTES a run draws
 them once and shares the blocks: each exploration set (canonical, grid and
-random candidates with their moments p2, p3) per effective p1, and the
-refine offsets of each round.  Neither blocks nor sharing reorder a
+random (p1, x) candidates with the y-free moment terms) per effective p1,
+and the refine offsets of each round.  Neither blocks nor sharing reorder a
 floating-point operation, so every path returns the same bits.  The search
 is single-threaded.
 """
@@ -114,17 +120,48 @@ def _coefficient_values(lam, p1, p2, p3, cls):
     return 0.25 * lam * p1, lam / 12.0 * inner3, lam / 24.0 * inner4
 
 
-def _functional_values(fn: Functional, lam, p1, p2, p3):
+def _functional(fn: Functional, lam, p1, p2, p3):
+    """The complex functional (a2, a3, a4, a3 - a2 or a4 - a3) at the moments."""
     a2, a3, a4 = _coefficient_values(lam, p1, p2, p3, fn.cls)
     if fn.kind == "abs_a2":
-        return np.abs(a2)
+        return a2
     if fn.kind == "abs_a3":
-        return np.abs(a3)
+        return a3
     if fn.kind == "abs_a4":
-        return np.abs(a4)
+        return a4
     if fn.kind == "abs_a3_minus_a2":
-        return np.abs(a3 - a2)
-    return np.abs(a4 - a3)
+        return a3 - a2
+    return a4 - a3
+
+
+def _y_weight(fn: Functional, lam: float) -> float:
+    """The k of F = A(p1, x) + k (4 - p1^2)(1 - |x|^2) y; 0 where F has no p3.
+
+    p3 carries y as (4 - p1^2)(1 - |x|^2) y / 2, and a4 carries p3 with the
+    factor lam/6 (starlike) or lam/24 (convex).
+    """
+    if fn.kind not in ("abs_a4", "abs_a4_minus_a3"):
+        return 0.0
+    return lam / 12.0 if fn.cls == "starlike" else lam / 48.0
+
+
+def _functional_values(fn: Functional, lam, p1, p2, p3, w):
+    """max over |y| <= 1 of |F| on (p1, x) rows: |A| + k w, with A = F at y = 0.
+
+    ``p3`` is the moment at y = 0 and ``w`` is (4 - p1^2)(1 - |x|^2).  Also
+    returns A, whose phase is the maximizing y.
+    """
+    a = _functional(fn, lam, p1, p2, p3)
+    k = _y_weight(fn, lam)
+    return (np.abs(a) + k * w if k else np.abs(a)), a
+
+
+def _maximizing_y(a: complex) -> complex:
+    """A y of the unit circle that maximizes |a + c y| for every c >= 0: a/|a|, or 1 if a = 0."""
+    if not a:
+        return 1.0 + 0.0j
+    a /= max(abs(a.real), abs(a.imag))  # a subnormal a would give |y| off 1 by up to 1e-11
+    return a / abs(a)
 
 
 def functional_value(fn: Functional, lam: float, params: CaratheodoryParams) -> float:
@@ -135,7 +172,7 @@ def functional_value(fn: Functional, lam: float, params: CaratheodoryParams) -> 
         p1 = params.p1
     p1 = np.float64(p1)
     p2, p3 = _moments(p1, np.complex128(params.x), np.complex128(params.y))
-    return float(_functional_values(fn, lam, p1, p2, p3))
+    return float(np.abs(_functional(fn, lam, p1, p2, p3)))
 
 
 def check_budget(budget: int, name: str = "budget") -> None:
@@ -159,27 +196,28 @@ def check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
 
 
-def _canonical_arrays(eff: Optional[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boundary/axis witnesses evaluated unconditionally before any search."""
+def _canonical_arrays(eff: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary/axis witnesses (p1, x) evaluated unconditionally before any search."""
     units = np.array([0.0, 1.0, -1.0, 1.0j, -1.0j], dtype=np.complex128)
     p1_levels = [eff] if eff is not None else [0.0, 1.0, 2.0]
-    p1s, xs, ys = [], [], []
-    for p in p1_levels:
-        for xv in units:
-            for yv in units:
-                p1s.append(p)
-                xs.append(xv)
-                ys.append(yv)
-    return np.array(p1s, dtype=float), np.array(xs), np.array(ys)
+    return np.repeat(np.array(p1_levels, dtype=float), units.size), np.tile(units, len(p1_levels))
 
 
-def _with_moments(blocks):
-    for p1, x, y in blocks:
-        yield (p1, x, y, *_moments(p1, x, y))
+def _with_rows(blocks):
+    """(p1, x, p2, p3 at y = 0, (4 - p1^2)(1 - |x|^2)) per (p1, x) block.
+
+    It repeats the y-free terms of _moments rather than calling it, so that
+    replaying a witness through _moments checks these rows independently.
+    """
+    for p1, x in blocks:
+        q = 4.0 - p1 * p1
+        p2 = 0.5 * (p1 * p1 + q * x)
+        p3 = 0.25 * (p1 ** 3 + 2.0 * q * p1 * x - q * p1 * x * x)
+        yield p1, x, p2, p3, q * (1.0 - np.abs(x) ** 2)
 
 
 def _explore_chunks(seed: int, budget: int, eff: Optional[float]):
-    """(p1, x, y, p2, p3) blocks of the canonical, grid and random candidates.
+    """Rows (see _with_rows) of the canonical, grid and random (p1, x) candidates.
 
     Exploration gets what the refine rounds (a tenth of the budget each)
     and the canonical witnesses leave, half of it for the grid.
@@ -187,20 +225,20 @@ def _explore_chunks(seed: int, budget: int, eff: Optional[float]):
     canonical = _canonical_arrays(eff)
     explore = max(budget - _REFINE_ROUNDS * (budget // 10) - canonical[0].size, 0)
     grid = max(explore // 2, 1)
-    rand = max(explore - grid_size(grid, eff), 1)
-    return _with_moments(
+    rand = max(explore - grid_size(grid, eff, disks=1), 1)
+    return _with_rows(
         itertools.chain(
             [canonical],
-            grid_chunks(grid, eff, CHUNK_ROWS),
-            random_chunks(seed, rand, eff, CHUNK_ROWS),
+            grid_chunks(grid, eff, CHUNK_ROWS, disks=1),
+            random_chunks(seed, rand, eff, CHUNK_ROWS, disks=1),
         )
     )
 
 
 def _shared_bytes(budget: int) -> int:
-    """Bytes of one exploration set (72 per row) plus the offsets of every round (40 per row)."""
+    """Bytes of one exploration set (64 per row) plus the offsets of every round (24 per row)."""
     refine = _REFINE_ROUNDS * (budget // 10)
-    return (budget - refine) * 72 + refine * 40
+    return (budget - refine) * 64 + refine * 24
 
 
 def _p1_key(eff: Optional[float]) -> Optional[str]:
@@ -227,7 +265,7 @@ class _SearchInputs:
         self._offsets: dict = {}
 
     def explore(self, eff: Optional[float]):
-        """(p1, x, y, p2, p3) blocks of the exploration set at ``eff``."""
+        """Rows (see _with_rows) of the exploration set at ``eff``."""
         if not self._keep:
             return _explore_chunks(self.seed, self.budget, eff)
         key = _p1_key(eff)
@@ -238,8 +276,10 @@ class _SearchInputs:
         return self._explore
 
     def offsets(self, rnd: int, radius: float):
-        """(dp1, dx, dy) blocks of refine round ``rnd``; its radius is the same in every search."""
-        blocks = refine_offset_chunks([self.seed, rnd], self.budget // 10, radius, CHUNK_ROWS)
+        """(dp1, dx) blocks of refine round ``rnd``; its radius is the same in every search."""
+        blocks = refine_offset_chunks(
+            [self.seed, rnd], self.budget // 10, radius, CHUNK_ROWS, disks=1
+        )
         if not self._keep:
             return blocks
         if rnd not in self._offsets:
@@ -248,19 +288,20 @@ class _SearchInputs:
 
 
 def _best_of(fn: Functional, lam: float, blocks, best: float, witness):
-    """Scan (p1, x, y, p2, p3) blocks with a running first-index argmax.
+    """Scan rows (see _with_rows) with a running first-index argmax.
 
     A block's maximum replaces the incumbent only if strictly larger, so the
     result is the first maximal row of the whole stream, whatever the block
-    size.  Returns the incumbent and the number of rows scanned.
+    size.  The incumbent is (p1, x, A).  Returns it and the number of rows
+    scanned.
     """
     scanned = 0
-    for p1, x, y, p2, p3 in blocks:
-        vals = _functional_values(fn, lam, p1, p2, p3)
+    for p1, x, p2, p3, w in blocks:
+        vals, a = _functional_values(fn, lam, p1, p2, p3, w)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
-            witness = (float(p1[i]), complex(x[i]), complex(y[i]))
+            witness = (float(p1[i]), complex(x[i]), complex(a[i]))
         scanned += p1.size
     return best, witness, scanned
 
@@ -282,14 +323,16 @@ def extremal_search(
 ) -> SearchResult:
     """Maximize the functional over the admissible parameter body.
 
-    Phases: canonical witnesses, a stratified grid plus random exploration
-    (half the budget), then five refine-around rounds (a tenth of the budget
-    each) shrinking the neighborhood geometrically around the incumbent.
-    Each phase is scored in blocks of CHUNK_ROWS; a round is centred on the
-    incumbent at its start.  The incumbent is never discarded, and
-    replacement requires strict improvement, so canonical witnesses win all
-    exact ties.  ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET] and ``seed``
-    must be nonnegative.
+    Each candidate is a (p1, x) pair scored by its maximum over y (see the
+    module docstring).  Phases: canonical witnesses (p1 in {0, 1, 2}, or the
+    pinned p1, times x in {0, 1, -1, i, -i}), a stratified grid plus random
+    exploration (half the budget), then five refine-around rounds (a tenth
+    of the budget each) shrinking the neighborhood geometrically around the
+    incumbent.  Each phase is scored in blocks of CHUNK_ROWS; a round is
+    centred on the incumbent at its start.  The incumbent is never
+    discarded, and replacement requires strict improvement, so canonical
+    witnesses win all exact ties.  ``budget`` must lie in [MIN_BUDGET,
+    MAX_BUDGET] and ``seed`` must be nonnegative.
 
     ``inputs`` carries the lam-independent candidates and offsets that
     verify_claim and run_claim_suite share across a run; a call without it
@@ -307,13 +350,16 @@ def extremal_search(
     best, witness, evaluated = _best_of(fn, lam, inputs.explore(eff), -np.inf, None)
     radius = _REFINE_RADIUS0
     for rnd in range(_REFINE_ROUNDS):
-        center = CaratheodoryParams(*witness)  # the incumbent at the start of the round
+        center = witness[:2]  # the incumbent (p1, x) at the start of the round
         around = (refine_around(block, center, eff) for block in inputs.offsets(rnd, radius))
-        best, witness, scanned = _best_of(fn, lam, _with_moments(around), best, witness)
+        best, witness, scanned = _best_of(fn, lam, _with_rows(around), best, witness)
         evaluated += scanned
         radius *= _REFINE_SHRINK
 
-    return SearchResult(value=best, witness=CaratheodoryParams(*witness), samples=evaluated)
+    p1, x, a = witness
+    return SearchResult(
+        value=best, witness=CaratheodoryParams(p1, x, _maximizing_y(a)), samples=evaluated
+    )
 
 
 @dataclass(frozen=True)

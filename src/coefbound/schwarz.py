@@ -11,6 +11,10 @@ for some x, y in the closed unit disk.  Sampling (p1, x, y) therefore sweeps
 the admissible moment body exactly: no rejection step, no false extremal
 candidates outside the true coefficient body.  The moments convert to Schwarz
 coefficients through w = (q - 1)/(q + 1).
+
+The block generators draw p1 plus one disk point (x) or two (x, y).
+sample_params draws both; the extremal search draws only x, because it
+maximizes over y in closed form (see oracle).
 """
 
 from __future__ import annotations
@@ -118,8 +122,8 @@ def sample_param_arrays(
     only shrink distances).
 
     The output depends only on the arguments, never on call order.  Each
-    strategy is the concatenation of its blocks (grid_chunks, random_chunks,
-    refine_offset_chunks), whatever the block size.
+    strategy is the concatenation of the two-disk blocks of grid_chunks,
+    random_chunks or refine_offset_chunks, whatever the block size.
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -130,15 +134,17 @@ def sample_param_arrays(
     if strategy == "refine-around":
         if center is None:
             raise ValueError("refine-around requires a center")
-        return refine_around(refine_offsets(seed, count, radius), center, fixed_p1)
+        center_row = (center.p1, center.x, center.y)
+        return refine_around(refine_offsets(seed, count, radius), center_row, fixed_p1)
     raise ValueError(f"unknown sampling strategy {strategy!r}")
 
 
-def _axis_levels(count: int, fixed_p1: Optional[float]) -> list[int]:
-    # Axes: p1, |x|, arg x, |y|, arg y (p1 axis dropped when pinned).
-    # Phase axes keep even level counts so that 0 and pi are both hit.
-    free_p1 = fixed_p1 is None
-    n_axes = 5 if free_p1 else 4
+def _axis_levels(count: int, fixed_p1: Optional[float], disks: int = 2) -> list[int]:
+    # Axes: p1, |x|, arg x and, for two disks, |y|, arg y (p1 axis dropped
+    # when pinned).  Phase axes keep even level counts so that 0 and pi are
+    # both hit.
+    first = 0 if fixed_p1 is not None else 1
+    n_axes = first + 2 * disks
     levels = [2] * n_axes
     if math.prod(levels) > count:
         return levels
@@ -146,7 +152,7 @@ def _axis_levels(count: int, fixed_p1: Optional[float]) -> list[int]:
     while grew:
         grew = False
         for i in range(n_axes):
-            is_phase = (i in (2, 4)) if free_p1 else (i in (1, 3))
+            is_phase = i >= first and (i - first) % 2 == 1
             step = 2 if is_phase else 1
             trial = list(levels)
             trial[i] += step
@@ -156,42 +162,36 @@ def _axis_levels(count: int, fixed_p1: Optional[float]) -> list[int]:
     return levels
 
 
-def grid_size(count: int, fixed_p1: Optional[float] = None) -> int:
-    """Rows of the ``grid`` strategy at ``count``: the largest level product <= count."""
-    return math.prod(_axis_levels(count, fixed_p1))
+def grid_size(count: int, fixed_p1: Optional[float] = None, disks: int = 2) -> int:
+    """Rows of the grid at ``count``: the largest level product <= count."""
+    return math.prod(_axis_levels(count, fixed_p1, disks))
 
 
-def _polar_levels(n_mod: int, n_phase: int) -> np.ndarray:
-    """Every modulus level times every phase level, modulus outer."""
-    mod = np.linspace(0.0, 1.0, n_mod)
-    phase = 2.0 * np.pi * np.arange(n_phase) / n_phase
-    return (mod[:, None] * np.exp(1j * phase)).ravel()
+def grid_chunks(count: int, fixed_p1: Optional[float], chunk: int, disks: int = 2):
+    """The grid rows as (p1, x) or (p1, x, y) blocks of at most ``chunk`` rows, in order.
 
-
-def grid_chunks(count: int, fixed_p1: Optional[float], chunk: int):
-    """The ``grid`` rows as (p1, x, y) blocks of at most ``chunk`` rows, in order.
-
-    Rows run over p1, |x|, arg x, |y|, arg y with the last axis fastest.  A
-    block indexes the axis levels directly; exp(1j*angle) is taken once per
-    phase level.
+    Rows run over p1, |x|, arg x (, |y|, arg y) with the last axis fastest.  A
+    block indexes the axis levels directly, so no array larger than a block
+    is built; exp(1j*angle) is taken once per phase level.
     """
-    levels = _axis_levels(count, fixed_p1)
+    levels = _axis_levels(count, fixed_p1, disks)
     if fixed_p1 is None:
         p1_levels = np.linspace(0.0, 2.0, levels[0])
         levels = levels[1:]
     else:
         p1_levels = np.array([float(fixed_p1)])
-    xs = _polar_levels(levels[0], levels[1])
-    ys = _polar_levels(levels[2], levels[3])
-    total = p1_levels.size * xs.size * ys.size
+    moduli = [np.linspace(0.0, 1.0, n) for n in levels[0::2]]
+    phases = [np.exp(1j * (2.0 * np.pi * np.arange(n) / n)) for n in levels[1::2]]
+    shape = (p1_levels.size, *levels)
+    total = math.prod(shape)
     for start in range(0, total, chunk):
-        rest, iy = np.divmod(np.arange(start, min(start + chunk, total)), ys.size)
-        ip1, ix = np.divmod(rest, xs.size)
-        yield p1_levels[ip1], xs[ix], ys[iy]
+        ip1, *idx = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
+        points = [m[i] * e[j] for m, e, i, j in zip(moduli, phases, idx[0::2], idx[1::2])]
+        yield (p1_levels[ip1], *points)
 
 
 def _modulus_and_phase(u: np.ndarray) -> np.ndarray:
-    """Map uniform rows u[:, 0:2] to a complex point with boundary atoms."""
+    """Map uniform rows u[:, 0:4] to a complex point with boundary atoms."""
     sel, val = u[:, 0], u[:, 1]
     mod = val.copy()
     mod[sel < 0.125] = 1.0
@@ -214,8 +214,12 @@ def _uniform_blocks(seed, count: int, width: int, chunk: int):
         yield rng.random((min(chunk, count - start), width))
 
 
-def random_chunks(seed, count: int, fixed_p1: Optional[float], chunk: int):
-    """The ``random`` rows as (p1, x, y) blocks of at most ``chunk`` rows, in order."""
+def random_chunks(seed, count: int, fixed_p1: Optional[float], chunk: int, disks: int = 2):
+    """The random rows as (p1, x) or (p1, x, y) blocks of at most ``chunk`` rows, in order.
+
+    Every row draws the 10 uniforms of a (p1, x, y) row, 2 for p1 and 4 per
+    disk point, so a one-disk row is the two-disk row with y dropped.
+    """
     for u in _uniform_blocks(seed, count, 10, chunk):
         if fixed_p1 is None:
             p1 = 2.0 * u[:, 1].copy()
@@ -223,43 +227,49 @@ def random_chunks(seed, count: int, fixed_p1: Optional[float], chunk: int):
             p1[(u[:, 0] >= 0.125) & (u[:, 0] < 0.1875)] = 0.0
         else:
             p1 = np.full(u.shape[0], float(fixed_p1))
-        yield p1, _modulus_and_phase(u[:, 2:6]), _modulus_and_phase(u[:, 6:10])
+        yield (p1, *[_modulus_and_phase(u[:, 4 * k + 2 : 4 * k + 6]) for k in range(disks)])
 
 
-def refine_offset_chunks(seed, count: int, radius: float, chunk: int):
-    """The refine offsets (dp1, dx, dy) in blocks of at most ``chunk`` rows, in order."""
+def refine_offset_chunks(seed, count: int, radius: float, chunk: int, disks: int = 2):
+    """The refine offsets (dp1, dx) or (dp1, dx, dy) in blocks of at most ``chunk`` rows.
+
+    Every row draws 6 uniforms, 1 for dp1, 2 per disk offset and 1 never
+    read, so a one-disk row is the two-disk row with dy dropped.
+    """
     for u in _uniform_blocks(seed, count, 6, chunk):
         dp1 = 2.0 * radius * (2.0 * u[:, 0] - 1.0)
-        dx = radius * np.sqrt(u[:, 1]) * np.exp(2j * np.pi * u[:, 2])
-        dy = radius * np.sqrt(u[:, 3]) * np.exp(2j * np.pi * u[:, 4])
-        yield dp1, dx, dy
+        dz = [radius * np.sqrt(u[:, 2 * k + 1]) * np.exp(2j * np.pi * u[:, 2 * k + 2])
+              for k in range(disks)]
+        yield (dp1, *dz)
 
 
-def _concat(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _concat(blocks) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def refine_offsets(seed, count: int, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Offsets (dp1, dx, dy) of a refine-around draw.
+def refine_offsets(seed, count: int, radius: float, disks: int = 2) -> tuple[np.ndarray, ...]:
+    """Offsets (dp1, dx) or (dp1, dx, dy) of a refine-around draw.
 
-    They depend only on (seed, count, radius), never on the centre, so the
-    searches of one run share them; refine_around applies a centre.
+    They depend only on (seed, count, radius, disks), never on the centre,
+    so the searches of one run share them; refine_around applies a centre.
     """
-    return _concat(refine_offset_chunks(seed, count, radius, count))
+    return _concat(refine_offset_chunks(seed, count, radius, count, disks))
 
 
-def refine_around(
-    offsets: tuple[np.ndarray, np.ndarray, np.ndarray],
-    center: CaratheodoryParams,
-    fixed_p1: Optional[float] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidates ``center + offsets``, clipped and projected back into the body."""
-    dp1, dx, dy = offsets
+def refine_around(offsets, center, fixed_p1: Optional[float] = None) -> tuple[np.ndarray, ...]:
+    """Candidates ``center + offsets``, clipped and projected back into the body.
+
+    ``center`` is (p1, x) or (p1, x, y), one disk point per disk offset.
+    """
+    dp1, *dz = offsets
+    p1c, *zc = center
+    if len(zc) != len(dz):
+        raise ValueError(f"a centre with {len(zc)} disk points for {len(dz)} disk offsets")
     if fixed_p1 is None:
-        p1 = np.clip(center.p1 + dp1, 0.0, 2.0)
+        p1 = np.clip(p1c + dp1, 0.0, 2.0)
     else:
         p1 = np.full(dp1.size, float(fixed_p1))
-    return p1, _project_disk(center.x + dx), _project_disk(center.y + dy)
+    return (p1, *(_project_disk(c + d) for c, d in zip(zc, dz)))
 
 
 def sample_params(

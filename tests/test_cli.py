@@ -189,11 +189,39 @@ class TestExitCodes:
             ["report", "--budget", "1000", "--format", "text"],
             ["report", "--budget", "1000", "--format", "csv"],
             ["roots", "--psi2-variant", "proof"],
+            ["bound", "--class", "starlike", "--n", "4", "--lambda", "1", "--psi2-variant", "proof"],
+            ["bound", "--class", "convex", "--n", "3", "--lambda", "1", "--psi2-variant", "statement"],
+            ["bound", "--class", "starlike", "--which", "d32", "--p", "1", "--lambda", "1",
+             "--psi2-variant", "statement"],
+            ["bound", "--class", "convex", "--which", "d43", "--p", "1", "--lambda", "1",
+             "--psi2-variant", "proof"],
+            ["table", "--class", "convex", "--lambda", "1", "--psi2-variant", "statement"],
+            ["verify", "--claim", "thm3.1-a4", "--lambda", "1", "--budget", "1000",
+             "--psi2-variant", "proof"],
+            ["verify", "--claim", "thm3.3-d43-psi2-statement", "--lambda", "1", "--budget", "1000",
+             "--psi2-variant", "statement"],
         ],
     )
     def test_flags_a_command_would_ignore_exit_2(self, capsys, argv):
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
+        if "--psi2-variant" in argv and argv[0] != "roots":
+            assert err.startswith("error: --psi2-variant") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--class", "starlike", "--which", "d43", "--p", "2", "--lambda", "1"],
+            ["table", "--class", "starlike", "--lambda", "1", "--format", "csv"],
+            ["verify", "--claim", "thm3.1-a2", "--claim", "thm3.3-d43", "--lambda", "1",
+             "--budget", "1000", "--format", "json"],
+        ],
+    )
+    def test_psi2_variant_proof_given_or_not_is_byte_identical(self, capsys, argv, monkeypatch):
+        monkeypatch.setattr(oracle, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        default = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--psi2-variant", "proof") == default
+        assert default[0] == 0
 
 
 class TestBoundCommand:
@@ -315,7 +343,7 @@ class TestVerifyCommand:
             "thm3.1-a4,0.21,,0.05411496359365945,1/5<lambda<=r0,0.06999999999999999,"
             "0.0,0.0,0.0,1.0,0.0,-0.015885036406340543,true,2000,42,0,\n"
             "thm3.1-a4,1.0,,0.4722222222222222,lambda>sqrt(32/43),0.4722222222222222,"
-            "2.0,0.0,0.0,0.0,0.0,0.0,false,2000,42,0,\n"
+            "2.0,0.0,0.0,1.0,0.0,0.0,false,2000,42,0,\n"
         )
 
     def test_default_grids_from_registry(self, capsys):

@@ -16,6 +16,10 @@ from coefbound.oracle import (
     extremal_search,
     functional_value,
     _SearchInputs,
+    _functional_values,
+    _maximizing_y,
+    _shared_bytes,
+    _with_rows,
     general_bound_probe,
     run_claim_suite,
     series_cross_check,
@@ -291,6 +295,56 @@ class TestStreamingSearch:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20, peak
+
+
+unit_disk = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+class TestMaximumOverY:
+    @given(
+        st.sampled_from(FUNCTIONAL_KINDS),
+        st.sampled_from(("starlike", "convex")),
+        st.floats(min_value=0.0, max_value=math.pi / 2, exclude_min=True),
+        st.floats(min_value=0.0, max_value=2.0),
+        unit_disk,
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_search_score_is_the_maximum_over_y(self, kind, cls, lam, p1, x, seed):
+        # |A| + K is attained at the witness y and none of 64 drawn y of the disk beats it
+        rng = np.random.default_rng(seed)
+        ys = np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
+        ys[:8] /= np.abs(ys[:8])  # some on the circle, where the maximum sits
+        fixed_p = None
+        if kind in ("abs_a3_minus_a2", "abs_a4_minus_a3"):
+            fixed_p = p1 if cls == "starlike" else p1 / 2.0
+        fn = Functional(kind, cls, fixed_p=fixed_p)
+        ((p1s, xs, p2, p3, w),) = _with_rows([(np.array([p1]), np.array([x], dtype=complex))])
+        vals, a = _functional_values(fn, lam, p1s, p2, p3, w)
+        score = float(vals[0])
+        y = _maximizing_y(complex(a[0]))
+        assert abs(functional_value(fn, lam, CaratheodoryParams(p1, x, y)) - score) <= 1e-12
+        for yv in ys:
+            assert functional_value(fn, lam, CaratheodoryParams(p1, x, yv)) <= score + 1e-12
+
+    def test_cached_inputs_carry_no_y(self):
+        # an exploration row is p1, x, p2, p3 at y = 0 and (4 - p1^2)(1 - |x|^2);
+        # an offset row is dp1, dx; _shared_bytes counts exactly those bytes
+        for eff in (None, 0.7):
+            inputs = _SearchInputs(3, 5000)
+            explore = inputs.explore(eff)
+            offsets = [block for rnd in range(5) for block in inputs.offsets(rnd, 0.3)]
+            assert {len(block) for block in explore} == {5}
+            assert {len(block) for block in offsets} == {2}
+            kept = sum(a.nbytes for block in explore + offsets for a in block)
+            assert kept == _shared_bytes(5000)
+
+    def test_default_suite_attains_every_sharp_bound_to_1e_9(self):
+        records = run_claim_suite()
+        clean = [r for r in records if not r.violation]
+        assert len(clean) == 102
+        worst = max(clean, key=lambda r: abs(r.gap))
+        assert abs(worst.gap) <= 1e-9, worst
 
 
 class TestRegistry:

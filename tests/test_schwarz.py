@@ -201,7 +201,7 @@ def test_refine_around_is_shared_offsets_plus_centre(seed, count, radius, a, b, 
     # refine-around sample at that centre.
     offsets = refine_offsets(seed, count, radius)
     for center in (a, b):
-        got = refine_around(offsets, center, fixed_p1)
+        got = refine_around(offsets, (center.p1, center.x, center.y), fixed_p1)
         sampled = sample_param_arrays(seed, count, "refine-around", fixed_p1, center, radius)
         want = _refine_reference(seed, count, center, radius, fixed_p1)
         assert _bits(got) == _bits(sampled) == _bits(want)
@@ -229,24 +229,50 @@ def _joined(blocks, chunk):
     return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
+def _one_disk_grid_reference(count, fixed_p1):
+    """The (p1, x) grid as one 3-D meshgrid, with exp taken on every row."""
+    levels = _axis_levels(count, fixed_p1, 1)
+    if fixed_p1 is None:
+        p1 = np.linspace(0.0, 2.0, levels.pop(0))
+    else:
+        p1 = np.array([float(fixed_p1)])
+    mx = np.linspace(0.0, 1.0, levels[0])
+    ax = 2.0 * np.pi * np.arange(levels[1]) / levels[1]
+    p1g, mxg, axg = np.meshgrid(p1, mx, ax, indexing="ij")
+    return p1g.ravel().astype(float), (mxg * np.exp(1j * axg)).ravel()
+
+
 pinned_p1 = st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0))
 chunks = st.integers(min_value=1, max_value=5000)
+disk_counts = st.sampled_from((1, 2))
 
 
-@given(st.integers(min_value=1, max_value=4000), pinned_p1, chunks)
+@given(st.integers(min_value=1, max_value=4000), pinned_p1, chunks, disk_counts)
 @settings(max_examples=100, deadline=None)
-def test_grid_chunks_concatenate_to_the_grid(count, fixed_p1, chunk):
-    got = _joined(grid_chunks(count, fixed_p1, chunk), chunk)
-    assert _bits(got) == _bits(sample_param_arrays(0, count, "grid", fixed_p1))
-    assert _bits(got) == _bits(_grid_reference(count, fixed_p1))
-    assert got[0].size == grid_size(count, fixed_p1)
+def test_grid_chunks_concatenate_to_the_grid(count, fixed_p1, chunk, disks):
+    got = _joined(grid_chunks(count, fixed_p1, chunk, disks), chunk)
+    assert len(got) == 1 + disks
+    assert got[0].size == grid_size(count, fixed_p1, disks)
+    if disks == 2:
+        assert _bits(got) == _bits(sample_param_arrays(0, count, "grid", fixed_p1))
+        assert _bits(got) == _bits(_grid_reference(count, fixed_p1))
+    else:
+        assert _bits(got) == _bits(_one_disk_grid_reference(count, fixed_p1))
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4000), pinned_p1, chunks)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=4000),
+    pinned_p1,
+    chunks,
+    disk_counts,
+)
 @settings(max_examples=100, deadline=None)
-def test_random_chunks_concatenate_to_one_draw(seed, count, fixed_p1, chunk):
-    got = _joined(random_chunks(seed, count, fixed_p1, chunk), chunk)
-    assert _bits(got) == _bits(sample_param_arrays(seed, count, "random", fixed_p1))
+def test_random_chunks_concatenate_to_one_draw(seed, count, fixed_p1, chunk, disks):
+    # a one-disk row is the (p1, x) of the two-disk row
+    got = _joined(random_chunks(seed, count, fixed_p1, chunk, disks), chunk)
+    want = sample_param_arrays(seed, count, "random", fixed_p1)[: 1 + disks]
+    assert _bits(got) == _bits(want)
 
 
 @given(
@@ -255,8 +281,19 @@ def test_random_chunks_concatenate_to_one_draw(seed, count, fixed_p1, chunk):
     st.integers(min_value=1, max_value=4000),
     st.floats(min_value=1e-6, max_value=1.0),
     chunks,
+    disk_counts,
 )
 @settings(max_examples=100, deadline=None)
-def test_refine_offset_chunks_concatenate_to_the_offsets(seed, rnd, count, radius, chunk):
-    got = _joined(refine_offset_chunks([seed, rnd], count, radius, chunk), chunk)
-    assert _bits(got) == _bits(refine_offsets([seed, rnd], count, radius))
+def test_refine_offset_chunks_concatenate_to_the_offsets(seed, rnd, count, radius, chunk, disks):
+    # a one-disk row is the (dp1, dx) of the two-disk row
+    got = _joined(refine_offset_chunks([seed, rnd], count, radius, chunk, disks), chunk)
+    assert _bits(got) == _bits(refine_offsets([seed, rnd], count, radius, disks))
+    assert _bits(got) == _bits(refine_offsets([seed, rnd], count, radius)[: 1 + disks])
+
+
+def test_refine_around_needs_one_centre_point_per_disk_offset():
+    offsets = refine_offsets(1, 10, 0.1, 1)
+    p1, x = refine_around(offsets, (1.0, 0.5j))
+    assert p1.size == x.size == 10
+    with pytest.raises(ValueError):
+        refine_around(offsets, (1.0, 0.5j, 0.0))
