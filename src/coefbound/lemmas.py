@@ -34,6 +34,9 @@ from .schwarz import SchwarzCoefficients
 #: Slack on each printed region inequality.
 REGION_TOL = 1e-12
 
+#: Radii per block of a y_bruteforce scan; at 1024 angles a block's temporaries fit in cache.
+_Y_SCAN_ROWS = 32
+
 
 class Region(Enum):
     D1 = "D1"
@@ -142,19 +145,30 @@ def y_closed_form(a: float, b: float, c: float) -> YValue:
 def y_bruteforce(a: float, b: float, c: float, radial: int = 512, angular: int = 1024) -> float:
     """Grid-search oracle for Y(a, b, c), independent of the closed form.
 
-    Scans a polar grid on the closed unit disk, then refines locally around
-    the incumbent.  Ties resolve to the first grid index, so the result does
-    not depend on any internal partitioning.
+    Scans a polar grid z = r e^{it} on the closed unit disk, then refines
+    locally around the incumbent.  Each scan evaluates the polynomial in
+    real arithmetic from cos/sin tables of t and 2t,
+    Re = a + b r cos t + c r^2 cos 2t and Im = b r sin t + c r^2 sin 2t,
+    over blocks of radii small enough for every temporary to stay in cache.
+    Ties resolve to the first grid index, so the result does not depend on
+    any internal partitioning.
     """
     if radial < 64 or angular < 128:
         raise ValueError("need radial >= 64 and angular >= 128")
 
     def scan(rs: np.ndarray, ts: np.ndarray) -> tuple[float, float, float]:
-        z = rs[:, None] * np.exp(1j * ts[None, :])
-        vals = np.abs(a + b * z + c * z * z) + 1.0 - rs[:, None] ** 2
-        flat = int(np.argmax(vals))
-        i, j = divmod(flat, ts.size)
-        return float(vals[i, j]), float(rs[i]), float(ts[j])
+        cos1, sin1, cos2, sin2 = np.cos(ts), np.sin(ts), np.cos(2.0 * ts), np.sin(2.0 * ts)
+        best = None
+        for start in range(0, rs.size, _Y_SCAN_ROWS):
+            r = rs[start : start + _Y_SCAN_ROWS, None]
+            br, cr2 = b * r, c * (r * r)
+            re = a + br * cos1 + cr2 * cos2
+            im = br * sin1 + cr2 * sin2
+            vals = np.sqrt(re * re + im * im) + (1.0 - r * r)
+            i, j = divmod(int(np.argmax(vals)), ts.size)
+            if best is None or vals[i, j] > best[0]:
+                best = (float(vals[i, j]), float(r[i, 0]), float(ts[j]))
+        return best
 
     best, r0, t0 = scan(np.linspace(0.0, 1.0, radial), np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False))
     dr = 2.0 / (radial - 1)

@@ -7,11 +7,15 @@ triples.  A claim is *violated* when the search exceeds the printed bound by
 more than the tolerance; violations are findings, never errors, because the
 harness exists in part to document transcription defects.
 
-Every functional is affine in y: F = A(p1, x) + k (4 - p1^2)(1 - |x|^2) y
-with k >= 0 (k = 0 for |a2|, |a3| and |a3 - a2|).  So the maximum over y is
-|A| + k (4 - p1^2)(1 - |x|^2), attained at y = A/|A|, and the search walks
-(p1, x) only.  Its witness is a full (p1, x, y) triple with that y (y = 1
-where A = 0), which functional_value replays through the full moments.
+Every functional is affine in y: F = A(p1, x) + k q (1 - |x|^2) y with
+q = 4 - p1^2 and k >= 0 (k = 0 for |a2|, |a3| and |a3 - a2|).  So the
+maximum over y is |A| + k q (1 - |x|^2), attained at y = A/|A|, and the
+search walks (p1, x) only.  A is a quadratic alpha + beta x + gamma x^2 in x
+whose coefficients are real polynomials in (lam, p1) (see _quadratic), so
+the search scores it in real arithmetic on (p1, Re x, Im x) without forming
+the moments.  Its witness is a full (p1, x, y) triple with that y (y = 1
+where A = 0), which functional_value replays through the full moments, so a
+replay checks the polynomials independently.
 
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
 variant) produce bit-identical reports.  A search streams each phase in
@@ -19,11 +23,12 @@ blocks of CHUNK_ROWS candidates with a running first-index argmax, so its
 memory does not grow with the budget and its result does not depend on the
 block size.  Every search of a run at one (seed, budget) draws the same
 lam-independent inputs, so while they fit in SHARED_INPUT_BYTES a run draws
-them once and shares the blocks: each exploration set (canonical, grid and
-random (p1, x) candidates with the y-free moment terms) per effective p1,
-and the refine offsets of each round.  Neither blocks nor sharing reorder a
-floating-point operation, so every path returns the same bits.  The search
-is single-threaded.
+them once and shares the blocks: two exploration sets (canonical, grid and
+random candidates), the (p1, x) set of the free-p1 searches and the x set of
+the pinned ones, which does not depend on the pinned value, and the refine
+offsets of each round.  Neither blocks nor sharing reorder a floating-point
+operation, so every path returns the same bits.  The search is
+single-threaded.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ from .schwarz import (
 
 FUNCTIONAL_KINDS = ("abs_a2", "abs_a3", "abs_a4", "abs_a3_minus_a2", "abs_a4_minus_a3")
 _DIFFERENCE_KINDS = ("abs_a3_minus_a2", "abs_a4_minus_a3")
+#: The functionals that depend on y (through p3).
+_Y_KINDS = ("abs_a4", "abs_a4_minus_a3")
 
 #: Default evaluation budget per (claim, grid point) and violation tolerance.
 DEFAULT_BUDGET = 100_000
@@ -121,7 +128,11 @@ def _coefficient_values(lam, p1, p2, p3, cls):
 
 
 def _functional(fn: Functional, lam, p1, p2, p3):
-    """The complex functional (a2, a3, a4, a3 - a2 or a4 - a3) at the moments."""
+    """The complex functional (a2, a3, a4, a3 - a2 or a4 - a3) at the moments.
+
+    The search scores _quadratic instead; functional_value replays a witness
+    through this route, which shares no formula with it.
+    """
     a2, a3, a4 = _coefficient_values(lam, p1, p2, p3, fn.cls)
     if fn.kind == "abs_a2":
         return a2
@@ -134,26 +145,39 @@ def _functional(fn: Functional, lam, p1, p2, p3):
     return a4 - a3
 
 
-def _y_weight(fn: Functional, lam: float) -> float:
-    """The k of F = A(p1, x) + k (4 - p1^2)(1 - |x|^2) y; 0 where F has no p3.
+def _quadratic(fn: Functional, lam, p1):
+    """(alpha, beta, gamma, k q) of F = alpha + beta x + gamma x^2 + k q (1 - |x|^2) y.
 
-    p3 carries y as (4 - p1^2)(1 - |x|^2) y / 2, and a4 carries p3 with the
-    factor lam/6 (starlike) or lam/24 (convex).
+    Here q = 4 - p1^2, and all four are real: scalars for a scalar p1, arrays
+    for an array.  Substituting the moments of (p1, x, y) into the closed
+    formulas of _coefficient_values gives a2 = s2 p1, a3 = s3 inner3 and
+    a4 = s4 inner4 with
+
+        inner3 = (3 lam/4) p1^2 + (q/2) x
+        inner4 = (17 lam^2/48) p1^3 + (5 lam/8) q p1 x - (q p1/4) x^2
+                 + (q/2)(1 - |x|^2) y
+
+    and (s2, s3, s4) = (lam/2, lam/4, lam/6) for starlike, (lam/4, lam/12,
+    lam/24) for convex; differences subtract coefficient-wise.  gamma and
+    k q are 0.0 where F has no x^2 or y term.
     """
-    if fn.kind not in ("abs_a4", "abs_a4_minus_a3"):
-        return 0.0
-    return lam / 12.0 if fn.cls == "starlike" else lam / 48.0
-
-
-def _functional_values(fn: Functional, lam, p1, p2, p3, w):
-    """max over |y| <= 1 of |F| on (p1, x) rows: |A| + k w, with A = F at y = 0.
-
-    ``p3`` is the moment at y = 0 and ``w`` is (4 - p1^2)(1 - |x|^2).  Also
-    returns A, whose phase is the maximizing y.
-    """
-    a = _functional(fn, lam, p1, p2, p3)
-    k = _y_weight(fn, lam)
-    return (np.abs(a) + k * w if k else np.abs(a)), a
+    s2, s3, s4 = (lam / 2.0, lam / 4.0, lam / 6.0) if fn.cls == "starlike" else (
+        lam / 4.0, lam / 12.0, lam / 24.0
+    )
+    if fn.kind == "abs_a2":
+        return s2 * p1, 0.0, 0.0, 0.0
+    q = 4.0 - p1 * p1
+    alpha3, beta3 = s3 * (0.75 * lam * (p1 * p1)), s3 * (0.5 * q)
+    if fn.kind == "abs_a3":
+        return alpha3, beta3, 0.0, 0.0
+    if fn.kind == "abs_a3_minus_a2":
+        return alpha3 - s2 * p1, beta3, 0.0, 0.0
+    qp1 = q * p1
+    alpha4 = s4 * (17.0 / 48.0 * lam * lam * (p1 * p1 * p1))
+    beta4, gamma, kq = s4 * (0.625 * lam * qp1), s4 * (-0.25 * qp1), s4 * (0.5 * q)
+    if fn.kind == "abs_a4":
+        return alpha4, beta4, gamma, kq
+    return alpha4 - alpha3, beta4 - beta3, gamma, kq
 
 
 def _maximizing_y(a: complex) -> complex:
@@ -196,84 +220,68 @@ def check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
 
 
-def _canonical_arrays(eff: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary/axis witnesses (p1, x) evaluated unconditionally before any search."""
-    units = np.array([0.0, 1.0, -1.0, 1.0j, -1.0j], dtype=np.complex128)
-    p1_levels = [eff] if eff is not None else [0.0, 1.0, 2.0]
-    return np.repeat(np.array(p1_levels, dtype=float), units.size), np.tile(units, len(p1_levels))
+_UNITS = np.array([0.0, 1.0, -1.0, 1.0j, -1.0j], dtype=np.complex128)
 
 
-def _with_rows(blocks):
-    """(p1, x, p2, p3 at y = 0, (4 - p1^2)(1 - |x|^2)) per (p1, x) block.
+def _explore_chunks(seed: int, budget: int, pinned: bool):
+    """(p1, x) blocks of the canonical, grid and random candidates.
 
-    It repeats the y-free terms of _moments rather than calling it, so that
-    replaying a witness through _moments checks these rows independently.
+    The canonical witnesses come first: p1 in {0, 1, 2} (or the pinned p1)
+    times x in {0, 1, -1, i, -i}.  Exploration gets what the refine rounds
+    (a tenth of the budget each) and the canonical witnesses leave, half of
+    it for the grid.  When p1 is pinned the blocks carry p1 = None: the x
+    draws of every pinned value are the same, so one set serves them all.
     """
-    for p1, x in blocks:
-        q = 4.0 - p1 * p1
-        p2 = 0.5 * (p1 * p1 + q * x)
-        p3 = 0.25 * (p1 ** 3 + 2.0 * q * p1 * x - q * p1 * x * x)
-        yield p1, x, p2, p3, q * (1.0 - np.abs(x) ** 2)
-
-
-def _explore_chunks(seed: int, budget: int, eff: Optional[float]):
-    """Rows (see _with_rows) of the canonical, grid and random (p1, x) candidates.
-
-    Exploration gets what the refine rounds (a tenth of the budget each)
-    and the canonical witnesses leave, half of it for the grid.
-    """
-    canonical = _canonical_arrays(eff)
+    fixed = 0.0 if pinned else None  # any pinned value draws the same x
+    p1_levels = [fixed] if pinned else [0.0, 1.0, 2.0]
+    canonical = (np.repeat(p1_levels, _UNITS.size), np.tile(_UNITS, len(p1_levels)))
     explore = max(budget - _REFINE_ROUNDS * (budget // 10) - canonical[0].size, 0)
     grid = max(explore // 2, 1)
-    rand = max(explore - grid_size(grid, eff, disks=1), 1)
-    return _with_rows(
-        itertools.chain(
-            [canonical],
-            grid_chunks(grid, eff, CHUNK_ROWS, disks=1),
-            random_chunks(seed, rand, eff, CHUNK_ROWS, disks=1),
-        )
+    rand = max(explore - grid_size(grid, fixed, disks=1), 1)
+    blocks = itertools.chain(
+        [canonical],
+        grid_chunks(grid, fixed, CHUNK_ROWS, disks=1),
+        random_chunks(seed, rand, fixed, CHUNK_ROWS, disks=1),
     )
+    if pinned:
+        return ((None, x) for _, x in blocks)
+    return blocks
 
 
 def _shared_bytes(budget: int) -> int:
-    """Bytes of one exploration set (64 per row) plus the offsets of every round (24 per row)."""
+    """Bytes of both exploration sets plus the offsets of every round.
+
+    Each set has budget - refine rows, whatever the grid size: 24 bytes per
+    free (p1, x) row and 16 per pinned x row.  An offset row is 24 bytes.
+    """
     refine = _REFINE_ROUNDS * (budget // 10)
-    return (budget - refine) * 64 + refine * 24
-
-
-def _p1_key(eff: Optional[float]) -> Optional[str]:
-    """Groups searches by the bits of their pinned p1 (0.0 and -0.0 differ)."""
-    return None if eff is None else float(eff).hex()
+    return (budget - refine) * (24 + 16) + refine * 24
 
 
 class _SearchInputs:
     """The lam-independent input blocks of every search at one (seed, budget).
 
-    While they fit in SHARED_INPUT_BYTES it keeps the blocks of the
-    exploration set of the effective p1 last asked for, one set at a time,
-    and the offset blocks of each refine round once drawn.  Above that it
-    keeps nothing and every search draws its blocks afresh.  Callers own an
-    instance for one run and drop it after.
+    While they fit in SHARED_INPUT_BYTES it keeps, once drawn, the blocks of
+    the free-p1 exploration set, of the pinned one, and the offset blocks of
+    each refine round.  Above that it keeps nothing and every search draws
+    its blocks afresh.  Callers own an instance for one run and drop it
+    after.
     """
 
     def __init__(self, seed: int, budget: int):
         self.seed = seed
         self.budget = budget
         self._keep = _shared_bytes(budget) <= SHARED_INPUT_BYTES
-        self._key: Optional[str] = None
-        self._explore = None
+        self._explore: dict = {}
         self._offsets: dict = {}
 
-    def explore(self, eff: Optional[float]):
-        """Rows (see _with_rows) of the exploration set at ``eff``."""
+    def explore(self, pinned: bool):
+        """(p1, x) blocks of the exploration set (see _explore_chunks)."""
         if not self._keep:
-            return _explore_chunks(self.seed, self.budget, eff)
-        key = _p1_key(eff)
-        if self._explore is None or key != self._key:
-            self._explore = None  # free the previous set before building the next one
-            self._explore = list(_explore_chunks(self.seed, self.budget, eff))
-            self._key = key
-        return self._explore
+            return _explore_chunks(self.seed, self.budget, pinned)
+        if pinned not in self._explore:
+            self._explore[pinned] = list(_explore_chunks(self.seed, self.budget, pinned))
+        return self._explore[pinned]
 
     def offsets(self, rnd: int, radius: float):
         """(dp1, dx) blocks of refine round ``rnd``; its radius is the same in every search."""
@@ -287,22 +295,35 @@ class _SearchInputs:
         return self._offsets[rnd]
 
 
-def _best_of(fn: Functional, lam: float, blocks, best: float, witness):
-    """Scan rows (see _with_rows) with a running first-index argmax.
+def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: float, witness):
+    """Scan (p1, x) blocks for the largest |A| + k q (1 - |x|^2), with a running first-index argmax.
 
-    A block's maximum replaces the incumbent only if strictly larger, so the
-    result is the first maximal row of the whole stream, whatever the block
-    size.  The incumbent is (p1, x, A).  Returns it and the number of rows
-    scanned.
+    A = alpha + beta x + gamma x^2 (see _quadratic) is evaluated in real
+    arithmetic on u = Re x and v = Im x.  When p1 is pinned to ``eff`` the
+    coefficients are scalars and the blocks' p1 is not read.  A block's
+    maximum replaces the incumbent only if strictly larger, so the result
+    is the first maximal row of the whole stream, whatever the block size.
+    The incumbent is (p1, x, A).  Returns it and the number of rows scanned.
     """
+    fixed = None if eff is None else _quadratic(fn, lam, float(eff))
     scanned = 0
-    for p1, x, p2, p3, w in blocks:
-        vals, a = _functional_values(fn, lam, p1, p2, p3, w)
+    for p1, x in blocks:
+        alpha, beta, gamma, kq = _quadratic(fn, lam, p1) if fixed is None else fixed
+        u, v = x.real, x.imag
+        if fn.kind in _Y_KINDS:
+            re = alpha + u * (beta + gamma * u) - gamma * (v * v)
+            im = v * (beta + 2.0 * gamma * u)
+            vals = np.sqrt(re * re + im * im) + kq * (1.0 - u * u - v * v)
+        else:  # gamma = k q = 0: A is affine in x
+            re = alpha + u * beta
+            im = v * beta
+            vals = np.sqrt(re * re + im * im)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
-            witness = (float(p1[i]), complex(x[i]), complex(a[i]))
-        scanned += p1.size
+            wp1 = float(p1[i]) if eff is None else float(eff)
+            witness = (wp1, complex(x[i]), complex(re[i], im[i]))
+        scanned += x.size
     return best, witness, scanned
 
 
@@ -347,12 +368,14 @@ def extremal_search(
         raise ValueError("inputs were built for another seed or budget")
     eff = fn.effective_p1
 
-    best, witness, evaluated = _best_of(fn, lam, inputs.explore(eff), -np.inf, None)
+    best, witness, evaluated = _best_of(
+        fn, lam, eff, inputs.explore(eff is not None), -np.inf, None
+    )
     radius = _REFINE_RADIUS0
     for rnd in range(_REFINE_ROUNDS):
         center = witness[:2]  # the incumbent (p1, x) at the start of the round
         around = (refine_around(block, center, eff) for block in inputs.offsets(rnd, radius))
-        best, witness, scanned = _best_of(fn, lam, _with_rows(around), best, witness)
+        best, witness, scanned = _best_of(fn, lam, eff, around, best, witness)
         evaluated += scanned
         radius *= _REFINE_SHRINK
 
@@ -483,27 +506,23 @@ def _verify_points(
 ) -> list[VerificationReport]:
     """One report per (claim, lam, p) point, in the order given.
 
-    The searches run grouped by effective p1, in order of first appearance,
-    so that each exploration set is built once and only one is held at a
-    time.  A group's first record therefore also times building its set.
+    The searches share one _SearchInputs, so the first record that uses each
+    exploration set (free or pinned p1) also times building it.
     """
     check_tol(tol)
-    groups: dict = {}
-    for i, (claim, lam, p) in enumerate(points):
-        fn = Functional(kind=claim.kind, cls=claim.cls, fixed_p=p)
-        groups.setdefault(_p1_key(fn.effective_p1), []).append((i, claim, fn, lam, p))
     inputs = _SearchInputs(seed, budget)
-    reports: list = [None] * len(points)
-    for group in groups.values():
-        for i, claim, fn, lam, p in group:
-            t0 = time.perf_counter()
-            result = extremal_search(fn, lam, budget=budget, seed=seed, inputs=inputs)
-            b = bounds.bound(
-                claim.cls, lam, claim.n, claim.which, p, claim.pinned_variant or psi2_variant
-            )
-            gap = b.value - result.value
-            duration_ms = int((time.perf_counter() - t0) * 1000.0)
-            reports[i] = VerificationReport(
+    reports = []
+    for claim, lam, p in points:
+        fn = Functional(kind=claim.kind, cls=claim.cls, fixed_p=p)
+        t0 = time.perf_counter()
+        result = extremal_search(fn, lam, budget=budget, seed=seed, inputs=inputs)
+        b = bounds.bound(
+            claim.cls, lam, claim.n, claim.which, p, claim.pinned_variant or psi2_variant
+        )
+        gap = b.value - result.value
+        duration_ms = int((time.perf_counter() - t0) * 1000.0)
+        reports.append(
+            VerificationReport(
                 claim_id=claim.claim_id,
                 lam=lam,
                 p=p,
@@ -518,6 +537,7 @@ def _verify_points(
                 duration_ms=duration_ms,
                 variant=b.variant,
             )
+        )
     return reports
 
 

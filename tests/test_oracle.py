@@ -16,16 +16,19 @@ from coefbound.oracle import (
     extremal_search,
     functional_value,
     _SearchInputs,
-    _functional_values,
+    _best_of,
+    _functional,
     _maximizing_y,
+    _moments,
+    _quadratic,
     _shared_bytes,
-    _with_rows,
     general_bound_probe,
     run_claim_suite,
     series_cross_check,
     verify_claim,
 )
-from coefbound.schwarz import CaratheodoryParams, sample_params
+from coefbound.bounds import bound
+from coefbound.schwarz import CaratheodoryParams, grid_chunks, random_chunks, sample_params
 
 
 class TestFunctional:
@@ -116,13 +119,17 @@ class TestExtremalSearch:
         b = extremal_search(fn, 1.0, budget=5000, seed=11)
         assert a == b
 
-    def test_budget_monotone(self):
+    def test_budget_sweep_stays_under_the_bound_and_converges(self):
+        # More budget need not give a larger value (the refine rounds move with
+        # the incumbent), but no budget may exceed the sharp bound, and the
+        # default budget resolves it to 1e-9 at every seed.
         fn = Functional("abs_a4_minus_a3", "convex", fixed_p=0.6)
-        values = [
-            extremal_search(fn, 1.0, budget=b, seed=42).value
-            for b in (1000, 3000, 10000, 30000, 100000)
-        ]
-        assert values == sorted(values)
+        sharp = bound("convex", 1.0, which="d43", p=0.6).value
+        for seed in range(12):
+            for budget in (1000, 3000, 10000, 30000, 100000):
+                value = extremal_search(fn, 1.0, budget=budget, seed=seed).value
+                assert value <= sharp + oracle.DEFAULT_TOL, (seed, budget)
+            assert abs(sharp - value) <= 1e-9, seed
 
     def test_budget_floor(self):
         with pytest.raises(ValueError):
@@ -319,25 +326,67 @@ class TestMaximumOverY:
         if kind in ("abs_a3_minus_a2", "abs_a4_minus_a3"):
             fixed_p = p1 if cls == "starlike" else p1 / 2.0
         fn = Functional(kind, cls, fixed_p=fixed_p)
-        ((p1s, xs, p2, p3, w),) = _with_rows([(np.array([p1]), np.array([x], dtype=complex))])
-        vals, a = _functional_values(fn, lam, p1s, p2, p3, w)
-        score = float(vals[0])
-        y = _maximizing_y(complex(a[0]))
+        eff = fn.effective_p1
+        # a pinned search scores scalar coefficients and reads no p1 column
+        block = (np.array([p1]), np.array([x])) if eff is None else (None, np.array([x]))
+        p1 = p1 if eff is None else eff
+        score, (wp1, wx, a), rows = _best_of(fn, lam, eff, [block], -np.inf, None)
+        assert (wp1, wx, rows) == (p1, x, 1)
+        y = _maximizing_y(a)
         assert abs(functional_value(fn, lam, CaratheodoryParams(p1, x, y)) - score) <= 1e-12
         for yv in ys:
             assert functional_value(fn, lam, CaratheodoryParams(p1, x, yv)) <= score + 1e-12
 
+    @given(
+        st.sampled_from(FUNCTIONAL_KINDS),
+        st.sampled_from(("starlike", "convex")),
+        st.floats(min_value=0.0, max_value=math.pi / 2, exclude_min=True),
+        st.floats(min_value=0.0, max_value=2.0),
+        unit_disk,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_quadratic_is_the_functional_through_the_moments(self, kind, cls, lam, p1, x):
+        # alpha + beta x + gamma x^2 is F at y = 0, and k q (1 - |x|^2) is its y-slope
+        fixed_p = None  # _quadratic reads the p1 it is given, never fixed_p
+        if kind in ("abs_a3_minus_a2", "abs_a4_minus_a3"):
+            fixed_p = 0.0
+        fn = Functional(kind, cls, fixed_p=fixed_p)
+        alpha, beta, gamma, kq = _quadratic(fn, lam, p1)
+        for v in (alpha, beta, gamma, kq):
+            assert isinstance(v, float)
+
+        def moments_route(xv, yv):
+            return complex(_functional(fn, lam, np.float64(p1), *_moments(np.float64(p1), xv, yv)))
+
+        f0, f1 = moments_route(x, 0.0), moments_route(x, 1.0)
+        scale = 1e-13 * max(1.0, abs(f0), abs(f1))
+        assert abs(alpha + beta * x + gamma * x * x - f0) <= scale
+        assert abs(kq * (1.0 - abs(x) ** 2) - (f1 - f0)) <= scale
+        assert abs(kq - (moments_route(0.0, 1.0) - moments_route(0.0, 0.0))) <= scale
+        if kind not in ("abs_a4", "abs_a4_minus_a3"):
+            assert gamma == kq == 0.0
+
     def test_cached_inputs_carry_no_y(self):
-        # an exploration row is p1, x, p2, p3 at y = 0 and (4 - p1^2)(1 - |x|^2);
+        # a free exploration row is p1, x; a pinned one is x alone (its p1 is None);
         # an offset row is dp1, dx; _shared_bytes counts exactly those bytes
-        for eff in (None, 0.7):
-            inputs = _SearchInputs(3, 5000)
-            explore = inputs.explore(eff)
-            offsets = [block for rnd in range(5) for block in inputs.offsets(rnd, 0.3)]
-            assert {len(block) for block in explore} == {5}
-            assert {len(block) for block in offsets} == {2}
-            kept = sum(a.nbytes for block in explore + offsets for a in block)
-            assert kept == _shared_bytes(5000)
+        inputs = _SearchInputs(3, 5000)
+        free, pinned = inputs.explore(False), inputs.explore(True)
+        offsets = [block for rnd in range(5) for block in inputs.offsets(rnd, 0.3)]
+        assert {len(block) for block in free + pinned + offsets} == {2}
+        assert {p1 is None for p1, _ in pinned} == {True}
+        kept = sum(a.nbytes for block in free + pinned + offsets for a in block if a is not None)
+        assert kept == _shared_bytes(5000)
+
+    def test_pinned_x_draws_do_not_depend_on_the_pinned_value(self):
+        # so one pinned exploration set serves every pinned p1 of a run
+        def xs(blocks):
+            return np.concatenate([x for _, x in blocks])
+
+        for eff in (-0.0, 0.7, 2.0):
+            assert np.array_equal(xs(grid_chunks(3000, eff, 1000, 1)), xs(grid_chunks(3000, 0.0, 1000, 1)))
+            assert np.array_equal(
+                xs(random_chunks(5, 3000, eff, 1000, 1)), xs(random_chunks(5, 3000, 0.0, 1000, 1))
+            )
 
     def test_default_suite_attains_every_sharp_bound_to_1e_9(self):
         records = run_claim_suite()
