@@ -12,10 +12,12 @@ q = 4 - p1^2 and k >= 0 (k = 0 for |a2|, |a3| and |a3 - a2|).  So the
 maximum over y is |A| + k q (1 - |x|^2), attained at y = A/|A|, and the
 search walks (p1, x) only.  A is a quadratic alpha + beta x + gamma x^2 in x
 whose coefficients are real polynomials in (lam, p1) (see _quadratic), so
-the search scores it in real arithmetic on (p1, Re x, Im x) without forming
-the moments.  Its witness is a full (p1, x, y) triple with that y (y = 1
-where A = 0), which functional_value replays through the full moments, so a
-replay checks the polynomials independently.
+the search scores it in real arithmetic without forming the moments.  Its
+candidates stream from the schwarz block generators to the score as
+contiguous float64 columns (p1, Re x, Im x); no complex array is built.
+Its witness is a full (p1, x, y) triple with that y (y = 1 where A = 0),
+which functional_value replays through the full moments, so a replay
+checks the polynomials independently.
 
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
 variant) produce bit-identical reports.  A search streams each phase in
@@ -24,11 +26,11 @@ memory does not grow with the budget and its result does not depend on the
 block size.  Every search of a run at one (seed, budget) draws the same
 lam-independent inputs, so while they fit in SHARED_INPUT_BYTES a run draws
 them once and shares the blocks: two exploration sets (canonical, grid and
-random candidates), the (p1, x) set of the free-p1 searches and the x set of
-the pinned ones, which does not depend on the pinned value, and the refine
-offsets of each round.  Neither blocks nor sharing reorder a floating-point
-operation, so every path returns the same bits.  The search is
-single-threaded.
+random candidates), the (p1, Re x, Im x) columns of the free-p1 searches and
+the (Re x, Im x) columns of the pinned ones, which do not depend on the
+pinned value, and the refine offset columns of each round.  Neither blocks
+nor sharing reorder a floating-point operation, so every path returns the
+same bits.  The search is single-threaded.
 """
 
 from __future__ import annotations
@@ -220,11 +222,13 @@ def check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
 
 
-_UNITS = np.array([0.0, 1.0, -1.0, 1.0j, -1.0j], dtype=np.complex128)
+#: Re and Im of x in {0, 1, -1, i, -i}; -1j has real part -0.0.
+_UNITS_RE = np.array([0.0, 1.0, -1.0, 0.0, -0.0])
+_UNITS_IM = np.array([0.0, 0.0, 0.0, 1.0, -1.0])
 
 
 def _explore_chunks(seed: int, budget: int, pinned: bool):
-    """(p1, x) blocks of the canonical, grid and random candidates.
+    """(p1, x_re, x_im) blocks of the canonical, grid and random candidates.
 
     The canonical witnesses come first: p1 in {0, 1, 2} (or the pinned p1)
     times x in {0, 1, -1, i, -i}.  Exploration gets what the refine rounds
@@ -234,7 +238,10 @@ def _explore_chunks(seed: int, budget: int, pinned: bool):
     """
     fixed = 0.0 if pinned else None  # any pinned value draws the same x
     p1_levels = [fixed] if pinned else [0.0, 1.0, 2.0]
-    canonical = (np.repeat(p1_levels, _UNITS.size), np.tile(_UNITS, len(p1_levels)))
+    n = len(p1_levels)
+    canonical = (
+        np.repeat(p1_levels, _UNITS_RE.size), np.tile(_UNITS_RE, n), np.tile(_UNITS_IM, n)
+    )
     explore = max(budget - _REFINE_ROUNDS * (budget // 10) - canonical[0].size, 0)
     grid = max(explore // 2, 1)
     rand = max(explore - grid_size(grid, fixed, disks=1), 1)
@@ -244,7 +251,7 @@ def _explore_chunks(seed: int, budget: int, pinned: bool):
         random_chunks(seed, rand, fixed, CHUNK_ROWS, disks=1),
     )
     if pinned:
-        return ((None, x) for _, x in blocks)
+        return ((None, u, v) for _, u, v in blocks)
     return blocks
 
 
@@ -252,7 +259,8 @@ def _shared_bytes(budget: int) -> int:
     """Bytes of both exploration sets plus the offsets of every round.
 
     Each set has budget - refine rows, whatever the grid size: 24 bytes per
-    free (p1, x) row and 16 per pinned x row.  An offset row is 24 bytes.
+    free (p1, x_re, x_im) row and 16 per pinned (x_re, x_im) row.  An offset
+    row (dp1, dx_re, dx_im) is 24 bytes.
     """
     refine = _REFINE_ROUNDS * (budget // 10)
     return (budget - refine) * (24 + 16) + refine * 24
@@ -276,7 +284,7 @@ class _SearchInputs:
         self._offsets: dict = {}
 
     def explore(self, pinned: bool):
-        """(p1, x) blocks of the exploration set (see _explore_chunks)."""
+        """(p1, x_re, x_im) blocks of the exploration set (see _explore_chunks)."""
         if not self._keep:
             return _explore_chunks(self.seed, self.budget, pinned)
         if pinned not in self._explore:
@@ -284,7 +292,7 @@ class _SearchInputs:
         return self._explore[pinned]
 
     def offsets(self, rnd: int, radius: float):
-        """(dp1, dx) blocks of refine round ``rnd``; its radius is the same in every search."""
+        """(dp1, dx_re, dx_im) blocks of refine round ``rnd``, whose radius every search shares."""
         blocks = refine_offset_chunks(
             [self.seed, rnd], self.budget // 10, radius, CHUNK_ROWS, disks=1
         )
@@ -296,20 +304,20 @@ class _SearchInputs:
 
 
 def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: float, witness):
-    """Scan (p1, x) blocks for the largest |A| + k q (1 - |x|^2), with a running first-index argmax.
+    """Scan (p1, u, v) blocks for the largest |A| + k q (1 - |x|^2) by a first-index argmax.
 
-    A = alpha + beta x + gamma x^2 (see _quadratic) is evaluated in real
-    arithmetic on u = Re x and v = Im x.  When p1 is pinned to ``eff`` the
-    coefficients are scalars and the blocks' p1 is not read.  A block's
-    maximum replaces the incumbent only if strictly larger, so the result
-    is the first maximal row of the whole stream, whatever the block size.
-    The incumbent is (p1, x, A).  Returns it and the number of rows scanned.
+    u and v are the columns of Re x and Im x, and A = alpha + beta x +
+    gamma x^2 (see _quadratic) is evaluated in real arithmetic on them.
+    When p1 is pinned to ``eff`` the coefficients are scalars and the
+    blocks' p1 is not read.  A block's maximum replaces the incumbent only
+    if strictly larger, so the result is the first maximal row of the whole
+    stream, whatever the block size.  The incumbent is (p1, Re x, Im x, A).
+    Returns it and the number of rows scanned.
     """
     fixed = None if eff is None else _quadratic(fn, lam, float(eff))
     scanned = 0
-    for p1, x in blocks:
+    for p1, u, v in blocks:
         alpha, beta, gamma, kq = _quadratic(fn, lam, p1) if fixed is None else fixed
-        u, v = x.real, x.imag
         if fn.kind in _Y_KINDS:
             re = alpha + u * (beta + gamma * u) - gamma * (v * v)
             im = v * (beta + 2.0 * gamma * u)
@@ -322,8 +330,8 @@ def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: flo
         if vals[i] > best:
             best = float(vals[i])
             wp1 = float(p1[i]) if eff is None else float(eff)
-            witness = (wp1, complex(x[i]), complex(re[i], im[i]))
-        scanned += x.size
+            witness = (wp1, float(u[i]), float(v[i]), complex(re[i], im[i]))
+        scanned += u.size
     return best, witness, scanned
 
 
@@ -373,15 +381,18 @@ def extremal_search(
     )
     radius = _REFINE_RADIUS0
     for rnd in range(_REFINE_ROUNDS):
-        center = witness[:2]  # the incumbent (p1, x) at the start of the round
-        around = (refine_around(block, center, eff) for block in inputs.offsets(rnd, radius))
+        # the incumbent (p1, Re x, Im x) at the start of the round; a pinned p1 is not drawn
+        center = (None if eff is not None else witness[0], *witness[1:3])
+        around = (refine_around(block, center) for block in inputs.offsets(rnd, radius))
         best, witness, scanned = _best_of(fn, lam, eff, around, best, witness)
         evaluated += scanned
         radius *= _REFINE_SHRINK
 
-    p1, x, a = witness
+    p1, u, v, a = witness
     return SearchResult(
-        value=best, witness=CaratheodoryParams(p1, x, _maximizing_y(a)), samples=evaluated
+        value=best,
+        witness=CaratheodoryParams(p1, complex(u, v), _maximizing_y(a)),
+        samples=evaluated,
     )
 
 

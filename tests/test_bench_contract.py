@@ -2,10 +2,12 @@
 
 bench/ lies outside the default test paths, so these checks keep a change to
 the program from breaking the benchmark unnoticed: every attribute its span
-recorder wraps must exist and be callable, and the command lines its
-workloads build must still parse.
+recorder wraps must exist and be callable, the command lines its workloads
+build must still parse, and one pass of each workload on its smoke inputs
+must pass every check it makes (verdicts, findings, witness replay).
 """
 
+import contextlib
 import sys
 from pathlib import Path
 
@@ -17,6 +19,7 @@ BENCH = ROOT / "bench"
 sys.path[:0] = [str(BENCH), str(ROOT / "src")]
 
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 from coefbound import cli  # noqa: E402
 
@@ -43,3 +46,11 @@ def test_span_targets_exist_and_are_callable():
 )
 def test_workload_command_lines_parse(argv):
     assert cli.parse_args(argv).command == argv[0]
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.PASSES))
+def test_smoke_pass_checks_every_operation(workload):
+    run_pass = workloads.PASSES[workload]
+    result = run_pass(7, 0, workloads.SMOKE, workloads.SEARCH_WORKERS, contextlib.nullcontext())
+    assert result.ok and all(result.ok), [i for i, ok in enumerate(result.ok) if not ok]
+    assert len(result.latencies) == len(result.ok)

@@ -328,10 +328,11 @@ class TestMaximumOverY:
         fn = Functional(kind, cls, fixed_p=fixed_p)
         eff = fn.effective_p1
         # a pinned search scores scalar coefficients and reads no p1 column
-        block = (np.array([p1]), np.array([x])) if eff is None else (None, np.array([x]))
+        u, v = np.array([x.real]), np.array([x.imag])
+        block = (np.array([p1]) if eff is None else None, u, v)
         p1 = p1 if eff is None else eff
-        score, (wp1, wx, a), rows = _best_of(fn, lam, eff, [block], -np.inf, None)
-        assert (wp1, wx, rows) == (p1, x, 1)
+        score, (wp1, wu, wv, a), rows = _best_of(fn, lam, eff, [block], -np.inf, None)
+        assert (wp1, complex(wu, wv), rows) == (p1, x, 1)
         y = _maximizing_y(a)
         assert abs(functional_value(fn, lam, CaratheodoryParams(p1, x, y)) - score) <= 1e-12
         for yv in ys:
@@ -367,20 +368,22 @@ class TestMaximumOverY:
             assert gamma == kq == 0.0
 
     def test_cached_inputs_carry_no_y(self):
-        # a free exploration row is p1, x; a pinned one is x alone (its p1 is None);
-        # an offset row is dp1, dx; _shared_bytes counts exactly those bytes
+        # a free exploration row is p1, Re x, Im x; a pinned one is Re x, Im x
+        # alone (its p1 is None); an offset row is dp1, Re dx, Im dx, all of them
+        # contiguous float64 columns; _shared_bytes counts exactly those bytes
         inputs = _SearchInputs(3, 5000)
         free, pinned = inputs.explore(False), inputs.explore(True)
         offsets = [block for rnd in range(5) for block in inputs.offsets(rnd, 0.3)]
-        assert {len(block) for block in free + pinned + offsets} == {2}
-        assert {p1 is None for p1, _ in pinned} == {True}
-        kept = sum(a.nbytes for block in free + pinned + offsets for a in block if a is not None)
-        assert kept == _shared_bytes(5000)
+        assert {len(block) for block in free + pinned + offsets} == {3}
+        assert {p1 is None for p1, _, _ in pinned} == {True}
+        columns = [a for block in free + pinned + offsets for a in block if a is not None]
+        assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in columns)
+        assert sum(a.nbytes for a in columns) == _shared_bytes(5000)
 
     def test_pinned_x_draws_do_not_depend_on_the_pinned_value(self):
         # so one pinned exploration set serves every pinned p1 of a run
         def xs(blocks):
-            return np.concatenate([x for _, x in blocks])
+            return np.concatenate([np.concatenate([u, v]) for _, u, v in blocks])
 
         for eff in (-0.0, 0.7, 2.0):
             assert np.array_equal(xs(grid_chunks(3000, eff, 1000, 1)), xs(grid_chunks(3000, 0.0, 1000, 1)))

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from coefbound.schwarz import (
     SchwarzCoefficients,
     caratheodory_moments,
     _axis_levels,
+    _project_disk,
     caratheodory_to_schwarz,
     grid_chunks,
     grid_size,
@@ -37,6 +39,25 @@ class TestParamsValidation:
     def test_y_out_of_disk(self):
         with pytest.raises(ValueError):
             CaratheodoryParams(0.0, 0.0, 1.0 + 1e-6j + 1.0)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (complex(math.nan, 0.0), 0.0),
+            (complex(0.0, math.nan), 0.0),
+            (0.0, complex(math.nan, 0.0)),
+            (0.0, complex(0.0, math.nan)),
+            (complex(math.nan, 0.0), complex(0.0, math.nan)),
+        ],
+    )
+    def test_nan_refused(self, x, y):
+        # abs(nan) > 1 is False, so only a negated check refuses NaN
+        with pytest.raises(ValueError):
+            CaratheodoryParams(1.0, x, y)
+
+    def test_nan_p1_refused(self):
+        with pytest.raises(ValueError):
+            CaratheodoryParams(math.nan, 0.0, 0.0)
 
     def test_boundary_admitted(self):
         CaratheodoryParams(2.0, 1.0, -1.0)
@@ -183,6 +204,17 @@ def _bits(arrays):
     return [a.tobytes() for a in arrays]
 
 
+def _assembled(columns):
+    """(p1, x) or (p1, x, y) from the (p1, re, im, ...) columns, each point built bit for bit."""
+    p1, *parts = columns
+    points = []
+    for re, im in zip(parts[0::2], parts[1::2]):
+        z = np.empty(re.size, np.complex128)
+        z.real, z.imag = re, im
+        points.append(z)
+    return [p1, *points]
+
+
 centers = st.builds(CaratheodoryParams, st.floats(min_value=0.0, max_value=2.0), unit_disk, unit_disk)
 
 
@@ -201,10 +233,15 @@ def test_refine_around_is_shared_offsets_plus_centre(seed, count, radius, a, b, 
     # refine-around sample at that centre.
     offsets = refine_offsets(seed, count, radius)
     for center in (a, b):
-        got = refine_around(offsets, (center.p1, center.x, center.y), fixed_p1)
+        p1c = None if fixed_p1 is not None else center.p1
+        row = (p1c, center.x.real, center.x.imag, center.y.real, center.y.imag)
+        p1, *points = _assembled(refine_around(offsets, row))
+        if fixed_p1 is not None:  # a pinned p1 is not drawn
+            assert p1 is None
+            p1 = np.full(count, float(fixed_p1))
         sampled = sample_param_arrays(seed, count, "refine-around", fixed_p1, center, radius)
         want = _refine_reference(seed, count, center, radius, fixed_p1)
-        assert _bits(got) == _bits(sampled) == _bits(want)
+        assert _bits([p1, *points]) == _bits(sampled) == _bits(want)
         assert _bits(offsets) == _bits(refine_offsets(seed, count, radius))
 
 
@@ -251,8 +288,10 @@ disk_counts = st.sampled_from((1, 2))
 @settings(max_examples=100, deadline=None)
 def test_grid_chunks_concatenate_to_the_grid(count, fixed_p1, chunk, disks):
     got = _joined(grid_chunks(count, fixed_p1, chunk, disks), chunk)
-    assert len(got) == 1 + disks
+    assert len(got) == 1 + 2 * disks
+    assert all(col.dtype == np.float64 and col.flags.c_contiguous for col in got)
     assert got[0].size == grid_size(count, fixed_p1, disks)
+    got = _assembled(got)
     if disks == 2:
         assert _bits(got) == _bits(sample_param_arrays(0, count, "grid", fixed_p1))
         assert _bits(got) == _bits(_grid_reference(count, fixed_p1))
@@ -271,8 +310,46 @@ def test_grid_chunks_concatenate_to_the_grid(count, fixed_p1, chunk, disks):
 def test_random_chunks_concatenate_to_one_draw(seed, count, fixed_p1, chunk, disks):
     # a one-disk row is the (p1, x) of the two-disk row
     got = _joined(random_chunks(seed, count, fixed_p1, chunk, disks), chunk)
-    want = sample_param_arrays(seed, count, "random", fixed_p1)[: 1 + disks]
+    assert len(got) == 1 + 2 * disks
+    assert all(col.dtype == np.float64 and col.flags.c_contiguous for col in got)
+    got = _assembled(got)
+    assert _bits(got) == _bits(sample_param_arrays(seed, count, "random", fixed_p1)[: 1 + disks])
+    assert _bits(got) == _bits(_random_reference(seed, count, fixed_p1)[: 1 + disks])
+
+
+def _random_reference(seed, count, fixed_p1):
+    """The random draw as one complex computation, mod * exp(1j * phase) on every row."""
+    u = np.random.default_rng(seed).random((count, 10))
+    if fixed_p1 is None:
+        p1 = 2.0 * u[:, 1].copy()
+        p1[u[:, 0] < 0.125] = 2.0
+        p1[(u[:, 0] >= 0.125) & (u[:, 0] < 0.1875)] = 0.0
+    else:
+        p1 = np.full(count, float(fixed_p1))
+    points = []
+    for k in (2, 6):
+        sel, val, selp, valp = (u[:, k + i] for i in range(4))
+        mod = val.copy()
+        mod[sel < 0.125] = 1.0
+        mod[(sel >= 0.125) & (sel < 0.1875)] = 0.0
+        phase = 2.0 * np.pi * valp
+        phase[selp < 0.125] = 0.0
+        phase[(selp >= 0.125) & (selp < 0.25)] = np.pi
+        points.append(mod * np.exp(1j * phase))
+    return p1, *points
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+@pytest.mark.parametrize("fixed_p1", [None, 0.7])
+def test_random_bits_match_the_complex_draw(seed, fixed_p1):
+    # 20,000 rows, in the search's blocks of 8192, hit every atom about
+    # 1,000 times, the signed zeros of the zero-modulus atom included
+    got = _assembled(_joined(random_chunks(seed, 20_000, fixed_p1, 8192), 8192))
+    want = _random_reference(seed, 20_000, fixed_p1)
+    assert np.count_nonzero(want[1] == 0.0) > 500
+    assert np.signbit(want[1].real[want[1] == 0.0]).any()
     assert _bits(got) == _bits(want)
+    assert _bits(sample_param_arrays(seed, 20_000, "random", fixed_p1)) == _bits(want)
 
 
 @given(
@@ -287,13 +364,56 @@ def test_random_chunks_concatenate_to_one_draw(seed, count, fixed_p1, chunk, dis
 def test_refine_offset_chunks_concatenate_to_the_offsets(seed, rnd, count, radius, chunk, disks):
     # a one-disk row is the (dp1, dx) of the two-disk row
     got = _joined(refine_offset_chunks([seed, rnd], count, radius, chunk, disks), chunk)
+    assert all(col.dtype == np.float64 and col.flags.c_contiguous for col in got)
     assert _bits(got) == _bits(refine_offsets([seed, rnd], count, radius, disks))
-    assert _bits(got) == _bits(refine_offsets([seed, rnd], count, radius)[: 1 + disks])
+    assert _bits(got) == _bits(refine_offsets([seed, rnd], count, radius)[: 1 + 2 * disks])
 
 
 def test_refine_around_needs_one_centre_point_per_disk_offset():
     offsets = refine_offsets(1, 10, 0.1, 1)
-    p1, x = refine_around(offsets, (1.0, 0.5j))
-    assert p1.size == x.size == 10
+    p1, x_re, x_im = refine_around(offsets, (1.0, 0.0, 0.5))
+    assert p1.size == x_re.size == x_im.size == 10
+    pinned, *_ = refine_around(offsets, (None, 0.0, 0.5))
+    assert pinned is None
     with pytest.raises(ValueError):
-        refine_around(offsets, (1.0, 0.5j, 0.0))
+        refine_around(offsets, (1.0, 0.0, 0.5, 0.0, 0.0))
+
+
+def _projected(z):
+    """The complex projection the columns reproduce."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # 0 / 0 is not selected
+        return np.where(np.abs(z) > 1.0, z / np.abs(z), z)
+
+
+_signed_units = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)] + [
+    1.0, -1.0, 1j, -1j, complex(-0.0, 1.0), complex(1.0, -0.0), complex(-1.0, -0.0),
+    complex(-0.0, 2.0), complex(0.0, -2.0), complex(-2.0, -0.0), complex(2.0, 0.0),
+]
+_phases = st.floats(min_value=-4.0, max_value=4.0)
+_near_circle = st.builds(
+    lambda t, e: complex((1.0 + e) * math.cos(t), (1.0 + e) * math.sin(t)),
+    _phases,
+    st.floats(min_value=-1e-12, max_value=1e-12),
+)
+_on_circle = st.builds(lambda t: complex(math.cos(t), math.sin(t)), _phases)
+_off_circle = st.builds(
+    lambda t, m: complex(m * math.cos(t), m * math.sin(t)),
+    _phases,
+    st.floats(min_value=0.0, max_value=3.0),
+)
+_projection_points = st.lists(
+    st.one_of(_on_circle, _near_circle, _off_circle, st.sampled_from(_signed_units)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(_projection_points)
+@settings(max_examples=300, deadline=None)
+def test_column_projection_is_the_complex_projection(points):
+    # the screen on re^2 + im^2 may skip only rows that stay, and a moved
+    # row is scaled exactly as complex division scales it, signed zeros too
+    z = np.array(points + _signed_units, dtype=np.complex128)
+    re, im = z.real.copy(), z.imag.copy()
+    _project_disk(re, im)
+    assert _bits(_assembled([None, re, im])[1:]) == _bits([_projected(z)])
