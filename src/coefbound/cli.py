@@ -24,8 +24,9 @@ mode prints 6 significant digits.
 
 Each search walks (p1, x) candidates and takes the maximum over y in closed
 form.  It streams them in fixed-size blocks of real columns (p1, Re x, Im x),
-so memory does not grow with --budget and no complex array is built on the
-way; schwarz.sample_param_arrays is where the sampler builds complex arrays.
+with no p1 column when p1 is pinned, so memory does not grow with --budget
+and no complex array is built on the way; schwarz.sample_param_arrays, which
+draws whole (p1, x, y) rows for sample_params, builds the complex arrays.
 `verify` (per claim) and `report` draw the lam-independent search inputs
 once and share them across their searches while they fit under a fixed cap
 (budgets up to about 524,000), so the first record that uses the free-p1

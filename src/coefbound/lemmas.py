@@ -133,10 +133,11 @@ def y_closed_form(a: float, b: float, c: float) -> YValue:
     Valid for a >= 0 and c >= 0: the maximum is a + |b| + c when
     |b| >= 2(1 - c) (attained at z = +-1) and 1 + a + b^2/(4(1 - c))
     otherwise.  At c >= 1 the first condition always holds, so the
-    1/(1 - c) singularity is never evaluated.
+    1/(1 - c) singularity is never evaluated.  a, b and c must be finite.
     """
-    if a < 0.0 or c < 0.0:
-        raise ValueError(f"closed form requires a >= 0 and c >= 0, got a={a}, c={c}")
+    # Negated so that NaN is refused: every comparison with NaN is False.
+    if not (0.0 <= a < math.inf and 0.0 <= c < math.inf and math.isfinite(b)):
+        raise ValueError(f"need finite a, c >= 0 and finite b, got a={a}, b={b}, c={c}")
     if abs(b) >= 2.0 * (1.0 - c):
         return YValue(value=a + abs(b) + c, branch="first")
     return YValue(value=1.0 + a + b * b / (4.0 * (1.0 - c)), branch="second")
@@ -151,8 +152,10 @@ def y_bruteforce(a: float, b: float, c: float, radial: int = 512, angular: int =
     Re = a + b r cos t + c r^2 cos 2t and Im = b r sin t + c r^2 sin 2t,
     over blocks of radii small enough for every temporary to stay in cache.
     Ties resolve to the first grid index, so the result does not depend on
-    any internal partitioning.
+    any internal partitioning.  a, b and c must be finite.
     """
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise ValueError(f"a, b and c must be finite, got a={a}, b={b}, c={c}")
     if radial < 64 or angular < 128:
         raise ValueError("need radial >= 64 and angular >= 128")
 

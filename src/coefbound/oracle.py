@@ -27,8 +27,8 @@ block size.  Every search of a run at one (seed, budget) draws the same
 lam-independent inputs, so while they fit in SHARED_INPUT_BYTES a run draws
 them once and shares the blocks: two exploration sets (canonical, grid and
 random candidates), the (p1, Re x, Im x) columns of the free-p1 searches and
-the (Re x, Im x) columns of the pinned ones, which do not depend on the
-pinned value, and the refine offset columns of each round.  Neither blocks
+the (Re x, Im x) columns of the pinned ones, which never see the pinned
+value, and the refine offset columns of each round.  Neither blocks
 nor sharing reorder a floating-point operation, so every path returns the
 same bits.  The search is single-threaded.
 """
@@ -236,23 +236,20 @@ def _explore_chunks(seed: int, budget: int, pinned: bool):
     it for the grid.  When p1 is pinned the blocks carry p1 = None: the x
     draws of every pinned value are the same, so one set serves them all.
     """
-    fixed = 0.0 if pinned else None  # any pinned value draws the same x
-    p1_levels = [fixed] if pinned else [0.0, 1.0, 2.0]
-    n = len(p1_levels)
+    n = 1 if pinned else 3
     canonical = (
-        np.repeat(p1_levels, _UNITS_RE.size), np.tile(_UNITS_RE, n), np.tile(_UNITS_IM, n)
+        None if pinned else np.repeat([0.0, 1.0, 2.0], _UNITS_RE.size),
+        np.tile(_UNITS_RE, n),
+        np.tile(_UNITS_IM, n),
     )
-    explore = max(budget - _REFINE_ROUNDS * (budget // 10) - canonical[0].size, 0)
+    explore = max(budget - _REFINE_ROUNDS * (budget // 10) - canonical[1].size, 0)
     grid = max(explore // 2, 1)
-    rand = max(explore - grid_size(grid, fixed, disks=1), 1)
-    blocks = itertools.chain(
+    rand = max(explore - grid_size(grid, pinned), 1)
+    return itertools.chain(
         [canonical],
-        grid_chunks(grid, fixed, CHUNK_ROWS, disks=1),
-        random_chunks(seed, rand, fixed, CHUNK_ROWS, disks=1),
+        grid_chunks(grid, pinned, CHUNK_ROWS),
+        random_chunks(seed, rand, pinned, CHUNK_ROWS),
     )
-    if pinned:
-        return ((None, u, v) for _, u, v in blocks)
-    return blocks
 
 
 def _shared_bytes(budget: int) -> int:
@@ -293,9 +290,7 @@ class _SearchInputs:
 
     def offsets(self, rnd: int, radius: float):
         """(dp1, dx_re, dx_im) blocks of refine round ``rnd``, whose radius every search shares."""
-        blocks = refine_offset_chunks(
-            [self.seed, rnd], self.budget // 10, radius, CHUNK_ROWS, disks=1
-        )
+        blocks = refine_offset_chunks([self.seed, rnd], self.budget // 10, radius, CHUNK_ROWS)
         if not self._keep:
             return blocks
         if rnd not in self._offsets:
@@ -635,9 +630,13 @@ def general_bound_probe(
     Draws random Blaschke-type Schwarz functions of degree <= 3, expands
     exp(lam*w), and checks |c_n| <= lam + 1e-12 for n <= n_max plus
     |a_n| <= the product bound + 1e-9 for both classes.  Positive excesses
-    are violations; the maxima are reported either way.
+    are violations; the maxima are reported either way.  ``samples`` must be
+    positive and ``seed`` nonnegative.
     """
     bounds.check_lambda(lam)
+    if samples < 1:  # a probe of nothing would read as a pass
+        raise ValueError(f"samples must be positive, got {samples}")
+    check_seed(seed)
     if n_max > series.DEFAULT_ORDER:
         raise ValueError(f"n_max must stay within the default order {series.DEFAULT_ORDER}")
     rng = np.random.default_rng(seed)

@@ -12,13 +12,12 @@ the admissible moment body exactly: no rejection step, no false extremal
 candidates outside the true coefficient body.  The moments convert to Schwarz
 coefficients through w = (q - 1)/(q + 1).
 
-The block generators draw p1 plus one disk point (x) or two (x, y), each
-point as two contiguous float64 columns: a one-disk row is (p1, x_re, x_im),
-a two-disk row adds (y_re, y_im).  sample_params draws both points; the
-extremal search draws only x, because it maximizes over y in closed form
-(see oracle).  Complex arrays are built only in sample_param_arrays, bit for
-bit from the columns, which carry the bits numpy's complex arithmetic gives,
-signed zeros included.
+The extremal search maximizes over y in closed form (see oracle), so its
+block generators draw (p1, x) only, as contiguous float64 columns
+(p1, x_re, x_im); a pinned p1 is not drawn, and its blocks carry p1 = None.
+sample_param_arrays draws whole (p1, x, y) rows from the same row maps and
+is the one place where complex arrays are built, bit for bit from columns
+that carry the bits numpy's complex arithmetic gives, signed zeros included.
 """
 
 from __future__ import annotations
@@ -149,40 +148,46 @@ def sample_param_arrays(
 
     ``refine-around`` perturbs ``center`` locally: |p1' - p1| <= 2*radius,
     |x' - x| <= radius and |y' - y| <= radius (clipping and disk projection
-    only shrink distances).
+    only shrink distances); ``radius`` must be finite and positive.
 
     The output depends only on the arguments, never on call order.  Each
-    strategy is the concatenation of the two-disk blocks of grid_chunks,
-    random_chunks or refine_offset_chunks, whatever the block size, with
-    each pair of disk columns assembled into one complex array; this is the
-    one place where complex arrays are built.
+    strategy draws its rows whole, from the row maps of the search's block
+    generators; this is the one place where complex arrays are built.
     """
     if count <= 0:
         raise ValueError("count must be positive")
     if strategy == "grid":
-        p1, *z = _concat(grid_chunks(count, fixed_p1, count))
+        levels = _axis_levels(count, fixed_p1)
+        p1_levels = np.linspace(0.0, 2.0, levels.pop(0)) if fixed_p1 is None else [fixed_p1]
+        axes = (*_disk_axes(*levels[:2]), *_disk_axes(*levels[2:]))
+        p1, mx, ax, my, ay = (g.ravel() for g in np.meshgrid(p1_levels, *axes, indexing="ij"))
+        x, y = _polar(mx, np.cos(ax), np.sin(ax)), _polar(my, np.cos(ay), np.sin(ay))
     elif strategy == "random":
-        p1, *z = _concat(random_chunks(seed, count, fixed_p1, count))
+        u = np.random.default_rng(seed).random((count, 10))
+        p1 = _p1_draw(u)
+        x, y = _modulus_and_phase(u[:, 2:6]), _modulus_and_phase(u[:, 6:10])
     elif strategy == "refine-around":
         if center is None:
             raise ValueError("refine-around requires a center")
-        p1c = None if fixed_p1 is not None else center.p1
-        x, y = complex(center.x), complex(center.y)
-        center_row = (p1c, x.real, x.imag, y.real, y.imag)
-        p1, *z = refine_around(refine_offsets(seed, count, radius), center_row)
-        if fixed_p1 is not None:
-            p1 = np.full(count, float(fixed_p1))
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"refine-around radius must be finite and positive, got {radius}")
+        u = np.random.default_rng(seed).random((count, 6))
+        dx, dy = _offset(u[:, 1:3], radius), _offset(u[:, 3:5], radius)
+        p1, *x = refine_around((_dp1(u, radius), *dx), (center.p1, center.x.real, center.x.imag))
+        _, *y = refine_around((None, *dy), (None, center.y.real, center.y.imag))
     else:
         raise ValueError(f"unknown sampling strategy {strategy!r}")
-    return p1, _complex(z[0], z[1]), _complex(z[2], z[3])
+    if fixed_p1 is not None:
+        p1 = np.full(p1.size, float(fixed_p1))
+    return p1, _complex(*x), _complex(*y)
 
 
-def _axis_levels(count: int, fixed_p1: Optional[float], disks: int = 2) -> list[int]:
-    # Axes: p1, |x|, arg x and, for two disks, |y|, arg y (p1 axis dropped
-    # when pinned).  Phase axes keep even level counts so that 0 and pi are
-    # both hit.
+def _axis_levels(count: int, fixed_p1: Optional[float], points: int = 2) -> list[int]:
+    # Axes: p1, then |z| and arg z of each of ``points`` disk points; a
+    # fixed_p1 other than None drops the p1 axis.  Phase axes keep even
+    # level counts so that 0 and pi are both hit.
     first = 0 if fixed_p1 is not None else 1
-    n_axes = first + 2 * disks
+    n_axes = first + 2 * points
     levels = [2] * n_axes
     if math.prod(levels) > count:
         return levels
@@ -200,9 +205,14 @@ def _axis_levels(count: int, fixed_p1: Optional[float], disks: int = 2) -> list[
     return levels
 
 
-def grid_size(count: int, fixed_p1: Optional[float] = None, disks: int = 2) -> int:
-    """Rows of the grid at ``count``: the largest level product <= count."""
-    return math.prod(_axis_levels(count, fixed_p1, disks))
+def grid_size(count: int, pinned: bool) -> int:
+    """Rows of the search grid at ``count``: the largest level product <= count."""
+    return math.prod(_axis_levels(count, pinned or None, 1))
+
+
+def _disk_axes(n_mod: int, n_arg: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid levels of |z|, n_mod of them from 0 to 1, and of arg z, 2 pi k / n_arg."""
+    return np.linspace(0.0, 1.0, n_mod), 2.0 * np.pi * np.arange(n_arg) / n_arg
 
 
 def _polar(mod: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,31 +231,32 @@ def _polar(mod: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarra
     return re, im
 
 
-def grid_chunks(count: int, fixed_p1: Optional[float], chunk: int, disks: int = 2):
-    """The grid rows as (p1, x_re, x_im) or (p1, x_re, x_im, y_re, y_im) blocks, in order.
+def grid_chunks(count: int, pinned: bool, chunk: int):
+    """The search grid as (p1, x_re, x_im) blocks of at most ``chunk`` rows, in order.
 
-    Blocks have at most ``chunk`` rows.  Rows run over p1, |x|, arg x (,
-    |y|, arg y) with the last axis fastest.  A block indexes the axis levels
-    directly, so no array larger than a block is built; cos and sin are
-    taken once per phase level.
+    Rows run over p1, |x|, arg x with the last axis fastest; a pinned grid
+    drops the p1 axis and its blocks carry p1 = None.  A block indexes the
+    axis levels directly, so no array larger than a block is built; cos and
+    sin are taken once per phase level.
     """
-    levels = _axis_levels(count, fixed_p1, disks)
-    if fixed_p1 is None:
-        p1_levels = np.linspace(0.0, 2.0, levels[0])
-        levels = levels[1:]
-    else:
-        p1_levels = np.array([float(fixed_p1)])
-    moduli = [np.linspace(0.0, 1.0, n) for n in levels[0::2]]
-    angles = [2.0 * np.pi * np.arange(n) / n for n in levels[1::2]]
-    units = [(np.cos(a), np.sin(a)) for a in angles]
-    shape = (p1_levels.size, *levels)
+    levels = _axis_levels(count, pinned or None, 1)
+    n_p1 = 1 if pinned else levels.pop(0)
+    p1_levels = np.linspace(0.0, 2.0, n_p1)
+    moduli, angles = _disk_axes(*levels)
+    cos, sin = np.cos(angles), np.sin(angles)
+    shape = (n_p1, *levels)
     total = math.prod(shape)
     for start in range(0, total, chunk):
-        ip1, *idx = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
-        cols = []
-        for m, (c, s), i, j in zip(moduli, units, idx[0::2], idx[1::2]):
-            cols.extend(_polar(m[i], c[j], s[j]))
-        yield (p1_levels[ip1], *cols)
+        ip1, i, j = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
+        yield (None if pinned else p1_levels[ip1], *_polar(moduli[i], cos[j], sin[j]))
+
+
+def _p1_draw(u: np.ndarray) -> np.ndarray:
+    """Map uniform rows u[:, 0:2] to p1 in [0, 2] with atoms at 2 and 0."""
+    p1 = 2.0 * u[:, 1]
+    p1[u[:, 0] < 0.125] = 2.0
+    p1[(u[:, 0] >= 0.125) & (u[:, 0] < 0.1875)] = 0.0
+    return p1
 
 
 def _modulus_and_phase(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,6 +272,17 @@ def _modulus_and_phase(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _polar(mod, np.cos(phase), np.sin(phase))
 
 
+def _dp1(u: np.ndarray, r: float) -> np.ndarray:
+    """Map uniform rows u[:, 0] to a p1 offset, uniform in [-2r, 2r]."""
+    return 2.0 * r * (2.0 * u[:, 0] - 1.0)
+
+
+def _offset(u: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Map uniform rows u[:, 0:2] to the (re, im) columns of a uniform point of |z| <= r."""
+    phase = 2.0 * np.pi * u[:, 1]
+    return _polar(r * np.sqrt(u[:, 0]), np.cos(phase), np.sin(phase))
+
+
 def _uniform_blocks(seed, count: int, width: int, chunk: int):
     """``count`` rows of ``width`` uniforms from one generator, ``chunk`` rows at a time.
 
@@ -272,73 +294,47 @@ def _uniform_blocks(seed, count: int, width: int, chunk: int):
         yield rng.random((min(chunk, count - start), width))
 
 
-def random_chunks(seed, count: int, fixed_p1: Optional[float], chunk: int, disks: int = 2):
-    """The random rows as (p1, x_re, x_im) or (p1, x_re, x_im, y_re, y_im) blocks, in order.
+# The search's random and refine rows keep the draw width of sample_params'
+# rows, 10 and 6 uniforms, though they read only 6 and 3 of them: the width
+# fixes which uniforms each row gets, so a narrower draw would change the
+# candidates and with them the report.
 
-    Blocks have at most ``chunk`` rows.  Every row draws the 10 uniforms of
-    a (p1, x, y) row, 2 for p1 and 4 per disk point, so a one-disk row is
-    the two-disk row with y dropped.
+
+def random_chunks(seed, count: int, pinned: bool, chunk: int):
+    """The random search rows as (p1, x_re, x_im) blocks of at most ``chunk`` rows, in order.
+
+    Row k is the (p1, x) of sample_params' random row k (uniform columns 0-5
+    of 10); a pinned draw's blocks carry p1 = None.
     """
     for u in _uniform_blocks(seed, count, 10, chunk):
-        if fixed_p1 is None:
-            p1 = 2.0 * u[:, 1].copy()
-            p1[u[:, 0] < 0.125] = 2.0
-            p1[(u[:, 0] >= 0.125) & (u[:, 0] < 0.1875)] = 0.0
-        else:
-            p1 = np.full(u.shape[0], float(fixed_p1))
-        cols = []
-        for k in range(disks):
-            cols.extend(_modulus_and_phase(u[:, 4 * k + 2 : 4 * k + 6]))
-        yield (p1, *cols)
+        yield (None if pinned else _p1_draw(u), *_modulus_and_phase(u[:, 2:6]))
 
 
-def refine_offset_chunks(seed, count: int, radius: float, chunk: int, disks: int = 2):
-    """Refine offsets (dp1, dx_re, dx_im) or (dp1, dx_re, dx_im, dy_re, dy_im) in blocks.
+def refine_offset_chunks(seed, count: int, radius: float, chunk: int):
+    """Refine offsets (dp1, dx_re, dx_im) in blocks of at most ``chunk`` rows, in order.
 
-    Blocks have at most ``chunk`` rows.  Every row draws 6 uniforms, 1 for
-    dp1, 2 per disk offset and 1 never read, so a one-disk row is the
-    two-disk row with dy dropped.
+    Row k is the (dp1, dx) that sample_params' refine-around row k adds to
+    its centre (uniform columns 0-2 of 6).  The offsets depend only on (seed, count, radius),
+    never on the centre, so the searches of one run share them;
+    refine_around applies a centre.
     """
     for u in _uniform_blocks(seed, count, 6, chunk):
-        dp1 = 2.0 * radius * (2.0 * u[:, 0] - 1.0)
-        cols = []
-        for k in range(disks):
-            phase = 2.0 * np.pi * u[:, 2 * k + 2]
-            cols.extend(_polar(radius * np.sqrt(u[:, 2 * k + 1]), np.cos(phase), np.sin(phase)))
-        yield (dp1, *cols)
-
-
-def _concat(blocks) -> tuple[np.ndarray, ...]:
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
-
-
-def refine_offsets(seed, count: int, radius: float, disks: int = 2) -> tuple[np.ndarray, ...]:
-    """Offset columns (dp1, dx_re, dx_im[, dy_re, dy_im]) of a refine-around draw.
-
-    They depend only on (seed, count, radius, disks), never on the centre,
-    so the searches of one run share them; refine_around applies a centre.
-    """
-    return _concat(refine_offset_chunks(seed, count, radius, count, disks))
+        yield (_dp1(u, radius), *_offset(u[:, 1:3], radius))
 
 
 def refine_around(offsets, center) -> tuple:
     """Candidate columns ``center + offsets``, clipped and projected back into the body.
 
-    ``center`` is (p1, x_re, x_im) or (p1, x_re, x_im, y_re, y_im), one disk
-    point per disk offset.  A centre p1 of None means p1 is pinned: the
-    candidates then carry p1 = None, and no p1 column is built.
+    ``offsets`` is (dp1, dx_re, dx_im) and ``center`` is (p1, x_re, x_im).  A
+    centre p1 of None means p1 is pinned: the candidates then carry
+    p1 = None, no p1 column is built and dp1 is not read.
     """
-    dp1, *dz = offsets
-    p1c, *zc = center
-    if len(zc) != len(dz):
-        raise ValueError(
-            f"a centre with {len(zc) // 2} disk points for {len(dz) // 2} disk offsets"
-        )
+    dp1, dre, dim = offsets
+    p1c, re, im = center
     p1 = None if p1c is None else np.clip(p1c + dp1, 0.0, 2.0)
-    cols = [c + d for c, d in zip(zc, dz)]
-    for k in range(0, len(cols), 2):
-        _project_disk(cols[k], cols[k + 1])
-    return (p1, *cols)
+    re, im = re + dre, im + dim
+    _project_disk(re, im)
+    return p1, re, im
 
 
 def sample_params(

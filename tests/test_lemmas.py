@@ -111,6 +111,18 @@ class TestPsiFunctional:
         assert psi_functional(c, 2.0, 1.0) == pytest.approx(0.975)
 
 
+#: (a, b, c) with one input NaN or infinite.
+NON_FINITE = [
+    (math.nan, 1.0, 1.0),
+    (math.inf, 1.0, 1.0),
+    (1.0, math.nan, 1.0),
+    (1.0, math.inf, 1.0),
+    (1.0, -math.inf, 1.0),
+    (1.0, 1.0, math.nan),
+    (1.0, 1.0, math.inf),
+]
+
+
 class TestYClosedForm:
     def test_all_zero(self):
         out = y_closed_form(0.0, 0.0, 0.0)
@@ -138,6 +150,12 @@ class TestYClosedForm:
         with pytest.raises(ValueError):
             y_closed_form(0.0, 0.0, -0.1)
 
+    @pytest.mark.parametrize("a, b, c", NON_FINITE)
+    def test_non_finite_inputs_rejected(self, a, b, c):
+        # a < 0 or c < 0 is False for NaN, so only a negated guard refuses it
+        with pytest.raises(ValueError):
+            y_closed_form(a, b, c)
+
 
 class TestYBruteforce:
     def test_all_zero(self):
@@ -155,6 +173,11 @@ class TestYBruteforce:
             y_bruteforce(0.0, 0.0, 0.0, radial=32, angular=128)
         with pytest.raises(ValueError):
             y_bruteforce(0.0, 0.0, 0.0, radial=64, angular=64)
+
+    @pytest.mark.parametrize("a, b, c", NON_FINITE)
+    def test_non_finite_inputs_rejected(self, a, b, c):
+        with pytest.raises(ValueError):
+            y_bruteforce(a, b, c, 64, 128)
 
     @given(
         st.floats(min_value=0.0, max_value=3.0),

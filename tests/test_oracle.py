@@ -28,7 +28,7 @@ from coefbound.oracle import (
     verify_claim,
 )
 from coefbound.bounds import bound
-from coefbound.schwarz import CaratheodoryParams, grid_chunks, random_chunks, sample_params
+from coefbound.schwarz import CaratheodoryParams, grid_chunks, grid_size, random_chunks, sample_params
 
 
 class TestFunctional:
@@ -381,15 +381,16 @@ class TestMaximumOverY:
         assert sum(a.nbytes for a in columns) == _shared_bytes(5000)
 
     def test_pinned_x_draws_do_not_depend_on_the_pinned_value(self):
-        # so one pinned exploration set serves every pinned p1 of a run
-        def xs(blocks):
-            return np.concatenate([np.concatenate([u, v]) for _, u, v in blocks])
-
-        for eff in (-0.0, 0.7, 2.0):
-            assert np.array_equal(xs(grid_chunks(3000, eff, 1000, 1)), xs(grid_chunks(3000, 0.0, 1000, 1)))
-            assert np.array_equal(
-                xs(random_chunks(5, 3000, eff, 1000, 1)), xs(random_chunks(5, 3000, 0.0, 1000, 1))
-            )
+        # a pinned draw takes no p1 value, so one pinned exploration set serves
+        # every pinned p1 of a run: its blocks carry p1 None, and a random
+        # block carries the x columns of the free draw's block
+        pinned_grid = list(grid_chunks(3000, True, 1000))
+        assert {p1 is None for p1, _, _ in pinned_grid} == {True}
+        assert sum(u.size for _, u, _ in pinned_grid) == grid_size(3000, True)
+        pinned, free = random_chunks(5, 3000, True, 1000), random_chunks(5, 3000, False, 1000)
+        for (p1, u, v), (free_p1, free_u, free_v) in zip(pinned, free, strict=True):
+            assert p1 is None and free_p1.size == u.size
+            assert u.tobytes() == free_u.tobytes() and v.tobytes() == free_v.tobytes()
 
     def test_default_suite_attains_every_sharp_bound_to_1e_9(self):
         records = run_claim_suite()
@@ -461,3 +462,13 @@ class TestGeneralBoundProbe:
     def test_n_max_capped_by_default_order(self):
         with pytest.raises(ValueError):
             general_bound_probe(1.0, n_max=20)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_a_probe_of_nothing_is_refused(self, samples):
+        # it would report violations=0 with -inf maxima, which reads as a pass
+        with pytest.raises(ValueError, match="samples"):
+            general_bound_probe(1.0, samples=samples)
+
+    def test_negative_seed_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="seed"):
+            general_bound_probe(1.0, samples=5, seed=-1)

@@ -18,7 +18,6 @@ from coefbound.schwarz import (
     random_chunks,
     refine_around,
     refine_offset_chunks,
-    refine_offsets,
     sample_param_arrays,
     sample_params,
     validate_schwarz,
@@ -171,6 +170,12 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_params(1, 10, "refine-around")
 
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_refine_radius_must_be_finite_and_positive(self, radius):
+        center = CaratheodoryParams(1.0, 0.5, 0.5j)
+        with pytest.raises(ValueError, match="radius"):
+            sample_params(1, 10, "refine-around", center=center, radius=radius)
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             sample_params(1, 10, "sobol")
@@ -230,19 +235,19 @@ centers = st.builds(CaratheodoryParams, st.floats(min_value=0.0, max_value=2.0),
 def test_refine_around_is_shared_offsets_plus_centre(seed, count, radius, a, b, fixed_p1):
     # One offset draw serves every centre: applying one leaves the offsets
     # as a fresh draw gives them, and each composition is bit-for-bit the
-    # refine-around sample at that centre.
-    offsets = refine_offsets(seed, count, radius)
+    # (p1, x) of the refine-around sample at that centre.
+    offsets = next(refine_offset_chunks(seed, count, radius, count))
     for center in (a, b):
         p1c = None if fixed_p1 is not None else center.p1
-        row = (p1c, center.x.real, center.x.imag, center.y.real, center.y.imag)
-        p1, *points = _assembled(refine_around(offsets, row))
+        p1, x = _assembled(refine_around(offsets, (p1c, center.x.real, center.x.imag)))
         if fixed_p1 is not None:  # a pinned p1 is not drawn
             assert p1 is None
             p1 = np.full(count, float(fixed_p1))
         sampled = sample_param_arrays(seed, count, "refine-around", fixed_p1, center, radius)
         want = _refine_reference(seed, count, center, radius, fixed_p1)
-        assert _bits([p1, *points]) == _bits(sampled) == _bits(want)
-        assert _bits(offsets) == _bits(refine_offsets(seed, count, radius))
+        assert _bits([p1, x]) == _bits(want[:2])
+        assert _bits(sampled) == _bits(want)
+        assert _bits(offsets) == _bits(next(refine_offset_chunks(seed, count, radius, count)))
 
 
 def _grid_reference(count, fixed_p1):
@@ -261,9 +266,24 @@ def _grid_reference(count, fixed_p1):
 
 
 def _joined(blocks, chunk):
+    """The columns of ``blocks`` joined, a p1 column of None staying None."""
     blocks = list(blocks)
-    assert all(0 < b[0].size <= chunk for b in blocks)
-    return [np.concatenate(parts) for parts in zip(*blocks)]
+    assert all(0 < b[1].size <= chunk for b in blocks)
+    p1, *parts = zip(*blocks)
+    assert len({c is None for c in p1}) == 1
+    return [None if p1[0] is None else np.concatenate(p1), *map(np.concatenate, parts)]
+
+
+def _search_columns(got, want, pinned):
+    """Check joined search blocks against the (p1, x) of a reference; pinned ones carry p1 None."""
+    assert len(got) == 3
+    assert all(col.dtype == np.float64 and col.flags.c_contiguous for col in got if col is not None)
+    p1, x = _assembled(got)
+    assert _bits([x]) == _bits(want[1:2])
+    if pinned:
+        assert p1 is None
+    else:
+        assert _bits([p1]) == _bits(want[:1])
 
 
 def _one_disk_grid_reference(count, fixed_p1):
@@ -281,22 +301,22 @@ def _one_disk_grid_reference(count, fixed_p1):
 
 pinned_p1 = st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0))
 chunks = st.integers(min_value=1, max_value=5000)
-disk_counts = st.sampled_from((1, 2))
 
 
-@given(st.integers(min_value=1, max_value=4000), pinned_p1, chunks, disk_counts)
+@given(st.integers(min_value=1, max_value=4000), pinned_p1, chunks)
 @settings(max_examples=100, deadline=None)
-def test_grid_chunks_concatenate_to_the_grid(count, fixed_p1, chunk, disks):
-    got = _joined(grid_chunks(count, fixed_p1, chunk, disks), chunk)
-    assert len(got) == 1 + 2 * disks
-    assert all(col.dtype == np.float64 and col.flags.c_contiguous for col in got)
-    assert got[0].size == grid_size(count, fixed_p1, disks)
-    got = _assembled(got)
-    if disks == 2:
-        assert _bits(got) == _bits(sample_param_arrays(0, count, "grid", fixed_p1))
-        assert _bits(got) == _bits(_grid_reference(count, fixed_p1))
-    else:
-        assert _bits(got) == _bits(_one_disk_grid_reference(count, fixed_p1))
+def test_grid_chunks_concatenate_to_the_grid(count, fixed_p1, chunk):
+    pinned = fixed_p1 is not None
+    got = _joined(grid_chunks(count, pinned, chunk), chunk)
+    assert got[1].size == grid_size(count, pinned)
+    _search_columns(got, _one_disk_grid_reference(count, fixed_p1), pinned)
+
+
+@given(st.integers(min_value=1, max_value=4000), pinned_p1)
+@settings(max_examples=100, deadline=None)
+def test_sample_grid_is_the_two_disk_grid(count, fixed_p1):
+    got = sample_param_arrays(0, count, "grid", fixed_p1)
+    assert _bits(got) == _bits(_grid_reference(count, fixed_p1))
 
 
 @given(
@@ -304,17 +324,13 @@ def test_grid_chunks_concatenate_to_the_grid(count, fixed_p1, chunk, disks):
     st.integers(min_value=1, max_value=4000),
     pinned_p1,
     chunks,
-    disk_counts,
 )
 @settings(max_examples=100, deadline=None)
-def test_random_chunks_concatenate_to_one_draw(seed, count, fixed_p1, chunk, disks):
-    # a one-disk row is the (p1, x) of the two-disk row
-    got = _joined(random_chunks(seed, count, fixed_p1, chunk, disks), chunk)
-    assert len(got) == 1 + 2 * disks
-    assert all(col.dtype == np.float64 and col.flags.c_contiguous for col in got)
-    got = _assembled(got)
-    assert _bits(got) == _bits(sample_param_arrays(seed, count, "random", fixed_p1)[: 1 + disks])
-    assert _bits(got) == _bits(_random_reference(seed, count, fixed_p1)[: 1 + disks])
+def test_random_chunks_concatenate_to_one_draw(seed, count, fixed_p1, chunk):
+    # a search row is the (p1, x) of the sample_params row
+    pinned = fixed_p1 is not None
+    got = _joined(random_chunks(seed, count, pinned, chunk), chunk)
+    _search_columns(got, _random_reference(seed, count, fixed_p1), pinned)
 
 
 def _random_reference(seed, count, fixed_p1):
@@ -344,12 +360,31 @@ def _random_reference(seed, count, fixed_p1):
 def test_random_bits_match_the_complex_draw(seed, fixed_p1):
     # 20,000 rows, in the search's blocks of 8192, hit every atom about
     # 1,000 times, the signed zeros of the zero-modulus atom included
-    got = _assembled(_joined(random_chunks(seed, 20_000, fixed_p1, 8192), 8192))
+    pinned = fixed_p1 is not None
+    got = _joined(random_chunks(seed, 20_000, pinned, 8192), 8192)
     want = _random_reference(seed, 20_000, fixed_p1)
     assert np.count_nonzero(want[1] == 0.0) > 500
     assert np.signbit(want[1].real[want[1] == 0.0]).any()
-    assert _bits(got) == _bits(want)
-    assert _bits(sample_param_arrays(seed, 20_000, "random", fixed_p1)) == _bits(want)
+    _search_columns(got, want, pinned)
+
+
+@pytest.mark.parametrize("count", [8193, 20_000])
+@pytest.mark.parametrize("fixed_p1", [None, 0.7])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_sample_param_arrays_match_the_two_disk_references(seed, fixed_p1, count):
+    # whole-row draws above the search's block size: grid, random and
+    # refine-around are bit for bit the complex references
+    center = CaratheodoryParams(1.9, complex(0.6, -0.7), complex(-0.99, 0.05))
+    sampled = [
+        sample_param_arrays(seed, count, strategy, fixed_p1, center, 0.3)
+        for strategy in ("grid", "random", "refine-around")
+    ]
+    want = [
+        _grid_reference(count, fixed_p1),
+        _random_reference(seed, count, fixed_p1),
+        _refine_reference(seed, count, center, 0.3, fixed_p1),
+    ]
+    assert [_bits(s) for s in sampled] == [_bits(w) for w in want]
 
 
 @given(
@@ -358,25 +393,13 @@ def test_random_bits_match_the_complex_draw(seed, fixed_p1):
     st.integers(min_value=1, max_value=4000),
     st.floats(min_value=1e-6, max_value=1.0),
     chunks,
-    disk_counts,
 )
 @settings(max_examples=100, deadline=None)
-def test_refine_offset_chunks_concatenate_to_the_offsets(seed, rnd, count, radius, chunk, disks):
-    # a one-disk row is the (dp1, dx) of the two-disk row
-    got = _joined(refine_offset_chunks([seed, rnd], count, radius, chunk, disks), chunk)
+def test_refine_offset_chunks_concatenate_to_the_offsets(seed, rnd, count, radius, chunk):
+    got = _joined(refine_offset_chunks([seed, rnd], count, radius, chunk), chunk)
+    assert len(got) == 3
     assert all(col.dtype == np.float64 and col.flags.c_contiguous for col in got)
-    assert _bits(got) == _bits(refine_offsets([seed, rnd], count, radius, disks))
-    assert _bits(got) == _bits(refine_offsets([seed, rnd], count, radius)[: 1 + 2 * disks])
-
-
-def test_refine_around_needs_one_centre_point_per_disk_offset():
-    offsets = refine_offsets(1, 10, 0.1, 1)
-    p1, x_re, x_im = refine_around(offsets, (1.0, 0.0, 0.5))
-    assert p1.size == x_re.size == x_im.size == 10
-    pinned, *_ = refine_around(offsets, (None, 0.0, 0.5))
-    assert pinned is None
-    with pytest.raises(ValueError):
-        refine_around(offsets, (1.0, 0.0, 0.5, 0.0, 0.0))
+    assert _bits(got) == _bits(next(refine_offset_chunks([seed, rnd], count, radius, count)))
 
 
 def _projected(z):
