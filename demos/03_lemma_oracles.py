@@ -49,7 +49,7 @@ print("=" * 72)
 cases = [(0.0, 0.0, 0.0), (1.0, 3.0, 0.0), (0.5, 1.0, 0.5), (0.0, 0.0, 2.0), (2.0, -1.5, 0.3)]
 for a, b, c in cases:
     closed = y_closed_form(a, b, c)
-    brute = y_bruteforce(a, b, c, radial=256, angular=512)
+    brute = y_bruteforce(a, b, c)
     print(f"  Y({a}, {b}, {c}) = {closed.value:.8f} [{closed.branch}]  "
           f"grid oracle {brute:.8f}  gap {abs(closed.value - brute):.1e}")
 print("  at (0.5, 1, 0.5) the branch condition |b| = 2(1 - c) is an equality;")

@@ -5,9 +5,10 @@ Each bound claims sharpness: some admissible function attains it.  The
 oracle maximizes the bounded functional over the exactly parameterized
 body and reports the attainment gap and machine-replayable witness
 parameters.  The functional is affine in y, so the search walks (p1, x)
-only (canonical witnesses first, stratified grid plus random exploration,
-then shrinking refine-around rounds) and scores each candidate by its
-maximum over y, |A| + K; the witness y is A/|A|.
+only (canonical witnesses first, a stratified polar grid plus random
+exploration, then a polish of shrinking local polar grids around the best
+point) and scores each candidate by its maximum over y, |A| + K; the
+witness y is A/|A|.
 """
 
 from coefbound import (
@@ -44,7 +45,7 @@ out = extremal_search(fn, 1.0, budget=BUDGET, seed=42)
 bound = s_diff_bound("d32", 1.0, 0.8)
 print(f"  starlike |a3-a2| at lam=1, p=0.8: bound {bound.value} search {out.value}")
 print(f"  witness: p1={out.witness.p1}, x={out.witness.x}, y={out.witness.y}")
-print("  equality occurs at x = -1, and the search lands exactly there;")
+print("  equality occurs at x = -1, and the search lands there up to rounding;")
 print("  |a3 - a2| does not involve y, so y is only the phase of the value.")
 print(f"  replay: functional_value(witness) = {functional_value(fn, 1.0, out.witness)}")
 

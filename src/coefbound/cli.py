@@ -23,17 +23,15 @@ same form, with empty cells for absent values and true/false for flags; text
 mode prints 6 significant digits.
 
 Each search walks (p1, x) candidates and takes the maximum over y in closed
-form.  It streams them in fixed-size blocks of real columns (p1, Re x, Im x),
-with no p1 column when p1 is pinned, so memory does not grow with --budget
-and no complex array is built on the way; schwarz.sample_param_arrays, which
-draws whole (p1, x, y) rows for sample_params, builds the complex arrays.
-`verify` (per claim) and `report` draw the lam-independent search inputs
-once and share them across their searches while they fit under a fixed cap
-(budgets up to about 524,000), so the first record that uses the free-p1
-inputs, and the first that uses the pinned-p1 inputs, also times drawing
-them in its duration_ms.  The search is single-threaded: --workers is
-accepted for compatibility and must be a positive integer, but it changes
-nothing.
+form: canonical witnesses, a polar grid, random draws and a polish of
+shrinking local polar grids, all scored in fixed-size blocks of real
+numbers, so memory does not grow with --budget.  `verify` (per claim) and
+`report` draw the lam-independent random candidates once and share them
+across their searches while they fit under a fixed cap (budgets up to about
+1,600,000), so the first record that uses the free-p1 draws, and the first
+that uses the pinned-p1 draws, also times drawing them in its duration_ms.
+The search is single-threaded: --workers is accepted for compatibility and
+must be a positive integer, but it changes nothing.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ Three ingredients used by the theorem-level bounds:
   plane (only those quoted pieces are implemented; points outside every
   region raise instead of extrapolating);
 * the maximum Y(a, b, c) of |a + b*z + c*z^2| + 1 - |z|^2 over the closed
-  unit disk, in closed form and as an independent polar-grid search;
+  unit disk, in closed form and as an independent polar-grid search on the
+  extremal search's kernel (schwarz.polar_scan and polish);
 * the sequence A_m defined by A_2 = lam, A_m = lam/(m-1) * (1 + sum A_k),
   together with its closed product form, in exact rational arithmetic.
 
@@ -29,13 +30,10 @@ from typing import Union
 
 import numpy as np
 
-from .schwarz import SchwarzCoefficients
+from .schwarz import SchwarzCoefficients, polar_scan, polish
 
 #: Slack on each printed region inequality.
 REGION_TOL = 1e-12
-
-#: Radii per block of a y_bruteforce scan; at 1024 angles a block's temporaries fit in cache.
-_Y_SCAN_ROWS = 32
 
 
 class Region(Enum):
@@ -143,48 +141,25 @@ def y_closed_form(a: float, b: float, c: float) -> YValue:
     return YValue(value=1.0 + a + b * b / (4.0 * (1.0 - c)), branch="second")
 
 
-def y_bruteforce(a: float, b: float, c: float, radial: int = 512, angular: int = 1024) -> float:
+def y_bruteforce(a: float, b: float, c: float) -> float:
     """Grid-search oracle for Y(a, b, c), independent of the closed form.
 
-    Scans a polar grid z = r e^{it} on the closed unit disk, then refines
-    locally around the incumbent.  Each scan evaluates the polynomial in
-    real arithmetic from cos/sin tables of t and 2t,
-    Re = a + b r cos t + c r^2 cos 2t and Im = b r sin t + c r^2 sin 2t,
-    over blocks of radii small enough for every temporary to stay in cache.
-    Ties resolve to the first grid index, so the result does not depend on
-    any internal partitioning.  a, b and c must be finite.
+    schwarz.polar_scan scores |a + b z + c z^2| + 1 - |z|^2 on a polar grid
+    z = r e^{it} of the closed unit disk, 512 radii from 0 to 1 by 1024
+    angles; schwarz.polish then runs five 65 x 65 local grids around the
+    incumbent, each a quarter as wide as the last, starting from two grid
+    spacings.  Ties resolve to the first grid index, so the result does not
+    depend on the kernel's blocks.  a, b and c must be finite.
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError(f"a, b and c must be finite, got a={a}, b={b}, c={c}")
-    if radial < 64 or angular < 128:
-        raise ValueError("need radial >= 64 and angular >= 128")
 
-    def scan(rs: np.ndarray, ts: np.ndarray) -> tuple[float, float, float]:
-        cos1, sin1, cos2, sin2 = np.cos(ts), np.sin(ts), np.cos(2.0 * ts), np.sin(2.0 * ts)
-        best = None
-        for start in range(0, rs.size, _Y_SCAN_ROWS):
-            r = rs[start : start + _Y_SCAN_ROWS, None]
-            br, cr2 = b * r, c * (r * r)
-            re = a + br * cos1 + cr2 * cos2
-            im = br * sin1 + cr2 * sin2
-            vals = np.sqrt(re * re + im * im) + (1.0 - r * r)
-            i, j = divmod(int(np.argmax(vals)), ts.size)
-            if best is None or vals[i, j] > best[0]:
-                best = (float(vals[i, j]), float(r[i, 0]), float(ts[j]))
-        return best
+    def coefficients(_):
+        return a, b, c, 1.0
 
-    best, r0, t0 = scan(np.linspace(0.0, 1.0, radial), np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False))
-    dr = 2.0 / (radial - 1)
-    dt = 4.0 * np.pi / angular
-    for _ in range(5):
-        rs = np.linspace(max(0.0, r0 - dr), min(1.0, r0 + dr), 65)
-        ts = np.linspace(t0 - dt, t0 + dt, 65)
-        val, rr, tt = scan(rs, ts)
-        if val > best:
-            best, r0, t0 = val, rr, tt
-        dr *= 0.25
-        dt *= 0.25
-    return best
+    rs, ts = np.linspace(0.0, 1.0, 512), np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+    start = polar_scan(coefficients, None, rs, ts)
+    return polish(coefficients, start, (0.0, 2.0 / 511, 4.0 * np.pi / 1024), 5, 65, 0.25)[0]
 
 
 RationalLike = Union[Fraction, int]

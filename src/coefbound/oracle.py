@@ -12,30 +12,29 @@ q = 4 - p1^2 and k >= 0 (k = 0 for |a2|, |a3| and |a3 - a2|).  So the
 maximum over y is |A| + k q (1 - |x|^2), attained at y = A/|A|, and the
 search walks (p1, x) only.  A is a quadratic alpha + beta x + gamma x^2 in x
 whose coefficients are real polynomials in (lam, p1) (see _quadratic), so
-the search scores it in real arithmetic without forming the moments.  Its
-candidates stream from the schwarz block generators to the score as
-contiguous float64 columns (p1, Re x, Im x); no complex array is built.
+the search scores it in real arithmetic without forming the moments: its
+grids through schwarz.polar_scan, from cos/sin tables of arg x, and its
+canonical and random candidates through _best_of, on contiguous float64
+columns (p1, Re x, Im x).  No complex array is built.
 Its witness is a full (p1, x, y) triple with that y (y = 1 where A = 0),
 which functional_value replays through the full moments, so a replay
 checks the polynomials independently.
 
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
-variant) produce bit-identical reports.  A search streams each phase in
-blocks of CHUNK_ROWS candidates with a running first-index argmax, so its
-memory does not grow with the budget and its result does not depend on the
-block size.  Every search of a run at one (seed, budget) draws the same
-lam-independent inputs, so while they fit in SHARED_INPUT_BYTES a run draws
-them once and shares the blocks: two exploration sets (canonical, grid and
-random candidates), the (p1, Re x, Im x) columns of the free-p1 searches and
-the (Re x, Im x) columns of the pinned ones, which never see the pinned
-value, and the refine offset columns of each round.  Neither blocks
+variant) produce bit-identical reports.  A search scores each phase in
+blocks of at most CHUNK_ROWS candidates (whole grid rows in the grids, of
+which it also holds one value each) with a running first-index argmax, so
+its result does not depend on the block size.  The random draws do not
+depend on lam, so while they fit in SHARED_INPUT_BYTES a run draws them
+once and shares the blocks: the (p1, Re x, Im x) columns of the free-p1
+searches and the (Re x, Im x) columns of the pinned ones, which never see
+the pinned value.  Every search scores the grids afresh.  Neither blocks
 nor sharing reorder a floating-point operation, so every path returns the
 same bits.  The search is single-threaded.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -49,11 +48,10 @@ from .schwarz import (
     CaratheodoryParams,
     caratheodory_moments,
     caratheodory_to_schwarz,
-    grid_chunks,
-    grid_size,
+    grid_axes,
+    polar_scan,
+    polish,
     random_chunks,
-    refine_around,
-    refine_offset_chunks,
     sample_param_arrays,  # noqa: F401  (unused here; bench/spans.py wraps it under this name)
 )
 
@@ -77,9 +75,10 @@ CHUNK_ROWS = 8192
 #: A run keeps its lam-independent input blocks only while they fit in this many bytes.
 SHARED_INPUT_BYTES = 16 * 2**20
 
-_REFINE_ROUNDS = 5
-_REFINE_SHRINK = 0.3
-_REFINE_RADIUS0 = 0.3
+#: Polish rounds; together they take at most half the budget.
+_POLISH_ROUNDS = 10
+#: A polish round's half-width, in spacings of the grid before it.
+_POLISH_SPACINGS = 2.0
 
 
 @dataclass(frozen=True)
@@ -227,75 +226,61 @@ _UNITS_RE = np.array([0.0, 1.0, -1.0, 0.0, -0.0])
 _UNITS_IM = np.array([0.0, 0.0, 0.0, 1.0, -1.0])
 
 
-def _explore_chunks(seed: int, budget: int, pinned: bool):
-    """(p1, x_re, x_im) blocks of the canonical, grid and random candidates.
-
-    The canonical witnesses come first: p1 in {0, 1, 2} (or the pinned p1)
-    times x in {0, 1, -1, i, -i}.  Exploration gets what the refine rounds
-    (a tenth of the budget each) and the canonical witnesses leave, half of
-    it for the grid.  When p1 is pinned the blocks carry p1 = None: the x
-    draws of every pinned value are the same, so one set serves them all.
-    """
+def _canonical(pinned: bool):
+    """The canonical witnesses, p1 in {0, 1, 2} (None when pinned) times x in {0, +-1, +-i}."""
     n = 1 if pinned else 3
-    canonical = (
+    return (
         None if pinned else np.repeat([0.0, 1.0, 2.0], _UNITS_RE.size),
         np.tile(_UNITS_RE, n),
         np.tile(_UNITS_IM, n),
     )
-    explore = max(budget - _REFINE_ROUNDS * (budget // 10) - canonical[1].size, 0)
-    grid = max(explore // 2, 1)
-    rand = max(explore - grid_size(grid, pinned), 1)
-    return itertools.chain(
-        [canonical],
-        grid_chunks(grid, pinned, CHUNK_ROWS),
-        random_chunks(seed, rand, pinned, CHUNK_ROWS),
-    )
+
+
+def _schedule(budget: int, pinned: bool):
+    """(grid axes, random rows, polish levels per axis m) of a search; all phases add up to ``budget``.
+
+    A polish round takes m^3 (m^2 when pinned) of budget // (2 _POLISH_ROUNDS)
+    points, the grid half of the rest and the random phase what remains.
+    """
+    rows = budget // (2 * _POLISH_ROUNDS)
+    dims = 2 if pinned else 3
+    m = round(rows ** (1.0 / dims))
+    m = max(3, m - (m**dims > rows))
+    canonical = _UNITS_RE.size * (1 if pinned else 3)
+    axes = grid_axes((budget - _POLISH_ROUNDS * rows - canonical) // 2, pinned)
+    grid = math.prod(a.size for a in axes if a is not None)
+    return axes, budget - canonical - grid - _POLISH_ROUNDS * m**dims, m
 
 
 def _shared_bytes(budget: int) -> int:
-    """Bytes of both exploration sets plus the offsets of every round.
-
-    Each set has budget - refine rows, whatever the grid size: 24 bytes per
-    free (p1, x_re, x_im) row and 16 per pinned (x_re, x_im) row.  An offset
-    row (dp1, dx_re, dx_im) is 24 bytes.
-    """
-    refine = _REFINE_ROUNDS * (budget // 10)
-    return (budget - refine) * (24 + 16) + refine * 24
+    """Bytes of the free (p1, x_re, x_im) and pinned (x_re, x_im) random rows at ``budget``."""
+    return 24 * _schedule(budget, False)[1] + 16 * _schedule(budget, True)[1]
 
 
 class _SearchInputs:
-    """The lam-independent input blocks of every search at one (seed, budget).
+    """The lam-independent random blocks of every search at one (seed, budget).
 
     While they fit in SHARED_INPUT_BYTES it keeps, once drawn, the blocks of
-    the free-p1 exploration set, of the pinned one, and the offset blocks of
-    each refine round.  Above that it keeps nothing and every search draws
-    its blocks afresh.  Callers own an instance for one run and drop it
-    after.
+    the free-p1 random phase and those of the pinned one.  Above that it
+    keeps nothing and every search draws its blocks afresh.  Callers own an
+    instance for one run and drop it after.
     """
 
     def __init__(self, seed: int, budget: int):
         self.seed = seed
         self.budget = budget
+        self.schedule = {pinned: _schedule(budget, pinned) for pinned in (False, True)}
         self._keep = _shared_bytes(budget) <= SHARED_INPUT_BYTES
-        self._explore: dict = {}
-        self._offsets: dict = {}
+        self._random: dict = {}
 
-    def explore(self, pinned: bool):
-        """(p1, x_re, x_im) blocks of the exploration set (see _explore_chunks)."""
-        if not self._keep:
-            return _explore_chunks(self.seed, self.budget, pinned)
-        if pinned not in self._explore:
-            self._explore[pinned] = list(_explore_chunks(self.seed, self.budget, pinned))
-        return self._explore[pinned]
-
-    def offsets(self, rnd: int, radius: float):
-        """(dp1, dx_re, dx_im) blocks of refine round ``rnd``, whose radius every search shares."""
-        blocks = refine_offset_chunks([self.seed, rnd], self.budget // 10, radius, CHUNK_ROWS)
+    def random(self, pinned: bool):
+        """(p1, x_re, x_im) blocks of the random phase (see random_chunks)."""
+        blocks = random_chunks(self.seed, self.schedule[pinned][1], pinned, CHUNK_ROWS)
         if not self._keep:
             return blocks
-        if rnd not in self._offsets:
-            self._offsets[rnd] = list(blocks)
-        return self._offsets[rnd]
+        if pinned not in self._random:
+            self._random[pinned] = list(blocks)
+        return self._random[pinned]
 
 
 def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: float, witness):
@@ -348,19 +333,17 @@ def extremal_search(
     """Maximize the functional over the admissible parameter body.
 
     Each candidate is a (p1, x) pair scored by its maximum over y (see the
-    module docstring).  Phases: canonical witnesses (p1 in {0, 1, 2}, or the
-    pinned p1, times x in {0, 1, -1, i, -i}), a stratified grid plus random
-    exploration (half the budget), then five refine-around rounds (a tenth
-    of the budget each) shrinking the neighborhood geometrically around the
-    incumbent.  Each phase is scored in blocks of CHUNK_ROWS; a round is
-    centred on the incumbent at its start.  The incumbent is never
-    discarded, and replacement requires strict improvement, so canonical
-    witnesses win all exact ties.  ``budget`` must lie in [MIN_BUDGET,
-    MAX_BUDGET] and ``seed`` must be nonnegative.
+    module docstring).  Phases (see _schedule): canonical witnesses, a
+    stratified (p1, |x|, arg x) grid (a quarter of the budget), seeded
+    random draws, then _POLISH_ROUNDS local polar grids around the incumbent
+    at its start (half the budget), the first two grid spacings wide and
+    each two spacings of the last.  Replacement requires strict improvement,
+    so canonical witnesses win all exact ties; ``samples`` is the budget.
+    ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET], ``seed`` must be >= 0.
 
-    ``inputs`` carries the lam-independent candidates and offsets that
-    verify_claim and run_claim_suite share across a run; a call without it
-    builds its own and returns the same result.
+    ``inputs`` carries the schedule and the random blocks that verify_claim
+    and run_claim_suite share across a run; a call without it builds its own
+    and returns the same result.
     """
     bounds.check_lambda(lam)
     check_budget(budget)
@@ -370,18 +353,30 @@ def extremal_search(
     elif (inputs.seed, inputs.budget) != (seed, budget):
         raise ValueError("inputs were built for another seed or budget")
     eff = fn.effective_p1
+    pinned = eff is not None
+    axes, _, m = inputs.schedule[pinned]
 
-    best, witness, evaluated = _best_of(
-        fn, lam, eff, inputs.explore(eff is not None), -np.inf, None
-    )
-    radius = _REFINE_RADIUS0
-    for rnd in range(_REFINE_ROUNDS):
-        # the incumbent (p1, Re x, Im x) at the start of the round; a pinned p1 is not drawn
-        center = (None if eff is not None else witness[0], *witness[1:3])
-        around = (refine_around(block, center) for block in inputs.offsets(rnd, radius))
-        best, witness, scanned = _best_of(fn, lam, eff, around, best, witness)
-        evaluated += scanned
-        radius *= _REFINE_SHRINK
+    def coefficients(p1_levels):
+        return _quadratic(fn, lam, float(eff) if pinned else p1_levels)
+
+    def from_polar(found):
+        value, p1, r, t, re, im = found
+        return value, (float(eff) if pinned else p1, r * math.cos(t), r * math.sin(t), complex(re, im))
+
+    best, witness, evaluated = _best_of(fn, lam, eff, [_canonical(pinned)], -np.inf, None)
+    found = polar_scan(coefficients, *axes, best, CHUNK_ROWS)
+    if found is not None:
+        best, witness = from_polar(found)
+    best, witness, scanned = _best_of(fn, lam, eff, inputs.random(pinned), best, witness)
+    p1, u, v, a = witness
+    start = (best, None if pinned else p1, math.hypot(u, v), math.atan2(v, u), a.real, a.imag)
+    widths = [0.0 if axis is None else _POLISH_SPACINGS * float(axis[1] - axis[0]) for axis in axes]
+    shrink = min(0.5, 2.0 * _POLISH_SPACINGS / (m - 1))
+    end = polish(coefficients, start, widths, _POLISH_ROUNDS, m, shrink, CHUNK_ROWS)
+    if end is not start:
+        best, witness = from_polar(end)
+    grid = math.prod(axis.size for axis in axes if axis is not None)
+    evaluated += grid + scanned + _POLISH_ROUNDS * m ** (2 if pinned else 3)
 
     p1, u, v, a = witness
     return SearchResult(

@@ -12,9 +12,11 @@ the admissible moment body exactly: no rejection step, no false extremal
 candidates outside the true coefficient body.  The moments convert to Schwarz
 coefficients through w = (q - 1)/(q + 1).
 
-The extremal search maximizes over y in closed form (see oracle), so its
-block generators draw (p1, x) only, as contiguous float64 columns
-(p1, x_re, x_im); a pinned p1 is not drawn, and its blocks carry p1 = None.
+The extremal search maximizes over y in closed form (see oracle), so it
+walks (p1, x) only: random rows from random_chunks, as contiguous float64
+columns (p1, x_re, x_im) that carry p1 = None when p1 is pinned, and
+(p1, |x|, arg x) grids through polar_scan and polish, the kernel it shares
+with lemmas.y_bruteforce.
 sample_param_arrays draws whole (p1, x, y) rows from the same row maps and
 is the one place where complex arrays are built, bit for bit from columns
 that carry the bits numpy's complex arithmetic gives, signed zeros included.
@@ -141,7 +143,9 @@ def sample_param_arrays(
     ``grid`` stratifies p1 in [0, 2] (the theorems normalize p1 >= 0) and the
     polar coordinates of x and y, with moduli including exactly 0 and 1 and
     phases including exactly 0 and pi; grid corners such as (2, 1, 1) are
-    always present.  Actual grid size is the largest level product <= count.
+    always present.  Actual grid size is the largest level product <= count;
+    a count below the smallest grid (32 points, 16 when p1 is pinned) is
+    refused.
 
     ``random`` mixes uniform draws with atoms on the boundary values, since
     the known extremal witnesses sit on the boundary of the body.
@@ -151,8 +155,8 @@ def sample_param_arrays(
     only shrink distances); ``radius`` must be finite and positive.
 
     The output depends only on the arguments, never on call order.  Each
-    strategy draws its rows whole, from the row maps of the search's block
-    generators; this is the one place where complex arrays are built.
+    strategy draws its rows whole, from the row maps that the search's
+    random rows share; this is the one place where complex arrays are built.
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -185,12 +189,13 @@ def sample_param_arrays(
 def _axis_levels(count: int, fixed_p1: Optional[float], points: int = 2) -> list[int]:
     # Axes: p1, then |z| and arg z of each of ``points`` disk points; a
     # fixed_p1 other than None drops the p1 axis.  Phase axes keep even
-    # level counts so that 0 and pi are both hit.
+    # level counts so that 0 and pi are both hit.  Every axis has at least
+    # 2 levels, so a count below 2^axes is refused.
     first = 0 if fixed_p1 is not None else 1
     n_axes = first + 2 * points
     levels = [2] * n_axes
     if math.prod(levels) > count:
-        return levels
+        raise ValueError(f"a grid needs count >= {math.prod(levels)}, got {count}")
     grew = True
     while grew:
         grew = False
@@ -205,9 +210,11 @@ def _axis_levels(count: int, fixed_p1: Optional[float], points: int = 2) -> list
     return levels
 
 
-def grid_size(count: int, pinned: bool) -> int:
-    """Rows of the search grid at ``count``: the largest level product <= count."""
-    return math.prod(_axis_levels(count, pinned or None, 1))
+def grid_axes(count: int, pinned: bool):
+    """The search grid's levels (p1 or None when pinned, |x|, arg x); their product is <= count."""
+    levels = _axis_levels(count, pinned or None, 1)
+    p1_levels = None if pinned else np.linspace(0.0, 2.0, levels.pop(0))
+    return (p1_levels, *_disk_axes(*levels))
 
 
 def _disk_axes(n_mod: int, n_arg: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,26 +236,6 @@ def _polar(mod: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarra
     zero = np.flatnonzero(im == 0.0)
     im[zero] += 0.0 * cos[zero]
     return re, im
-
-
-def grid_chunks(count: int, pinned: bool, chunk: int):
-    """The search grid as (p1, x_re, x_im) blocks of at most ``chunk`` rows, in order.
-
-    Rows run over p1, |x|, arg x with the last axis fastest; a pinned grid
-    drops the p1 axis and its blocks carry p1 = None.  A block indexes the
-    axis levels directly, so no array larger than a block is built; cos and
-    sin are taken once per phase level.
-    """
-    levels = _axis_levels(count, pinned or None, 1)
-    n_p1 = 1 if pinned else levels.pop(0)
-    p1_levels = np.linspace(0.0, 2.0, n_p1)
-    moduli, angles = _disk_axes(*levels)
-    cos, sin = np.cos(angles), np.sin(angles)
-    shape = (n_p1, *levels)
-    total = math.prod(shape)
-    for start in range(0, total, chunk):
-        ip1, i, j = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
-        yield (None if pinned else p1_levels[ip1], *_polar(moduli[i], cos[j], sin[j]))
 
 
 def _p1_draw(u: np.ndarray) -> np.ndarray:
@@ -283,43 +270,78 @@ def _offset(u: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     return _polar(r * np.sqrt(u[:, 0]), np.cos(phase), np.sin(phase))
 
 
-def _uniform_blocks(seed, count: int, width: int, chunk: int):
-    """``count`` rows of ``width`` uniforms from one generator, ``chunk`` rows at a time.
-
-    One matrix row per sample, drawn in order, so the blocks concatenate to
-    a single draw and smaller draws are a prefix of larger ones.
-    """
-    rng = np.random.default_rng(seed)
-    for start in range(0, count, chunk):
-        yield rng.random((min(chunk, count - start), width))
-
-
-# The search's random and refine rows keep the draw width of sample_params'
-# rows, 10 and 6 uniforms, though they read only 6 and 3 of them: the width
-# fixes which uniforms each row gets, so a narrower draw would change the
-# candidates and with them the report.
-
-
 def random_chunks(seed, count: int, pinned: bool, chunk: int):
     """The random search rows as (p1, x_re, x_im) blocks of at most ``chunk`` rows, in order.
 
-    Row k is the (p1, x) of sample_params' random row k (uniform columns 0-5
-    of 10); a pinned draw's blocks carry p1 = None.
+    Row k maps 6 uniforms through the (p1, x) maps of sample_params' 10-wide
+    random rows; a pinned draw's blocks carry p1 = None.  The blocks
+    concatenate to one draw, and a smaller draw is a prefix of a larger one.
     """
-    for u in _uniform_blocks(seed, count, 10, chunk):
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, chunk):
+        u = rng.random((min(chunk, count - start), 6))
         yield (None if pinned else _p1_draw(u), *_modulus_and_phase(u[:, 2:6]))
 
 
-def refine_offset_chunks(seed, count: int, radius: float, chunk: int):
-    """Refine offsets (dp1, dx_re, dx_im) in blocks of at most ``chunk`` rows, in order.
+def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: int = 8192):
+    """The first point of the grid p1_levels x rs x ts where |A| + kq (1 - r^2) exceeds ``best``.
 
-    Row k is the (dp1, dx) that sample_params' refine-around row k adds to
-    its centre (uniform columns 0-2 of 6).  The offsets depend only on (seed, count, radius),
-    never on the centre, so the searches of one run share them;
-    refine_around applies a centre.
+    A = alpha + beta x + gamma x^2 at x = r e^{it}, with (alpha, beta, gamma,
+    kq) = coefficients(p1_levels), each a scalar or one value per level
+    (p1_levels None: no p1 axis), and Re A = alpha + beta r cos t + gamma r^2
+    cos 2t, Im A = beta r sin t + gamma r^2 sin 2t from cos/sin tables; where
+    gamma and kq vanish the score is |A| alone.  Blocks of max(1, chunk //
+    len(ts)) whole (p1, r) rows, each replacing the incumbent only where
+    strictly larger, give the row-major first maximum at any block size.
+    Returns (value, p1, r, t, Re A, Im A), p1 None without a p1 axis, or None.
     """
-    for u in _uniform_blocks(seed, count, 6, chunk):
-        yield (_dp1(u, radius), *_offset(u[:, 1:3], radius))
+    # one row per (p1 level, r): a coefficient array is repeated over its level's rows
+    r = np.tile(rs, 1 if p1_levels is None else p1_levels.size)[:, None]
+    coefs = coefficients(p1_levels)
+    alpha, beta, gamma, kq = (np.repeat(c, rs.size)[:, None] if np.ndim(c) else c for c in coefs)
+    affine = not (np.count_nonzero(gamma) or np.count_nonzero(kq))
+    br, gr2, kr = beta * r, gamma * (r * r), kq * (1.0 - r * r)
+    cos1, sin1, cos2, sin2 = np.cos(ts), np.sin(ts), np.cos(2.0 * ts), np.sin(2.0 * ts)
+    rows = max(1, chunk // ts.size)
+    found = None
+    for start in range(0, r.size, rows):
+        block = slice(start, start + rows)
+        re = br[block] * cos1
+        re += alpha[block] if np.ndim(alpha) else alpha
+        im = br[block] * sin1
+        if not affine:
+            re += gr2[block] * cos2
+            im += gr2[block] * sin2
+        vals = re * re
+        vals += im * im
+        np.sqrt(vals, out=vals)
+        if not affine:
+            vals += kr[block]
+        i, j = divmod(int(np.argmax(vals)), ts.size)
+        if vals[i, j] > best:
+            best = float(vals[i, j])
+            p1 = None if p1_levels is None else float(p1_levels[(start + i) // rs.size])
+            found = (best, p1, float(r[start + i, 0]), float(ts[j]), float(re[i, j]), float(im[i, j]))
+    return found
+
+
+def polish(coefficients, incumbent, widths, rounds: int, levels: int, shrink: float, chunk: int = 8192):
+    """Rounds of polar_scan on local grids around the incumbent, each ``shrink`` times narrower.
+
+    ``incumbent`` is polar_scan's result and ``widths`` the first half-widths
+    (dp1, dr, dt).  A round scans ``levels`` points per axis across c +- w
+    around the incumbent at its start, clipping p1 to [0, 2] and r to [0, 1]
+    but not t; the incumbent moves only on strict improvement.
+    """
+    dp1, dr, dt = widths
+    for _ in range(rounds):
+        value, p1, r, t = incumbent[:4]
+        p1_levels = None if p1 is None else np.linspace(max(0.0, p1 - dp1), min(2.0, p1 + dp1), levels)
+        rs = np.linspace(max(0.0, r - dr), min(1.0, r + dr), levels)
+        ts = np.linspace(t - dt, t + dt, levels)
+        incumbent = polar_scan(coefficients, p1_levels, rs, ts, value, chunk) or incumbent
+        dp1, dr, dt = dp1 * shrink, dr * shrink, dt * shrink
+    return incumbent
 
 
 def refine_around(offsets, center) -> tuple:

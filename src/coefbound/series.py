@@ -82,7 +82,7 @@ def mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
 
 
 def reciprocal(s: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse, from the triangular convolution system.
+    """Multiplicative inverse, by forward substitution in the convolution system.
 
     Requires a nonzero constant term; mul(s, reciprocal(s)) reproduces the
     unit series to machine precision.

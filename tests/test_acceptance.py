@@ -84,7 +84,7 @@ def test_criterion_03_y_oracle_equivalence():
         b = float(rng.uniform(-6.0, 6.0))
         c = float(rng.uniform(0.0, 3.0))
         closed = y_closed_form(a, b, c).value
-        brute = y_bruteforce(a, b, c, radial=512, angular=1024)
+        brute = y_bruteforce(a, b, c)
         worst = max(worst, abs(closed - brute))
     a, b, c = 0.5, 1.0, 0.5
     first = a + abs(b) + c

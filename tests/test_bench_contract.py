@@ -54,3 +54,47 @@ def test_smoke_pass_checks_every_operation(workload):
     result = run_pass(7, 0, workloads.SMOKE, workloads.SEARCH_WORKERS, contextlib.nullcontext())
     assert result.ok and all(result.ok), [i for i, ok in enumerate(result.ok) if not ok]
     assert len(result.latencies) == len(result.ok)
+
+
+def _count_scored(monkeypatch, modules):
+    """Wrap polar_scan where ``modules`` look it up; the returned list gets each scan's grid size."""
+    from coefbound import schwarz
+
+    scored = []
+    scan = schwarz.polar_scan
+
+    def counting(coefficients, p1_levels, rs, ts, *args, **kwargs):
+        scored.append((1 if p1_levels is None else p1_levels.size) * rs.size * ts.size)
+        return scan(coefficients, p1_levels, rs, ts, *args, **kwargs)
+
+    for module in (schwarz, *modules):
+        monkeypatch.setattr(module, "polar_scan", counting)
+    return scored
+
+
+def test_y_bruteforce_scores_y_evals_points(monkeypatch):
+    # crosscheck's evals_per_s counts workloads.Y_EVALS points per y_bruteforce call
+    from coefbound import lemmas
+
+    scored = _count_scored(monkeypatch, [lemmas])
+    lemmas.y_bruteforce(0.7, -2.0, 1.3)
+    assert sum(scored) == workloads.Y_EVALS
+
+
+@pytest.mark.parametrize("p", [None, 0.5])
+def test_a_default_search_scores_the_samples_it_reports(monkeypatch, p):
+    # report's and deep's evals_per_s sum the records' samples
+    from coefbound import oracle
+
+    scored = _count_scored(monkeypatch, [oracle])
+    best_of = oracle._best_of
+
+    def counting_best_of(*args):
+        out = best_of(*args)
+        scored.append(out[2])
+        return out
+
+    monkeypatch.setattr(oracle, "_best_of", counting_best_of)
+    kind = "abs_a4" if p is None else "abs_a4_minus_a3"
+    result = oracle.extremal_search(oracle.Functional(kind, "starlike", fixed_p=p), 0.8)
+    assert result.samples == sum(scored) == oracle.DEFAULT_BUDGET

@@ -159,25 +159,19 @@ class TestYClosedForm:
 
 class TestYBruteforce:
     def test_all_zero(self):
-        assert abs(y_bruteforce(0.0, 0.0, 0.0, 64, 128) - 1.0) < 1e-6
+        assert abs(y_bruteforce(0.0, 0.0, 0.0) - 1.0) < 1e-6
 
     def test_first_branch_point(self):
-        assert abs(y_bruteforce(1.0, 3.0, 0.0, 64, 128) - 4.0) < 2e-3
+        assert abs(y_bruteforce(1.0, 3.0, 0.0) - 4.0) < 2e-3
 
     def test_pure_quadratic(self):
         # max over r of 2r^2 + 1 - r^2 sits at r = 1 with value 2
-        assert abs(y_bruteforce(0.0, 0.0, 2.0, 64, 128) - 2.0) < 2e-3
-
-    def test_grid_preconditions(self):
-        with pytest.raises(ValueError):
-            y_bruteforce(0.0, 0.0, 0.0, radial=32, angular=128)
-        with pytest.raises(ValueError):
-            y_bruteforce(0.0, 0.0, 0.0, radial=64, angular=64)
+        assert abs(y_bruteforce(0.0, 0.0, 2.0) - 2.0) < 2e-3
 
     @pytest.mark.parametrize("a, b, c", NON_FINITE)
     def test_non_finite_inputs_rejected(self, a, b, c):
         with pytest.raises(ValueError):
-            y_bruteforce(a, b, c, 64, 128)
+            y_bruteforce(a, b, c)
 
     @given(
         st.floats(min_value=0.0, max_value=3.0),
@@ -187,8 +181,46 @@ class TestYBruteforce:
     @settings(max_examples=40, deadline=None)
     def test_agreement_with_closed_form(self, a, b, c):
         closed = y_closed_form(a, b, c).value
-        brute = y_bruteforce(a, b, c, 64, 128)
+        brute = y_bruteforce(a, b, c)
         assert abs(closed - brute) < 2e-3
+
+
+    @given(
+        st.floats(min_value=0.0, max_value=3.0),
+        st.floats(min_value=-6.0, max_value=6.0),
+        st.floats(min_value=0.0, max_value=3.0),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_bits_of_the_two_loop_oracle(self, a, b, c):
+        # the shared polar kernel gives the bits of y_bruteforce's own former
+        # scan-and-refine loops, written out here over whole arrays
+        assert repr(y_bruteforce(a, b, c)) == repr(_two_loop_y(a, b, c))
+
+
+def _two_loop_y(a, b, c):
+    """Y by a 512 x 1024 polar scan, then five 65 x 65 local scans, each a quarter as wide."""
+
+    def scan(rs, ts):
+        cos1, sin1, cos2, sin2 = np.cos(ts), np.sin(ts), np.cos(2.0 * ts), np.sin(2.0 * ts)
+        r = rs[:, None]
+        br, cr2 = b * r, c * (r * r)
+        re = a + br * cos1 + cr2 * cos2
+        im = br * sin1 + cr2 * sin2
+        vals = np.sqrt(re * re + im * im) + (1.0 - r * r)
+        i, j = divmod(int(np.argmax(vals)), ts.size)
+        return float(vals[i, j]), float(rs[i]), float(ts[j])
+
+    best, r0, t0 = scan(np.linspace(0.0, 1.0, 512), np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False))
+    dr, dt = 2.0 / 511, 4.0 * np.pi / 1024
+    for _ in range(5):
+        found = scan(
+            np.linspace(max(0.0, r0 - dr), min(1.0, r0 + dr), 65), np.linspace(t0 - dt, t0 + dt, 65)
+        )
+        if found[0] > best:
+            best, r0, t0 = found
+        dr *= 0.25
+        dt *= 0.25
+    return best
 
 
 class TestASequence:

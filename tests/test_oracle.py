@@ -21,6 +21,7 @@ from coefbound.oracle import (
     _maximizing_y,
     _moments,
     _quadratic,
+    _schedule,
     _shared_bytes,
     general_bound_probe,
     run_claim_suite,
@@ -28,7 +29,7 @@ from coefbound.oracle import (
     verify_claim,
 )
 from coefbound.bounds import bound
-from coefbound.schwarz import CaratheodoryParams, grid_chunks, grid_size, random_chunks, sample_params
+from coefbound.schwarz import CaratheodoryParams, grid_axes, random_chunks, sample_params
 
 
 class TestFunctional:
@@ -120,7 +121,7 @@ class TestExtremalSearch:
         assert a == b
 
     def test_budget_sweep_stays_under_the_bound_and_converges(self):
-        # More budget need not give a larger value (the refine rounds move with
+        # More budget need not give a larger value (the polish grids move with
         # the incumbent), but no budget may exceed the sharp bound, and the
         # default budget resolves it to 1e-9 at every seed.
         fn = Functional("abs_a4_minus_a3", "convex", fixed_p=0.6)
@@ -368,36 +369,47 @@ class TestMaximumOverY:
             assert gamma == kq == 0.0
 
     def test_cached_inputs_carry_no_y(self):
-        # a free exploration row is p1, Re x, Im x; a pinned one is Re x, Im x
-        # alone (its p1 is None); an offset row is dp1, Re dx, Im dx, all of them
-        # contiguous float64 columns; _shared_bytes counts exactly those bytes
+        # a free random row is p1, Re x, Im x; a pinned one is Re x, Im x alone
+        # (its p1 is None), all of them contiguous float64 columns; they are
+        # the only blocks a run keeps, and _shared_bytes counts exactly them
         inputs = _SearchInputs(3, 5000)
-        free, pinned = inputs.explore(False), inputs.explore(True)
-        offsets = [block for rnd in range(5) for block in inputs.offsets(rnd, 0.3)]
-        assert {len(block) for block in free + pinned + offsets} == {3}
+        free, pinned = inputs.random(False), inputs.random(True)
+        assert inputs.random(False) is free
+        assert sum(u.size for _, u, _ in free) == _schedule(5000, False)[1]
+        assert {len(block) for block in free + pinned} == {3}
         assert {p1 is None for p1, _, _ in pinned} == {True}
-        columns = [a for block in free + pinned + offsets for a in block if a is not None]
+        columns = [a for block in free + pinned for a in block if a is not None]
         assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in columns)
         assert sum(a.nbytes for a in columns) == _shared_bytes(5000)
 
+    @pytest.mark.parametrize("pinned", [False, True])
+    @pytest.mark.parametrize("budget", [1000, 1001, 5000, 99_999, 100_000, 2_000_000])
+    def test_phases_add_up_to_the_budget(self, budget, pinned):
+        axes, rand, m = _schedule(budget, pinned)
+        rows = budget // 20
+        dims = 2 if pinned else 3
+        assert 3 <= m and m**dims <= rows < (m + 1) ** dims
+        grid = math.prod(a.size for a in axes if a is not None)
+        canonical = 5 if pinned else 15
+        assert rand >= 1
+        assert canonical + grid + rand + 10 * m**dims == budget
+
     def test_pinned_x_draws_do_not_depend_on_the_pinned_value(self):
-        # a pinned draw takes no p1 value, so one pinned exploration set serves
-        # every pinned p1 of a run: its blocks carry p1 None, and a random
-        # block carries the x columns of the free draw's block
-        pinned_grid = list(grid_chunks(3000, True, 1000))
-        assert {p1 is None for p1, _, _ in pinned_grid} == {True}
-        assert sum(u.size for _, u, _ in pinned_grid) == grid_size(3000, True)
+        # a pinned draw takes no p1 value, so one pinned random set serves
+        # every pinned p1 of a run: its blocks carry p1 None and the x columns
+        # of the free draw's blocks; a pinned grid has no p1 axis
+        assert grid_axes(3000, True)[0] is None
         pinned, free = random_chunks(5, 3000, True, 1000), random_chunks(5, 3000, False, 1000)
         for (p1, u, v), (free_p1, free_u, free_v) in zip(pinned, free, strict=True):
             assert p1 is None and free_p1.size == u.size
             assert u.tobytes() == free_u.tobytes() and v.tobytes() == free_v.tobytes()
 
-    def test_default_suite_attains_every_sharp_bound_to_1e_9(self):
+    def test_default_suite_attains_every_sharp_bound_to_1e_12(self):
         records = run_claim_suite()
         clean = [r for r in records if not r.violation]
         assert len(clean) == 102
-        worst = max(clean, key=lambda r: abs(r.gap))
-        assert abs(worst.gap) <= 1e-9, worst
+        worst = max(clean, key=lambda r: abs(r.gap) / max(1.0, r.bound))
+        assert abs(worst.gap) <= 1e-12 * max(1.0, worst.bound), worst
 
 
 class TestRegistry:

@@ -11,13 +11,15 @@ from coefbound.schwarz import (
     SchwarzCoefficients,
     caratheodory_moments,
     _axis_levels,
+    _dp1,
+    _offset,
     _project_disk,
     caratheodory_to_schwarz,
-    grid_chunks,
-    grid_size,
+    grid_axes,
+    polar_scan,
+    polish,
     random_chunks,
     refine_around,
-    refine_offset_chunks,
     sample_param_arrays,
     sample_params,
     validate_schwarz,
@@ -133,9 +135,17 @@ class TestSampler:
         pts = sample_params(0, 32, "grid")
         assert any(p.p1 == 2.0 and p.x == 1.0 and p.y == 1.0 for p in pts)
 
-    def test_grid_respects_count(self):
-        assert len(sample_params(0, 32, "grid")) <= 32
-        assert len(sample_params(0, 1000, "grid")) <= 1000
+    @pytest.mark.parametrize("fixed_p1", [None, 1.0])
+    def test_grid_respects_count(self, fixed_p1):
+        # the smallest grid has 2 levels per axis: 32 points, 16 when p1 is pinned
+        smallest = 16 if fixed_p1 is not None else 32
+        for count in range(1, 41):
+            if count < smallest:
+                with pytest.raises(ValueError, match=f"count >= {smallest}"):
+                    sample_params(0, count, "grid", fixed_p1=fixed_p1)
+            else:
+                assert len(sample_params(0, count, "grid", fixed_p1=fixed_p1)) <= count
+        assert len(sample_params(0, 1000, "grid", fixed_p1=fixed_p1)) <= 1000
 
     def test_grid_hits_boundary_moduli_and_phases(self):
         pts = sample_params(0, 200, "grid")
@@ -234,9 +244,13 @@ centers = st.builds(CaratheodoryParams, st.floats(min_value=0.0, max_value=2.0),
 @settings(max_examples=200, deadline=None)
 def test_refine_around_is_shared_offsets_plus_centre(seed, count, radius, a, b, fixed_p1):
     # One offset draw serves every centre: applying one leaves the offsets
-    # as a fresh draw gives them, and each composition is bit-for-bit the
-    # (p1, x) of the refine-around sample at that centre.
-    offsets = next(refine_offset_chunks(seed, count, radius, count))
+    # as they were, and each composition is bit-for-bit the (p1, x) of the
+    # refine-around sample at that centre.
+    def draw():
+        u = np.random.default_rng(seed).random((count, 6))
+        return (_dp1(u, radius), *_offset(u[:, 1:3], radius))
+
+    offsets = draw()
     for center in (a, b):
         p1c = None if fixed_p1 is not None else center.p1
         p1, x = _assembled(refine_around(offsets, (p1c, center.x.real, center.x.imag)))
@@ -247,7 +261,7 @@ def test_refine_around_is_shared_offsets_plus_centre(seed, count, radius, a, b, 
         want = _refine_reference(seed, count, center, radius, fixed_p1)
         assert _bits([p1, x]) == _bits(want[:2])
         assert _bits(sampled) == _bits(want)
-        assert _bits(offsets) == _bits(next(refine_offset_chunks(seed, count, radius, count)))
+        assert _bits(offsets) == _bits(draw())
 
 
 def _grid_reference(count, fixed_p1):
@@ -286,35 +300,18 @@ def _search_columns(got, want, pinned):
         assert _bits([p1]) == _bits(want[:1])
 
 
-def _one_disk_grid_reference(count, fixed_p1):
-    """The (p1, x) grid as one 3-D meshgrid, with exp taken on every row."""
-    levels = _axis_levels(count, fixed_p1, 1)
-    if fixed_p1 is None:
-        p1 = np.linspace(0.0, 2.0, levels.pop(0))
-    else:
-        p1 = np.array([float(fixed_p1)])
-    mx = np.linspace(0.0, 1.0, levels[0])
-    ax = 2.0 * np.pi * np.arange(levels[1]) / levels[1]
-    p1g, mxg, axg = np.meshgrid(p1, mx, ax, indexing="ij")
-    return p1g.ravel().astype(float), (mxg * np.exp(1j * axg)).ravel()
-
-
 pinned_p1 = st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0))
 chunks = st.integers(min_value=1, max_value=5000)
-
-
-@given(st.integers(min_value=1, max_value=4000), pinned_p1, chunks)
-@settings(max_examples=100, deadline=None)
-def test_grid_chunks_concatenate_to_the_grid(count, fixed_p1, chunk):
-    pinned = fixed_p1 is not None
-    got = _joined(grid_chunks(count, pinned, chunk), chunk)
-    assert got[1].size == grid_size(count, pinned)
-    _search_columns(got, _one_disk_grid_reference(count, fixed_p1), pinned)
 
 
 @given(st.integers(min_value=1, max_value=4000), pinned_p1)
 @settings(max_examples=100, deadline=None)
 def test_sample_grid_is_the_two_disk_grid(count, fixed_p1):
+    smallest = 16 if fixed_p1 is not None else 32
+    if count < smallest:
+        with pytest.raises(ValueError, match=f"count >= {smallest}"):
+            sample_param_arrays(0, count, "grid", fixed_p1)
+        return
     got = sample_param_arrays(0, count, "grid", fixed_p1)
     assert _bits(got) == _bits(_grid_reference(count, fixed_p1))
 
@@ -327,15 +324,19 @@ def test_sample_grid_is_the_two_disk_grid(count, fixed_p1):
 )
 @settings(max_examples=100, deadline=None)
 def test_random_chunks_concatenate_to_one_draw(seed, count, fixed_p1, chunk):
-    # a search row is the (p1, x) of the sample_params row
+    # a search row is the (p1, x) of a 6-uniform row of one draw
     pinned = fixed_p1 is not None
     got = _joined(random_chunks(seed, count, pinned, chunk), chunk)
-    _search_columns(got, _random_reference(seed, count, fixed_p1), pinned)
+    _search_columns(got, _random_reference(seed, count, fixed_p1, 6), pinned)
 
 
-def _random_reference(seed, count, fixed_p1):
-    """The random draw as one complex computation, mod * exp(1j * phase) on every row."""
-    u = np.random.default_rng(seed).random((count, 10))
+def _random_reference(seed, count, fixed_p1, width):
+    """The random draw as one complex computation, mod * exp(1j * phase) on every row.
+
+    Rows of ``width`` uniforms: 6 give (p1, x), as the search draws them, and
+    10 give (p1, x, y), as sample_params draws them.
+    """
+    u = np.random.default_rng(seed).random((count, width))
     if fixed_p1 is None:
         p1 = 2.0 * u[:, 1].copy()
         p1[u[:, 0] < 0.125] = 2.0
@@ -343,7 +344,7 @@ def _random_reference(seed, count, fixed_p1):
     else:
         p1 = np.full(count, float(fixed_p1))
     points = []
-    for k in (2, 6):
+    for k in range(2, width, 4):
         sel, val, selp, valp = (u[:, k + i] for i in range(4))
         mod = val.copy()
         mod[sel < 0.125] = 1.0
@@ -362,7 +363,7 @@ def test_random_bits_match_the_complex_draw(seed, fixed_p1):
     # 1,000 times, the signed zeros of the zero-modulus atom included
     pinned = fixed_p1 is not None
     got = _joined(random_chunks(seed, 20_000, pinned, 8192), 8192)
-    want = _random_reference(seed, 20_000, fixed_p1)
+    want = _random_reference(seed, 20_000, fixed_p1, 6)
     assert np.count_nonzero(want[1] == 0.0) > 500
     assert np.signbit(want[1].real[want[1] == 0.0]).any()
     _search_columns(got, want, pinned)
@@ -381,25 +382,10 @@ def test_sample_param_arrays_match_the_two_disk_references(seed, fixed_p1, count
     ]
     want = [
         _grid_reference(count, fixed_p1),
-        _random_reference(seed, count, fixed_p1),
+        _random_reference(seed, count, fixed_p1, 10),
         _refine_reference(seed, count, center, 0.3, fixed_p1),
     ]
     assert [_bits(s) for s in sampled] == [_bits(w) for w in want]
-
-
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=0, max_value=4),
-    st.integers(min_value=1, max_value=4000),
-    st.floats(min_value=1e-6, max_value=1.0),
-    chunks,
-)
-@settings(max_examples=100, deadline=None)
-def test_refine_offset_chunks_concatenate_to_the_offsets(seed, rnd, count, radius, chunk):
-    got = _joined(refine_offset_chunks([seed, rnd], count, radius, chunk), chunk)
-    assert len(got) == 3
-    assert all(col.dtype == np.float64 and col.flags.c_contiguous for col in got)
-    assert _bits(got) == _bits(next(refine_offset_chunks([seed, rnd], count, radius, count)))
 
 
 def _projected(z):
@@ -440,3 +426,100 @@ def test_column_projection_is_the_complex_projection(points):
     re, im = z.real.copy(), z.imag.copy()
     _project_disk(re, im)
     assert _bits(_assembled([None, re, im])[1:]) == _bits([_projected(z)])
+
+
+_coefficient = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@st.composite
+def polar_grids(draw):
+    """(coefficients, p1 levels or None, rs, ts): each coefficient a scalar or one value per level."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    p1_levels = draw(st.one_of(st.none(), st.just(np.linspace(0.0, 2.0, n))))
+    if p1_levels is None:
+        n = 1
+    per_level = st.lists(_coefficient, min_size=n, max_size=n).map(np.array)
+    alpha, beta = (draw(st.one_of(_coefficient, per_level)) for _ in range(2))
+    # gamma = kq = 0 selects the affine score
+    gamma, kq = (draw(st.one_of(st.just(0.0), _coefficient, per_level)) for _ in range(2))
+    rs = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6))
+    ts = draw(st.lists(st.floats(min_value=-7.0, max_value=7.0), min_size=1, max_size=8))
+    return (alpha, beta, gamma, kq), p1_levels, np.array(rs), np.array(ts)
+
+
+def _polar_reference(coeffs, p1_levels, rs, ts):
+    """|A| + kq (1 - |x|^2) on the whole grid, A = alpha + beta x + gamma x^2 in complex arithmetic."""
+    n = 1 if p1_levels is None else p1_levels.size
+    alpha, beta, gamma, kq = (np.broadcast_to(c, (n,))[:, None, None] for c in coeffs)
+    x = rs[None, :, None] * np.exp(1j * ts[None, None, :])
+    a = alpha + beta * x + gamma * x * x
+    return a, np.abs(a) + kq * (1.0 - np.abs(x) ** 2)
+
+
+@given(polar_grids(), st.integers(min_value=1, max_value=64))
+@settings(max_examples=300, deadline=None)
+def test_polar_scan_is_the_complex_grid_maximum(grid, chunk):
+    coeffs, p1_levels, rs, ts = grid
+    got = polar_scan(lambda _: coeffs, p1_levels, rs, ts, chunk=chunk)
+    assert repr(got) == repr(polar_scan(lambda _: coeffs, p1_levels, rs, ts, chunk=10**6))
+    a, ref = _polar_reference(coeffs, p1_levels, rs, ts)
+    value, p1, r, t, re, im = got
+    tol = 1e-15 * (1.0 + sum(np.max(np.abs(c)) for c in coeffs))
+    assert abs(value - ref.max()) <= tol
+    # the point is on the grid and carries its A
+    at = (0 if p1 is None else list(p1_levels).index(p1), list(rs).index(r), list(ts).index(t))
+    assert abs(complex(re, im) - a[at]) <= tol
+    assert (p1 is None) == (p1_levels is None)
+    # a maximum that no other point comes near is found at its own index
+    top = np.sort(ref.ravel())
+    if top.size == 1 or top[-2] < top[-1] - 4.0 * tol:
+        want = np.unravel_index(np.argmax(ref), ref.shape)
+        assert (rs[want[1]], ts[want[2]]) == (r, t)
+        assert p1 is None or p1 == p1_levels[want[0]]
+
+
+@given(
+    st.lists(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 2.0]), min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=64),
+)
+@settings(max_examples=100, deadline=None)
+def test_polar_scan_keeps_the_first_of_tied_points(alphas, n_r, n_t, chunk):
+    # with beta = gamma = kq = 0 every point of a level scores |alpha| exactly:
+    # the first level of largest |alpha| wins, at its first radius and angle
+    p1_levels = np.linspace(0.0, 2.0, len(alphas))
+    rs, ts = np.linspace(0.0, 1.0, n_r), np.linspace(-1.0, 1.0, n_t)
+    value, p1, r, t, _, _ = polar_scan(lambda _: (np.array(alphas), 0.0, 0.0, 0.0), p1_levels, rs, ts, chunk=chunk)
+    first = int(np.argmax(np.abs(alphas)))
+    assert (value, p1, r, t) == (abs(alphas[first]), p1_levels[first], 0.0, -1.0)
+
+
+def test_polar_scan_reports_nothing_below_the_incumbent():
+    rs, ts = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 6.0, 7)
+    assert polar_scan(lambda _: (1.0, 1.0, 0.0, 0.0), None, rs, ts, best=2.0) is None
+
+
+def test_polish_stops_at_the_edges_of_the_body():
+    # |p1 + x| peaks at p1 = 2, x = 1: the windows cross p1 = 2 and r = 1,
+    # which are clipped to their last levels, and t = 0, which is not clipped
+    def coefficients(p1):
+        return p1, 1.0, 0.0, 0.0
+
+    start = (0.0, 1.9, 0.9, 0.3, 0.0, 0.0)
+    value, p1, r, t, re, im = polish(coefficients, start, (0.5, 0.2, 0.5), 20, 9, 0.5)
+    assert (p1, r) == (2.0, 1.0)
+    assert abs(t) <= 1e-5 and abs(value - 3.0) <= 1e-12
+    assert abs(abs(complex(re, im)) - value) <= 1e-15
+    # no round beats an incumbent at the maximum, so it is kept as it is
+    top = (3.0, 2.0, 1.0, 0.0, 3.0, 0.0)
+    assert polish(coefficients, top, (0.5, 0.2, 0.5), 3, 9, 0.5) is top
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_grid_axes_keep_the_exact_levels(pinned):
+    p1, mod, arg = grid_axes(3000, pinned)
+    assert (p1 is None) == pinned
+    assert mod[0] == 0.0 and mod[-1] == 1.0 and arg[0] == 0.0
+    assert np.pi in arg  # the phase levels are even in number
+    assert math.prod(a.size for a in (p1, mod, arg) if a is not None) <= 3000
