@@ -336,10 +336,11 @@ def extremal_search(
     module docstring).  Phases (see _schedule): canonical witnesses, a
     stratified (p1, |x|, arg x) grid (a quarter of the budget), seeded
     random draws, then _POLISH_ROUNDS local polar grids around the incumbent
-    at its start (half the budget), the first two grid spacings wide and
-    each two spacings of the last.  Replacement requires strict improvement,
-    so canonical witnesses win all exact ties; ``samples`` is the budget.
-    ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET], ``seed`` must be >= 0.
+    at its start (half the budget), the first two grid spacings wide, each
+    later one two spacings of the last or half as wide if that is narrower.
+    Replacement requires strict improvement, so canonical witnesses win all
+    exact ties; ``samples`` is the budget.  ``budget`` must lie in
+    [MIN_BUDGET, MAX_BUDGET], ``seed`` must be >= 0.
 
     ``inputs`` carries the schedule and the random blocks that verify_claim
     and run_claim_suite share across a run; a call without it builds its own

@@ -135,17 +135,16 @@ class TestSampler:
         pts = sample_params(0, 32, "grid")
         assert any(p.p1 == 2.0 and p.x == 1.0 and p.y == 1.0 for p in pts)
 
-    @pytest.mark.parametrize("fixed_p1", [None, 1.0])
-    def test_grid_respects_count(self, fixed_p1):
+    def test_grid_respects_count(self):
         # the smallest grid has 2 levels per axis: 32 points, 16 when p1 is pinned
-        smallest = 16 if fixed_p1 is not None else 32
-        for count in range(1, 41):
-            if count < smallest:
-                with pytest.raises(ValueError, match=f"count >= {smallest}"):
-                    sample_params(0, count, "grid", fixed_p1=fixed_p1)
-            else:
-                assert len(sample_params(0, count, "grid", fixed_p1=fixed_p1)) <= count
-        assert len(sample_params(0, 1000, "grid", fixed_p1=fixed_p1)) <= 1000
+        for fixed_p1, smallest in ((None, 32), (1.0, 16)):
+            for count in range(1, 41):
+                if count < smallest:
+                    with pytest.raises(ValueError, match=f"count >= {smallest}"):
+                        sample_params(0, count, "grid", fixed_p1=fixed_p1)
+                else:
+                    assert len(sample_params(0, count, "grid", fixed_p1=fixed_p1)) <= count
+            assert len(sample_params(0, 1000, "grid", fixed_p1=fixed_p1)) <= 1000
 
     def test_grid_hits_boundary_moduli_and_phases(self):
         pts = sample_params(0, 200, "grid")
@@ -490,7 +489,8 @@ def test_polar_scan_keeps_the_first_of_tied_points(alphas, n_r, n_t, chunk):
     # the first level of largest |alpha| wins, at its first radius and angle
     p1_levels = np.linspace(0.0, 2.0, len(alphas))
     rs, ts = np.linspace(0.0, 1.0, n_r), np.linspace(-1.0, 1.0, n_t)
-    value, p1, r, t, _, _ = polar_scan(lambda _: (np.array(alphas), 0.0, 0.0, 0.0), p1_levels, rs, ts, chunk=chunk)
+    coefficients = lambda _: (np.array(alphas), 0.0, 0.0, 0.0)  # noqa: E731
+    value, p1, r, t, _, _ = polar_scan(coefficients, p1_levels, rs, ts, chunk=chunk)
     first = int(np.argmax(np.abs(alphas)))
     assert (value, p1, r, t) == (abs(alphas[first]), p1_levels[first], 0.0, -1.0)
 
