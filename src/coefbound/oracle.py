@@ -14,27 +14,28 @@ search walks (p1, x) only.  A is a quadratic alpha + beta x + gamma x^2 in x
 whose coefficients are real polynomials in (lam, p1) (see _quadratic), so
 the search scores it in real arithmetic without forming the moments: its
 grids through schwarz.polar_scan, from cos/sin tables of arg x, and its
-canonical and random candidates through _best_of, on contiguous float64
-columns (p1, Re x, Im x).  No complex array is built.
+canonical and random candidates, and each grid's winner, through _best_of,
+on contiguous float64 columns (p1, Re x, Im x).  No complex array is built.
 Its witness is a full (p1, x, y) triple with that y (y = 1 where A = 0),
 which functional_value replays through the full moments, so a replay
 checks the polynomials independently.
 
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
 variant) produce bit-identical reports.  A search scores each phase in
-blocks of at most CHUNK_ROWS candidates (whole grid rows in the grids, of
-which it also holds one value each) with a running first-index argmax, so
-its result does not depend on the block size.  The random draws do not
-depend on lam, so while they fit in SHARED_INPUT_BYTES a run draws them
-once and shares the blocks: the (p1, Re x, Im x) columns of the free-p1
-searches and the (Re x, Im x) columns of the pinned ones, which never see
-the pinned value.  Every search scores the grids afresh.  Neither blocks
+blocks of at most CHUNK_ROWS candidates (whole grid rows in the grids, or
+runs of one row's angles where a row is longer) with a running first-index
+argmax, so its result does not depend on the block size.  The random draws
+do not depend on lam, so while they fit in SHARED_INPUT_BYTES a run draws
+them once and shares the blocks: the (p1, Re x, Im x) columns of the
+free-p1 searches and the (Re x, Im x) columns of the pinned ones, which
+never see the pinned value.  Every search scores the grids afresh.  Neither blocks
 nor sharing reorder a floating-point operation, so every path returns the
 same bits.  The search is single-threaded.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -75,10 +76,11 @@ CHUNK_ROWS = 8192
 #: A run keeps its lam-independent input blocks only while they fit in this many bytes.
 SHARED_INPUT_BYTES = 16 * 2**20
 
-#: Polish rounds; together they take at most half the budget.
-_POLISH_ROUNDS = 10
-#: A polish round's half-width, in spacings of the grid before it.
+#: The first polish round's half-width in exploration grid spacings; a later
+#: round keeps at least this many spacings of the last, or half its width.
 _POLISH_SPACINGS = 2.0
+#: The last polish round's width over the first's, at every budget.
+_POLISH_NARROWING = 2.0**-17
 
 
 @dataclass(frozen=True)
@@ -237,19 +239,25 @@ def _canonical(pinned: bool):
 
 
 def _schedule(budget: int, pinned: bool):
-    """(grid axes, random rows, polish levels per axis m) of a search; all phases add up to ``budget``.
+    """(grid axes, random rows, polish levels m, rounds, shrink s); the phases add up to ``budget``.
 
-    A polish round takes m^3 (m^2 when pinned) of budget // (2 _POLISH_ROUNDS)
-    points, the grid half of the rest and the random phase what remains.
+    The polish takes the fewest rounds of m^3 (m^2 pinned) points in half the
+    budget with s^(rounds - 1) = _POLISH_NARROWING and s >= min(0.5,
+    2 _POLISH_SPACINGS / (m - 1)); the grid takes half the rest.
     """
-    rows = budget // (2 * _POLISH_ROUNDS)
+    half = budget // 2
     dims = 2 if pinned else 3
-    m = round(rows ** (1.0 / dims))
-    m = max(3, m - (m**dims > rows))
+    for rounds in itertools.count(2):
+        rows = half // rounds
+        m = round(rows ** (1.0 / dims))
+        m = max(3, m - (m**dims > rows))
+        if min(0.5, 2.0 * _POLISH_SPACINGS / (m - 1)) ** (rounds - 1) <= _POLISH_NARROWING:
+            break
     canonical = _UNITS_RE.size * (1 if pinned else 3)
-    axes = grid_axes((budget - _POLISH_ROUNDS * rows - canonical) // 2, pinned)
+    axes = grid_axes((budget - half - canonical) // 2, pinned)
     grid = math.prod(a.size for a in axes if a is not None)
-    return axes, budget - canonical - grid - _POLISH_ROUNDS * m**dims, m
+    shrink = _POLISH_NARROWING ** (1.0 / (rounds - 1))
+    return axes, budget - canonical - grid - rounds * m**dims, m, rounds, shrink
 
 
 def _shared_bytes(budget: int) -> int:
@@ -335,12 +343,12 @@ def extremal_search(
     Each candidate is a (p1, x) pair scored by its maximum over y (see the
     module docstring).  Phases (see _schedule): canonical witnesses, a
     stratified (p1, |x|, arg x) grid (a quarter of the budget), seeded
-    random draws, then _POLISH_ROUNDS local polar grids around the incumbent
-    at its start (half the budget), the first two grid spacings wide, each
-    later one two spacings of the last or half as wide if that is narrower.
-    Replacement requires strict improvement, so canonical witnesses win all
-    exact ties; ``samples`` is the budget.  ``budget`` must lie in
-    [MIN_BUDGET, MAX_BUDGET], ``seed`` must be >= 0.
+    random draws, then a polish of local polar grids around the incumbent
+    (at most half the budget).  A polar phase's winner is rescored as a
+    (p1, Re x, Im x) row before it may replace the incumbent, so the value
+    is its witness's own score; replacement requires strict improvement, so
+    canonical witnesses win exact ties.  ``samples`` is the budget.
+    ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET], ``seed`` must be >= 0.
 
     ``inputs`` carries the schedule and the random blocks that verify_claim
     and run_claim_suite share across a run; a call without it builds its own
@@ -355,29 +363,29 @@ def extremal_search(
         raise ValueError("inputs were built for another seed or budget")
     eff = fn.effective_p1
     pinned = eff is not None
-    axes, _, m = inputs.schedule[pinned]
+    axes, _, m, rounds, shrink = inputs.schedule[pinned]
 
     def coefficients(p1_levels):
         return _quadratic(fn, lam, float(eff) if pinned else p1_levels)
 
-    def from_polar(found):
-        value, p1, r, t, re, im = found
-        return value, (float(eff) if pinned else p1, r * math.cos(t), r * math.sin(t), complex(re, im))
+    def rescored(found, best, witness):
+        # a polar winner replaces the incumbent only if its witness row scores higher
+        if found is None:
+            return best, witness
+        p1, r, t = found[1:]
+        row = (None if pinned else np.array([p1]), np.array([r * math.cos(t)]), np.array([r * math.sin(t)]))
+        return _best_of(fn, lam, eff, [row], best, witness)[:2]
 
     best, witness, evaluated = _best_of(fn, lam, eff, [_canonical(pinned)], -np.inf, None)
-    found = polar_scan(coefficients, *axes, best, CHUNK_ROWS)
-    if found is not None:
-        best, witness = from_polar(found)
+    best, witness = rescored(polar_scan(coefficients, *axes, best, CHUNK_ROWS), best, witness)
     best, witness, scanned = _best_of(fn, lam, eff, inputs.random(pinned), best, witness)
-    p1, u, v, a = witness
-    start = (best, None if pinned else p1, math.hypot(u, v), math.atan2(v, u), a.real, a.imag)
+    p1, u, v, _ = witness
+    start = (best, None if pinned else p1, math.hypot(u, v), math.atan2(v, u))
     widths = [0.0 if axis is None else _POLISH_SPACINGS * float(axis[1] - axis[0]) for axis in axes]
-    shrink = min(0.5, 2.0 * _POLISH_SPACINGS / (m - 1))
-    end = polish(coefficients, start, widths, _POLISH_ROUNDS, m, shrink, CHUNK_ROWS)
+    end = polish(coefficients, start, widths, rounds, m, shrink, CHUNK_ROWS, span_disk=True)
     if end is not start:
-        best, witness = from_polar(end)
-    grid = math.prod(axis.size for axis in axes if axis is not None)
-    evaluated += grid + scanned + _POLISH_ROUNDS * m ** (2 if pinned else 3)
+        best, witness = rescored(end, best, witness)
+    evaluated += scanned + math.prod(a.size for a in axes if a is not None) + rounds * m ** (2 if pinned else 3)
 
     p1, u, v, a = witness
     return SearchResult(

@@ -288,57 +288,57 @@ def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: 
 
     A = alpha + beta x + gamma x^2 at x = r e^{it}, with (alpha, beta, gamma,
     kq) = coefficients(p1_levels), each a scalar or one value per level
-    (p1_levels None: no p1 axis), and Re A = alpha + beta r cos t + gamma r^2
-    cos 2t, Im A = beta r sin t + gamma r^2 sin 2t from cos/sin tables; where
-    gamma and kq vanish the score is |A| alone.  Blocks of max(1, chunk //
-    len(ts)) whole (p1, r) rows, each replacing the incumbent only where
-    strictly larger, give the row-major first maximum at any block size.
-    Returns (value, p1, r, t, Re A, Im A), p1 None without a p1 axis, or None.
+    (p1_levels None: no p1 axis), from cos/sin tables of t and 2t.  Blocks
+    of at most ``chunk`` points (whole (p1, r) rows, or runs of one row's
+    angles) each replace the incumbent only where strictly larger: the
+    row-major first maximum at any block size.  Returns (value, p1, r, t) or None.
     """
-    # one row per (p1 level, r): a coefficient array is repeated over its level's rows
-    r = np.tile(rs, 1 if p1_levels is None else p1_levels.size)[:, None]
     coefs = coefficients(p1_levels)
-    alpha, beta, gamma, kq = (np.repeat(c, rs.size)[:, None] if np.ndim(c) else c for c in coefs)
-    affine = not (np.count_nonzero(gamma) or np.count_nonzero(kq))
-    br, gr2, kr = beta * r, gamma * (r * r), kq * (1.0 - r * r)
     cos1, sin1, cos2, sin2 = np.cos(ts), np.sin(ts), np.cos(2.0 * ts), np.sin(2.0 * ts)
-    rows = max(1, chunk // ts.size)
+    n_rows = rs.size * (1 if p1_levels is None else p1_levels.size)
+    rows, width = max(1, chunk // ts.size), min(chunk, ts.size)
     found = None
-    for start in range(0, r.size, rows):
-        block = slice(start, start + rows)
-        re = br[block] * cos1
-        re += alpha[block] if np.ndim(alpha) else alpha
-        im = br[block] * sin1
-        if not affine:
-            re += gr2[block] * cos2
-            im += gr2[block] * sin2
-        vals = re * re
-        vals += im * im
-        np.sqrt(vals, out=vals)
-        if not affine:
-            vals += kr[block]
-        i, j = divmod(int(np.argmax(vals)), ts.size)
-        if vals[i, j] > best:
-            best = float(vals[i, j])
-            p1 = None if p1_levels is None else float(p1_levels[(start + i) // rs.size])
-            found = (best, p1, float(r[start + i, 0]), float(ts[j]), float(re[i, j]), float(im[i, j]))
+    for start in range(0, n_rows, rows):
+        level, radius = np.divmod(np.arange(start, min(n_rows, start + rows)), rs.size)
+        r = rs[radius, None]
+        alpha, beta, gamma, kq = (c[level, None] if np.ndim(c) else c for c in coefs)
+        br, gr2, kr = beta * r, gamma * (r * r), kq * (1.0 - r * r)
+        for col in range(0, ts.size, width):
+            cols = slice(col, col + width)
+            re = br * cos1[cols]
+            re += alpha
+            re += gr2 * cos2[cols]
+            im = br * sin1[cols]
+            im += gr2 * sin2[cols]
+            vals = re * re
+            vals += im * im
+            np.sqrt(vals, out=vals)
+            vals += kr
+            i, j = divmod(int(np.argmax(vals)), vals.shape[1])
+            if vals[i, j] > best:
+                best = float(vals[i, j])
+                p1 = None if p1_levels is None else float(p1_levels[level[i]])
+                found = best, p1, float(r[i, 0]), float(ts[col + j])
     return found
 
 
-def polish(coefficients, incumbent, widths, rounds: int, levels: int, shrink: float, chunk: int = 8192):
+def polish(coefficients, incumbent, widths, rounds, levels, shrink, chunk=8192, *, span_disk=False):
     """Rounds of polar_scan on local grids around the incumbent, each ``shrink`` times narrower.
 
     ``incumbent`` is polar_scan's result and ``widths`` the first half-widths
     (dp1, dr, dt).  A round scans ``levels`` points per axis across c +- w
     around the incumbent at its start, clipping p1 to [0, 2] and r to [0, 1]
-    but not t; the incumbent moves only on strict improvement.
+    but not t.  With ``span_disk`` the t window also spans the disk of
+    radius dr around x (every t once that disk holds 0), which near x = 0
+    a few t spacings do not.
     """
     dp1, dr, dt = widths
     for _ in range(rounds):
-        value, p1, r, t = incumbent[:4]
+        value, p1, r, t = incumbent
+        arc = dt if not span_disk else max(dt, math.asin(dr / r)) if r > dr else math.pi
         p1_levels = None if p1 is None else np.linspace(max(0.0, p1 - dp1), min(2.0, p1 + dp1), levels)
         rs = np.linspace(max(0.0, r - dr), min(1.0, r + dr), levels)
-        ts = np.linspace(t - dt, t + dt, levels)
+        ts = np.linspace(t - arc, t + arc, levels)
         incumbent = polar_scan(coefficients, p1_levels, rs, ts, value, chunk) or incumbent
         dp1, dr, dt = dp1 * shrink, dr * shrink, dt * shrink
     return incumbent

@@ -88,13 +88,21 @@ def test_a_default_search_scores_the_samples_it_reports(monkeypatch, p):
 
     scored = _count_scored(monkeypatch, [oracle])
     best_of = oracle._best_of
+    rescored = []
 
-    def counting_best_of(*args):
-        out = best_of(*args)
-        scored.append(out[2])
+    def counting_best_of(fn, lam, eff, blocks, *args):
+        blocks = list(blocks)
+        out = best_of(fn, lam, eff, blocks, *args)
+        # a polar phase's winner comes back as a block of one row, which its
+        # grid has scored already; no other phase passes a block that small
+        if len(blocks) == 1 and blocks[0][1].size == 1:
+            rescored.append(out[2])
+        else:
+            scored.append(out[2])
         return out
 
     monkeypatch.setattr(oracle, "_best_of", counting_best_of)
     kind = "abs_a4" if p is None else "abs_a4_minus_a3"
     result = oracle.extremal_search(oracle.Functional(kind, "starlike", fixed_p=p), 0.8)
     assert result.samples == sum(scored) == oracle.DEFAULT_BUDGET
+    assert 1 <= len(rescored) <= 2

@@ -114,6 +114,22 @@ class TestExtremalSearch:
             out = extremal_search(fn, 1.1, budget=5000, seed=9)
             assert abs(functional_value(fn, 1.1, out.witness) - out.value) <= 1e-12
 
+    def test_value_is_the_score_of_its_witness_row(self):
+        # a polar phase's winner is rescored at its witness (p1, Re x, Im x)
+        # before it counts, so the value is that row's score, bit for bit
+        for kind, cls, p, lam in [
+            ("abs_a4", "starlike", None, 0.9),
+            ("abs_a3", "convex", None, 1.3),
+            ("abs_a4_minus_a3", "starlike", 1.3, 1.1),
+            ("abs_a3_minus_a2", "convex", 0.4, 0.5),
+        ]:
+            fn = Functional(kind, cls, fixed_p=p)
+            for seed in range(3):
+                out = extremal_search(fn, lam, budget=3000, seed=seed)
+                w = out.witness
+                row = (None if p else np.array([w.p1]), np.array([w.x.real]), np.array([w.x.imag]))
+                assert _best_of(fn, lam, fn.effective_p1, [row], -np.inf, None)[0] == out.value
+
     def test_deterministic(self):
         fn = Functional("abs_a4_minus_a3", "convex", fixed_p=0.6)
         a = extremal_search(fn, 1.0, budget=5000, seed=11)
@@ -131,6 +147,23 @@ class TestExtremalSearch:
                 value = extremal_search(fn, 1.0, budget=budget, seed=seed).value
                 assert value <= sharp + oracle.DEFAULT_TOL, (seed, budget)
             assert abs(sharp - value) <= 1e-9, seed
+
+    @pytest.mark.parametrize(
+        "kind, cls, p, lam, budget, seed, refined",
+        [
+            # free p1, where the polish had 7 levels per axis
+            ("abs_a4", "starlike", None, 0.7993214127316798, 17520, 1157691257, 0.26948732959496235),
+            # pinned p1, 5 levels per axis
+            ("abs_a4", "starlike", 1.699132996132531, 1.1324070423425991, 1260, 1733077630, 0.6084929467009099),
+            # the maximum at x = -0.0485, across the origin from the incumbent
+            ("abs_a4", "convex", 0.2799917441958927, 0.09975798938055512, 1471, 1989104852, 0.007671850471091683),
+        ],
+    )
+    def test_small_budgets_reach_the_random_refine_search(self, kind, cls, p, lam, budget, seed, refined):
+        # ``refined`` is what the search returned when five random refine
+        # rounds ended it: a polish that falls short could miss a violation
+        value = extremal_search(Functional(kind, cls, fixed_p=p), lam, budget=budget, seed=seed).value
+        assert value >= refined * (1.0 - 1e-12)
 
     def test_budget_floor(self):
         with pytest.raises(ValueError):
@@ -385,14 +418,18 @@ class TestMaximumOverY:
     @pytest.mark.parametrize("pinned", [False, True])
     @pytest.mark.parametrize("budget", [1000, 1001, 5000, 99_999, 100_000, 2_000_000])
     def test_phases_add_up_to_the_budget(self, budget, pinned):
-        axes, rand, m = _schedule(budget, pinned)
-        rows = budget // 20
+        axes, rand, m, rounds, shrink = _schedule(budget, pinned)
         dims = 2 if pinned else 3
-        assert 3 <= m and m**dims <= rows < (m + 1) ** dims
+        # the polish takes at most half the budget, and its last window is
+        # the same fraction of its first at every budget, never narrowing
+        # a round by more than two spacings of the last or by half
+        assert 3 <= m and rounds * m**dims <= budget // 2 < rounds * (m + 1) ** dims
+        assert abs(shrink ** (rounds - 1) / oracle._POLISH_NARROWING - 1.0) <= 1e-12
+        assert min(0.5, 4.0 / (m - 1)) <= shrink + 1e-15
         grid = math.prod(a.size for a in axes if a is not None)
         canonical = 5 if pinned else 15
         assert rand >= 1
-        assert canonical + grid + rand + 10 * m**dims == budget
+        assert canonical + grid + rand + rounds * m**dims == budget
 
     def test_pinned_x_draws_do_not_depend_on_the_pinned_value(self):
         # a pinned draw takes no p1 value, so one pinned random set serves

@@ -439,7 +439,6 @@ def polar_grids(draw):
         n = 1
     per_level = st.lists(_coefficient, min_size=n, max_size=n).map(np.array)
     alpha, beta = (draw(st.one_of(_coefficient, per_level)) for _ in range(2))
-    # gamma = kq = 0 selects the affine score
     gamma, kq = (draw(st.one_of(st.just(0.0), _coefficient, per_level)) for _ in range(2))
     rs = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6))
     ts = draw(st.lists(st.floats(min_value=-7.0, max_value=7.0), min_size=1, max_size=8))
@@ -451,8 +450,7 @@ def _polar_reference(coeffs, p1_levels, rs, ts):
     n = 1 if p1_levels is None else p1_levels.size
     alpha, beta, gamma, kq = (np.broadcast_to(c, (n,))[:, None, None] for c in coeffs)
     x = rs[None, :, None] * np.exp(1j * ts[None, None, :])
-    a = alpha + beta * x + gamma * x * x
-    return a, np.abs(a) + kq * (1.0 - np.abs(x) ** 2)
+    return np.abs(alpha + beta * x + gamma * x * x) + kq * (1.0 - np.abs(x) ** 2)
 
 
 @given(polar_grids(), st.integers(min_value=1, max_value=64))
@@ -461,13 +459,13 @@ def test_polar_scan_is_the_complex_grid_maximum(grid, chunk):
     coeffs, p1_levels, rs, ts = grid
     got = polar_scan(lambda _: coeffs, p1_levels, rs, ts, chunk=chunk)
     assert repr(got) == repr(polar_scan(lambda _: coeffs, p1_levels, rs, ts, chunk=10**6))
-    a, ref = _polar_reference(coeffs, p1_levels, rs, ts)
-    value, p1, r, t, re, im = got
+    ref = _polar_reference(coeffs, p1_levels, rs, ts)
+    value, p1, r, t = got
     tol = 1e-15 * (1.0 + sum(np.max(np.abs(c)) for c in coeffs))
     assert abs(value - ref.max()) <= tol
-    # the point is on the grid and carries its A
+    # the point is on the grid and scores the value
     at = (0 if p1 is None else list(p1_levels).index(p1), list(rs).index(r), list(ts).index(t))
-    assert abs(complex(re, im) - a[at]) <= tol
+    assert abs(ref[at] - value) <= tol
     assert (p1 is None) == (p1_levels is None)
     # a maximum that no other point comes near is found at its own index
     top = np.sort(ref.ravel())
@@ -490,7 +488,7 @@ def test_polar_scan_keeps_the_first_of_tied_points(alphas, n_r, n_t, chunk):
     p1_levels = np.linspace(0.0, 2.0, len(alphas))
     rs, ts = np.linspace(0.0, 1.0, n_r), np.linspace(-1.0, 1.0, n_t)
     coefficients = lambda _: (np.array(alphas), 0.0, 0.0, 0.0)  # noqa: E731
-    value, p1, r, t, _, _ = polar_scan(coefficients, p1_levels, rs, ts, chunk=chunk)
+    value, p1, r, t = polar_scan(coefficients, p1_levels, rs, ts, chunk=chunk)
     first = int(np.argmax(np.abs(alphas)))
     assert (value, p1, r, t) == (abs(alphas[first]), p1_levels[first], 0.0, -1.0)
 
@@ -500,20 +498,55 @@ def test_polar_scan_reports_nothing_below_the_incumbent():
     assert polar_scan(lambda _: (1.0, 1.0, 0.0, 0.0), None, rs, ts, best=2.0) is None
 
 
+def test_polar_scan_blocks_hold_at_most_chunk_points(monkeypatch):
+    # rows longer than the block are cut into runs of angles; every grid
+    # point is scored once, and the first maximum is the same at any block
+    sizes = []
+    argmax = np.argmax
+
+    def counting(vals):
+        sizes.append(vals.size)
+        return argmax(vals)
+
+    p1_levels, rs, ts = np.linspace(0.0, 2.0, 3), np.linspace(0.0, 1.0, 5), np.linspace(-3.0, 3.0, 100)
+    coefficients = lambda p1: (p1, 1.0, -0.5, 0.25)  # noqa: E731
+    want = polar_scan(coefficients, p1_levels, rs, ts, chunk=10**6)
+    monkeypatch.setattr(np, "argmax", counting)
+    for chunk in (7, 100, 250):
+        sizes.clear()
+        assert polar_scan(coefficients, p1_levels, rs, ts, chunk=chunk) == want
+        assert max(sizes) <= chunk and sum(sizes) == 3 * 5 * 100
+
+
 def test_polish_stops_at_the_edges_of_the_body():
     # |p1 + x| peaks at p1 = 2, x = 1: the windows cross p1 = 2 and r = 1,
     # which are clipped to their last levels, and t = 0, which is not clipped
     def coefficients(p1):
         return p1, 1.0, 0.0, 0.0
 
-    start = (0.0, 1.9, 0.9, 0.3, 0.0, 0.0)
-    value, p1, r, t, re, im = polish(coefficients, start, (0.5, 0.2, 0.5), 20, 9, 0.5)
+    start = (0.0, 1.9, 0.9, 0.3)
+    value, p1, r, t = polish(coefficients, start, (0.5, 0.2, 0.5), 20, 9, 0.5)
     assert (p1, r) == (2.0, 1.0)
     assert abs(t) <= 1e-5 and abs(value - 3.0) <= 1e-12
-    assert abs(abs(complex(re, im)) - value) <= 1e-15
+    assert abs(value - abs(p1 + r * np.exp(1j * t))) <= 1e-15
     # no round beats an incumbent at the maximum, so it is kept as it is
-    top = (3.0, 2.0, 1.0, 0.0, 3.0, 0.0)
+    top = (3.0, 2.0, 1.0, 0.0)
     assert polish(coefficients, top, (0.5, 0.2, 0.5), 3, 9, 0.5) is top
+
+
+def test_polish_spanning_the_disk_reaches_across_the_origin():
+    # |0.001 + 0.1 x| + 1 - |x|^2 peaks at x = 0.05 (1.0035) and stays
+    # below 1.0027 where Re x <= 0; from x = -0.03 windows of a few angle
+    # spacings stay on that side, windows that span the disk of radius dr
+    # around x take every angle while that disk holds 0
+    def coefficients(_):
+        return 0.001, 0.1, 0.0, 1.0
+
+    start = (abs(0.001 - 0.003) + 1.0 - 0.03**2, None, 0.03, np.pi)
+    value, _, r, t = polish(coefficients, start, (0.0, 0.05, 0.1), 20, 9, 0.5)
+    assert value < 1.0027 and math.cos(t) < 0
+    value, _, r, t = polish(coefficients, start, (0.0, 0.05, 0.1), 20, 9, 0.5, span_disk=True)
+    assert abs(value - 1.0035) <= 1e-12 and math.cos(t) > 0 and abs(r - 0.05) <= 1e-6
 
 
 @pytest.mark.parametrize("pinned", [False, True])
