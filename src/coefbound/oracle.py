@@ -76,8 +76,7 @@ CHUNK_ROWS = 8192
 #: A run keeps its lam-independent input blocks only while they fit in this many bytes.
 SHARED_INPUT_BYTES = 16 * 2**20
 
-#: The first polish round's half-width in exploration grid spacings; a later
-#: round keeps at least this many spacings of the last, or half its width.
+#: First polish half-width in grid spacings; later rounds keep as many of the last's spacings, or half its width.
 _POLISH_SPACINGS = 2.0
 #: The last polish round's width over the first's, at every budget.
 _POLISH_NARROWING = 2.0**-17
@@ -369,7 +368,6 @@ def extremal_search(
         return _quadratic(fn, lam, float(eff) if pinned else p1_levels)
 
     def rescored(found, best, witness):
-        # a polar winner replaces the incumbent only if its witness row scores higher
         if found is None:
             return best, witness
         p1, r, t = found[1:]

@@ -298,27 +298,30 @@ def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: 
     n_rows = rs.size * (1 if p1_levels is None else p1_levels.size)
     rows, width = max(1, chunk // ts.size), min(chunk, ts.size)
     found = None
-    for start in range(0, n_rows, rows):
-        level, radius = np.divmod(np.arange(start, min(n_rows, start + rows)), rs.size)
+    for first in range(0, n_rows, chunk):
+        # row factors of at most chunk rows; row k is radius k % len(rs) of p1 level k // len(rs)
+        level, radius = np.divmod(np.arange(first, min(n_rows, first + chunk)), rs.size)
         r = rs[radius, None]
         alpha, beta, gamma, kq = (c[level, None] if np.ndim(c) else c for c in coefs)
         br, gr2, kr = beta * r, gamma * (r * r), kq * (1.0 - r * r)
-        for col in range(0, ts.size, width):
-            cols = slice(col, col + width)
-            re = br * cos1[cols]
-            re += alpha
-            re += gr2 * cos2[cols]
-            im = br * sin1[cols]
-            im += gr2 * sin2[cols]
-            vals = re * re
-            vals += im * im
-            np.sqrt(vals, out=vals)
-            vals += kr
-            i, j = divmod(int(np.argmax(vals)), vals.shape[1])
-            if vals[i, j] > best:
-                best = float(vals[i, j])
-                p1 = None if p1_levels is None else float(p1_levels[level[i]])
-                found = best, p1, float(r[i, 0]), float(ts[col + j])
+        for start in range(0, r.size, rows):
+            block = slice(start, start + rows)
+            for col in range(0, ts.size, width):
+                cols = slice(col, col + width)
+                re = br[block] * cos1[cols]
+                re += alpha[block] if np.ndim(alpha) else alpha
+                re += gr2[block] * cos2[cols]
+                im = br[block] * sin1[cols]
+                im += gr2[block] * sin2[cols]
+                vals = re * re
+                vals += im * im
+                np.sqrt(vals, out=vals)
+                vals += kr[block]
+                i, j = divmod(int(np.argmax(vals)), vals.shape[1])
+                if vals[i, j] > best:
+                    best = float(vals[i, j])
+                    p1 = None if p1_levels is None else float(p1_levels[level[start + i]])
+                    found = best, p1, float(r[start + i, 0]), float(ts[col + j])
     return found
 
 
@@ -327,10 +330,9 @@ def polish(coefficients, incumbent, widths, rounds, levels, shrink, chunk=8192, 
 
     ``incumbent`` is polar_scan's result and ``widths`` the first half-widths
     (dp1, dr, dt).  A round scans ``levels`` points per axis across c +- w
-    around the incumbent at its start, clipping p1 to [0, 2] and r to [0, 1]
-    but not t.  With ``span_disk`` the t window also spans the disk of
-    radius dr around x (every t once that disk holds 0), which near x = 0
-    a few t spacings do not.
+    around the incumbent, clipping p1 to [0, 2] and r to [0, 1].  With
+    ``span_disk`` the t window also spans the disk of radius dr around x
+    (all t once it holds 0), which near x = 0 a few t spacings do not.
     """
     dp1, dr, dt = widths
     for _ in range(rounds):
