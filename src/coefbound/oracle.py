@@ -368,14 +368,12 @@ def extremal_search(
         return _quadratic(fn, lam, float(eff) if pinned else p1_levels)
 
     def rescored(found, best, witness):
-        if found is None:
-            return best, witness
         p1, r, t = found[1:]
         row = (None if pinned else np.array([p1]), np.array([r * math.cos(t)]), np.array([r * math.sin(t)]))
         return _best_of(fn, lam, eff, [row], best, witness)[:2]
 
     best, witness, evaluated = _best_of(fn, lam, eff, [_canonical(pinned)], -np.inf, None)
-    best, witness = rescored(polar_scan(coefficients, *axes, best, CHUNK_ROWS), best, witness)
+    best, witness = rescored(polar_scan(coefficients, *axes, chunk=CHUNK_ROWS), best, witness)
     best, witness, scanned = _best_of(fn, lam, eff, inputs.random(pinned), best, witness)
     p1, u, v, _ = witness
     start = (best, None if pinned else p1, math.hypot(u, v), math.atan2(v, u))

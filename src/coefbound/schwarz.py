@@ -24,6 +24,7 @@ that carry the bits numpy's complex arithmetic gives, signed zeros included.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -288,40 +289,41 @@ def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: 
 
     A = alpha + beta x + gamma x^2 at x = r e^{it}, with (alpha, beta, gamma,
     kq) = coefficients(p1_levels), each a scalar or one value per level
-    (p1_levels None: no p1 axis), from cos/sin tables of t and 2t.  Blocks
-    of at most ``chunk`` points (whole (p1, r) rows, or runs of one row's
-    angles) each replace the incumbent only where strictly larger: the
-    row-major first maximum at any block size.  Returns (value, p1, r, t) or None.
+    (p1_levels None: no p1 axis), from cos/sin tables of t and 2t.  Rows run
+    over p1 levels, then radii.  Blocks of at most ``chunk`` points (whole
+    rows, or runs of one row's angles) each replace the incumbent only where
+    strictly larger: the row-major first maximum at any block size.
+    Returns (value, p1, r, t) or None.
     """
     coefs = coefficients(p1_levels)
+    affine = not (np.any(coefs[2]) or np.any(coefs[3]))  # then the score is |A| alone
     cos1, sin1, cos2, sin2 = np.cos(ts), np.sin(ts), np.cos(2.0 * ts), np.sin(2.0 * ts)
     n_rows = rs.size * (1 if p1_levels is None else p1_levels.size)
     rows, width = max(1, chunk // ts.size), min(chunk, ts.size)
     found = None
-    for first in range(0, n_rows, chunk):
-        # row factors of at most chunk rows; row k is radius k % len(rs) of p1 level k // len(rs)
+    for first in range(0, n_rows, chunk):  # the row factors of at most chunk rows
         level, radius = np.divmod(np.arange(first, min(n_rows, first + chunk)), rs.size)
         r = rs[radius, None]
         alpha, beta, gamma, kq = (c[level, None] if np.ndim(c) else c for c in coefs)
         br, gr2, kr = beta * r, gamma * (r * r), kq * (1.0 - r * r)
-        for start in range(0, r.size, rows):
-            block = slice(start, start + rows)
-            for col in range(0, ts.size, width):
-                cols = slice(col, col + width)
-                re = br[block] * cos1[cols]
-                re += alpha[block] if np.ndim(alpha) else alpha
+        for start, col in itertools.product(range(0, r.size, rows), range(0, ts.size, width)):
+            block, cols = slice(start, start + rows), slice(col, col + width)
+            re = br[block] * cos1[cols]
+            re += alpha[block] if np.ndim(alpha) else alpha
+            im = br[block] * sin1[cols]
+            if not affine:
                 re += gr2[block] * cos2[cols]
-                im = br[block] * sin1[cols]
                 im += gr2[block] * sin2[cols]
-                vals = re * re
-                vals += im * im
-                np.sqrt(vals, out=vals)
+            vals = re * re
+            vals += im * im
+            np.sqrt(vals, out=vals)
+            if not affine:
                 vals += kr[block]
-                i, j = divmod(int(np.argmax(vals)), vals.shape[1])
-                if vals[i, j] > best:
-                    best = float(vals[i, j])
-                    p1 = None if p1_levels is None else float(p1_levels[level[start + i]])
-                    found = best, p1, float(r[start + i, 0]), float(ts[col + j])
+            i, j = divmod(int(np.argmax(vals)), vals.shape[1])
+            if vals[i, j] > best:
+                best = float(vals[i, j])
+                p1 = None if p1_levels is None else float(p1_levels[level[start + i]])
+                found = best, p1, float(r[start + i, 0]), float(ts[col + j])
     return found
 
 
