@@ -296,7 +296,7 @@ def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: 
     Returns (value, p1, r, t) or None.
     """
     coefs = coefficients(p1_levels)
-    affine = not (np.any(coefs[2]) or np.any(coefs[3]))  # then the score is |A| alone
+    affine = not (np.count_nonzero(coefs[2]) or np.count_nonzero(coefs[3]))  # then the score is |A| alone
     cos1, sin1, cos2, sin2 = np.cos(ts), np.sin(ts), np.cos(2.0 * ts), np.sin(2.0 * ts)
     n_rows = rs.size * (1 if p1_levels is None else p1_levels.size)
     rows, width = max(1, chunk // ts.size), min(chunk, ts.size)
