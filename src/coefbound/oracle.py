@@ -28,9 +28,15 @@ argmax, so its result does not depend on the block size.  The random draws
 do not depend on lam, so while they fit in SHARED_INPUT_BYTES a run draws
 them once and shares the blocks: the (p1, Re x, Im x) columns of the
 free-p1 searches and the (Re x, Im x) columns of the pinned ones, which
-never see the pinned value.  Every search scores the grids afresh.  Neither blocks
-nor sharing reorder a floating-point operation, so every path returns the
-same bits.  The search is single-threaded.
+never see the pinned value.  Above that cap each search draws its own
+blocks and finishes into (Re x, Im x) and scores only the rows whose
+schwarz.score_bound, from (p1, |x|), is above the incumbent; the grids and
+the polish skip (p1, |x|) rows the same way.  The bound is an upper bound
+on the computed score, rounding included, so a skipped row could not have
+passed the strict improvement test.  Every search scores the grids afresh.
+Neither blocks, sharing nor skipping reorder a floating-point operation of
+a scored row, so every path returns the same bits, and ``samples`` counts
+every candidate, scored or bounded out.  The search is single-threaded.
 """
 
 from __future__ import annotations
@@ -49,11 +55,13 @@ from .schwarz import (
     CaratheodoryParams,
     caratheodory_moments,
     caratheodory_to_schwarz,
+    finish_rows,
     grid_axes,
     polar_scan,
     polish,
     random_chunks,
     sample_param_arrays,  # noqa: F401  (unused here; bench/spans.py wraps it under this name)
+    score_bound,
 )
 
 FUNCTIONAL_KINDS = ("abs_a2", "abs_a3", "abs_a4", "abs_a3_minus_a2", "abs_a4_minus_a3")
@@ -259,34 +267,35 @@ def _schedule(budget: int, pinned: bool):
     return axes, budget - canonical - grid - rounds * m**dims, m, rounds, shrink
 
 
-def _shared_bytes(budget: int) -> int:
-    """Bytes of the free (p1, x_re, x_im) and pinned (x_re, x_im) random rows at ``budget``."""
-    return 24 * _schedule(budget, False)[1] + 16 * _schedule(budget, True)[1]
+def _shared_bytes(schedule) -> int:
+    """Bytes of the free (p1, x_re, x_im) and pinned (x_re, x_im) random rows of {pinned: _schedule}."""
+    return 24 * schedule[False][1] + 16 * schedule[True][1]
 
 
 class _SearchInputs:
     """The lam-independent random blocks of every search at one (seed, budget).
 
-    While they fit in SHARED_INPUT_BYTES it keeps, once drawn, the blocks of
-    the free-p1 random phase and those of the pinned one.  Above that it
-    keeps nothing and every search draws its blocks afresh.  Callers own an
-    instance for one run and drop it after.
+    While they fit in SHARED_INPUT_BYTES (``shared``) it keeps, once drawn
+    and finished, the blocks of the free-p1 random phase and those of the
+    pinned one.  Above that it keeps nothing and every search draws its
+    blocks afresh, unfinished.  Callers own an instance for one run and drop
+    it after.
     """
 
     def __init__(self, seed: int, budget: int):
         self.seed = seed
         self.budget = budget
         self.schedule = {pinned: _schedule(budget, pinned) for pinned in (False, True)}
-        self._keep = _shared_bytes(budget) <= SHARED_INPUT_BYTES
+        self.shared = _shared_bytes(self.schedule) <= SHARED_INPUT_BYTES
         self._random: dict = {}
 
     def random(self, pinned: bool):
-        """(p1, x_re, x_im) blocks of the random phase (see random_chunks)."""
+        """The random phase's blocks: finished (p1, x_re, x_im) if shared, else random_chunks' own."""
         blocks = random_chunks(self.seed, self.schedule[pinned][1], pinned, CHUNK_ROWS)
-        if not self._keep:
+        if not self.shared:
             return blocks
         if pinned not in self._random:
-            self._random[pinned] = list(blocks)
+            self._random[pinned] = [(p1, *finish_rows(mod, phase_u)) for p1, mod, phase_u in blocks]
         return self._random[pinned]
 
 
@@ -322,6 +331,27 @@ def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: flo
     return best, witness, scanned
 
 
+def _best_of_draws(fn: Functional, lam: float, eff: Optional[float], draws, best: float, witness):
+    """_best_of over random_chunks' unfinished (p1, |x|, phase uniforms) blocks.
+
+    Only the rows whose score_bound is above the incumbent at the start of
+    their block are finished and scored.  A skipped row scores at most that
+    incumbent, so it could not pass _best_of's strict test, and the result
+    is _best_of's on the finished blocks, bit for bit.  Returns the
+    incumbent and the number of rows drawn, scored or not.
+    """
+    fixed = None if eff is None else _quadratic(fn, lam, float(eff))
+    drawn = 0
+    for p1, mod, phase_u in draws:
+        coefs = _quadratic(fn, lam, p1) if fixed is None else fixed
+        rows = np.flatnonzero(score_bound(*coefs, mod) > best)
+        if rows.size:
+            block = (None if p1 is None else p1[rows], *finish_rows(mod[rows], phase_u[rows]))
+            best, witness, _ = _best_of(fn, lam, eff, [block], best, witness)
+        drawn += mod.size
+    return best, witness, drawn
+
+
 @dataclass(frozen=True)
 class SearchResult:
     value: float
@@ -346,7 +376,8 @@ def extremal_search(
     (at most half the budget).  A polar phase's winner is rescored as a
     (p1, Re x, Im x) row before it may replace the incumbent, so the value
     is its witness's own score; replacement requires strict improvement, so
-    canonical witnesses win exact ties.  ``samples`` is the budget.
+    canonical witnesses win exact ties.  ``samples`` is the budget: every
+candidate, whether scored or skipped by its bound.
     ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET], ``seed`` must be >= 0.
 
     ``inputs`` carries the schedule and the random blocks that verify_claim
@@ -374,7 +405,8 @@ def extremal_search(
 
     best, witness, evaluated = _best_of(fn, lam, eff, [_canonical(pinned)], -np.inf, None)
     best, witness = rescored(polar_scan(coefficients, *axes, chunk=CHUNK_ROWS), best, witness)
-    best, witness, scanned = _best_of(fn, lam, eff, inputs.random(pinned), best, witness)
+    score = _best_of if inputs.shared else _best_of_draws
+    best, witness, scanned = score(fn, lam, eff, inputs.random(pinned), best, witness)
     p1, u, v, _ = witness
     start = (best, None if pinned else p1, math.hypot(u, v), math.atan2(v, u))
     widths = [0.0 if axis is None else _POLISH_SPACINGS * float(axis[1] - axis[0]) for axis in axes]

@@ -14,9 +14,10 @@ coefficients through w = (q - 1)/(q + 1).
 
 The extremal search maximizes over y in closed form (see oracle), so it
 walks (p1, x) only: random rows from random_chunks, as contiguous float64
-columns (p1, x_re, x_im) that carry p1 = None when p1 is pinned, and
-(p1, |x|, arg x) grids through polar_scan and polish, the kernel it shares
-with lemmas.y_bruteforce.
+columns (p1, |x|) that carry p1 = None when p1 is pinned, which
+finish_rows turns into (x_re, x_im) for the rows that score_bound cannot
+rule out, and (p1, |x|, arg x) grids through polar_scan and polish, the
+kernel it shares with lemmas.y_bruteforce.
 sample_param_arrays draws whole (p1, x, y) rows from the same row maps and
 is the one place where complex arrays are built, bit for bit from columns
 that carry the bits numpy's complex arithmetic gives, signed zeros included.
@@ -170,7 +171,7 @@ def sample_param_arrays(
     elif strategy == "random":
         u = np.random.default_rng(seed).random((count, 10))
         p1 = _p1_draw(u)
-        x, y = _modulus_and_phase(u[:, 2:6]), _modulus_and_phase(u[:, 6:10])
+        x, y = _disk_point(u[:, 2:6]), _disk_point(u[:, 6:10])
     elif strategy == "refine-around":
         if center is None:
             raise ValueError("refine-around requires a center")
@@ -247,17 +248,38 @@ def _p1_draw(u: np.ndarray) -> np.ndarray:
     return p1
 
 
-def _modulus_and_phase(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map uniform rows u[:, 0:4] to the (re, im) columns of a disk point with boundary atoms."""
+def _modulus(u: np.ndarray) -> np.ndarray:
+    """Map uniform rows u[:, 0:2] to a disk point's modulus, with atoms at 1 and 0."""
     sel, val = u[:, 0], u[:, 1]
     mod = val.copy()
     mod[sel < 0.125] = 1.0
     mod[(sel >= 0.125) & (sel < 0.1875)] = 0.0
-    selp, valp = u[:, 2], u[:, 3]
+    return mod
+
+
+def _phase(u: np.ndarray) -> np.ndarray:
+    """Map uniform rows u[:, 0:2] to a disk point's phase, with atoms at 0 and pi."""
+    selp, valp = u[:, 0], u[:, 1]
     phase = 2.0 * np.pi * valp
     phase[selp < 0.125] = 0.0
     phase[(selp >= 0.125) & (selp < 0.25)] = np.pi
+    return phase
+
+
+def finish_rows(mod: np.ndarray, phase_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (re, im) columns of the disk points of modulus ``mod`` and phase uniforms ``phase_u``.
+
+    Every row is mapped on its own (the phase map, cos, sin and _polar), so
+    finishing any subset of a block's rows gives those rows' bits of
+    finishing the whole block.
+    """
+    phase = _phase(phase_u)
     return _polar(mod, np.cos(phase), np.sin(phase))
+
+
+def _disk_point(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map uniform rows u[:, 0:4] to the (re, im) columns of a disk point with boundary atoms."""
+    return finish_rows(_modulus(u[:, 0:2]), u[:, 2:4])
 
 
 def _dp1(u: np.ndarray, r: float) -> np.ndarray:
@@ -272,16 +294,41 @@ def _offset(u: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def random_chunks(seed, count: int, pinned: bool, chunk: int):
-    """The random search rows as (p1, x_re, x_im) blocks of at most ``chunk`` rows, in order.
+    """The random search rows as (p1, |x|, phase uniforms) blocks of at most ``chunk`` rows, in order.
 
     Row k maps 6 uniforms through the (p1, x) maps of sample_params' 10-wide
-    random rows; a pinned draw's blocks carry p1 = None.  The blocks
-    concatenate to one draw, and a smaller draw is a prefix of a larger one.
+    random rows, all but the last step: finish_rows(|x|, phase uniforms)
+    gives the (Re x, Im x) columns, for the whole block or for any of its
+    rows.  So a search can bound a row by score_bound from (p1, |x|) and pay
+    for the trigonometry of the rows that may win only.  A pinned draw's
+    blocks carry p1 = None.  The blocks concatenate to one draw, and a
+    smaller draw is a prefix of a larger one.
     """
     rng = np.random.default_rng(seed)
     for start in range(0, count, chunk):
         u = rng.random((min(chunk, count - start), 6))
-        yield (None if pinned else _p1_draw(u), *_modulus_and_phase(u[:, 2:6]))
+        yield None if pinned else _p1_draw(u), _modulus(u[:, 2:4]), u[:, 4:6]
+
+
+#: Rounding margin of score_bound, relative to |alpha| + |beta| + |gamma| + |kq|.
+#: Either scoring route rounds a score by a few dozen units of 2^-53 of that sum.
+BOUND_MARGIN = 1e-12
+
+
+def score_bound(alpha, beta, gamma, kq, r):
+    """An upper bound on the computed score |A| + kq (1 - |x|^2) of every x with |x| = r.
+
+    A = alpha + beta x + gamma x^2, so |A| <= |alpha| + |beta| r + |gamma| r^2,
+    with equality where every phase aligns.  The bound adds BOUND_MARGIN of
+    the coefficients' sizes, which covers the rounding of polar_scan's and
+    oracle._best_of's scores, and of |x| against r for a finished random
+    row.  A row whose bound is not above the incumbent cannot pass the
+    strict improvement test, so skipping it leaves every bit as it is.
+    Works on scalars and on broadcasting arrays.
+    """
+    a, b, g = np.abs(alpha), np.abs(beta), np.abs(gamma)
+    r2 = r * r
+    return a + b * r + g * r2 + BOUND_MARGIN * (a + b + g + np.abs(kq)) + kq * (1.0 - r2)
 
 
 def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: int = 8192):
@@ -292,8 +339,11 @@ def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: 
     (p1_levels None: no p1 axis), from cos/sin tables of t and 2t.  Rows run
     over p1 levels, then radii.  Blocks of at most ``chunk`` points (whole
     rows, or runs of one row's angles) each replace the incumbent only where
-    strictly larger: the row-major first maximum at any block size.
-    Returns (value, p1, r, t) or None.
+    strictly larger: the row-major first maximum at any block size.  The
+    row factors are computed for at most ``chunk`` rows at a time, and a
+    row whose score_bound is not above the incumbent at the start of those
+    rows is not scored: none of its points could replace the incumbent, so
+    the result keeps every bit.  Returns (value, p1, r, t) or None.
     """
     coefs = coefficients(p1_levels)
     affine = not (np.count_nonzero(coefs[2]) or np.count_nonzero(coefs[3]))  # then the score is |A| alone
@@ -304,7 +354,10 @@ def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: 
     for first in range(0, n_rows, chunk):  # the row factors of at most chunk rows
         level, radius = np.divmod(np.arange(first, min(n_rows, first + chunk)), rs.size)
         r = rs[radius, None]
-        alpha, beta, gamma, kq = (c[level, None] if np.ndim(c) else c for c in coefs)
+        row_coefs = [c[level, None] if np.ndim(c) else c for c in coefs]
+        keep = np.flatnonzero(score_bound(*row_coefs, r) > best)
+        level, r = level[keep], r[keep]
+        alpha, beta, gamma, kq = (c[keep] if np.ndim(c) else c for c in row_coefs)
         br, gr2, kr = beta * r, gamma * (r * r), kq * (1.0 - r * r)
         for start, col in itertools.product(range(0, r.size, rows), range(0, ts.size, width)):
             block, cols = slice(start, start + rows), slice(col, col + width)
@@ -327,6 +380,21 @@ def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: 
     return found
 
 
+def _linspace(k: np.ndarray, start: float, stop: float) -> np.ndarray:
+    """np.linspace(start, stop, k.size) bit for bit, from k = np.arange(k.size, dtype=float).
+
+    numpy's own formula: k * step + start with step = (stop - start) / (n - 1),
+    or k / (n - 1) * (stop - start) where that step is 0, and the last level
+    set to stop.  It skips linspace's argument handling; k.size >= 2.
+    """
+    div = k.size - 1
+    step = (stop - start) / div
+    y = k * step if step else k / div * (stop - start)
+    y += start
+    y[-1] = stop
+    return y
+
+
 def polish(coefficients, incumbent, widths, rounds, levels, shrink, chunk=8192, *, span_disk=False):
     """Rounds of polar_scan on local grids around the incumbent, each ``shrink`` times narrower.
 
@@ -336,13 +404,14 @@ def polish(coefficients, incumbent, widths, rounds, levels, shrink, chunk=8192, 
     ``span_disk`` the t window also spans the disk of radius dr around x
     (all t once it holds 0), which near x = 0 a few t spacings do not.
     """
+    k = np.arange(levels, dtype=float)
     dp1, dr, dt = widths
     for _ in range(rounds):
         value, p1, r, t = incumbent
         arc = dt if not span_disk else max(dt, math.asin(dr / r)) if r > dr else math.pi
-        p1_levels = None if p1 is None else np.linspace(max(0.0, p1 - dp1), min(2.0, p1 + dp1), levels)
-        rs = np.linspace(max(0.0, r - dr), min(1.0, r + dr), levels)
-        ts = np.linspace(t - arc, t + arc, levels)
+        p1_levels = None if p1 is None else _linspace(k, max(0.0, p1 - dp1), min(2.0, p1 + dp1))
+        rs = _linspace(k, max(0.0, r - dr), min(1.0, r + dr))
+        ts = _linspace(k, t - arc, t + arc)
         incumbent = polar_scan(coefficients, p1_levels, rs, ts, value, chunk) or incumbent
         dp1, dr, dt = dp1 * shrink, dr * shrink, dt * shrink
     return incumbent

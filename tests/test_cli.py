@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import types
@@ -369,6 +370,12 @@ class TestRootsCommand:
         assert doc["residual"] < 1e-10
 
 
+#: sha256 of the default `report --seed 42` JSON with every duration_ms zeroed, as
+#: bench/workloads.py hashes it.  A change that moves the report on purpose
+#: updates this digest and says so.
+REPORT_DIGEST = "2e5033dc20c8d69d7767244bdb34409a49b24777d6ecc5ce47a1e035e8aaca4f"
+
+
 def _normalize_durations(doc):
     for claim in doc["claims"]:
         claim["duration_ms"] = 0
@@ -391,3 +398,9 @@ class TestReportCommand:
         doc1 = _normalize_durations(json.loads(out1))
         doc2 = _normalize_durations(json.loads(out2))
         assert json.dumps(doc1) == json.dumps(doc2)
+
+    def test_default_report_keeps_its_pinned_digest(self, capsys):
+        code, out, _ = run_cli(capsys, "report", "--seed", "42")
+        assert code == 1
+        doc = _normalize_durations(json.loads(out))
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == REPORT_DIGEST

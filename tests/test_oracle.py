@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coefbound import oracle
@@ -17,6 +17,7 @@ from coefbound.oracle import (
     functional_value,
     _SearchInputs,
     _best_of,
+    _best_of_draws,
     _functional,
     _maximizing_y,
     _moments,
@@ -29,7 +30,14 @@ from coefbound.oracle import (
     verify_claim,
 )
 from coefbound.bounds import bound
-from coefbound.schwarz import CaratheodoryParams, grid_axes, random_chunks, sample_params
+from coefbound.schwarz import (
+    CaratheodoryParams,
+    finish_rows,
+    grid_axes,
+    random_chunks,
+    sample_params,
+    score_bound,
+)
 
 
 class TestFunctional:
@@ -338,6 +346,97 @@ class TestStreamingSearch:
         assert peak < 32 * 2**20, peak
 
 
+def _finished(blocks):
+    return [(p1, *finish_rows(mod, phase_u)) for p1, mod, phase_u in blocks]
+
+
+def _draw_bounds(fn, lam, draws):
+    """score_bound and the bare triangle bound (no rounding margin) of every drawn row."""
+    p1 = fn.effective_p1
+    if p1 is None:
+        p1 = np.concatenate([block[0] for block in draws])
+    r = np.concatenate([block[1] for block in draws])
+    alpha, beta, gamma, kq = _quadratic(fn, lam, p1)
+    triangle = abs(alpha) + abs(beta) * r + abs(gamma) * (r * r) + kq * (1.0 - r * r)
+    return score_bound(alpha, beta, gamma, kq, r), triangle
+
+
+class TestBoundedDraws:
+    @given(
+        functionals(),
+        st.floats(min_value=0.01, max_value=math.pi / 2),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=64),
+        st.sampled_from(["none", "max", "below", "bound", "triangle"]),
+        st.integers(min_value=0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_draws_score_as_the_finished_rows(self, fn, lam, seed, count, chunk, incumbent, row):
+        # a row is left unfinished only where it could not pass the strict
+        # test, so every incumbent, ties included, keeps every bit
+        eff = fn.effective_p1
+
+        def draws():
+            return list(random_chunks(seed, count, eff is not None, chunk))
+
+        top = _best_of(fn, lam, eff, _finished(draws()), -np.inf, None)[0]
+        bound, triangle = (np.broadcast_to(b, (count,)) for b in _draw_bounds(fn, lam, draws()))
+        best = {
+            "none": -np.inf,
+            "max": top,
+            "below": np.nextafter(top, -np.inf),
+            "bound": bound[row % count],
+            "triangle": triangle[row % count],
+        }[incumbent]
+        want = _best_of(fn, lam, eff, _finished(draws()), float(best), None)
+        assert repr(_best_of_draws(fn, lam, eff, draws(), float(best), None)) == repr(want)
+
+    def test_draws_on_the_circle_can_round_above_the_bare_bound(self):
+        # at p1 = 0, |a4| is k q (1 - |x|^2) alone, 0 on the circle, but
+        # 1 - u^2 - v^2 rounds above 0 on some finished rows: the margin keeps them
+        fn = Functional("abs_a4", "starlike", fixed_p=0.0)
+        block = (None, np.ones(64), np.random.default_rng(0).random((64, 2)))
+        want = _best_of(fn, 1.0, 0.0, _finished([block]), 0.0, None)
+        assert want[0] > 0.0
+        assert repr(_best_of_draws(fn, 1.0, 0.0, [block], 0.0, None)) == repr(want)
+
+    @pytest.mark.parametrize("p", [None, 0.5])
+    def test_no_row_bounded_at_the_incumbent_is_finished(self, monkeypatch, p):
+        finished = []
+
+        def counting(mod, phase_u):
+            finished.append(mod.size)
+            return finish_rows(mod, phase_u)
+
+        monkeypatch.setattr(oracle, "finish_rows", counting)
+        fn = Functional("abs_a4_minus_a3" if p else "abs_a4", "convex", fixed_p=p)
+        draws = list(random_chunks(4, 2000, p is not None, 512))
+        best = float(np.max(_draw_bounds(fn, 0.9, draws)[0]))
+        assert _best_of_draws(fn, 0.9, fn.effective_p1, draws, best, None) == (best, None, 2000)
+        assert finished == []
+        # one ulp lower, the rows at that bound are finished
+        _best_of_draws(fn, 0.9, fn.effective_p1, draws, float(np.nextafter(best, -np.inf)), None)
+        assert finished
+
+    def test_an_unshared_pinned_search_finishes_few_of_its_random_rows(self, monkeypatch):
+        # 12.6 % of the rows survive: about the |x| = 1 atom of the draw
+        fn, budget = Functional("abs_a4_minus_a3", "convex", fixed_p=0.3), 200_000
+        shared = extremal_search(fn, 0.6, budget=budget, seed=9)
+        finished = []
+
+        def counting(mod, phase_u):
+            finished.append(mod.size)
+            return finish_rows(mod, phase_u)
+
+        monkeypatch.setattr(oracle, "finish_rows", counting)
+        monkeypatch.setattr(oracle, "SHARED_INPUT_BYTES", 0)
+        unshared = extremal_search(fn, 0.6, budget=budget, seed=9)
+        assert _bits(unshared) == _bits(shared)
+        assert unshared.samples == budget
+        assert 0 < sum(finished) < _schedule(budget, True)[1] / 4
+
+
 unit_disk = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
 
@@ -413,7 +512,7 @@ class TestMaximumOverY:
         assert {p1 is None for p1, _, _ in pinned} == {True}
         columns = [a for block in free + pinned for a in block if a is not None]
         assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in columns)
-        assert sum(a.nbytes for a in columns) == _shared_bytes(5000)
+        assert sum(a.nbytes for a in columns) == _shared_bytes(inputs.schedule)
 
     @pytest.mark.parametrize("pinned", [False, True])
     @pytest.mark.parametrize("budget", [1000, 1001, 5000, 99_999, 100_000, 2_000_000])
@@ -437,7 +536,8 @@ class TestMaximumOverY:
         # of the free draw's blocks; a pinned grid has no p1 axis
         assert grid_axes(3000, True)[0] is None
         pinned, free = random_chunks(5, 3000, True, 1000), random_chunks(5, 3000, False, 1000)
-        for (p1, u, v), (free_p1, free_u, free_v) in zip(pinned, free, strict=True):
+        for (p1, *x), (free_p1, *free_x) in zip(pinned, free, strict=True):
+            (u, v), (free_u, free_v) = finish_rows(*x), finish_rows(*free_x)
             assert p1 is None and free_p1.size == u.size
             assert u.tobytes() == free_u.tobytes() and v.tobytes() == free_v.tobytes()
 

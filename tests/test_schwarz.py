@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coefbound.schwarz import (
@@ -15,6 +15,7 @@ from coefbound.schwarz import (
     _offset,
     _project_disk,
     caratheodory_to_schwarz,
+    finish_rows,
     grid_axes,
     polar_scan,
     polish,
@@ -22,8 +23,10 @@ from coefbound.schwarz import (
     refine_around,
     sample_param_arrays,
     sample_params,
+    score_bound,
     validate_schwarz,
 )
+from coefbound.schwarz import _linspace
 
 unit_disk = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
@@ -287,6 +290,11 @@ def _joined(blocks, chunk):
     return [None if p1[0] is None else np.concatenate(p1), *map(np.concatenate, parts)]
 
 
+def _finished(blocks):
+    """random_chunks' (p1, |x|, phase uniforms) blocks, each finished to (p1, x_re, x_im)."""
+    return [(p1, *finish_rows(mod, phase_u)) for p1, mod, phase_u in blocks]
+
+
 def _search_columns(got, want, pinned):
     """Check joined search blocks against the (p1, x) of a reference; pinned ones carry p1 None."""
     assert len(got) == 3
@@ -325,7 +333,7 @@ def test_sample_grid_is_the_two_disk_grid(count, fixed_p1):
 def test_random_chunks_concatenate_to_one_draw(seed, count, fixed_p1, chunk):
     # a search row is the (p1, x) of a 6-uniform row of one draw
     pinned = fixed_p1 is not None
-    got = _joined(random_chunks(seed, count, pinned, chunk), chunk)
+    got = _joined(_finished(random_chunks(seed, count, pinned, chunk)), chunk)
     _search_columns(got, _random_reference(seed, count, fixed_p1, 6), pinned)
 
 
@@ -361,7 +369,7 @@ def test_random_bits_match_the_complex_draw(seed, fixed_p1):
     # 20,000 rows, in the search's blocks of 8192, hit every atom about
     # 1,000 times, the signed zeros of the zero-modulus atom included
     pinned = fixed_p1 is not None
-    got = _joined(random_chunks(seed, 20_000, pinned, 8192), 8192)
+    got = _joined(_finished(random_chunks(seed, 20_000, pinned, 8192)), 8192)
     want = _random_reference(seed, 20_000, fixed_p1, 6)
     assert np.count_nonzero(want[1] == 0.0) > 500
     assert np.signbit(want[1].real[want[1] == 0.0]).any()
@@ -516,6 +524,158 @@ def test_polar_scan_blocks_hold_at_most_chunk_points(monkeypatch):
         sizes.clear()
         assert polar_scan(coefficients, p1_levels, rs, ts, chunk=chunk) == want
         assert max(sizes) <= chunk and sum(sizes) == 3 * 5 * 100
+
+
+def _polar_scan_unbounded(coefficients, p1_levels, rs, ts, best=-math.inf, chunk=8192):
+    """polar_scan without the row bound: every point of the grid is scored."""
+    coefs = coefficients(p1_levels)
+    affine = not (np.count_nonzero(coefs[2]) or np.count_nonzero(coefs[3]))
+    cos1, sin1, cos2, sin2 = np.cos(ts), np.sin(ts), np.cos(2.0 * ts), np.sin(2.0 * ts)
+    n_rows = rs.size * (1 if p1_levels is None else p1_levels.size)
+    rows, width = max(1, chunk // ts.size), min(chunk, ts.size)
+    found = None
+    for first in range(0, n_rows, chunk):
+        level, radius = np.divmod(np.arange(first, min(n_rows, first + chunk)), rs.size)
+        r = rs[radius, None]
+        alpha, beta, gamma, kq = (c[level, None] if np.ndim(c) else c for c in coefs)
+        br, gr2, kr = beta * r, gamma * (r * r), kq * (1.0 - r * r)
+        for start in range(0, r.size, rows):
+            for col in range(0, ts.size, width):
+                block, cols = slice(start, start + rows), slice(col, col + width)
+                re = br[block] * cos1[cols]
+                re += alpha[block] if np.ndim(alpha) else alpha
+                im = br[block] * sin1[cols]
+                if not affine:
+                    re += gr2[block] * cos2[cols]
+                    im += gr2[block] * sin2[cols]
+                vals = re * re
+                vals += im * im
+                np.sqrt(vals, out=vals)
+                if not affine:
+                    vals += kr[block]
+                i, j = divmod(int(np.argmax(vals)), vals.shape[1])
+                if vals[i, j] > best:
+                    best = float(vals[i, j])
+                    p1 = None if p1_levels is None else float(p1_levels[level[start + i]])
+                    found = best, p1, float(r[start + i, 0]), float(ts[col + j])
+    return found
+
+
+def _row_bounds(coeffs, p1_levels, rs):
+    """score_bound and the bare triangle bound (no rounding margin) of every (p1, r) row."""
+    n = 1 if p1_levels is None else p1_levels.size
+    alpha, beta, gamma, kq = (np.broadcast_to(c, (n,))[:, None] for c in coeffs)
+    r = rs[None, :]
+    triangle = np.abs(alpha) + np.abs(beta) * r + np.abs(gamma) * (r * r) + kq * (1.0 - r * r)
+    return score_bound(alpha, beta, gamma, kq, r).ravel(), triangle.ravel()
+
+
+#: Angles within 1e-6 of 0, where |A| can round above the bare triangle bound.
+_near_zero = st.floats(min_value=-1e-6, max_value=1e-6)
+
+
+@st.composite
+def bounded_scans(draw):
+    """A polar grid and an incumbent: none, the grid maximum, one ulp below it, or at a row's bound."""
+    coeffs, p1_levels, rs, ts = draw(polar_grids())
+    ts = np.append(ts, draw(st.lists(_near_zero, max_size=3)))
+    top = _polar_scan_unbounded(lambda _: coeffs, p1_levels, rs, ts)[0]
+    bound, triangle = _row_bounds(coeffs, p1_levels, rs)
+    row = draw(st.integers(min_value=0, max_value=bound.size - 1))
+    best = draw(st.sampled_from([-math.inf, top, np.nextafter(top, -math.inf), bound[row], triangle[row]]))
+    return coeffs, p1_levels, rs, ts, float(best)
+
+
+# each example has one point whose computed score rounds above the bare triangle bound of its row
+_above_triangle = [
+    ((0.0, 0.21977905140063492, 0.0, 0.0), 1.0, 0.013670235940547695),
+    ((0.0, 2.0669152354878, 0.0, 0.6026134915729671), 1.0, -2.393901054228893e-07),
+    ((0.5436186786929604, 2.349270510588612, 0.5103905045901137, 0.0), 0.7622546197746868, -1.4530921647174914e-08),
+]
+
+
+def _at_triangle(coeffs, r, t):
+    """The one-point scan at (r, t) with its incumbent at the row's bare triangle bound."""
+    rs = np.array([r])
+    return coeffs, None, rs, np.array([t]), float(_row_bounds(coeffs, None, rs)[1][0])
+
+
+@given(bounded_scans(), st.integers(min_value=1, max_value=64))
+@settings(max_examples=300, deadline=None)
+@example(_at_triangle(*_above_triangle[0]), 1)
+@example(_at_triangle(*_above_triangle[1]), 1)
+@example(_at_triangle(*_above_triangle[2]), 1)
+def test_bounded_polar_scan_is_the_unbounded_scan(scan, chunk):
+    # rows are skipped only where no point could pass the strict test, so
+    # ties, incumbents at the maximum and at a row's bound keep every bit
+    coeffs, p1_levels, rs, ts, best = scan
+    got = polar_scan(lambda _: coeffs, p1_levels, rs, ts, best, chunk)
+    assert repr(got) == repr(_polar_scan_unbounded(lambda _: coeffs, p1_levels, rs, ts, best, chunk))
+
+
+@given(
+    st.tuples(_coefficient, _coefficient, _coefficient, _coefficient),
+    st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+    st.one_of(_near_zero, st.floats(min_value=-7.0, max_value=7.0)),
+)
+@settings(max_examples=500, deadline=None)
+@example(*_above_triangle[0])
+@example(*_above_triangle[1])
+@example(*_above_triangle[2])
+def test_score_bound_is_above_every_computed_score(coeffs, r, t):
+    rs, ts = np.array([r]), np.array([t])
+    value = _polar_scan_unbounded(lambda _: coeffs, None, rs, ts)[0]
+    assert value <= score_bound(*coeffs, r)
+
+
+def test_computed_scores_can_round_above_the_bare_triangle_bound():
+    # so the bound needs its margin
+    for coeffs, r, t in _above_triangle:
+        rs = np.array([r])
+        value = _polar_scan_unbounded(lambda _: coeffs, None, rs, np.array([t]))[0]
+        assert _row_bounds(coeffs, None, rs)[1][0] < value <= score_bound(*coeffs, r)
+
+
+def test_polar_scan_scores_no_row_bounded_at_the_incumbent(monkeypatch):
+    sizes = []
+    argmax = np.argmax
+
+    def counting(vals):
+        sizes.append(vals.size)
+        return argmax(vals)
+
+    p1_levels, rs, ts = np.linspace(0.0, 2.0, 3), np.linspace(0.0, 1.0, 5), np.linspace(-3.0, 3.0, 40)
+    coeffs = (p1_levels, 1.0, -0.5, 0.25)
+    best = float(_row_bounds(coeffs, p1_levels, rs)[0].max())
+    monkeypatch.setattr(np, "argmax", counting)
+    assert polar_scan(lambda _: coeffs, p1_levels, rs, ts, best) is None
+    assert sizes == []
+    # one ulp lower, the rows at that bound are scored
+    polar_scan(lambda _: coeffs, p1_levels, rs, ts, float(np.nextafter(best, -math.inf)))
+    assert sizes
+
+
+_subnormal = st.floats(min_value=-1e-307, max_value=1e-307)
+_endpoint = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@given(
+    st.one_of(
+        st.tuples(_endpoint, _endpoint),
+        _endpoint.map(lambda a: (a, a)),  # equal endpoints
+        st.tuples(_subnormal, _subnormal),  # widths that divide to 0
+        st.tuples(st.floats(min_value=-4.0, max_value=4.0), st.floats(min_value=-4.0, max_value=4.0)),
+    ),
+    st.integers(min_value=2, max_value=200),
+)
+@settings(max_examples=1000, deadline=None)
+@example((0.0, 5e-324), 3)
+@example((-0.0, 0.0), 2)
+@example((1.0, 1.0 + 2.0**-52), 65)
+def test_polish_levels_are_linspace_bit_for_bit(ends, n):
+    start, stop = ends
+    got = _linspace(np.arange(n, dtype=float), start, stop)
+    assert got.tobytes() == np.linspace(start, stop, n).tobytes()
 
 
 def test_polish_stops_at_the_edges_of_the_body():
