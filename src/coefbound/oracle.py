@@ -377,7 +377,7 @@ def extremal_search(
     (p1, Re x, Im x) row before it may replace the incumbent, so the value
     is its witness's own score; replacement requires strict improvement, so
     canonical witnesses win exact ties.  ``samples`` is the budget: every
-candidate, whether scored or skipped by its bound.
+    candidate, whether scored or skipped by its bound.
     ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET], ``seed`` must be >= 0.
 
     ``inputs`` carries the schedule and the random blocks that verify_claim
