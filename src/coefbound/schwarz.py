@@ -314,21 +314,29 @@ def random_chunks(seed, count: int, pinned: bool, chunk: int):
 #: Either scoring route rounds a score by a few dozen units of 2^-53 of that sum.
 BOUND_MARGIN = 1e-12
 
+#: Absolute rounding margin of score_bound.  Below |A| ~ 1e-154 the squares in
+#: sqrt(re^2 + im^2) are subnormal and each rounds by up to 2^-1075, so the
+#: computed |A| can exceed the true one by up to sqrt(3 * 2^-1075) ~ 3e-162,
+#: far more than BOUND_MARGIN of the coefficients' sizes.
+BOUND_FLOOR = 1e-160
+
 
 def score_bound(alpha, beta, gamma, kq, r):
     """An upper bound on the computed score |A| + kq (1 - |x|^2) of every x with |x| = r.
 
     A = alpha + beta x + gamma x^2, so |A| <= |alpha| + |beta| r + |gamma| r^2,
     with equality where every phase aligns.  The bound adds BOUND_MARGIN of
-    the coefficients' sizes, which covers the rounding of polar_scan's and
-    oracle._best_of's scores, and of |x| against r for a finished random
-    row.  A row whose bound is not above the incumbent cannot pass the
-    strict improvement test, so skipping it leaves every bit as it is.
+    the coefficients' sizes and BOUND_FLOOR, which cover the rounding of
+    polar_scan's and oracle._best_of's scores, subnormal squares included,
+    and of |x| against r for a finished random row.  A row whose bound is
+    not above the incumbent cannot pass the strict improvement test, so
+    skipping it leaves every bit as it is.
     Works on scalars and on broadcasting arrays.
     """
     a, b, g = np.abs(alpha), np.abs(beta), np.abs(gamma)
     r2 = r * r
-    return a + b * r + g * r2 + BOUND_MARGIN * (a + b + g + np.abs(kq)) + kq * (1.0 - r2)
+    margin = BOUND_MARGIN * (a + b + g + np.abs(kq)) + BOUND_FLOOR
+    return a + b * r + g * r2 + margin + kq * (1.0 - r2)
 
 
 def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: int = 8192):

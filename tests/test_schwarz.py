@@ -622,6 +622,7 @@ def test_bounded_polar_scan_is_the_unbounded_scan(scan, chunk):
 @example(*_above_triangle[0])
 @example(*_above_triangle[1])
 @example(*_above_triangle[2])
+@example((0.0, 0.0, 3.741981267376287e-157, 0.0), 1.0, 0.0)  # |A|^2 is subnormal
 def test_score_bound_is_above_every_computed_score(coeffs, r, t):
     rs, ts = np.array([r]), np.array([t])
     value = _polar_scan_unbounded(lambda _: coeffs, None, rs, ts)[0]
