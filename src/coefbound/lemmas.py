@@ -149,7 +149,11 @@ def y_bruteforce(a: float, b: float, c: float) -> float:
     angles; schwarz.polish then runs five 65 x 65 local grids around the
     incumbent, each a quarter as wide as the last, starting from two grid
     spacings.  Ties resolve to the first grid index, so the result does not
-    depend on the kernel's blocks.  a, b and c must be finite.
+    depend on the kernel's blocks.  The kernel scores the radius of largest
+    bound a + |b| r + |c| r^2 + 1 - r^2 first, and then only the radii
+    whose bound is above that row's maximum: usually that row alone, 2 of
+    the grid's 512 rows scored, with the bits of scoring all of them.
+    a, b and c must be finite.
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError(f"a, b and c must be finite, got a={a}, b={b}, c={c}")

@@ -339,6 +339,30 @@ def score_bound(alpha, beta, gamma, kq, r):
     return a + b * r + g * r2 + margin + kq * (1.0 - r2)
 
 
+def _scores(factors, trig, rows, cols, affine):
+    """|A| + kq (1 - r^2) of the block ``rows`` x ``cols`` of a polar grid.
+
+    ``factors`` are the rows' (alpha, beta r, gamma r^2, kq (1 - r^2)),
+    alpha a scalar or a column like the others, and ``trig`` the cos t,
+    sin t, cos 2t and sin 2t tables.  Every element goes through the same
+    operations whatever the block, so a point has the same bits in any block.
+    """
+    alpha, br, gr2, kr = factors
+    cos1, sin1, cos2, sin2 = trig
+    re = br[rows] * cos1[cols]
+    re += alpha[rows] if np.ndim(alpha) else alpha
+    im = br[rows] * sin1[cols]
+    if not affine:
+        re += gr2[rows] * cos2[cols]
+        im += gr2[rows] * sin2[cols]
+    vals = re * re
+    vals += im * im
+    np.sqrt(vals, out=vals)
+    if not affine:
+        vals += kr[rows]
+    return vals
+
+
 def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: int = 8192):
     """The first point of the grid p1_levels x rs x ts where |A| + kq (1 - r^2) exceeds ``best``.
 
@@ -347,39 +371,44 @@ def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: 
     (p1_levels None: no p1 axis), from cos/sin tables of t and 2t.  Rows run
     over p1 levels, then radii.  Blocks of at most ``chunk`` points (whole
     rows, or runs of one row's angles) each replace the incumbent only where
-    strictly larger: the row-major first maximum at any block size.  The
-    row factors are computed for at most ``chunk`` rows at a time, and a
-    row whose score_bound is not above the incumbent at the start of those
-    rows is not scored: none of its points could replace the incumbent, so
-    the result keeps every bit.  Returns (value, p1, r, t) or None.
+    strictly larger: the row-major first maximum at any block size.
+
+    The rows are taken at most ``chunk`` at a time, and only those whose
+    score_bound is above the incumbent are scanned, from the incumbent.
+    Where they fill more than one block, the row of largest bound is scored
+    first, in runs of at most ``chunk`` angles, and the incumbent is lifted
+    to the float just below that row's maximum v, where that is higher, so
+    the bound keeps fewer rows (one block's rows would cost a block either
+    way).  v is a grid score, so it is at most the grid maximum M, and every
+    row holding a point of value M is bounded at M or more and kept: the
+    scan still returns the first point of value M, ties in earlier rows
+    included, and a skipped row has no point that could replace the
+    incumbent, so the result keeps every bit.  Returns (value, p1, r, t)
+    or None.
     """
     coefs = coefficients(p1_levels)
     affine = not (np.count_nonzero(coefs[2]) or np.count_nonzero(coefs[3]))  # then the score is |A| alone
-    cos1, sin1, cos2, sin2 = np.cos(ts), np.sin(ts), np.cos(2.0 * ts), np.sin(2.0 * ts)
+    trig = np.cos(ts), np.sin(ts), np.cos(2.0 * ts), np.sin(2.0 * ts)
     n_rows = rs.size * (1 if p1_levels is None else p1_levels.size)
     rows, width = max(1, chunk // ts.size), min(chunk, ts.size)
     found = None
     for first in range(0, n_rows, chunk):  # the row factors of at most chunk rows
         level, radius = np.divmod(np.arange(first, min(n_rows, first + chunk)), rs.size)
         r = rs[radius, None]
-        row_coefs = [c[level, None] if np.ndim(c) else c for c in coefs]
-        keep = np.flatnonzero(score_bound(*row_coefs, r) > best)
+        alpha, beta, gamma, kq = (c[level, None] if np.ndim(c) else c for c in coefs)
+        bound = score_bound(alpha, beta, gamma, kq, r).ravel()
+        factors = alpha, beta * r, gamma * (r * r), kq * (1.0 - r * r)
+        keep = np.flatnonzero(bound > best)
+        if keep.size > rows:  # more than one block: seed the incumbent from the top-bound row
+            top = int(np.argmax(bound))
+            runs = (slice(col, col + width) for col in range(0, ts.size, width))
+            v = max(float(_scores(factors, trig, slice(top, top + 1), cols, affine).max()) for cols in runs)
+            best = max(best, math.nextafter(v, -math.inf))
+            keep = np.flatnonzero(bound > best)
         level, r = level[keep], r[keep]
-        alpha, beta, gamma, kq = (c[keep] if np.ndim(c) else c for c in row_coefs)
-        br, gr2, kr = beta * r, gamma * (r * r), kq * (1.0 - r * r)
+        factors = [c[keep] if np.ndim(c) else c for c in factors]
         for start, col in itertools.product(range(0, r.size, rows), range(0, ts.size, width)):
-            block, cols = slice(start, start + rows), slice(col, col + width)
-            re = br[block] * cos1[cols]
-            re += alpha[block] if np.ndim(alpha) else alpha
-            im = br[block] * sin1[cols]
-            if not affine:
-                re += gr2[block] * cos2[cols]
-                im += gr2[block] * sin2[cols]
-            vals = re * re
-            vals += im * im
-            np.sqrt(vals, out=vals)
-            if not affine:
-                vals += kr[block]
+            vals = _scores(factors, trig, slice(start, start + rows), slice(col, col + width), affine)
             i, j = divmod(int(np.argmax(vals)), vals.shape[1])
             if vals[i, j] > best:
                 best = float(vals[i, j])

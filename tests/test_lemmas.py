@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coefbound import lemmas
 from coefbound.lemmas import (
     Region,
     UnclassifiedRegionError,
@@ -195,6 +197,31 @@ class TestYBruteforce:
         # the shared polar kernel gives the bits of y_bruteforce's own former
         # scan-and-refine loops, written out here over whole arrays
         assert repr(y_bruteforce(a, b, c)) == repr(_two_loop_y(a, b, c))
+
+    def test_keeps_its_pinned_digest(self):
+        # a kernel change that moves any of these bits fails here
+        values = np.array([y_bruteforce(float(a), float(b), float(c)) for a, b, c in _digest_cases()])
+        assert hashlib.sha256(values.tobytes()).hexdigest() == Y_DIGEST
+
+    @pytest.mark.parametrize("a, b, c", [(0.7, -2.0, 1.3), (0.0, 0.0, 0.0), (3.0, 6.0, 3.0)])
+    def test_the_grid_scores_few_of_its_rows(self, grid_points_scored, a, b, c):
+        # the row of largest bound is scored first and lifts the incumbent,
+        # so the bound prunes from the grid's first row
+        points = grid_points_scored(lemmas, lambda: y_bruteforce(a, b, c))
+        assert 0 < points < 0.05 * 512 * 1024
+
+
+#: sha256 of the float64 bytes of y_bruteforce over _digest_cases().  A change
+#: that moves these bits on purpose updates this digest and says so.
+Y_DIGEST = "ff9b668dd1a94c342bb70508f3299acf67fb4d86e8b743280b73e37e6ed9ad1d"
+
+
+def _digest_cases():
+    """40 seeded (a, b, c), then seven hand cases: zero, both branches, tiny b and the box corner."""
+    rng = np.random.default_rng(5)
+    a, b, c = rng.uniform(0.0, 3.0, 40), rng.uniform(-6.0, 6.0, 40), rng.uniform(0.0, 3.0, 40)
+    hand = [(0, 0, 0), (1, 3, 0), (0, 0, 2), (0.5, 1, 0.5), (2, -1.5, 0.3), (0, 1e-3, 0), (3, 6, 3)]
+    return [*zip(a, b, c), *hand]
 
 
 def _two_loop_y(a, b, c):

@@ -436,6 +436,16 @@ class TestBoundedDraws:
         assert unshared.samples == budget
         assert 0 < sum(finished) < _schedule(budget, True)[1] / 4
 
+    @pytest.mark.parametrize("cls, p, lam", [("starlike", 0.6, 1.0), ("convex", 0.3, 1.4)])
+    def test_a_pinned_search_scores_few_of_its_grid_rows(self, grid_points_scored, cls, p, lam):
+        # the grid's row of largest bound is scored first and lifts the
+        # incumbent, so the bound prunes from the grid's first row (at
+        # p1 = 2 every point ties and no row can be pruned)
+        fn = Functional("abs_a4_minus_a3", cls, fixed_p=p)
+        points = grid_points_scored(oracle, lambda: extremal_search(fn, lam))
+        _, mod, arg = _schedule(oracle.DEFAULT_BUDGET, True)[0]
+        assert 0 < points < 0.05 * mod.size * arg.size
+
 
 unit_disk = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 

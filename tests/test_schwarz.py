@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from coefbound.schwarz import (
     score_bound,
     validate_schwarz,
 )
+from coefbound import schwarz
 from coefbound.schwarz import _linspace
 
 unit_disk = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -506,24 +508,42 @@ def test_polar_scan_reports_nothing_below_the_incumbent():
     assert polar_scan(lambda _: (1.0, 1.0, 0.0, 0.0), None, rs, ts, best=2.0) is None
 
 
+def _spy_scores(monkeypatch):
+    """Record (points, alpha, beta r) of every block that schwarz._scores scores, seed rows included."""
+    blocks = []
+    scores = schwarz._scores
+
+    def recording(factors, trig, rows, cols, affine):
+        vals = scores(factors, trig, rows, cols, affine)
+        alpha, br = factors[0], factors[1]
+        blocks.append((vals.size, alpha[rows] if np.ndim(alpha) else alpha, br[rows]))
+        return vals
+
+    monkeypatch.setattr(schwarz, "_scores", recording)
+    return blocks
+
+
 def test_polar_scan_blocks_hold_at_most_chunk_points(monkeypatch):
-    # rows longer than the block are cut into runs of angles; every grid
-    # point is scored once, and the first maximum is the same at any block
-    sizes = []
-    argmax = np.argmax
-
-    def counting(vals):
-        sizes.append(vals.size)
-        return argmax(vals)
-
+    # rows longer than the block are cut into runs of angles, in the scan and
+    # in the seed row, and the first maximum is the same at any block
     p1_levels, rs, ts = np.linspace(0.0, 2.0, 3), np.linspace(0.0, 1.0, 5), np.linspace(-3.0, 3.0, 100)
     coefficients = lambda p1: (p1, 1.0, -0.5, 0.25)  # noqa: E731
     want = polar_scan(coefficients, p1_levels, rs, ts, chunk=10**6)
-    monkeypatch.setattr(np, "argmax", counting)
+    blocks = _spy_scores(monkeypatch)
     for chunk in (7, 100, 250):
-        sizes.clear()
+        blocks.clear()
         assert polar_scan(coefficients, p1_levels, rs, ts, chunk=chunk) == want
-        assert max(sizes) <= chunk and sum(sizes) == 3 * 5 * 100
+        assert max(size for size, *_ in blocks) <= chunk
+    # |x^2| + 1 - |x|^2 is 1 everywhere, so no row can be bounded out: every
+    # grid point is scored once in the scan, plus one seed row per run of
+    # at most chunk rows that fills more than one block (chunk 7 takes runs
+    # of 7, 7 and 1 rows; at chunk 1500 all 15 rows fit one block)
+    flat = lambda _: (0.0, 0.0, 1.0, 1.0)  # noqa: E731
+    for chunk, seeds in ((7, 2), (100, 1), (250, 1), (1500, 0)):
+        blocks.clear()
+        polar_scan(flat, p1_levels, rs, ts, chunk=chunk)
+        assert max(size for size, *_ in blocks) <= chunk
+        assert sum(size for size, *_ in blocks) == 3 * 5 * 100 + seeds * 100
 
 
 def _polar_scan_unbounded(coefficients, p1_levels, rs, ts, best=-math.inf, chunk=8192):
@@ -574,16 +594,53 @@ def _row_bounds(coeffs, p1_levels, rs):
 _near_zero = st.floats(min_value=-1e-6, max_value=1e-6)
 
 
+def _seed_row_max(coeffs, p1_levels, rs, ts):
+    """The maximum of the grid's row of largest score_bound, the row polar_scan scores first."""
+    bound = _row_bounds(coeffs, p1_levels, rs)[0]
+    level, radius = divmod(int(np.argmax(bound)), rs.size)
+    row = tuple(np.broadcast_to(c, (bound.size // rs.size,))[level] for c in coeffs)
+    return _polar_scan_unbounded(lambda _: row, None, rs[[radius]], ts)[0]
+
+
 @st.composite
 def bounded_scans(draw):
-    """A polar grid and an incumbent: none, the grid maximum, one ulp below it, or at a row's bound."""
+    """A polar grid and an incumbent: none, the grid maximum, at a row's bound or the seed row's maximum.
+
+    The maxima are also taken one ulp below; half the grids are affine (gamma = kq = 0).
+    """
     coeffs, p1_levels, rs, ts = draw(polar_grids())
+    if draw(st.booleans()):
+        coeffs = (*coeffs[:2], 0.0, 0.0)
     ts = np.append(ts, draw(st.lists(_near_zero, max_size=3)))
     top = _polar_scan_unbounded(lambda _: coeffs, p1_levels, rs, ts)[0]
+    seed = _seed_row_max(coeffs, p1_levels, rs, ts)
     bound, triangle = _row_bounds(coeffs, p1_levels, rs)
     row = draw(st.integers(min_value=0, max_value=bound.size - 1))
-    best = draw(st.sampled_from([-math.inf, top, np.nextafter(top, -math.inf), bound[row], triangle[row]]))
+    below = [np.nextafter(v, -math.inf) for v in (top, seed)]
+    best = draw(st.sampled_from([-math.inf, top, seed, *below, bound[row], triangle[row]]))
     return coeffs, p1_levels, rs, ts, float(best)
+
+
+def _tied_levels(s, kq, n, rs, ts):
+    """n levels whose maxima tie at s, the later ones with the larger bound.
+
+    Level 0 scores |s| everywhere; the others score |s/2 + s/2 x| + kq (1 - |x|^2),
+    which is s exactly at x = 1, where kq adds to their bound but not to the score.
+    """
+    first, later = np.eye(n)[0], 1.0 - np.eye(n)[0]
+    coeffs = (s * first + s / 2 * later, s / 2 * later, 0.0, kq * later)
+    return coeffs, np.linspace(0.0, 2.0, n), np.array(rs), np.array(ts)
+
+
+@st.composite
+def tied_scans(draw):
+    """_tied_levels on a grid holding x = 1, with no incumbent, or at or one ulp below the tied maximum."""
+    s = draw(st.floats(min_value=0.1, max_value=3.0))
+    kq = draw(st.floats(min_value=1e-9, max_value=s / 8))
+    rs = sorted({1.0, *draw(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4))})
+    ts = draw(st.permutations([0.0, *draw(st.lists(st.floats(min_value=-7.0, max_value=7.0), max_size=5))]))
+    grid = _tied_levels(s, kq, draw(st.integers(min_value=2, max_value=4)), rs, ts)
+    return (*grid, float(draw(st.sampled_from([-math.inf, s, np.nextafter(s, -math.inf)]))))
 
 
 # each example has one point whose computed score rounds above the bare triangle bound of its row
@@ -600,17 +657,45 @@ def _at_triangle(coeffs, r, t):
     return coeffs, None, rs, np.array([t]), float(_row_bounds(coeffs, None, rs)[1][0])
 
 
-@given(bounded_scans(), st.integers(min_value=1, max_value=64))
-@settings(max_examples=300, deadline=None)
+def _tied_example(best, chunk):
+    return _tied_levels(1.0, 0.125, 2, [0.5, 1.0], [-1.0, 0.0, 2.0]) + (best,), chunk
+
+
+@given(
+    st.one_of(bounded_scans(), tied_scans()),
+    st.one_of(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=64)),
+)
+@settings(max_examples=400, deadline=None)
 @example(_at_triangle(*_above_triangle[0]), 1)
 @example(_at_triangle(*_above_triangle[1]), 1)
 @example(_at_triangle(*_above_triangle[2]), 1)
+@example(*_tied_example(-math.inf, 4))  # a block per row; the seed row is level 1 at r = 1
+@example(*_tied_example(-math.inf, 6))  # two rows per block
+@example(*_tied_example(-math.inf, 1))  # one row per run, each longer than the block
+@example(*_tied_example(float(np.nextafter(1.0, -math.inf)), 4))
+@example(*_tied_example(1.0, 4))
 def test_bounded_polar_scan_is_the_unbounded_scan(scan, chunk):
-    # rows are skipped only where no point could pass the strict test, so
-    # ties, incumbents at the maximum and at a row's bound keep every bit
+    # rows are skipped only where no point could pass the strict test, and
+    # the seed row lifts the incumbent to one ulp below a grid score, so
+    # ties, incumbents at the maximum, at a row's bound and at the seed
+    # row's maximum keep every bit
     coeffs, p1_levels, rs, ts, best = scan
     got = polar_scan(lambda _: coeffs, p1_levels, rs, ts, best, chunk)
     assert repr(got) == repr(_polar_scan_unbounded(lambda _: coeffs, p1_levels, rs, ts, best, chunk))
+
+
+def test_a_tie_before_the_seed_row_wins(monkeypatch):
+    # the top-bound row (level 1, r = 1) holds the maximum 1.0, and so does
+    # every point of level 0 before it: the first of them wins
+    coeffs, p1_levels, rs, ts = _tied_levels(1.0, 0.125, 2, [0.5, 1.0], [-1.0, 0.0, 2.0])
+    assert int(np.argmax(_row_bounds(coeffs, p1_levels, rs)[0])) == 3
+    blocks = _spy_scores(monkeypatch)
+    for chunk in (1, 2, 3, 4, 6, 64):
+        blocks.clear()
+        assert polar_scan(lambda _: coeffs, p1_levels, rs, ts, chunk=chunk) == (1.0, 0.0, 0.5, -1.0)
+        # at 4 and 6 points per block the 4 rows fill more than one block,
+        # so level 1's row is scored first, as the seed
+        assert (blocks[0][1].tolist() == [[0.5]]) == (chunk in (4, 6))
 
 
 @given(
@@ -638,22 +723,23 @@ def test_computed_scores_can_round_above_the_bare_triangle_bound():
 
 
 def test_polar_scan_scores_no_row_bounded_at_the_incumbent(monkeypatch):
-    sizes = []
-    argmax = np.argmax
-
-    def counting(vals):
-        sizes.append(vals.size)
-        return argmax(vals)
-
     p1_levels, rs, ts = np.linspace(0.0, 2.0, 3), np.linspace(0.0, 1.0, 5), np.linspace(-3.0, 3.0, 40)
     coeffs = (p1_levels, 1.0, -0.5, 0.25)
-    best = float(_row_bounds(coeffs, p1_levels, rs)[0].max())
-    monkeypatch.setattr(np, "argmax", counting)
-    assert polar_scan(lambda _: coeffs, p1_levels, rs, ts, best) is None
-    assert sizes == []
-    # one ulp lower, the rows at that bound are scored
-    polar_scan(lambda _: coeffs, p1_levels, rs, ts, float(np.nextafter(best, -math.inf)))
-    assert sizes
+    bound = _row_bounds(coeffs, p1_levels, rs)[0]
+    blocks = _spy_scores(monkeypatch)
+    # at the largest bound nothing is scored, not even the seed row
+    for chunk in (40, 8192):
+        assert polar_scan(lambda _: coeffs, p1_levels, rs, ts, float(bound.max()), chunk) is None
+    assert blocks == []
+    # below it every scored row, the seed row included, is bounded above the
+    # incumbent; beta = 1, so a block's beta r is its rows' r.  At 40 points
+    # per block every row is a block, so each scan of two rows or more is seeded
+    for best, chunk in itertools.product((np.nextafter(bound.max(), -math.inf), *bound), (40, 8192)):
+        blocks.clear()
+        polar_scan(lambda _: coeffs, p1_levels, rs, ts, float(best), chunk)
+        assert blocks if best < bound.max() else not blocks
+        for _, alpha, r in blocks:
+            assert (score_bound(alpha, 1.0, -0.5, 0.25, r) > best).all()
 
 
 _subnormal = st.floats(min_value=-1e-307, max_value=1e-307)
