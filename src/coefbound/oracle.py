@@ -31,12 +31,13 @@ free-p1 searches and the (Re x, Im x) columns of the pinned ones, which
 never see the pinned value.  Above that cap each search draws its own
 blocks and finishes into (Re x, Im x) and scores only the rows whose
 schwarz.score_bound, from (p1, |x|), is above the incumbent.  The grids and
-the polish skip (p1, |x|) rows the same way, after polar_scan has scored
-the row of largest bound and lifted the incumbent to just below that row's
-maximum, a grid score: so the exploration grid, which starts with no
-incumbent, is pruned from its first row too.  The bound is an upper bound
-on the computed score, rounding included, so a skipped row could not have
-passed the strict improvement test.  Every search scores the grids afresh.
+the polish skip (p1, |x|) rows the same way; where the rows left fill more
+than one block, polar_scan first scores the row of largest bound and lifts
+the incumbent to just below that row's maximum, a grid score, so the
+exploration grid, which starts with no incumbent, is pruned from its first
+row too.  The bound is an upper bound on the computed score, rounding
+included, so a skipped row could not have passed the strict improvement
+test.  Every search scores the grids afresh.
 Neither blocks, sharing nor skipping reorder a floating-point operation of
 a scored row, so every path returns the same bits, and ``samples`` counts
 every candidate, scored or bounded out.  The search is single-threaded.
