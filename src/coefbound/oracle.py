@@ -381,7 +381,10 @@ def extremal_search(
     (p1, Re x, Im x) row before it may replace the incumbent, so the value
     is its witness's own score; replacement requires strict improvement, so
     canonical witnesses win exact ties.  ``samples`` is the budget: every
-    candidate, whether scored or skipped by its bound.
+    candidate, whether scored or skipped by its bound.  Where the pinned
+    coefficients leave F constant in x (beta = gamma = k q = 0, as at
+    p1 = 2), every candidate ties the canonical x = 0, so the search returns
+    it after the canonical phase.
     ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET], ``seed`` must be >= 0.
 
     ``inputs`` carries the schedule and the random blocks that verify_claim
@@ -408,6 +411,10 @@ def extremal_search(
         return _best_of(fn, lam, eff, [row], best, witness)[:2]
 
     best, witness, evaluated = _best_of(fn, lam, eff, [_canonical(pinned)], -np.inf, None)
+    if pinned and _quadratic(fn, lam, float(eff))[1:] == (0.0, 0.0, 0.0):
+        # F = alpha (p1 = 2 gives q = 0): every x scores |alpha| exactly and
+        # ties the first canonical witness, x = 0, which no phase could replace.
+        return _search_result(best, witness, budget)
     best, witness = rescored(polar_scan(coefficients, *axes, chunk=CHUNK_ROWS), best, witness)
     score = _best_of if inputs.shared else _best_of_draws
     best, witness, scanned = score(fn, lam, eff, inputs.random(pinned), best, witness)
@@ -418,12 +425,15 @@ def extremal_search(
     if end is not start:
         best, witness = rescored(end, best, witness)
     evaluated += scanned + math.prod(a.size for a in axes if a is not None) + rounds * m ** (2 if pinned else 3)
+    return _search_result(best, witness, evaluated)
 
+
+def _search_result(best: float, witness, samples: int) -> SearchResult:
     p1, u, v, a = witness
     return SearchResult(
         value=best,
         witness=CaratheodoryParams(p1, complex(u, v), _maximizing_y(a)),
-        samples=evaluated,
+        samples=samples,
     )
 
 
@@ -638,11 +648,12 @@ def series_cross_check(lam: float, cls: str, params: CaratheodoryParams) -> floa
     c = caratheodory_to_schwarz(m)
     omega = series.TruncatedSeries([0.0, c.c1, c.c2, c.c3])
     a_series = series.coefficients_from_schwarz(omega, lam, cls, 4)
-    p1 = np.float64(params.p1)
-    p2, p3 = _moments(p1, np.complex128(params.x), np.complex128(params.y))
-    a2, a3, a4 = _coefficient_values(lam, p1, p2, p3, cls)
-    closed = np.array([a2, a3, a4], dtype=np.complex128)
-    return float(np.max(np.abs(a_series - closed)))
+    # Python scalars give numpy's bits here (see series).  np.abs stays: on a
+    # complex array it rounds differently from Python's abs.
+    p1 = float(params.p1)
+    p2, p3 = _moments(p1, complex(params.x), complex(params.y))
+    closed = np.array(_coefficient_values(lam, p1, p2, p3, cls), dtype=np.complex128)
+    return float(np.abs(a_series - closed).max())
 
 
 @dataclass(frozen=True)
@@ -676,8 +687,9 @@ def general_bound_probe(
     if n_max > series.DEFAULT_ORDER:
         raise ValueError(f"n_max must stay within the default order {series.DEFAULT_ORDER}")
     rng = np.random.default_rng(seed)
+    ns = np.arange(2, n_max + 1)
     star_bounds = np.array([bounds.general_coeff_bound("starlike", n, lam) for n in range(2, n_max + 1)])
-    conv_bounds = star_bounds / np.arange(2, n_max + 1)
+    conv_bounds = star_bounds / ns
     violations = 0
     max_cn_excess = -np.inf
     max_an_excess = -np.inf
@@ -689,17 +701,14 @@ def general_bound_probe(
         zeros = moduli * np.exp(1j * phases)
         w = series.blaschke_schwarz(theta, list(zeros), n_max)
         e = series.exp_series(series.TruncatedSeries(lam * w.coeffs))
-        cn_excess = float(np.max(np.abs(e.coeffs[1:])) - lam)
+        cn_excess = float(np.abs(e.coeffs[1:]).max() - lam)
         max_cn_excess = max(max_cn_excess, cn_excess)
         if cn_excess > 1e-12:
             violations += 1
-        a_star = np.abs(
-            series.ratio_to_coefficients(
-                series.TruncatedSeries(e.coeffs - series.unit_series(n_max).coeffs), n_max
-            )
-        )
-        a_conv = a_star / np.arange(2, n_max + 1)
-        an_excess = float(max(np.max(a_star - star_bounds), np.max(a_conv - conv_bounds)))
+        c = e.coeffs.copy()
+        c[0] -= 1.0  # exp(lam*w) - 1, exactly as subtracting unit_series
+        a_star = np.abs(series.ratio_to_coefficients(series.TruncatedSeries(c), n_max))
+        an_excess = float(max((a_star - star_bounds).max(), (a_star / ns - conv_bounds).max()))
         max_an_excess = max(max_an_excess, an_excess)
         if an_excess > 1e-9:
             violations += 1

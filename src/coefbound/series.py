@@ -8,6 +8,14 @@ the univalent function f that the subordination encodes.
 
 All operations are pure: inputs are never mutated and every result is a fresh
 value, so series may be shared freely across threads.
+
+The slices are short (4 to 13 terms), so the cost is per-call overhead, not
+arithmetic.  The recurrences therefore run on Python ``complex`` wherever
+that gives numpy's bits: a complex multiply or add is the same IEEE
+operation in both.  Two operations stay in numpy because their Python
+counterparts round differently.  ``np.dot`` sums in BLAS order, which a
+sequential Python sum does not reproduce, and numpy divides a complex by an
+integer through a rounded reciprocal, where Python divides exactly.
 """
 
 from __future__ import annotations
@@ -37,11 +45,11 @@ class TruncatedSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[complex]):
-        arr = np.asarray(list(coeffs), dtype=np.complex128)
+        # np.array copies, so the caller's array is never aliased.
+        arr = np.array(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs), dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise SeriesError("a series needs a one-dimensional, non-empty coefficient vector")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise SeriesError("series coefficients must be finite")
+        _check_finite(arr)
         arr.setflags(write=False)
         self._coeffs = arr
 
@@ -62,6 +70,11 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({np.array2string(self._coeffs, precision=6)})"
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise SeriesError("series coefficients must be finite")
 
 
 def zero_series(order: int) -> TruncatedSeries:
@@ -101,39 +114,55 @@ def exp_series(s: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term (Schwarz-type input).
 
     Uses the differential recurrence k*e_k = sum_j j*s_j*e_{k-j}; one pass,
-    no cancellation-prone factorials.
+    no cancellation-prone factorials.  Each sum is one ``np.dot`` and each
+    division by k is numpy's, so every coefficient has the bits of that
+    recurrence as written; see the module docstring.
     """
     c = s.coeffs
     if c[0] != 0:
         raise SeriesError("exp_series requires a zero constant term")
-    e = np.zeros_like(c)
-    e[0] = 1.0
-    for k in range(1, c.size):
-        j = np.arange(1, k + 1)
-        e[k] = np.dot(j * c[1 : k + 1], e[k - 1 :: -1]) / k
-    return TruncatedSeries(e)
+    return TruncatedSeries(_exp_coeffs(c))
+
+
+def _exp_coeffs(c: np.ndarray) -> np.ndarray:
+    """exp_series on a coefficient vector with c[0] == 0; the result may hold inf or NaN."""
+    n = c.size
+    jc = np.arange(n) * c
+    # er[n-1-k] = e_k: e reversed, so each dot reads two contiguous runs,
+    # the same values in the same order as jc[1:k+1] . e[k-1::-1].
+    er = np.zeros(n, dtype=np.complex128)
+    er[-1] = 1.0
+    for k in range(1, n):
+        er[n - 1 - k] = jc[1 : k + 1].dot(er[n - k :]) / k
+    return er[::-1]
 
 
 def ratio_to_coefficients(c: TruncatedSeries, n_max: int) -> np.ndarray:
     """Recover a_2..a_n from the series c = z*f'(z)/f(z) - 1.
 
     Inverts the convolution identity (n-1)*a_n = c_{n-1} + sum_{k=2}^{n-1}
-    c_{n-k}*a_k.  Returns the vector [a_2, ..., a_{n_max}].
+    c_{n-k}*a_k.  Returns the vector [a_2, ..., a_{n_max}].  The sum runs
+    left to right on Python ``complex``; the division by n - 1 is numpy's,
+    so the result has the bits of the same recurrence on numpy scalars.
     """
-    cf = c.coeffs
+    return _ratio_coeffs(c.coeffs, n_max)
+
+
+def _ratio_coeffs(cf: np.ndarray, n_max: int) -> np.ndarray:
     if cf[0] != 0:
         raise SeriesError("ratio series must have zero constant term")
     if n_max < 2:
         raise SeriesError("need n_max >= 2")
-    if c.order < n_max - 1:
-        raise SeriesError(f"series order {c.order} too small for a_{n_max}")
-    a = np.zeros(n_max + 1, dtype=np.complex128)  # a[n] = a_n, a[0:2] unused
+    if cf.size - 1 < n_max - 1:
+        raise SeriesError(f"series order {cf.size - 1} too small for a_{n_max}")
+    cf = cf.tolist()
+    a = [0j, 0j]  # a[n] = a_n, a[0:2] unused
     for n in range(2, n_max + 1):
         acc = cf[n - 1]
-        for k in range(2, n):
-            acc = acc + cf[n - k] * a[k]
-        a[n] = acc / (n - 1)
-    return a[2:]
+        for ck, ak in zip(cf[n - 2 : 0 : -1], a[2:n]):  # c_{n-k} a_k for k = 2..n-1
+            acc = acc + ck * ak
+        a.append(complex(np.complex128(acc) / (n - 1)))
+    return np.array(a[2:], dtype=np.complex128)
 
 
 def coefficients_from_schwarz(
@@ -150,10 +179,12 @@ def coefficients_from_schwarz(
         raise ValueError(f"unknown class {cls!r}")
     if omega.coeffs[0] != 0:
         raise SeriesError("Schwarz series must vanish at the origin")
-    scaled = TruncatedSeries(lam * omega.coeffs)
-    e = exp_series(scaled)
-    c = TruncatedSeries(e.coeffs - unit_series(e.order).coeffs)
-    a = ratio_to_coefficients(c, n_max)
+    scaled = lam * omega.coeffs
+    _check_finite(scaled)
+    c = _exp_coeffs(scaled)
+    _check_finite(c)
+    c[0] -= 1.0  # c = exp(lam*w) - 1, exactly as subtracting unit_series
+    a = _ratio_coeffs(c, n_max)
     if cls == "convex":
         a = a / np.arange(2, n_max + 1)
     return a
@@ -170,15 +201,17 @@ def blaschke_schwarz(
     for a in zeros:
         if abs(a) >= 1.0:
             raise ValueError(f"Blaschke zero must satisfy |a| < 1, got |{a}| = {abs(a)}")
-    coeffs = np.zeros(n_max + 1, dtype=np.complex128)
-    coeffs[1] = cmath.exp(1j * theta)
-    w = TruncatedSeries(coeffs)
+    w = np.zeros(n_max + 1, dtype=np.complex128)
+    w[1] = cmath.exp(1j * theta)
+    num = np.zeros(n_max + 1, dtype=np.complex128)
+    num[1] = -1.0
     for a in zeros:
-        num = np.zeros(n_max + 1, dtype=np.complex128)
         num[0] = a
-        num[1] = -1.0
-        den = np.zeros(n_max + 1, dtype=np.complex128)
-        den[0] = 1.0
-        den[1] = -np.conj(a)
-        w = mul(mul(w, TruncatedSeries(num)), reciprocal(TruncatedSeries(den)))
-    return w
+        # 1/(1 - conj(a) z) = sum_k conj(a)^k z^k: one product per term, with
+        # the bits of reciprocal's forward substitution.
+        ca = complex(np.conj(a))
+        den = [1.0 + 0.0j]
+        for _ in range(n_max):
+            den.append(ca * den[-1])
+        w = np.convolve(np.convolve(w, num)[: n_max + 1], den)[: n_max + 1]
+    return TruncatedSeries(w)

@@ -439,12 +439,30 @@ class TestBoundedDraws:
     @pytest.mark.parametrize("cls, p, lam", [("starlike", 0.6, 1.0), ("convex", 0.3, 1.4)])
     def test_a_pinned_search_scores_few_of_its_grid_rows(self, grid_points_scored, cls, p, lam):
         # the grid's row of largest bound is scored first and lifts the
-        # incumbent, so the bound prunes from the grid's first row (at
-        # p1 = 2 every point ties and no row can be pruned)
+        # incumbent, so the bound prunes from the grid's first row
         fn = Functional("abs_a4_minus_a3", cls, fixed_p=p)
         points = grid_points_scored(oracle, lambda: extremal_search(fn, lam))
         _, mod, arg = _schedule(oracle.DEFAULT_BUDGET, True)[0]
         assert 0 < points < 0.05 * mod.size * arg.size
+
+    @pytest.mark.parametrize(
+        "kind, cls, p, lam",
+        [("abs_a4_minus_a3", "starlike", 2.0, 1.4), ("abs_a3_minus_a2", "convex", 1.0, 0.3)],
+    )
+    def test_a_search_pinned_at_p1_two_scores_no_grid_point(self, grid_points_scored, kind, cls, p, lam):
+        # q = 0 there, so F = alpha for every x: all candidates tie the
+        # canonical x = 0, and the search returns it after the canonical phase
+        fn = Functional(kind, cls, fixed_p=p)
+        found = []
+        points = grid_points_scored(oracle, lambda: found.append(extremal_search(fn, lam)))
+        (out,) = found
+        alpha, *rest = _quadratic(fn, lam, 2.0)
+        assert rest == [0.0, 0.0, 0.0]
+        assert points == 0
+        assert out.witness.p1 == 2.0 and out.witness.x == 0
+        assert out.value == abs(alpha)
+        assert functional_value(fn, lam, out.witness) == pytest.approx(out.value, rel=1e-12)
+        assert out.samples == oracle.DEFAULT_BUDGET
 
 
 unit_disk = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)

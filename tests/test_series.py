@@ -1,3 +1,5 @@
+import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coefbound.oracle import general_bound_probe, series_cross_check
 from coefbound.series import (
     DEFAULT_ORDER,
     SeriesError,
@@ -17,7 +20,7 @@ from coefbound.series import (
     reciprocal,
     unit_series,
 )
-from coefbound.schwarz import SchwarzCoefficients, validate_schwarz
+from coefbound.schwarz import CaratheodoryParams, SchwarzCoefficients, validate_schwarz
 
 
 def ts(*coeffs):
@@ -41,6 +44,61 @@ class TestConstruction:
         s = ts(1.0, 2.0)
         with pytest.raises(ValueError):
             s.coeffs[0] = 5.0
+
+    def test_an_ndarray_is_copied(self):
+        src = np.array([0.0, 1.0, 2.0j])
+        s = TruncatedSeries(src)
+        src[1] = 5.0
+        assert s.coeffs.tolist() == [0.0, 1.0, 2.0j]
+        assert not np.shares_memory(s.coeffs, src)
+
+    def test_an_ndarray_gives_read_only_coeffs(self):
+        s = TruncatedSeries(np.array([1.0, 2.0]))
+        assert not s.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            s.coeffs[0] = 5.0
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.array([0.0, np.nan]),
+            np.array([np.inf, 0.0]),
+            np.array([0.0, -np.inf]),
+            np.array([0.0, complex(1.0, np.nan)]),
+            np.array([complex(-np.inf, 0.0)]),
+            np.array(1.0),
+            np.zeros((2, 2)),
+            np.zeros(0),
+        ],
+        ids=["nan", "inf", "-inf", "nan-imag", "-inf-complex", "0-d", "2-d", "empty"],
+    )
+    def test_rejects_a_bad_ndarray(self, arr):
+        with pytest.raises(SeriesError):
+            TruncatedSeries(arr)
+
+
+class TestOverflow:
+    """A result that overflows is refused like a non-finite input.
+
+    numpy's own overflow and invalid-value warnings are silenced, so that
+    the SeriesError itself is what the test sees.
+    """
+
+    def test_exp_series(self):
+        with np.errstate(all="ignore"), pytest.raises(SeriesError):
+            exp_series(ts(0.0, 1e200, 0.0))
+
+    @pytest.mark.parametrize("cls", ["starlike", "convex"])
+    @pytest.mark.parametrize("c1", [1e200, 1.5e308], ids=["exp", "scaled"])
+    def test_coefficients_from_schwarz(self, cls, c1):
+        # 1e200 overflows inside exp(lam*w); 1.5e308 already in lam*w
+        with np.errstate(all="ignore"), pytest.raises(SeriesError):
+            coefficients_from_schwarz(ts(0.0, c1, 0.0, 0.0), math.pi / 2, cls, 4)
+
+    @pytest.mark.parametrize("theta, zeros", [(0.3, [complex(math.nan, 0.1)]), (math.nan, [0.5])])
+    def test_blaschke_schwarz_refuses_nan(self, theta, zeros):
+        with pytest.raises(SeriesError):
+            blaschke_schwarz(theta, zeros, 6)
 
 
 class TestMul:
@@ -277,3 +335,125 @@ class TestBlaschkeSchwarz:
             tail = abs(z) ** (DEFAULT_ORDER + 1) / (1 - abs(z))
             approx = np.polyval(w.coeffs[::-1], z)
             assert abs(approx - direct) < 20 * tail + 1e-9
+
+
+def _bits(coeffs) -> np.ndarray:
+    """The float64 bit patterns of a complex vector, signed zeros included."""
+    return np.asarray(coeffs, dtype=np.complex128).view(np.uint64)
+
+
+def _reference_exp(c):
+    """exp_series as a plain loop: one np.dot and one numpy division per term."""
+    e = np.zeros_like(c)
+    e[0] = 1.0
+    for k in range(1, c.size):
+        j = np.arange(1, k + 1)
+        e[k] = np.dot(j * c[1 : k + 1], e[k - 1 :: -1]) / k
+    return e
+
+
+def _reference_ratio(cf, n_max):
+    """ratio_to_coefficients as a plain loop on numpy scalars."""
+    a = np.zeros(n_max + 1, dtype=np.complex128)
+    for n in range(2, n_max + 1):
+        acc = cf[n - 1]
+        for k in range(2, n):
+            acc = acc + cf[n - k] * a[k]
+        a[n] = acc / (n - 1)
+    return a[2:]
+
+
+def _reference_coefficients(omega, lam, cls, n_max):
+    e = _reference_exp(TruncatedSeries(lam * omega).coeffs)
+    a = _reference_ratio(TruncatedSeries(e - unit_series(e.size - 1).coeffs).coeffs, n_max)
+    return a / np.arange(2, n_max + 1) if cls == "convex" else a
+
+
+def _reference_blaschke(theta, zeros, n_max):
+    """blaschke_schwarz through mul and a reciprocal by forward substitution."""
+    coeffs = np.zeros(n_max + 1, dtype=np.complex128)
+    coeffs[1] = cmath.exp(1j * theta)
+    w = TruncatedSeries(coeffs)
+    for a in zeros:
+        num = np.zeros(n_max + 1, dtype=np.complex128)
+        num[0], num[1] = a, -1.0
+        den = np.zeros(n_max + 1, dtype=np.complex128)
+        den[0], den[1] = 1.0, -np.conj(a)
+        w = mul(mul(w, TruncatedSeries(num)), reciprocal(TruncatedSeries(den)))
+    return w.coeffs
+
+
+small = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+class TestBitsOfTheReferenceLoops:
+    """The series engine gives the bits of its recurrences written as plain numpy loops."""
+
+    @given(st.lists(small, min_size=1, max_size=DEFAULT_ORDER + 1))
+    @settings(max_examples=200, deadline=None)
+    def test_exp_series(self, tail):
+        c = np.array([0.0, *tail[1:]], dtype=np.complex128)
+        assert np.array_equal(_bits(exp_series(TruncatedSeries(c)).coeffs), _bits(_reference_exp(c)))
+
+    @given(st.lists(small, min_size=2, max_size=DEFAULT_ORDER + 1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ratio_to_coefficients(self, tail, data):
+        c = np.array([0.0, *tail[1:]], dtype=np.complex128)
+        n_max = data.draw(st.integers(min_value=2, max_value=c.size))
+        got = ratio_to_coefficients(TruncatedSeries(c), n_max)
+        assert np.array_equal(_bits(got), _bits(_reference_ratio(c, n_max)))
+
+    @given(
+        st.lists(small, min_size=2, max_size=DEFAULT_ORDER + 1),
+        st.floats(min_value=0.0, max_value=math.pi / 2, exclude_min=True),
+        st.sampled_from(["starlike", "convex"]),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_coefficients_from_schwarz(self, tail, lam, cls, data):
+        omega = np.array([0.0, *tail[1:]], dtype=np.complex128)
+        n_max = data.draw(st.integers(min_value=2, max_value=omega.size))
+        got = coefficients_from_schwarz(TruncatedSeries(omega), lam, cls, n_max)
+        assert np.array_equal(_bits(got), _bits(_reference_coefficients(omega, lam, cls, n_max)))
+
+    @given(
+        st.floats(min_value=0.0, max_value=2 * math.pi),
+        st.lists(
+            st.one_of(
+                st.complex_numbers(max_magnitude=0.97, allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, -0.0, 0.5, -0.25j, complex(0.3, -0.0)]),
+            ),
+            max_size=4,
+        ),
+        st.integers(min_value=1, max_value=DEFAULT_ORDER),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_blaschke_schwarz(self, theta, zeros, n_max):
+        got = blaschke_schwarz(theta, zeros, n_max).coeffs
+        assert np.array_equal(_bits(got), _bits(_reference_blaschke(theta, zeros, n_max)))
+
+
+#: sha256 of the float64 bytes of _digest_values().  A change that moves
+#: these bits on purpose updates this digest and says so.
+SERIES_DIGEST = "faac52ad093c535e58e88a5aef37d951c980d4883ea234c236e8092294437bc5"
+
+
+def _digest_values() -> np.ndarray:
+    """series_cross_check over 200 seeded triples x 3 lam x 2 classes, then each probe's two excesses."""
+    rng = np.random.default_rng(13)
+    p1 = rng.uniform(-2.0, 2.0, 200)
+    x = np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 200))
+    y = np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 200))
+    triples = [CaratheodoryParams(float(a), complex(b), complex(c)) for a, b, c in zip(p1, x, y)]
+    lams = (0.5, 1.0, math.pi / 2)
+    values = [series_cross_check(lam, cls, q) for lam in lams for cls in ("starlike", "convex") for q in triples]
+    for lam in lams:
+        probe = general_bound_probe(lam, n_max=12, samples=300)
+        values += [probe.max_cn_excess, probe.max_an_excess]
+    return np.array(values)
+
+
+def test_keeps_its_pinned_digest():
+    # both oracle routes through the series engine, bit for bit: a change
+    # that moves any coefficient the checks see fails here
+    assert hashlib.sha256(_digest_values().tobytes()).hexdigest() == SERIES_DIGEST
