@@ -210,8 +210,8 @@ def blaschke_schwarz(
         # 1/(1 - conj(a) z) = sum_k conj(a)^k z^k: one product per term, with
         # the bits of reciprocal's forward substitution.
         ca = complex(np.conj(a))
-        den = [1.0 + 0.0j]
+        inv = [1.0 + 0.0j]
         for _ in range(n_max):
-            den.append(ca * den[-1])
-        w = np.convolve(np.convolve(w, num)[: n_max + 1], den)[: n_max + 1]
+            inv.append(ca * inv[-1])
+        w = np.convolve(np.convolve(w, num)[: n_max + 1], inv)[: n_max + 1]
     return TruncatedSeries(w)
