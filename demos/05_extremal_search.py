@@ -45,7 +45,8 @@ out = extremal_search(fn, 1.0, budget=BUDGET, seed=42)
 bound = s_diff_bound("d32", 1.0, 0.8)
 print(f"  starlike |a3-a2| at lam=1, p=0.8: bound {bound.value} search {out.value}")
 print(f"  witness: p1={out.witness.p1}, x={out.witness.x}, y={out.witness.y}")
-print("  equality occurs at x = -1, and the search lands there up to rounding;")
+print("  equality occurs at x = -1: F is affine in x at a pinned p, so the search")
+print("  returns that canonical witness exactly, with the bound as its value;")
 print("  |a3 - a2| does not involve y, so y is only the phase of the value.")
 print(f"  replay: functional_value(witness) = {functional_value(fn, 1.0, out.witness)}")
 

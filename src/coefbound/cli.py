@@ -25,7 +25,10 @@ mode prints 6 significant digits.
 Each search walks (p1, x) candidates and takes the maximum over y in closed
 form: canonical witnesses, a polar grid, random draws and a polish of
 shrinking local polar grids, all scored in fixed-size blocks of real
-numbers, so memory does not grow with --budget.  `verify` (per claim) and
+numbers, so memory does not grow with --budget.  Where the maths settles x
+(|a2|, and a pinned p whose functional is affine in x, as |a3 - a2| is) a
+canonical witness already holds the exact maximum, so the search returns
+it after the canonical phase and reports the whole budget as samples.  `verify` (per claim) and
 `report` draw the lam-independent random candidates once and share them
 across their searches while they fit under a fixed cap (budgets up to about
 1,600,000), so the first record that uses the free-p1 draws, and the first

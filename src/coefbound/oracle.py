@@ -20,6 +20,15 @@ Its witness is a full (p1, x, y) triple with that y (y = 1 where A = 0),
 which functional_value replays through the full moments, so a replay
 checks the polynomials independently.
 
+Where the maths settles x, the search returns after its canonical phase,
+because those witnesses already hold the maximum: a later phase could only
+tie it or beat it by rounding (see _canonical_is_exact).  With p1 pinned
+and gamma = k q = 0, F = alpha + beta x with real alpha and beta peaks over
+the closed disk at |alpha| + |beta|, at the canonical x = 1 or x = -1;
+|a2| = s2 p1 does not depend on x and peaks at the canonical p1 = 2.
+Free-p1 |a3| and |a3 - a2|, and the y kinds away from a pinned p1 = 2,
+still need a search over p1 or x and run every phase.
+
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
 variant) produce bit-identical reports.  A search scores each phase in
 blocks of at most CHUNK_ROWS candidates (whole grid rows in the grids, or
@@ -303,6 +312,24 @@ class _SearchInputs:
         return self._random[pinned]
 
 
+def _canonical_is_exact(fn: Functional, lam: float, eff: Optional[float]) -> bool:
+    """Whether the canonical witnesses hold the maximum of |F| over the whole body.
+
+    Pinned, with gamma = k q = 0, F = alpha + beta x is affine in x with
+    real alpha and beta, and its modulus peaks over the closed disk at
+    |alpha| + |beta| = max(|alpha + beta|, |alpha - beta|), at x = 1 or
+    x = -1; where beta = 0 too (p1 = 2), every x ties x = 0.  Free, only
+    |a2| = s2 p1 qualifies: it does not depend on x and peaks at p1 = 2.
+    Each of these maxima is a canonical row, scored as the computed
+    |alpha +- beta| or |s2 p1| itself: sqrt(r * r) is |r| in binary64 where
+    r * r neither underflows nor overflows.
+    """
+    if eff is None:
+        return fn.kind == "abs_a2"
+    _, _, gamma, kq = _quadratic(fn, lam, float(eff))
+    return gamma == 0.0 and kq == 0.0
+
+
 def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: float, witness):
     """Scan (p1, u, v) blocks for the largest |A| + k q (1 - |x|^2) by a first-index argmax.
 
@@ -381,10 +408,10 @@ def extremal_search(
     (p1, Re x, Im x) row before it may replace the incumbent, so the value
     is its witness's own score; replacement requires strict improvement, so
     canonical witnesses win exact ties.  ``samples`` is the budget: every
-    candidate, whether scored or skipped by its bound.  Where the pinned
-    coefficients leave F constant in x (beta = gamma = k q = 0, as at
-    p1 = 2), every candidate ties the canonical x = 0, so the search returns
-    it after the canonical phase.
+    candidate, whether scored or skipped by its bound.  Where the canonical
+    witnesses hold the exact maximum (see _canonical_is_exact: pinned p1
+    with F affine in x, or |a2|), the search returns after the canonical
+    phase, since a later phase could only tie it or beat it by rounding.
     ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET], ``seed`` must be >= 0.
 
     ``inputs`` carries the schedule and the random blocks that verify_claim
@@ -394,12 +421,15 @@ def extremal_search(
     bounds.check_lambda(lam)
     check_budget(budget)
     check_seed(seed)
-    if inputs is None:
-        inputs = _SearchInputs(seed, budget)
-    elif (inputs.seed, inputs.budget) != (seed, budget):
+    if inputs is not None and (inputs.seed, inputs.budget) != (seed, budget):
         raise ValueError("inputs were built for another seed or budget")
     eff = fn.effective_p1
     pinned = eff is not None
+    best, witness, evaluated = _best_of(fn, lam, eff, [_canonical(pinned)], -np.inf, None)
+    if _canonical_is_exact(fn, lam, eff):
+        return _search_result(best, witness, budget)
+    if inputs is None:
+        inputs = _SearchInputs(seed, budget)
     axes, _, m, rounds, shrink = inputs.schedule[pinned]
 
     def coefficients(p1_levels):
@@ -410,11 +440,6 @@ def extremal_search(
         row = (None if pinned else np.array([p1]), np.array([r * math.cos(t)]), np.array([r * math.sin(t)]))
         return _best_of(fn, lam, eff, [row], best, witness)[:2]
 
-    best, witness, evaluated = _best_of(fn, lam, eff, [_canonical(pinned)], -np.inf, None)
-    if pinned and _quadratic(fn, lam, float(eff))[1:] == (0.0, 0.0, 0.0):
-        # F = alpha (p1 = 2 gives q = 0): every x scores |alpha| exactly and
-        # ties the first canonical witness, x = 0, which no phase could replace.
-        return _search_result(best, witness, budget)
     best, witness = rescored(polar_scan(coefficients, *axes, chunk=CHUNK_ROWS), best, witness)
     score = _best_of if inputs.shared else _best_of_draws
     best, witness, scanned = score(fn, lam, eff, inputs.random(pinned), best, witness)
@@ -677,15 +702,16 @@ def general_bound_probe(
     Draws random Blaschke-type Schwarz functions of degree <= 3, expands
     exp(lam*w), and checks |c_n| <= lam + 1e-12 for n <= n_max plus
     |a_n| <= the product bound + 1e-9 for both classes.  Positive excesses
-    are violations; the maxima are reported either way.  ``samples`` must be
-    positive and ``seed`` nonnegative.
+    are violations; the maxima are reported either way.  ``n_max`` must lie
+    in [2, series.DEFAULT_ORDER], ``samples`` must be positive and ``seed``
+    nonnegative; all are checked before the first draw.
     """
     bounds.check_lambda(lam)
     if samples < 1:  # a probe of nothing would read as a pass
         raise ValueError(f"samples must be positive, got {samples}")
     check_seed(seed)
-    if n_max > series.DEFAULT_ORDER:
-        raise ValueError(f"n_max must stay within the default order {series.DEFAULT_ORDER}")
+    if not 2 <= n_max <= series.DEFAULT_ORDER:  # a2 is the first coefficient it bounds
+        raise ValueError(f"n_max must lie in [2, {series.DEFAULT_ORDER}], got {n_max}")
     rng = np.random.default_rng(seed)
     ns = np.arange(2, n_max + 1)
     star_bounds = np.array([bounds.general_coeff_bound("starlike", n, lam) for n in range(2, n_max + 1)])

@@ -197,7 +197,10 @@ def blaschke_schwarz(
 
     Finite Blaschke products give valid Schwarz functions of arbitrary
     polynomial degree, used to probe coefficient bounds beyond n = 4.
+    ``n_max`` must be at least 1, the order of the z term.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     for a in zeros:
         if abs(a) >= 1.0:
             raise ValueError(f"Blaschke zero must satisfy |a| < 1, got |{a}| = {abs(a)}")

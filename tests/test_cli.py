@@ -373,7 +373,7 @@ class TestRootsCommand:
 #: sha256 of the default `report --seed 42` JSON with every duration_ms zeroed, as
 #: bench/workloads.py hashes it.  A change that moves the report on purpose
 #: updates this digest and says so.
-REPORT_DIGEST = "2e5033dc20c8d69d7767244bdb34409a49b24777d6ecc5ce47a1e035e8aaca4f"
+REPORT_DIGEST = "99ca686c4be825c2a95b89c14c2719b988bb1449307a2c3831942c856792c8aa"
 
 
 def _normalize_durations(doc):
@@ -404,3 +404,20 @@ class TestReportCommand:
         assert code == 1
         doc = _normalize_durations(json.loads(out))
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == REPORT_DIGEST
+
+    def test_default_report_resolves_every_bound_and_settles_affine_witnesses(self, capsys):
+        # holds whatever digest is pinned above: every attained bound to one
+        # ulp-sized gap, and every pinned functional affine in x ends at a
+        # canonical x, where its maximum over the disk lies
+        _, out, _ = run_cli(capsys, "report", "--seed", "42")
+        for record in json.loads(out)["claims"]:
+            if not record["violation"]:
+                assert abs(record["gap"]) <= 2.2e-16 * max(1.0, record["bound"]), record
+            claim = CLAIMS[record["claim_id"]]
+            if record["p"] is None:
+                continue
+            fn = oracle.Functional(claim.kind, claim.cls, fixed_p=record["p"])
+            _, _, gamma, kq = oracle._quadratic(fn, record["lambda"], fn.effective_p1)
+            if gamma == kq == 0.0:
+                assert record["witness"]["x_re"] in (-1.0, 0.0, 1.0), record
+                assert record["witness"]["x_im"] == 0.0, record

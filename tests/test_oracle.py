@@ -34,6 +34,7 @@ from coefbound.schwarz import (
     CaratheodoryParams,
     finish_rows,
     grid_axes,
+    polar_scan,
     random_chunks,
     sample_params,
     score_bound,
@@ -103,6 +104,52 @@ class TestExtremalSearch:
         out = extremal_search(fn, 1.0, budget=20000, seed=3)
         assert abs(out.value - 0.7) < 1e-9
         assert abs(out.witness.x - (-1.0)) < 1e-6
+
+    def test_d32_returns_the_exact_canonical_maximum(self):
+        # a polish point next to x = -1 can score above it by rounding alone
+        # (0.7000000000000001 at x = -0.9999999999999998+2.2e-08j)
+        fn = Functional("abs_a3_minus_a2", "starlike", fixed_p=0.8)
+        out = extremal_search(fn, 1.0)
+        assert out.value == 0.7
+        assert repr(out.witness.x) == repr(-1 + 0j)
+        assert functional_value(fn, 1.0, out.witness) == 0.7
+
+    @given(
+        st.sampled_from(("abs_a3_minus_a2", "abs_a3")),
+        st.sampled_from(("starlike", "convex")),
+        st.floats(min_value=0.01, max_value=math.pi / 2),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_pinned_affine_search_returns_the_exact_maximum(self, kind, cls, lam, share):
+        # F = alpha + beta x with real alpha, beta peaks over the disk at
+        # |alpha| + |beta|, the canonical x = +-1: no later phase is run
+        fn = Functional(kind, cls, fixed_p=share * (2.0 if cls == "starlike" else 1.0))
+        out = extremal_search(fn, lam)
+        coefs = _quadratic(fn, lam, float(fn.effective_p1))
+        alpha, beta = coefs[:2]
+        assert out.value == max(abs(alpha + beta), abs(alpha - beta))
+        assert out.samples == oracle.DEFAULT_BUDGET
+        rs, ts = np.linspace(0.0, 1.0, 129), np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+        grid = polar_scan(lambda _: coefs, None, rs, ts)[0]
+        assert grid <= out.value + 4.0 * math.ulp(out.value)
+
+    @pytest.mark.parametrize(
+        "kind, cls, p, settled",
+        [
+            ("abs_a2", "convex", None, True),
+            ("abs_a3", "starlike", 1.2, True),
+            ("abs_a3_minus_a2", "convex", 0.25, True),
+            ("abs_a3", "starlike", None, False),
+            ("abs_a4_minus_a3", "starlike", 1.2, False),
+        ],
+    )
+    def test_only_a_search_the_maths_settles_skips_the_grid(self, grid_points_scored, kind, cls, p, settled):
+        fn = Functional(kind, cls, fixed_p=p)
+        found = []
+        points = grid_points_scored(oracle, lambda: found.append(extremal_search(fn, 0.9)))
+        assert (points == 0) == settled
+        assert found[0].samples == oracle.DEFAULT_BUDGET
 
     def test_a4_small_lambda_z_cubed_witness(self):
         fn = Functional("abs_a4", "starlike")
@@ -194,10 +241,14 @@ class TestExtremalSearch:
             extremal_search(fn, 1.0, budget=2000, seed=1, inputs=_SearchInputs(1, 3000))
 
     def test_canonical_seeding_reaches_bound_with_minimal_budget(self):
-        # the seeded witnesses alone attain the sharp |a2| bound
-        out = extremal_search(Functional("abs_a2", "starlike"), 1.4, budget=1000, seed=0)
-        assert out.value == 1.4
-        assert out.witness.p1 == 2.0
+        # the seeded witnesses alone attain the sharp |a2| bound, at the
+        # canonical (p1, x) = (2, 0), and the search returns that witness
+        for cls, lam, sharp in (("starlike", 1.4, 1.4), ("convex", 0.05, 0.025)):
+            for budget in (1000, oracle.DEFAULT_BUDGET):
+                out = extremal_search(Functional("abs_a2", cls), lam, budget=budget, seed=0)
+                assert out.value == sharp
+                assert out.witness.p1 == 2.0 and repr(out.witness.x) == repr(0j)
+                assert out.samples == budget
 
 
 class TestVerifyClaim:
@@ -639,6 +690,16 @@ class TestGeneralBoundProbe:
     def test_n_max_capped_by_default_order(self):
         with pytest.raises(ValueError):
             general_bound_probe(1.0, n_max=20)
+
+    @pytest.mark.parametrize("n_max", [1, 0, -1])
+    def test_n_max_below_two_is_refused_before_any_draw(self, monkeypatch, n_max):
+        # the series layer would fail later, and not by this argument's name
+        def no_draws(*args):
+            raise AssertionError("drew before checking n_max")
+
+        monkeypatch.setattr(oracle.np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match=rf"n_max must lie in \[2, 12\], got {n_max}"):
+            general_bound_probe(1.0, n_max=n_max)
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_a_probe_of_nothing_is_refused(self, samples):

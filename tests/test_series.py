@@ -295,6 +295,16 @@ class TestBlaschkeSchwarz:
         with pytest.raises(ValueError):
             blaschke_schwarz(0.0, [1.0])
 
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_refuses_an_order_below_the_z_term(self, n_max):
+        # the z coefficient needs at least two terms
+        with pytest.raises(ValueError, match=f"n_max must be at least 1, got {n_max}"):
+            blaschke_schwarz(0.0, [0.5], n_max)
+
+    def test_order_one_is_the_z_term(self):
+        w = blaschke_schwarz(0.0, [0.5], 1)
+        assert np.allclose(w.coeffs, [0.0, 0.5])
+
     @given(
         st.floats(min_value=0.0, max_value=2 * math.pi),
         st.lists(
