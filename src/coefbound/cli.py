@@ -28,10 +28,10 @@ shrinking local polar grids, all scored in fixed-size blocks of real
 numbers, so memory does not grow with --budget.  Where the maths settles x
 (|a2|, and a pinned p whose functional is affine in x, as |a3 - a2| is) a
 canonical witness already holds the exact maximum, so the search returns
-it after the canonical phase and reports the whole budget as samples.  `verify` (per claim) and
-`report` draw the lam-independent random candidates once and share them
-across their searches while they fit under a fixed cap (budgets up to about
-1,600,000), so the first record that uses the free-p1 draws, and the first
+it after the canonical phase and reports the whole budget as samples.
+`verify` (per claim) and `report` draw the lam-independent random
+candidates once and share them across their searches while they fit
+under a fixed cap (budgets up to about 1,600,000), so the first record that uses the free-p1 draws, and the first
 that uses the pinned-p1 draws, also times drawing them in its duration_ms.
 The search is single-threaded: --workers is accepted for compatibility and
 must be a positive integer, but it changes nothing.
