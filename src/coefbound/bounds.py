@@ -11,7 +11,9 @@ exp(lam*z) with 0 < lam <= pi/2:
 * the general |a_n| product bounds for every n >= 2.
 
 ``bound`` picks the evaluator for one point.  ``check_lambda``, ``P_MAX`` and
-``DEFAULT_PS`` are the (lam, p) domain that every layer checks against.
+``DEFAULT_PS`` are the (lam, p) domain that every layer checks against.  That
+domain starts at LAMBDA_MIN, not at 0: the theorems hold for every lam > 0,
+but below the floor the search's squared scores leave the normal floats.
 
 The |a4 - a3| starlike bound carries a known transcription defect: for
 lam > 3/5 the theorem statement prints the second-branch linear coefficient
@@ -37,6 +39,12 @@ from .lemmas import a_sequence_closed
 
 LAMBDA_MAX = math.pi / 2
 
+#: Smallest lam that any layer accepts.  The smallest maxima are of order
+#: lam^2 / 4 (pinned |a4 - a3| at p = 2 starlike and p = 1 convex), and the
+#: search scores |A| as sqrt(Re A^2 + Im A^2): those squares must stay normal
+#: floats, or the scores lose precision and then underflow to 0.
+LAMBDA_MIN = 1e-60
+
 #: Interval-membership slack at piecewise breakpoints.
 BREAK_TOL = 1e-12
 
@@ -50,9 +58,9 @@ _SQRT_32_43 = math.sqrt(32.0 / 43.0)
 
 
 def check_lambda(lam: float) -> None:
-    """Raise ValueError unless 0 < lam <= pi/2 (up to the breakpoint slack)."""
-    if not 0.0 < lam <= LAMBDA_MAX + BREAK_TOL:
-        raise ValueError(f"lambda must lie in (0, pi/2], got {lam}")
+    """Raise ValueError unless LAMBDA_MIN <= lam <= pi/2 (up to the breakpoint slack)."""
+    if not LAMBDA_MIN <= lam <= LAMBDA_MAX + BREAK_TOL:
+        raise ValueError(f"lambda must lie in [{LAMBDA_MIN}, pi/2], got {lam}")
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,10 @@ Exit codes:
         claim uses, a --psi2-variant where no starlike d43 bound reads it
         (bound --n, bound --which d32, the convex class, and a verify
         without thm3.3-d43), a --lambda or --p that gives no number, a
-        --budget outside [1000, 10**9], a negative --seed, a --workers below
-        1 and a --tol that is negative, inf or nan
+        --lambda outside [1e-60, pi/2] (below bounds.LAMBDA_MIN the search's
+        squared scores would underflow), a --budget outside [1000, 10**9], a
+        negative --seed, a --workers below 1 and a --tol that is negative,
+        inf or nan
 Data goes to stdout, diagnostics (one "error:" line) to stderr.  JSON floats
 are emitted value-preserving (shortest round-trip form); CSV cells use the
 same form, with empty cells for absent values and true/false for flags; text
@@ -31,8 +33,9 @@ canonical witness already holds the exact maximum, so the search returns
 it after the canonical phase and reports the whole budget as samples.
 `verify` (per claim) and `report` draw the lam-independent random
 candidates once and share them across their searches while they fit
-under a fixed cap (budgets up to about 1,600,000), so the first record that uses the free-p1 draws, and the first
-that uses the pinned-p1 draws, also times drawing them in its duration_ms.
+under a fixed cap (budgets up to about 1,600,000), so the first record
+that uses the free-p1 draws, and the first that uses the pinned-p1 draws,
+also times drawing them in its duration_ms.
 The search is single-threaded: --workers is accepted for compatibility and
 must be a positive integer, but it changes nothing.
 """

@@ -16,11 +16,12 @@ The extremal search maximizes over y in closed form (see oracle), so it
 walks (p1, x) only: random rows from random_chunks, as contiguous float64
 columns (p1, |x|) that carry p1 = None when p1 is pinned, which
 finish_rows turns into (x_re, x_im) for the rows that score_bound cannot
-rule out, and (p1, |x|, arg x) grids through polar_scan and polish, the
-kernel it shares with lemmas.y_bruteforce.
-sample_param_arrays draws whole (p1, x, y) rows from the same row maps and
-is the one place where complex arrays are built, bit for bit from columns
-that carry the bits numpy's complex arithmetic gives, signed zeros included.
+rule out, and (p1, |x|, arg x) grids from grid_axes through polar_scan
+and polish, the kernel it shares with lemmas.y_bruteforce.
+sample_param_arrays (sample_params as objects) draws whole (p1, x, y) random
+rows from the same row maps and is the one place where complex arrays are
+built, bit for bit from columns that carry the bits numpy's complex
+arithmetic gives, signed zeros included.
 """
 
 from __future__ import annotations
@@ -108,120 +109,56 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return z
 
 
-def _project_disk(re: np.ndarray, im: np.ndarray) -> None:
-    """Radially project the points re + i im onto the closed unit disk, in place.
-
-    Bit for bit np.where(np.abs(z) > 1, z / np.abs(z), z), on the rows that
-    can leave the disk only.  re^2 + im^2 is within a few ulp of |z|^2, so a
-    screen well below 1 misses no row whose numpy complex modulus r exceeds
-    1; the candidates take r as exactly that modulus, which neither hypot
-    nor sqrt(re^2 + im^2) reproduces.  numpy divides a complex by a real r
-    as ((re + im*0) * (1/r), (im - re*0) * (1/r)); the zero terms only
-    change the sign of a zero part.
-    """
-    rows = np.flatnonzero(re * re + im * im > 1.0 - 1e-12)
-    if rows.size == 0:
-        return
-    zr, zi = re[rows], im[rows]
-    r = np.abs(_complex(zr, zi))
-    out = r > 1.0
-    if not out.all():
-        rows, zr, zi, r = rows[out], zr[out], zi[out], r[out]
-    inv = 1.0 / r
-    re[rows] = (zr + zi * 0.0) * inv
-    im[rows] = (zi - zr * 0.0) * inv
-
-
 def sample_param_arrays(
     seed: int,
     count: int,
     strategy: str,
     fixed_p1: Optional[float] = None,
-    center: Optional[CaratheodoryParams] = None,
-    radius: float = 0.3,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic (p1, x, y) sample arrays; the kernel behind sample_params.
 
-    ``grid`` stratifies p1 in [0, 2] (the theorems normalize p1 >= 0) and the
-    polar coordinates of x and y, with moduli including exactly 0 and 1 and
-    phases including exactly 0 and pi; grid corners such as (2, 1, 1) are
-    always present.  Actual grid size is the largest level product <= count;
-    a count below the smallest grid (32 points, 16 when p1 is pinned) is
-    refused.
+    ``strategy`` must be ``random``: uniform draws mixed with atoms on the
+    boundary values (p1 = 2 and 0, |z| = 1 and 0, arg z = 0 and pi), since
+    the known extremal witnesses sit on the boundary of the body.  A
+    ``fixed_p1`` other than None replaces every p1.
 
-    ``random`` mixes uniform draws with atoms on the boundary values, since
-    the known extremal witnesses sit on the boundary of the body.
-
-    ``refine-around`` perturbs ``center`` locally: |p1' - p1| <= 2*radius,
-    |x' - x| <= radius and |y' - y| <= radius (clipping and disk projection
-    only shrink distances); ``radius`` must be finite and positive.
-
-    The output depends only on the arguments, never on call order.  Each
-    strategy draws its rows whole, from the row maps that the search's
-    random rows share; this is the one place where complex arrays are built.
+    The output depends only on the arguments, never on call order, and a
+    smaller draw is a prefix of a larger one.  The rows come whole from the
+    row maps that the search's random rows share; this is the one place
+    where complex arrays are built.
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    if strategy == "grid":
-        levels = _axis_levels(count, fixed_p1)
-        p1_levels = np.linspace(0.0, 2.0, levels.pop(0)) if fixed_p1 is None else [fixed_p1]
-        axes = (*_disk_axes(*levels[:2]), *_disk_axes(*levels[2:]))
-        p1, mx, ax, my, ay = (g.ravel() for g in np.meshgrid(p1_levels, *axes, indexing="ij"))
-        x, y = _polar(mx, np.cos(ax), np.sin(ax)), _polar(my, np.cos(ay), np.sin(ay))
-    elif strategy == "random":
-        u = np.random.default_rng(seed).random((count, 10))
-        p1 = _p1_draw(u)
-        x, y = _disk_point(u[:, 2:6]), _disk_point(u[:, 6:10])
-    elif strategy == "refine-around":
-        if center is None:
-            raise ValueError("refine-around requires a center")
-        if not 0.0 < radius < math.inf:
-            raise ValueError(f"refine-around radius must be finite and positive, got {radius}")
-        u = np.random.default_rng(seed).random((count, 6))
-        dx, dy = _offset(u[:, 1:3], radius), _offset(u[:, 3:5], radius)
-        p1, *x = refine_around((_dp1(u, radius), *dx), (center.p1, center.x.real, center.x.imag))
-        _, *y = refine_around((None, *dy), (None, center.y.real, center.y.imag))
-    else:
+    if strategy != "random":
         raise ValueError(f"unknown sampling strategy {strategy!r}")
-    if fixed_p1 is not None:
-        p1 = np.full(p1.size, float(fixed_p1))
+    u = np.random.default_rng(seed).random((count, 10))
+    p1 = _p1_draw(u) if fixed_p1 is None else np.full(count, float(fixed_p1))
+    x, y = _disk_point(u[:, 2:6]), _disk_point(u[:, 6:10])
     return p1, _complex(*x), _complex(*y)
 
 
-def _axis_levels(count: int, fixed_p1: Optional[float], points: int = 2) -> list[int]:
-    # Axes: p1, then |z| and arg z of each of ``points`` disk points; a
-    # fixed_p1 other than None drops the p1 axis.  Phase axes keep even
-    # level counts so that 0 and pi are both hit.  Every axis has at least
-    # 2 levels, so a count below 2^axes is refused.
-    first = 0 if fixed_p1 is not None else 1
-    n_axes = first + 2 * points
-    levels = [2] * n_axes
+def grid_axes(count: int, pinned: bool):
+    """The search grid's levels (p1 or None when pinned, |x|, arg x); their product is <= count.
+
+    Each axis starts at 2 levels, so a count below 8 (4 when pinned) is
+    refused, and the axes take turns to grow while the product stays <= count.
+    arg x grows by 2, so that its levels 2 pi k / n hold 0 and, to within
+    an ulp, pi; the levels of p1 run from 0 to 2 and those of |x| from 0 to 1.
+    """
+    steps = (1, 2) if pinned else (1, 1, 2)
+    levels = [2] * len(steps)
     if math.prod(levels) > count:
         raise ValueError(f"a grid needs count >= {math.prod(levels)}, got {count}")
     grew = True
     while grew:
         grew = False
-        for i in range(n_axes):
-            is_phase = i >= first and (i - first) % 2 == 1
-            step = 2 if is_phase else 1
-            trial = list(levels)
-            trial[i] += step
-            if math.prod(trial) <= count:
-                levels = trial
+        for i, step in enumerate(steps):
+            if math.prod(levels) // levels[i] * (levels[i] + step) <= count:
+                levels[i] += step
                 grew = True
-    return levels
-
-
-def grid_axes(count: int, pinned: bool):
-    """The search grid's levels (p1 or None when pinned, |x|, arg x); their product is <= count."""
-    levels = _axis_levels(count, pinned or None, 1)
-    p1_levels = None if pinned else np.linspace(0.0, 2.0, levels.pop(0))
-    return (p1_levels, *_disk_axes(*levels))
-
-
-def _disk_axes(n_mod: int, n_arg: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid levels of |z|, n_mod of them from 0 to 1, and of arg z, 2 pi k / n_arg."""
-    return np.linspace(0.0, 1.0, n_mod), 2.0 * np.pi * np.arange(n_arg) / n_arg
+    *p1, n_mod, n_arg = levels
+    p1_levels = np.linspace(0.0, 2.0, p1[0]) if p1 else None
+    return p1_levels, np.linspace(0.0, 1.0, n_mod), 2.0 * np.pi * np.arange(n_arg) / n_arg
 
 
 def _polar(mod: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,8 +166,8 @@ def _polar(mod: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarra
 
     That product is (mod cos - 0 sin, mod sin + 0 cos).  A zero term leaves
     a nonzero part as it is and can change a zero part only in sign, so the
-    zero terms are taken on the zero parts alone: the rows of modulus 0
-    (the zero-modulus atom and grid level) and the imaginary parts at phase 0.
+    zero terms are taken on the zero parts alone: the rows of the
+    zero-modulus atom and the imaginary parts at phase 0.
     """
     re, im = mod * cos, mod * sin
     zero = np.flatnonzero(re == 0.0)
@@ -280,17 +217,6 @@ def finish_rows(mod: np.ndarray, phase_u: np.ndarray) -> tuple[np.ndarray, np.nd
 def _disk_point(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map uniform rows u[:, 0:4] to the (re, im) columns of a disk point with boundary atoms."""
     return finish_rows(_modulus(u[:, 0:2]), u[:, 2:4])
-
-
-def _dp1(u: np.ndarray, r: float) -> np.ndarray:
-    """Map uniform rows u[:, 0] to a p1 offset, uniform in [-2r, 2r]."""
-    return 2.0 * r * (2.0 * u[:, 0] - 1.0)
-
-
-def _offset(u: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Map uniform rows u[:, 0:2] to the (re, im) columns of a uniform point of |z| <= r."""
-    phase = 2.0 * np.pi * u[:, 1]
-    return _polar(r * np.sqrt(u[:, 0]), np.cos(phase), np.sin(phase))
 
 
 def random_chunks(seed, count: int, pinned: bool, chunk: int):
@@ -454,32 +380,12 @@ def polish(coefficients, incumbent, widths, rounds, levels, shrink, chunk=8192, 
     return incumbent
 
 
-def refine_around(offsets, center) -> tuple:
-    """Candidate columns ``center + offsets``, clipped and projected back into the body.
-
-    ``offsets`` is (dp1, dx_re, dx_im) and ``center`` is (p1, x_re, x_im).  A
-    centre p1 of None means p1 is pinned: the candidates then carry
-    p1 = None, no p1 column is built and dp1 is not read.
-    """
-    dp1, dre, dim = offsets
-    p1c, re, im = center
-    p1 = None if p1c is None else np.clip(p1c + dp1, 0.0, 2.0)
-    re, im = re + dre, im + dim
-    _project_disk(re, im)
-    return p1, re, im
-
-
 def sample_params(
     seed: int,
     count: int,
     strategy: str,
     fixed_p1: Optional[float] = None,
-    center: Optional[CaratheodoryParams] = None,
-    radius: float = 0.3,
 ) -> list[CaratheodoryParams]:
-    """Deterministic sequence of admissible parameter triples.
-
-    See sample_param_arrays for the strategy semantics.
-    """
-    p1, x, y = sample_param_arrays(seed, count, strategy, fixed_p1, center, radius)
+    """Deterministic admissible parameter triples: the rows of sample_param_arrays as objects."""
+    p1, x, y = sample_param_arrays(seed, count, strategy, fixed_p1)
     return [CaratheodoryParams(float(p), complex(a), complex(b)) for p, a, b in zip(p1, x, y)]

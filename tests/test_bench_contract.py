@@ -8,6 +8,7 @@ must pass every check it makes (verdicts, findings, witness replay).
 """
 
 import contextlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ sys.path[:0] = [str(BENCH), str(ROOT / "src")]
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-from coefbound import cli  # noqa: E402
+from coefbound import cli, oracle  # noqa: E402
 
 
 def test_span_targets_exist_and_are_callable():
@@ -31,6 +32,14 @@ def test_span_targets_exist_and_are_callable():
     assert ("coefbound.oracle", "sample_param_arrays") in names
     for module, attr, _, _ in targets:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_sampler_span_binds_a_real_call():
+    # the recorder binds seed, count, strategy and fixed_p1 by name
+    describe = spans._sampler_attrs(inspect.signature(oracle.sample_param_arrays))
+    attrs = describe((7, 16, "random"), {}, oracle.sample_param_arrays(7, 16, "random"))
+    assert attrs["strategy"] == "random"
+    assert attrs["n"] == 16
 
 
 @pytest.mark.parametrize(

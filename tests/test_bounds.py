@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coefbound.bounds import (
+    LAMBDA_MIN,
     bound,
     k_coeff_bound,
     k_diff_bound,
@@ -92,10 +93,11 @@ class TestStarlikeCoefficientBounds:
             s_star_coeff_bound(1, 1.0)
 
     def test_lambda_out_of_range(self):
-        with pytest.raises(ValueError):
-            s_star_coeff_bound(2, 0.0)
-        with pytest.raises(ValueError):
-            s_star_coeff_bound(2, 1.8)
+        # below LAMBDA_MIN the search's squared scores would leave the normal floats
+        for lam in (0.0, 1.8, 1e-100, 5e-324, math.nextafter(LAMBDA_MIN, 0.0), math.nan):
+            with pytest.raises(ValueError):
+                s_star_coeff_bound(2, lam)
+        assert s_star_coeff_bound(2, LAMBDA_MIN).value == LAMBDA_MIN
 
 
 class TestConvexCoefficientBounds:

@@ -104,10 +104,15 @@ class TestExitCodes:
         assert code == 2
 
     def test_out_of_range_lambda_exit_2_with_single_line(self, capsys):
-        code, out, err = run_cli(capsys, "bound", "--class", "starlike", "--n", "3", "--lambda", "2.0")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        for argv in (
+            ("bound", "--class", "starlike", "--n", "3", "--lambda", "2.0"),
+            ("bound", "--class", "starlike", "--n", "3", "--lambda", "1e-61"),
+            ("verify", "--claim", "thm3.3-d43", "--lambda", "1e-100"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_clean_bound_run_exit_0(self, capsys):
         code, _, _ = run_cli(capsys, "bound", "--class", "starlike", "--n", "2", "--lambda", "1")

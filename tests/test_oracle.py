@@ -29,7 +29,7 @@ from coefbound.oracle import (
     series_cross_check,
     verify_claim,
 )
-from coefbound.bounds import bound
+from coefbound.bounds import LAMBDA_MIN, bound
 from coefbound.schwarz import (
     CaratheodoryParams,
     finish_rows,
@@ -304,6 +304,12 @@ class TestVerifyClaim:
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             run_claim_suite(budget=2000, tol=tol)
 
+    def test_every_claim_attains_its_bound_at_the_lambda_floor(self):
+        # the smallest maxima, of order LAMBDA_MIN^2 / 4, still score in normal floats
+        for claim_id in CLAIMS:
+            for r in verify_claim(claim_id, [LAMBDA_MIN], budget=1000):
+                assert abs(r.gap) <= 1e-12 * r.bound, (claim_id, r.p)
+
     def test_violation_flag_matches_definition(self):
         reports = verify_claim("thm3.1-a4", [0.1, 0.21, 0.3, 1.0], budget=5000, seed=3)
         for r in reports:
@@ -523,7 +529,7 @@ class TestMaximumOverY:
     @given(
         st.sampled_from(FUNCTIONAL_KINDS),
         st.sampled_from(("starlike", "convex")),
-        st.floats(min_value=0.0, max_value=math.pi / 2, exclude_min=True),
+        st.floats(min_value=LAMBDA_MIN, max_value=math.pi / 2),
         st.floats(min_value=0.0, max_value=2.0),
         unit_disk,
         st.integers(min_value=0, max_value=2**32 - 1),

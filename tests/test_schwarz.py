@@ -11,17 +11,12 @@ from coefbound.schwarz import (
     CaratheodoryParams,
     SchwarzCoefficients,
     caratheodory_moments,
-    _axis_levels,
-    _dp1,
-    _offset,
-    _project_disk,
     caratheodory_to_schwarz,
     finish_rows,
     grid_axes,
     polar_scan,
     polish,
     random_chunks,
-    refine_around,
     sample_param_arrays,
     sample_params,
     score_bound,
@@ -136,63 +131,15 @@ class TestSampler:
         large = sample_params(7, 25, "random")
         assert large[:10] == small
 
-    def test_grid_includes_corner(self):
-        pts = sample_params(0, 32, "grid")
-        assert any(p.p1 == 2.0 and p.x == 1.0 and p.y == 1.0 for p in pts)
-
-    def test_grid_respects_count(self):
-        # the smallest grid has 2 levels per axis: 32 points, 16 when p1 is pinned
-        for fixed_p1, smallest in ((None, 32), (1.0, 16)):
-            for count in range(1, 41):
-                if count < smallest:
-                    with pytest.raises(ValueError, match=f"count >= {smallest}"):
-                        sample_params(0, count, "grid", fixed_p1=fixed_p1)
-                else:
-                    assert len(sample_params(0, count, "grid", fixed_p1=fixed_p1)) <= count
-            assert len(sample_params(0, 1000, "grid", fixed_p1=fixed_p1)) <= 1000
-
-    def test_grid_hits_boundary_moduli_and_phases(self):
-        pts = sample_params(0, 200, "grid")
-        assert any(abs(p.x) == 0.0 for p in pts)
-        assert any(abs(abs(p.x) - 1.0) < 1e-15 for p in pts)
-        assert any(abs(p.x + 1.0) < 1e-12 for p in pts)  # phase pi present
-
     def test_fixed_p1(self):
         pts = sample_params(3, 50, "random", fixed_p1=0.8)
         assert all(p.p1 == 0.8 for p in pts)
-        grid = sample_params(3, 81, "grid", fixed_p1=1.5)
-        assert all(p.p1 == 1.5 for p in grid)
 
-    def test_refine_locality(self):
-        center = CaratheodoryParams(0.0, 0.0, 1.0)
-        radius = 0.25
-        pts = sample_params(11, 300, "refine-around", center=center, radius=radius)
-        for q in pts:
-            assert abs(q.p1 - center.p1) <= 2 * radius + 1e-12
-            assert abs(q.x - center.x) <= radius + 1e-12
-            assert abs(q.y - center.y) <= radius + 1e-12
-
-    def test_refine_stays_admissible(self):
-        center = CaratheodoryParams(1.9, 0.99, -0.98j)
-        pts = sample_params(5, 200, "refine-around", center=center, radius=0.4)
-        for q in pts:
-            assert 0.0 <= q.p1 <= 2.0
-            assert abs(q.x) <= 1.0 + 1e-15
-            assert abs(q.y) <= 1.0 + 1e-15
-
-    def test_refine_requires_center(self):
-        with pytest.raises(ValueError):
-            sample_params(1, 10, "refine-around")
-
-    @pytest.mark.parametrize("radius", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
-    def test_refine_radius_must_be_finite_and_positive(self, radius):
-        center = CaratheodoryParams(1.0, 0.5, 0.5j)
-        with pytest.raises(ValueError, match="radius"):
-            sample_params(1, 10, "refine-around", center=center, radius=radius)
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            sample_params(1, 10, "sobol")
+    @pytest.mark.parametrize("strategy", ["sobol", "grid", "refine-around"])
+    def test_unknown_strategy(self, strategy):
+        # random is the one strategy: the two-disk grid and refine-around are gone
+        with pytest.raises(ValueError, match="unknown sampling strategy"):
+            sample_params(1, 10, strategy)
 
     def test_count_positive(self):
         with pytest.raises(ValueError):
@@ -204,19 +151,6 @@ class TestSampler:
         assert np.allclose(p1, [o.p1 for o in objs])
         assert np.allclose(x, [o.x for o in objs])
         assert np.allclose(y, [o.y for o in objs])
-
-
-def _refine_reference(seed, count, center, radius, fixed_p1):
-    """The refine-around draw with the centre applied inline, offsets unnamed."""
-    u = np.random.default_rng(seed).random((count, 6))
-    if fixed_p1 is None:
-        p1 = np.clip(center.p1 + 2.0 * radius * (2.0 * u[:, 0] - 1.0), 0.0, 2.0)
-    else:
-        p1 = np.full(count, float(fixed_p1))
-    x = center.x + radius * np.sqrt(u[:, 1]) * np.exp(2j * np.pi * u[:, 2])
-    y = center.y + radius * np.sqrt(u[:, 3]) * np.exp(2j * np.pi * u[:, 4])
-    project = lambda z: np.where(np.abs(z) > 1.0, z / np.abs(z), z)  # noqa: E731
-    return p1, project(x), project(y)
 
 
 def _bits(arrays):
@@ -232,55 +166,6 @@ def _assembled(columns):
         z.real, z.imag = re, im
         points.append(z)
     return [p1, *points]
-
-
-centers = st.builds(CaratheodoryParams, st.floats(min_value=0.0, max_value=2.0), unit_disk, unit_disk)
-
-
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=1, max_value=64),
-    st.floats(min_value=1e-6, max_value=1.0),
-    centers,
-    centers,
-    st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0)),
-)
-@settings(max_examples=200, deadline=None)
-def test_refine_around_is_shared_offsets_plus_centre(seed, count, radius, a, b, fixed_p1):
-    # One offset draw serves every centre: applying one leaves the offsets
-    # as they were, and each composition is bit-for-bit the (p1, x) of the
-    # refine-around sample at that centre.
-    def draw():
-        u = np.random.default_rng(seed).random((count, 6))
-        return (_dp1(u, radius), *_offset(u[:, 1:3], radius))
-
-    offsets = draw()
-    for center in (a, b):
-        p1c = None if fixed_p1 is not None else center.p1
-        p1, x = _assembled(refine_around(offsets, (p1c, center.x.real, center.x.imag)))
-        if fixed_p1 is not None:  # a pinned p1 is not drawn
-            assert p1 is None
-            p1 = np.full(count, float(fixed_p1))
-        sampled = sample_param_arrays(seed, count, "refine-around", fixed_p1, center, radius)
-        want = _refine_reference(seed, count, center, radius, fixed_p1)
-        assert _bits([p1, x]) == _bits(want[:2])
-        assert _bits(sampled) == _bits(want)
-        assert _bits(offsets) == _bits(draw())
-
-
-def _grid_reference(count, fixed_p1):
-    """The grid as one 5-D meshgrid, with exp taken on every row."""
-    levels = _axis_levels(count, fixed_p1)
-    if fixed_p1 is None:
-        p1 = np.linspace(0.0, 2.0, levels.pop(0))
-    else:
-        p1 = np.array([float(fixed_p1)])
-    mx = np.linspace(0.0, 1.0, levels[0])
-    ax = 2.0 * np.pi * np.arange(levels[1]) / levels[1]
-    my = np.linspace(0.0, 1.0, levels[2])
-    ay = 2.0 * np.pi * np.arange(levels[3]) / levels[3]
-    p1g, mxg, axg, myg, ayg = np.meshgrid(p1, mx, ax, my, ay, indexing="ij")
-    return p1g.ravel().astype(float), (mxg * np.exp(1j * axg)).ravel(), (myg * np.exp(1j * ayg)).ravel()
 
 
 def _joined(blocks, chunk):
@@ -311,18 +196,6 @@ def _search_columns(got, want, pinned):
 
 pinned_p1 = st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0))
 chunks = st.integers(min_value=1, max_value=5000)
-
-
-@given(st.integers(min_value=1, max_value=4000), pinned_p1)
-@settings(max_examples=100, deadline=None)
-def test_sample_grid_is_the_two_disk_grid(count, fixed_p1):
-    smallest = 16 if fixed_p1 is not None else 32
-    if count < smallest:
-        with pytest.raises(ValueError, match=f"count >= {smallest}"):
-            sample_param_arrays(0, count, "grid", fixed_p1)
-        return
-    got = sample_param_arrays(0, count, "grid", fixed_p1)
-    assert _bits(got) == _bits(_grid_reference(count, fixed_p1))
 
 
 @given(
@@ -382,59 +255,10 @@ def test_random_bits_match_the_complex_draw(seed, fixed_p1):
 @pytest.mark.parametrize("fixed_p1", [None, 0.7])
 @pytest.mark.parametrize("seed", [0, 42])
 def test_sample_param_arrays_match_the_two_disk_references(seed, fixed_p1, count):
-    # whole-row draws above the search's block size: grid, random and
-    # refine-around are bit for bit the complex references
-    center = CaratheodoryParams(1.9, complex(0.6, -0.7), complex(-0.99, 0.05))
-    sampled = [
-        sample_param_arrays(seed, count, strategy, fixed_p1, center, 0.3)
-        for strategy in ("grid", "random", "refine-around")
-    ]
-    want = [
-        _grid_reference(count, fixed_p1),
-        _random_reference(seed, count, fixed_p1, 10),
-        _refine_reference(seed, count, center, 0.3, fixed_p1),
-    ]
-    assert [_bits(s) for s in sampled] == [_bits(w) for w in want]
-
-
-def _projected(z):
-    """The complex projection the columns reproduce."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # 0 / 0 is not selected
-        return np.where(np.abs(z) > 1.0, z / np.abs(z), z)
-
-
-_signed_units = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)] + [
-    1.0, -1.0, 1j, -1j, complex(-0.0, 1.0), complex(1.0, -0.0), complex(-1.0, -0.0),
-    complex(-0.0, 2.0), complex(0.0, -2.0), complex(-2.0, -0.0), complex(2.0, 0.0),
-]
-_phases = st.floats(min_value=-4.0, max_value=4.0)
-_near_circle = st.builds(
-    lambda t, e: complex((1.0 + e) * math.cos(t), (1.0 + e) * math.sin(t)),
-    _phases,
-    st.floats(min_value=-1e-12, max_value=1e-12),
-)
-_on_circle = st.builds(lambda t: complex(math.cos(t), math.sin(t)), _phases)
-_off_circle = st.builds(
-    lambda t, m: complex(m * math.cos(t), m * math.sin(t)),
-    _phases,
-    st.floats(min_value=0.0, max_value=3.0),
-)
-_projection_points = st.lists(
-    st.one_of(_on_circle, _near_circle, _off_circle, st.sampled_from(_signed_units)),
-    min_size=1,
-    max_size=40,
-)
-
-
-@given(_projection_points)
-@settings(max_examples=300, deadline=None)
-def test_column_projection_is_the_complex_projection(points):
-    # the screen on re^2 + im^2 may skip only rows that stay, and a moved
-    # row is scaled exactly as complex division scales it, signed zeros too
-    z = np.array(points + _signed_units, dtype=np.complex128)
-    re, im = z.real.copy(), z.imag.copy()
-    _project_disk(re, im)
-    assert _bits(_assembled([None, re, im])[1:]) == _bits([_projected(z)])
+    # whole-row draws above the search's block size are bit for bit the
+    # complex reference of the random (p1, x, y) rows
+    sampled = sample_param_arrays(seed, count, "random", fixed_p1)
+    assert _bits(sampled) == _bits(_random_reference(seed, count, fixed_p1, 10))
 
 
 _coefficient = st.floats(min_value=-3.0, max_value=3.0)
@@ -798,8 +622,18 @@ def test_polish_spanning_the_disk_reaches_across_the_origin():
 
 @pytest.mark.parametrize("pinned", [False, True])
 def test_grid_axes_keep_the_exact_levels(pinned):
-    p1, mod, arg = grid_axes(3000, pinned)
-    assert (p1 is None) == pinned
-    assert mod[0] == 0.0 and mod[-1] == 1.0 and arg[0] == 0.0
-    assert np.pi in arg  # the phase levels are even in number
-    assert math.prod(a.size for a in (p1, mod, arg) if a is not None) <= 3000
+    # the smallest grid has 2 levels per axis: 8 points, 4 when p1 is pinned
+    smallest = 4 if pinned else 8
+    for count in range(1, smallest):
+        with pytest.raises(ValueError, match=f"count >= {smallest}"):
+            grid_axes(count, pinned)
+    assert np.pi in grid_axes(3000, pinned)[2]
+    for count in [*range(smallest, 3001), 24_000, 499_000]:
+        p1, mod, arg = grid_axes(count, pinned)
+        assert (p1 is None) == pinned
+        if not pinned:
+            assert p1[0] == 0.0 and p1[-1] == 2.0
+        assert mod[0] == 0.0 and mod[-1] == 1.0 and arg[0] == 0.0
+        # the phase levels are even in number, so one is pi to within an ulp
+        assert arg.size % 2 == 0 and abs(arg[arg.size // 2] - np.pi) <= 4.5e-16
+        assert math.prod(a.size for a in (p1, mod, arg) if a is not None) <= count

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coefbound.bounds import LAMBDA_MIN
 from coefbound.oracle import general_bound_probe, series_cross_check
 from coefbound.series import (
     DEFAULT_ORDER,
@@ -415,7 +416,7 @@ class TestBitsOfTheReferenceLoops:
 
     @given(
         st.lists(small, min_size=2, max_size=DEFAULT_ORDER + 1),
-        st.floats(min_value=0.0, max_value=math.pi / 2, exclude_min=True),
+        st.floats(min_value=LAMBDA_MIN, max_value=math.pi / 2),
         st.sampled_from(["starlike", "convex"]),
         st.data(),
     )
