@@ -145,6 +145,31 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_params(1, 0, "random")
 
+    # the grid is grid_axes, the (p1, |x|, arg x) levels that polar_scan searches
+
+    def test_grid_includes_corner(self):
+        p1, mod, arg = grid_axes(32, False)
+        assert p1[-1] == 2.0 and mod[-1] == 1.0 and arg[0] == 0.0
+
+    def test_grid_respects_count(self):
+        # the smallest grid has 2 levels per axis: 8 points, 4 when p1 is pinned
+        for pinned, smallest in ((False, 8), (True, 4)):
+            for count in range(1, smallest):
+                with pytest.raises(ValueError, match=f"count >= {smallest}"):
+                    grid_axes(count, pinned)
+            for count in [*range(smallest, 3001), 24_000, 499_000]:
+                axes = grid_axes(count, pinned)
+                assert math.prod(a.size for a in axes if a is not None) <= count
+
+    def test_grid_hits_boundary_moduli_and_phases(self):
+        for pinned in (False, True):
+            for count in [*range(4 if pinned else 8, 3001), 24_000, 499_000]:
+                _, mod, arg = grid_axes(count, pinned)
+                assert mod[0] == 0.0 and mod[-1] == 1.0 and arg[0] == 0.0
+                # the phase levels are even in number, so one is pi to within an ulp
+                assert arg.size % 2 == 0 and abs(arg[arg.size // 2] - np.pi) <= 4.5e-16
+            assert np.pi in grid_axes(3000, pinned)[2]
+
     def test_array_and_object_paths_agree(self):
         p1, x, y = sample_param_arrays(9, 17, "random")
         objs = sample_params(9, 17, "random")
@@ -622,18 +647,10 @@ def test_polish_spanning_the_disk_reaches_across_the_origin():
 
 @pytest.mark.parametrize("pinned", [False, True])
 def test_grid_axes_keep_the_exact_levels(pinned):
-    # the smallest grid has 2 levels per axis: 8 points, 4 when p1 is pinned
-    smallest = 4 if pinned else 8
-    for count in range(1, smallest):
-        with pytest.raises(ValueError, match=f"count >= {smallest}"):
-            grid_axes(count, pinned)
-    assert np.pi in grid_axes(3000, pinned)[2]
-    for count in [*range(smallest, 3001), 24_000, 499_000]:
+    # count, moduli and phases are checked in TestSampler; here the p1 axis
+    for count in [*range(4 if pinned else 8, 3001), 24_000, 499_000]:
         p1, mod, arg = grid_axes(count, pinned)
         assert (p1 is None) == pinned
         if not pinned:
             assert p1[0] == 0.0 and p1[-1] == 2.0
-        assert mod[0] == 0.0 and mod[-1] == 1.0 and arg[0] == 0.0
-        # the phase levels are even in number, so one is pi to within an ulp
-        assert arg.size % 2 == 0 and abs(arg[arg.size // 2] - np.pi) <= 4.5e-16
         assert math.prod(a.size for a in (p1, mod, arg) if a is not None) <= count
