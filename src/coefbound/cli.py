@@ -28,9 +28,10 @@ Each search walks (p1, x) candidates and takes the maximum over y in closed
 form: canonical witnesses, a polar grid, random draws and a polish of
 shrinking local polar grids, all scored in fixed-size blocks of real
 numbers, so memory does not grow with --budget.  Where the maths settles x
-(|a2|, and a pinned p whose functional is affine in x, as |a3 - a2| is) a
-canonical witness already holds the exact maximum, so the search returns
-it after the canonical phase and reports the whole budget as samples.
+(|a2|, |a3|, whose bound is affine in p1^2, and a pinned p whose functional
+is affine in x, as |a3 - a2| is) a canonical witness already holds the
+exact maximum, so the search returns it after the canonical phase and
+reports the whole budget as samples.
 `verify` (per claim) and `report` draw the lam-independent random
 candidates once and share them across their searches while they fit
 under a fixed cap (budgets up to about 1,600,000), so the first record
@@ -46,6 +47,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from . import bounds, oracle
@@ -149,7 +151,9 @@ def _validate_ps(ps: list[float], cls: str) -> list[float]:
     return ps
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parsing never changes it, and each parse starts a new namespace."""
     parser = argparse.ArgumentParser(
         prog="coefbound",
         description="Evaluate and verify sharp coefficient bounds for classes "

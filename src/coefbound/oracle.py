@@ -25,9 +25,11 @@ because those witnesses already hold the maximum: a later phase could only
 tie it or beat it by rounding (see _canonical_is_exact).  With p1 pinned
 and gamma = k q = 0, F = alpha + beta x with real alpha and beta peaks over
 the closed disk at |alpha| + |beta|, at the canonical x = 1 or x = -1;
-|a2| = s2 p1 does not depend on x and peaks at the canonical p1 = 2.
-Free-p1 |a3| and |a3 - a2|, and the y kinds away from a pinned p1 = 2,
-still need a search over p1 or x and run every phase.
+|a2| = s2 p1 does not depend on x and peaks at the canonical p1 = 2, and
+free |a3| <= s3 ((3 lam/4) t + (4 - t)/2) is affine in t = p1^2, so it
+peaks at the canonical (p1, x) = (0, +-1) or p1 = 2.  Only the y kinds away
+from a pinned p1 = 2 still need a search over p1 or x and run every phase,
+so the later phases always score the full quadratic form.
 
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
 variant) produce bit-identical reports.  A search scores each phase in
@@ -79,8 +81,6 @@ from .schwarz import (
 
 FUNCTIONAL_KINDS = ("abs_a2", "abs_a3", "abs_a4", "abs_a3_minus_a2", "abs_a4_minus_a3")
 _DIFFERENCE_KINDS = ("abs_a3_minus_a2", "abs_a4_minus_a3")
-#: The functionals that depend on y (through p3).
-_Y_KINDS = ("abs_a4", "abs_a4_minus_a3")
 
 #: Default evaluation budget per (claim, grid point) and violation tolerance.
 DEFAULT_BUDGET = 100_000
@@ -318,14 +318,17 @@ def _canonical_is_exact(fn: Functional, lam: float, eff: Optional[float]) -> boo
     Pinned, with gamma = k q = 0, F = alpha + beta x is affine in x with
     real alpha and beta, and its modulus peaks over the closed disk at
     |alpha| + |beta| = max(|alpha + beta|, |alpha - beta|), at x = 1 or
-    x = -1; where beta = 0 too (p1 = 2), every x ties x = 0.  Free, only
-    |a2| = s2 p1 qualifies: it does not depend on x and peaks at p1 = 2.
+    x = -1; where beta = 0 too (p1 = 2), every x ties x = 0.  Free, |a2| =
+    s2 p1 does not depend on x and peaks at p1 = 2, and |a3| = s3 |(3 lam/4)
+    t + ((4 - t)/2) x| with t = p1^2 in [0, 4] is at most s3 ((3 lam/4) t +
+    (4 - t)/2), which is affine in t, so it peaks at t = 0 (2 s3, at x = +-1)
+    or t = 4 (3 lam s3, every x).  Free |a3 - a2| is not affine in t.
     Each of these maxima is a canonical row, scored as the computed
     |alpha +- beta| or |s2 p1| itself: sqrt(r * r) is |r| in binary64 where
     r * r neither underflows nor overflows.
     """
     if eff is None:
-        return fn.kind == "abs_a2"
+        return fn.kind in ("abs_a2", "abs_a3")
     _, _, gamma, kq = _quadratic(fn, lam, float(eff))
     return gamma == 0.0 and kq == 0.0
 
@@ -345,14 +348,9 @@ def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: flo
     scanned = 0
     for p1, u, v in blocks:
         alpha, beta, gamma, kq = _quadratic(fn, lam, p1) if fixed is None else fixed
-        if fn.kind in _Y_KINDS:
-            re = alpha + u * (beta + gamma * u) - gamma * (v * v)
-            im = v * (beta + 2.0 * gamma * u)
-            vals = np.sqrt(re * re + im * im) + kq * (1.0 - u * u - v * v)
-        else:  # gamma = k q = 0: A is affine in x
-            re = alpha + u * beta
-            im = v * beta
-            vals = np.sqrt(re * re + im * im)
+        re = alpha + u * (beta + gamma * u) - gamma * (v * v)
+        im = v * (beta + 2.0 * gamma * u)
+        vals = np.sqrt(re * re + im * im) + kq * (1.0 - u * u - v * v)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
@@ -410,8 +408,9 @@ def extremal_search(
     canonical witnesses win exact ties.  ``samples`` is the budget: every
     candidate, whether scored or skipped by its bound.  Where the canonical
     witnesses hold the exact maximum (see _canonical_is_exact: pinned p1
-    with F affine in x, or |a2|), the search returns after the canonical
-    phase, since a later phase could only tie it or beat it by rounding.
+    with F affine in x, or free |a2| and |a3|), the search returns after the
+    canonical phase, since a later phase could only tie it or beat it by
+    rounding.
     ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET], ``seed`` must be >= 0.
 
     ``inputs`` carries the schedule and the random blocks that verify_claim

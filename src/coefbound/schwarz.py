@@ -187,9 +187,8 @@ def _p1_draw(u: np.ndarray) -> np.ndarray:
 
 def _modulus(u: np.ndarray) -> np.ndarray:
     """Map uniform rows u[:, 0:2] to a disk point's modulus, with atoms at 1 and 0."""
-    sel, val = u[:, 0], u[:, 1]
-    mod = val.copy()
-    mod[sel < 0.125] = 1.0
+    sel = u[:, 0]
+    mod = np.where(sel < 0.125, 1.0, u[:, 1])
     mod[(sel >= 0.125) & (sel < 0.1875)] = 0.0
     return mod
 
@@ -265,7 +264,7 @@ def score_bound(alpha, beta, gamma, kq, r):
     return a + b * r + g * r2 + margin + kq * (1.0 - r2)
 
 
-def _scores(factors, trig, rows, cols, affine):
+def _scores(factors, trig, rows, cols):
     """|A| + kq (1 - r^2) of the block ``rows`` x ``cols`` of a polar grid.
 
     ``factors`` are the rows' (alpha, beta r, gamma r^2, kq (1 - r^2)),
@@ -278,14 +277,12 @@ def _scores(factors, trig, rows, cols, affine):
     re = br[rows] * cos1[cols]
     re += alpha[rows] if np.ndim(alpha) else alpha
     im = br[rows] * sin1[cols]
-    if not affine:
-        re += gr2[rows] * cos2[cols]
-        im += gr2[rows] * sin2[cols]
+    re += gr2[rows] * cos2[cols]
+    im += gr2[rows] * sin2[cols]
     vals = re * re
     vals += im * im
     np.sqrt(vals, out=vals)
-    if not affine:
-        vals += kr[rows]
+    vals += kr[rows]
     return vals
 
 
@@ -313,7 +310,6 @@ def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: 
     or None.
     """
     coefs = coefficients(p1_levels)
-    affine = not (np.count_nonzero(coefs[2]) or np.count_nonzero(coefs[3]))  # then the score is |A| alone
     trig = np.cos(ts), np.sin(ts), np.cos(2.0 * ts), np.sin(2.0 * ts)
     n_rows = rs.size * (1 if p1_levels is None else p1_levels.size)
     rows, width = max(1, chunk // ts.size), min(chunk, ts.size)
@@ -328,13 +324,13 @@ def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: 
         if keep.size > rows:  # more than one block: seed the incumbent from the top-bound row
             top = int(np.argmax(bound))
             runs = (slice(col, col + width) for col in range(0, ts.size, width))
-            v = max(float(_scores(factors, trig, slice(top, top + 1), cols, affine).max()) for cols in runs)
+            v = max(float(_scores(factors, trig, slice(top, top + 1), cols).max()) for cols in runs)
             best = max(best, math.nextafter(v, -math.inf))
             keep = np.flatnonzero(bound > best)
         level, r = level[keep], r[keep]
         factors = [c[keep] if np.ndim(c) else c for c in factors]
         for start, col in itertools.product(range(0, r.size, rows), range(0, ts.size, width)):
-            vals = _scores(factors, trig, slice(start, start + rows), slice(col, col + width), affine)
+            vals = _scores(factors, trig, slice(start, start + rows), slice(col, col + width))
             i, j = divmod(int(np.argmax(vals)), vals.shape[1])
             if vals[i, j] > best:
                 best = float(vals[i, j])

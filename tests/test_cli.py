@@ -84,6 +84,24 @@ class TestParseArgs:
             cli.parse_args(["verify", "--claim", "thm3.1-a2", "--seed", "-1"])
         assert cli.parse_args(["report", "--seed", "0"]).seed == 0
 
+    def test_a_parse_keeps_nothing_of_the_one_before(self):
+        # the parser is built once, so its append actions and defaults must
+        # not carry one parse's values into the next
+        assert cli._build_parser() is cli._build_parser()
+        first = cli.parse_args(
+            ["verify", "--claim", "thm3.3-d32", "--claim", "thm3.3-d43", "--lambda", "0.5,1.0",
+             "--lambda", "1.4", "--p", "0.5", "--p", "1.5", "--seed", "7", "--psi2-variant", "statement"]
+        )
+        assert first.claims == ["thm3.3-d32", "thm3.3-d43"]
+        assert (first.lambdas, first.ps) == ([0.5, 1.0, 1.4], [0.5, 1.5])
+        second = cli.parse_args(["verify", "--claim", "thm3.5-d32", "--lambda", "0.3", "--p", "0.25"])
+        assert second == cli.RunConfig(
+            command="verify", lambdas=[0.3], ps=[0.25], claims=["thm3.5-d32"]
+        )
+        assert cli.parse_args(["verify", "--claim", "thm3.1-a2"]) == cli.RunConfig(
+            command="verify", claims=["thm3.1-a2"]
+        )
+
     def test_p_for_a_claim_without_p_grid_rejected(self):
         with pytest.raises(cli.UsageError, match="thm3.1-a2 has no p grid"):
             cli.parse_args(["verify", "--claim", "thm3.1-a2", "--lambda", "1", "--p", "0.5"])
@@ -377,8 +395,10 @@ class TestRootsCommand:
 
 #: sha256 of the default `report --seed 42` JSON with every duration_ms zeroed, as
 #: bench/workloads.py hashes it.  A change that moves the report on purpose
-#: updates this digest and says so.
-REPORT_DIGEST = "99ca686c4be825c2a95b89c14c2719b988bb1449307a2c3831942c856792c8aa"
+#: updates this digest and says so.  Settling free |a3| at its canonical
+#: witness (p1, x) = (0, 1) moved 4 records, to a gap of 0.0: thm3.1-a3 at
+#: lambda 0.3 and 0.6 and thm3.2-a3 at lambda 0.3 and 0.6.
+REPORT_DIGEST = "04c37f49bb0d0e7a1fd41a3206827c8e9e02cb307be6e8debb8ca3146ee44b4c"
 
 
 def _normalize_durations(doc):

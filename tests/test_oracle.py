@@ -140,7 +140,9 @@ class TestExtremalSearch:
             ("abs_a2", "convex", None, True),
             ("abs_a3", "starlike", 1.2, True),
             ("abs_a3_minus_a2", "convex", 0.25, True),
-            ("abs_a3", "starlike", None, False),
+            ("abs_a3", "starlike", None, True),
+            ("abs_a3", "convex", None, True),
+            ("abs_a4", "starlike", None, False),
             ("abs_a4_minus_a3", "starlike", 1.2, False),
         ],
     )
@@ -150,6 +152,24 @@ class TestExtremalSearch:
         points = grid_points_scored(oracle, lambda: found.append(extremal_search(fn, 0.9)))
         assert (points == 0) == settled
         assert found[0].samples == oracle.DEFAULT_BUDGET
+
+    @given(
+        st.sampled_from(("starlike", "convex")),
+        st.floats(min_value=LAMBDA_MIN, max_value=math.pi / 2),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_free_a3_is_settled_at_its_closed_maximum(self, cls, lam):
+        # |a3| <= s3 ((3 lam/4) t + (4 - t)/2) is affine in t = p1^2, so its
+        # maximum is 2 s3 at (p1, x) = (0, +-1) or 3 lam s3 at p1 = 2
+        fn = Functional("abs_a3", cls)
+        s3 = lam / 4.0 if cls == "starlike" else lam / 12.0
+        want = max(2.0 * s3, 3.0 * lam * s3)
+        settled = extremal_search(fn, lam).value
+        assert settled == pytest.approx(want, rel=4 * 2.0**-52, abs=0.0)
+        with pytest.MonkeyPatch.context() as m:  # a full search, every phase run
+            m.setattr(oracle, "_canonical_is_exact", lambda *_: False)
+            searched = extremal_search(fn, lam, budget=1000).value
+        assert settled >= searched * (1.0 - 4 * 2.0**-52)
 
     def test_a4_small_lambda_z_cubed_witness(self):
         fn = Functional("abs_a4", "starlike")

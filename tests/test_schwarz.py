@@ -237,6 +237,15 @@ def test_random_chunks_concatenate_to_one_draw(seed, count, fixed_p1, chunk):
     _search_columns(got, _random_reference(seed, count, fixed_p1, 6), pinned)
 
 
+def _masked_modulus(u):
+    """The random modulus map written as a copy and two masked stores."""
+    sel, val = u[:, 0], u[:, 1]
+    mod = val.copy()
+    mod[sel < 0.125] = 1.0
+    mod[(sel >= 0.125) & (sel < 0.1875)] = 0.0
+    return mod
+
+
 def _random_reference(seed, count, fixed_p1, width):
     """The random draw as one complex computation, mod * exp(1j * phase) on every row.
 
@@ -244,18 +253,14 @@ def _random_reference(seed, count, fixed_p1, width):
     10 give (p1, x, y), as sample_params draws them.
     """
     u = np.random.default_rng(seed).random((count, width))
-    if fixed_p1 is None:
-        p1 = 2.0 * u[:, 1].copy()
-        p1[u[:, 0] < 0.125] = 2.0
-        p1[(u[:, 0] >= 0.125) & (u[:, 0] < 0.1875)] = 0.0
+    if fixed_p1 is None:  # p1 has the modulus's atoms at twice the values, and doubling is exact
+        p1 = 2.0 * _masked_modulus(u[:, 0:2])
     else:
         p1 = np.full(count, float(fixed_p1))
     points = []
     for k in range(2, width, 4):
-        sel, val, selp, valp = (u[:, k + i] for i in range(4))
-        mod = val.copy()
-        mod[sel < 0.125] = 1.0
-        mod[(sel >= 0.125) & (sel < 0.1875)] = 0.0
+        mod = _masked_modulus(u[:, k : k + 2])
+        selp, valp = u[:, k + 2], u[:, k + 3]
         phase = 2.0 * np.pi * valp
         phase[selp < 0.125] = 0.0
         phase[(selp >= 0.125) & (selp < 0.25)] = np.pi
@@ -274,6 +279,23 @@ def test_random_bits_match_the_complex_draw(seed, fixed_p1):
     assert np.count_nonzero(want[1] == 0.0) > 500
     assert np.signbit(want[1].real[want[1] == 0.0]).any()
     _search_columns(got, want, pinned)
+
+
+@pytest.mark.parametrize("chunk", [1, 777, 8192])
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("seed", [0, 7, 42, 2**32 - 1])
+def test_random_chunks_are_the_masked_draw_byte_for_byte(seed, pinned, chunk):
+    # the raw (p1, |x|, phase uniforms) blocks, before any trigonometry,
+    # against the uniforms of one draw mapped by the masked modulus
+    count = 20_000 if chunk > 1 else 300
+    got = _joined(random_chunks(seed, count, pinned, chunk), chunk)
+    u = np.random.default_rng(seed).random((count, 6))
+    if pinned:
+        assert got[0] is None
+    else:
+        assert got[0].tobytes() == (2.0 * _masked_modulus(u[:, 0:2])).tobytes()
+    assert got[1].tobytes() == _masked_modulus(u[:, 2:4]).tobytes()
+    assert got[2].tobytes() == np.ascontiguousarray(u[:, 4:6]).tobytes()
 
 
 @pytest.mark.parametrize("count", [8193, 20_000])
@@ -362,8 +384,8 @@ def _spy_scores(monkeypatch):
     blocks = []
     scores = schwarz._scores
 
-    def recording(factors, trig, rows, cols, affine):
-        vals = scores(factors, trig, rows, cols, affine)
+    def recording(factors, trig, rows, cols):
+        vals = scores(factors, trig, rows, cols)
         alpha, br = factors[0], factors[1]
         blocks.append((vals.size, alpha[rows] if np.ndim(alpha) else alpha, br[rows]))
         return vals
