@@ -28,10 +28,11 @@ Each search walks (p1, x) candidates and takes the maximum over y in closed
 form: canonical witnesses, a polar grid, random draws and a polish of
 shrinking local polar grids, all scored in fixed-size blocks of real
 numbers, so memory does not grow with --budget.  Where the maths settles x
-(|a2|, |a3|, whose bound is affine in p1^2, and a pinned p whose functional
-is affine in x, as |a3 - a2| is) a canonical witness already holds the
-exact maximum, so the search returns it after the canonical phase and
-reports the whole budget as samples.
+(|a2|, |a3|, whose bound is affine in p1^2, and a pinned p whose bound on
+|x| = r peaks at r = 1 with a canonical x = +-1 attaining it, as for every
+|a3 - a2| and many |a4 - a3|) a canonical witness already holds the exact
+maximum, so the search returns it after the canonical phase and reports
+the whole budget as samples; that is 80 of the 106 records of `report`.
 `verify` (per claim) and `report` draw the lam-independent random
 candidates once and share them across their searches while they fit
 under a fixed cap (budgets up to about 1,600,000), so the first record

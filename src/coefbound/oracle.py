@@ -22,14 +22,16 @@ checks the polynomials independently.
 
 Where the maths settles x, the search returns after its canonical phase,
 because those witnesses already hold the maximum: a later phase could only
-tie it or beat it by rounding (see _canonical_is_exact).  With p1 pinned
-and gamma = k q = 0, F = alpha + beta x with real alpha and beta peaks over
-the closed disk at |alpha| + |beta|, at the canonical x = 1 or x = -1;
+tie it or beat it by rounding (see _canonical_is_exact).  With p1 pinned,
+the score is at most B(r) = |alpha| + |beta| r + |gamma| r^2 + k q (1 - r^2)
+on |x| = r; when alpha gamma >= 0 and |beta| + 2 |gamma| >= 2 k q, B peaks
+at r = 1 and the canonical x = 1 or x = -1 attains it.  That covers every
+pinned |a3 - a2|, every pinned kind at p1 = 2, and many pinned |a4 - a3|.
 |a2| = s2 p1 does not depend on x and peaks at the canonical p1 = 2, and
 free |a3| <= s3 ((3 lam/4) t + (4 - t)/2) is affine in t = p1^2, so it
-peaks at the canonical (p1, x) = (0, +-1) or p1 = 2.  Only the y kinds away
-from a pinned p1 = 2 still need a search over p1 or x and run every phase,
-so the later phases always score the full quadratic form.
+peaks at the canonical (p1, x) = (0, +-1) or p1 = 2.  In the default report
+80 of the 106 records settle; only free |a4| and the pinned |a4 - a3|
+that fail the test run every phase.
 
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
 variant) produce bit-identical reports.  A search scores each phase in
@@ -56,6 +58,7 @@ every candidate, scored or bounded out.  The search is single-threaded.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -291,16 +294,25 @@ class _SearchInputs:
     While they fit in SHARED_INPUT_BYTES (``shared``) it keeps, once drawn
     and finished, the blocks of the free-p1 random phase and those of the
     pinned one.  Above that it keeps nothing and every search draws its
-    blocks afresh, unfinished.  Callers own an instance for one run and drop
-    it after.
+    blocks afresh, unfinished.  The schedule, the sharing test and the
+    blocks are built on first use, so a run whose every search settles at
+    its canonical phase builds none of them.  Callers own an instance for
+    one run and drop it after.
     """
 
     def __init__(self, seed: int, budget: int):
         self.seed = seed
         self.budget = budget
-        self.schedule = {pinned: _schedule(budget, pinned) for pinned in (False, True)}
-        self.shared = _shared_bytes(self.schedule) <= SHARED_INPUT_BYTES
         self._random: dict = {}
+
+    @functools.cached_property
+    def schedule(self) -> dict:
+        """{pinned: _schedule}, built by the first search that passes its canonical phase."""
+        return {pinned: _schedule(self.budget, pinned) for pinned in (False, True)}
+
+    @functools.cached_property
+    def shared(self) -> bool:
+        return _shared_bytes(self.schedule) <= SHARED_INPUT_BYTES
 
     def random(self, pinned: bool):
         """The random phase's blocks: finished (p1, x_re, x_im) if shared, else random_chunks' own."""
@@ -315,22 +327,36 @@ class _SearchInputs:
 def _canonical_is_exact(fn: Functional, lam: float, eff: Optional[float]) -> bool:
     """Whether the canonical witnesses hold the maximum of |F| over the whole body.
 
-    Pinned, with gamma = k q = 0, F = alpha + beta x is affine in x with
-    real alpha and beta, and its modulus peaks over the closed disk at
-    |alpha| + |beta| = max(|alpha + beta|, |alpha - beta|), at x = 1 or
-    x = -1; where beta = 0 too (p1 = 2), every x ties x = 0.  Free, |a2| =
-    s2 p1 does not depend on x and peaks at p1 = 2, and |a3| = s3 |(3 lam/4)
-    t + ((4 - t)/2) x| with t = p1^2 in [0, 4] is at most s3 ((3 lam/4) t +
-    (4 - t)/2), which is affine in t, so it peaks at t = 0 (2 s3, at x = +-1)
-    or t = 4 (3 lam s3, every x).  Free |a3 - a2| is not affine in t.
-    Each of these maxima is a canonical row, scored as the computed
-    |alpha +- beta| or |s2 p1| itself: sqrt(r * r) is |r| in binary64 where
-    r * r neither underflows nor overflows.
+    Pinned, the search scores |alpha + beta x + gamma x^2| + k q (1 - |x|^2)
+    with real scalar coefficients, and by the triangle inequality that is at
+    most B(r) = |alpha| + |beta| r + |gamma| r^2 + k q (1 - r^2) on |x| = r.
+    B(1) - B(r) = (1 - r)(|beta| + (|gamma| - k q)(1 + r)), whose second
+    factor is affine in r with its value at 0 the mean of |beta| and its
+    value at 1, so B peaks at r = 1 when |beta| + 2 |gamma| >= 2 k q.  If
+    also alpha gamma >= 0, then |alpha + gamma| = |alpha| + |gamma|, and the
+    canonical x = 1 or x = -1 for which beta x has the sign of alpha + gamma
+    scores |alpha + gamma + beta x| = B(1).  This is the first branch of the
+    Choi-Kim-Sugawa Y lemma in normalized form.  It holds for every pinned
+    |a3 - a2| (gamma = k q = 0), for every pinned kind at p1 = 2 (q = 0, so
+    every x ties x = 0), and for many pinned |a4 - a3|, such as every
+    convex one at p = 0.  The sign test compares alpha and gamma with 0, not
+    their product, which can underflow to a zero of either sign.
+
+    Free, |a2| = s2 p1 does not depend on x and peaks at p1 = 2, and |a3| =
+    s3 |(3 lam/4) t + ((4 - t)/2) x| with t = p1^2 in [0, 4] is at most
+    s3 ((3 lam/4) t + (4 - t)/2), which is affine in t, so it peaks at t = 0
+    (2 s3, at x = +-1) or t = 4 (3 lam s3, every x).  Free |a3 - a2| is not
+    affine in t.  Each of these maxima is a canonical row, scored as the
+    computed |alpha + gamma +- beta| or |s2 p1| itself: sqrt(r * r) is |r|
+    in binary64 where r * r neither underflows nor overflows, and
+    1 - u^2 - v^2 is 0 at x = +-1.  The later phases score the same
+    coefficients, so they could only tie it or beat it by rounding.
     """
     if eff is None:
         return fn.kind in ("abs_a2", "abs_a3")
-    _, _, gamma, kq = _quadratic(fn, lam, float(eff))
-    return gamma == 0.0 and kq == 0.0
+    alpha, beta, gamma, kq = _quadratic(fn, lam, float(eff))
+    same_sign = min(alpha, gamma) >= 0.0 or max(alpha, gamma) <= 0.0  # alpha gamma >= 0
+    return same_sign and abs(beta) + 2.0 * abs(gamma) >= 2.0 * kq
 
 
 def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: float, witness):
@@ -408,14 +434,15 @@ def extremal_search(
     canonical witnesses win exact ties.  ``samples`` is the budget: every
     candidate, whether scored or skipped by its bound.  Where the canonical
     witnesses hold the exact maximum (see _canonical_is_exact: pinned p1
-    with F affine in x, or free |a2| and |a3|), the search returns after the
-    canonical phase, since a later phase could only tie it or beat it by
-    rounding.
+    whose radial bound peaks at |x| = 1 with alpha gamma >= 0, or free |a2|
+    and |a3|; 80 of the default report's 106 records), the search returns
+    after the canonical phase, since a later phase could only tie it or beat
+    it by rounding.  It then builds no schedule and draws nothing.
     ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET], ``seed`` must be >= 0.
 
     ``inputs`` carries the schedule and the random blocks that verify_claim
-    and run_claim_suite share across a run; a call without it builds its own
-    and returns the same result.
+    and run_claim_suite share across a run, each built on first use; a call
+    without it builds its own and returns the same result.
     """
     bounds.check_lambda(lam)
     check_budget(budget)
@@ -582,8 +609,9 @@ def _verify_points(
 ) -> list[VerificationReport]:
     """One report per (claim, lam, p) point, in the order given.
 
-    The searches share one _SearchInputs, so the first record that uses each
-    exploration set (free or pinned p1) also times building it.
+    The searches share one _SearchInputs, so the first record that passes
+    its canonical phase also times the schedule, and the first that uses
+    each exploration set (free or pinned p1) also times building it.
     """
     check_tol(tol)
     inputs = _SearchInputs(seed, budget)

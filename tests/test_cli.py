@@ -395,10 +395,12 @@ class TestRootsCommand:
 
 #: sha256 of the default `report --seed 42` JSON with every duration_ms zeroed, as
 #: bench/workloads.py hashes it.  A change that moves the report on purpose
-#: updates this digest and says so.  Settling free |a3| at its canonical
-#: witness (p1, x) = (0, 1) moved 4 records, to a gap of 0.0: thm3.1-a3 at
-#: lambda 0.3 and 0.6 and thm3.2-a3 at lambda 0.3 and 0.6.
-REPORT_DIGEST = "04c37f49bb0d0e7a1fd41a3206827c8e9e02cb307be6e8debb8ca3146ee44b4c"
+#: updates this digest and says so.  Settling every pinned search whose
+#: radial bound peaks at |x| = 1 (oracle._canonical_is_exact) moved 4
+#: records, each by one ulp, to the canonical witness x = 1: thm3.5-d43 at
+#: p = 0 and lambda 0.3, 0.6, 1.0 and 1.4.  At lambda 1.0 the value fell
+#: from one ulp over the bound (gap -2.8e-17) to the bound (gap 0.0).
+REPORT_DIGEST = "1cd4533e394bd452fa44d41438767c020a4a5d8ec1ef102f6da19843b2bf5a90"
 
 
 def _normalize_durations(doc):
@@ -432,17 +434,19 @@ class TestReportCommand:
 
     def test_default_report_resolves_every_bound_and_settles_affine_witnesses(self, capsys):
         # holds whatever digest is pinned above: every attained bound to one
-        # ulp-sized gap, and every pinned functional affine in x ends at a
-        # canonical x, where its maximum over the disk lies
+        # ulp-sized gap, and every search the maths settles (80 of 106) ends
+        # at a canonical x = 0 or +-1, where its maximum over the disk lies
         _, out, _ = run_cli(capsys, "report", "--seed", "42")
+        settled = 0
         for record in json.loads(out)["claims"]:
             if not record["violation"]:
                 assert abs(record["gap"]) <= 2.2e-16 * max(1.0, record["bound"]), record
             claim = CLAIMS[record["claim_id"]]
-            if record["p"] is None:
-                continue
             fn = oracle.Functional(claim.kind, claim.cls, fixed_p=record["p"])
-            _, _, gamma, kq = oracle._quadratic(fn, record["lambda"], fn.effective_p1)
-            if gamma == kq == 0.0:
-                assert record["witness"]["x_re"] in (-1.0, 0.0, 1.0), record
-                assert record["witness"]["x_im"] == 0.0, record
+            if not oracle._canonical_is_exact(fn, record["lambda"], fn.effective_p1):
+                continue
+            settled += 1
+            assert record["witness"]["p1"] in (0.0, 1.0, 2.0) or record["p"] is not None, record
+            assert record["witness"]["x_re"] in (-1.0, 0.0, 1.0), record
+            assert record["witness"]["x_im"] == 0.0, record
+        assert settled == 80

@@ -29,7 +29,7 @@ from coefbound.oracle import (
     series_cross_check,
     verify_claim,
 )
-from coefbound.bounds import LAMBDA_MIN, bound
+from coefbound.bounds import LAMBDA_MIN, P_MAX, bound
 from coefbound.schwarz import (
     CaratheodoryParams,
     finish_rows,
@@ -143,6 +143,8 @@ class TestExtremalSearch:
             ("abs_a3", "starlike", None, True),
             ("abs_a3", "convex", None, True),
             ("abs_a4", "starlike", None, False),
+            ("abs_a4_minus_a3", "convex", 0.0, True),
+            ("abs_a4_minus_a3", "starlike", 1.8, True),
             ("abs_a4_minus_a3", "starlike", 1.2, False),
         ],
     )
@@ -166,6 +168,34 @@ class TestExtremalSearch:
         want = max(2.0 * s3, 3.0 * lam * s3)
         settled = extremal_search(fn, lam).value
         assert settled == pytest.approx(want, rel=4 * 2.0**-52, abs=0.0)
+        with pytest.MonkeyPatch.context() as m:  # a full search, every phase run
+            m.setattr(oracle, "_canonical_is_exact", lambda *_: False)
+            searched = extremal_search(fn, lam, budget=1000).value
+        assert settled >= searched * (1.0 - 4 * 2.0**-52)
+
+    @given(
+        st.sampled_from(("abs_a4_minus_a3", "abs_a4")),
+        st.sampled_from(("starlike", "convex")),
+        st.floats(min_value=LAMBDA_MIN, max_value=math.pi / 2),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_pinned_search_settles_where_its_radial_bound_peaks_at_the_circle(self, kind, cls, lam, share):
+        # on |x| = r the score is at most B(r) = |alpha| + |beta| r + |gamma| r^2
+        # + k q (1 - r^2); with alpha gamma >= 0 and |beta| + 2 |gamma| >= 2 k q,
+        # B peaks at r = 1, where x = 1 or x = -1 attains it
+        fn = Functional(kind, cls, fixed_p=share * P_MAX[cls])
+        alpha, beta, gamma, kq = _quadratic(fn, lam, float(fn.effective_p1))
+        rule = np.sign(alpha) * np.sign(gamma) >= 0.0 and abs(beta) + 2.0 * abs(gamma) >= 2.0 * kq
+        grids = []
+        with pytest.MonkeyPatch.context() as m:
+            scan = oracle.polar_scan
+            m.setattr(oracle, "polar_scan", lambda *args, **kw: grids.append(1) or scan(*args, **kw))
+            settled = extremal_search(fn, lam, budget=1000).value
+        assert bool(grids) != rule  # where the rule fails, the grid runs
+        if not rule:
+            return
+        assert settled == pytest.approx(abs(alpha) + abs(beta) + abs(gamma), rel=4 * 2.0**-52, abs=0.0)
         with pytest.MonkeyPatch.context() as m:  # a full search, every phase run
             m.setattr(oracle, "_canonical_is_exact", lambda *_: False)
             searched = extremal_search(fn, lam, budget=1000).value
@@ -358,6 +388,17 @@ class TestSharedInputs:
             out = extremal_search(fn, 1.0, budget=2000, seed=3)
             assert repr(r.witness) == repr(out.witness)
 
+    def test_a_run_whose_every_search_settles_builds_no_schedule(self, monkeypatch):
+        # the schedule waits for the first search that passes its canonical phase
+        def refuse(*_):
+            raise AssertionError("grid_axes called")
+
+        monkeypatch.setattr(oracle, "grid_axes", refuse)
+        reports = verify_claim("thm3.5-d32", [0.3, 1.0])
+        assert len(reports) == 10 and all(r.samples == oracle.DEFAULT_BUDGET for r in reports)
+        with pytest.raises(AssertionError, match="grid_axes called"):
+            verify_claim("thm3.1-a4", [1.0])
+
     def test_records_keep_lambda_outer_p_inner_order(self):
         lams, ps = (1.0, 0.3, 1.4), (0.75, 0.0, 0.5)
         reports = verify_claim("thm3.5-d43", lams, ps, budget=2000, seed=3)
@@ -497,9 +538,9 @@ class TestBoundedDraws:
         assert finished
 
     def test_an_unshared_pinned_search_finishes_few_of_its_random_rows(self, monkeypatch):
-        # 12.6 % of the rows survive: about the |x| = 1 atom of the draw
-        fn, budget = Functional("abs_a4_minus_a3", "convex", fixed_p=0.3), 200_000
-        shared = extremal_search(fn, 0.6, budget=budget, seed=9)
+        # 0.11 % of the rows survive; the search is one _canonical_is_exact leaves unsettled
+        fn, budget = Functional("abs_a4_minus_a3", "convex", fixed_p=0.25), 200_000
+        shared = extremal_search(fn, 1.0, budget=budget, seed=9)
         finished = []
 
         def counting(mod, phase_u):
@@ -508,7 +549,7 @@ class TestBoundedDraws:
 
         monkeypatch.setattr(oracle, "finish_rows", counting)
         monkeypatch.setattr(oracle, "SHARED_INPUT_BYTES", 0)
-        unshared = extremal_search(fn, 0.6, budget=budget, seed=9)
+        unshared = extremal_search(fn, 1.0, budget=budget, seed=9)
         assert _bits(unshared) == _bits(shared)
         assert unshared.samples == budget
         assert 0 < sum(finished) < _schedule(budget, True)[1] / 4
