@@ -62,9 +62,13 @@ print()
 print("=" * 72)
 print("3. Determinism")
 print("=" * 72)
-fn = Functional("abs_a4_minus_a3", "starlike", fixed_p=1.3)
-a = extremal_search(fn, 1.2, budget=20_000, seed=7)
-b = extremal_search(fn, 1.2, budget=20_000, seed=7)
+fn = Functional("abs_a4", "starlike")
+a = extremal_search(fn, 0.8, budget=20_000, seed=7)
+b = extremal_search(fn, 0.8, budget=20_000, seed=7)
 print(f"  same seed, run twice: identical results -> {a == b}")
-values = [extremal_search(fn, 1.2, budget=n, seed=7).value for n in (1000, 10_000, 100_000)]
-print(f"  growing budgets 1e3 -> 1e5: {values} (non-decreasing: {values == sorted(values)})")
+values = [extremal_search(fn, 0.8, budget=n, seed=7).value for n in (1000, 10_000, 100_000)]
+print(f"  free |a4| at lam=0.8, growing budgets 1e3 -> 1e5: {values}")
+print(f"  spread {max(values) - min(values):.1e}: the maximum lies at an interior p1, so the")
+print("  budget still matters there, and more of it need not give a larger value (the")
+print("  polish grids move with the incumbent).  A pinned difference is settled by the")
+print("  maths and returns the same value at every budget.")

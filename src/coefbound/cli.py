@@ -29,10 +29,11 @@ form: canonical witnesses, a polar grid, random draws and a polish of
 shrinking local polar grids, all scored in fixed-size blocks of real
 numbers, so memory does not grow with --budget.  Where the maths settles x
 (|a2|, |a3|, whose bound is affine in p1^2, and a pinned p whose bound on
-|x| = r peaks at r = 1 with a canonical x = +-1 attaining it, as for every
-|a3 - a2| and many |a4 - a3|) a canonical witness already holds the exact
-maximum, so the search returns it after the canonical phase and reports
-the whole budget as samples; that is 80 of the 106 records of `report`.
+|x| = r is attained at a real x = +-r, as for every |a3 - a2| and
+|a4 - a3|) the search scores the canonical witnesses and, where that bound
+peaks inside the disk, its peak row, which hold the exact maximum, and
+reports the whole budget as samples; that is 98 of the 106 records of
+`report`, all but the 8 free |a4| records.
 `verify` (per claim) and `report` draw the lam-independent random
 candidates once and share them across their searches while they fit
 under a fixed cap (budgets up to about 1,600,000), so the first record
@@ -126,7 +127,7 @@ def _parse_floats(items: Optional[list[str]], flag: str) -> list[float]:
             if not tok:
                 continue
             try:
-                out.append(float(tok))
+                out.append(float(tok) + 0.0)  # -0.0 reads as 0.0
             except ValueError as exc:
                 raise UsageError(f"{flag} expects numbers, got {tok!r}") from exc
     if not out:

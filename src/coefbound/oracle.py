@@ -20,18 +20,18 @@ Its witness is a full (p1, x, y) triple with that y (y = 1 where A = 0),
 which functional_value replays through the full moments, so a replay
 checks the polynomials independently.
 
-Where the maths settles x, the search returns after its canonical phase,
-because those witnesses already hold the maximum: a later phase could only
-tie it or beat it by rounding (see _canonical_is_exact).  With p1 pinned,
-the score is at most B(r) = |alpha| + |beta| r + |gamma| r^2 + k q (1 - r^2)
-on |x| = r; when alpha gamma >= 0 and |beta| + 2 |gamma| >= 2 k q, B peaks
-at r = 1 and the canonical x = 1 or x = -1 attains it.  That covers every
-pinned |a3 - a2|, every pinned kind at p1 = 2, and many pinned |a4 - a3|.
-|a2| = s2 p1 does not depend on x and peaks at the canonical p1 = 2, and
-free |a3| <= s3 ((3 lam/4) t + (4 - t)/2) is affine in t = p1^2, so it
-peaks at the canonical (p1, x) = (0, +-1) or p1 = 2.  In the default report
-80 of the 106 records settle; only free |a4| and the pinned |a4 - a3|
-that fail the test run every phase.
+Where the maths settles x, the search scores the rows that hold the
+maximum and returns: a later phase could only tie it or beat it by rounding
+(see _settled_rows).  With p1 pinned, the score is at most B(r) = |alpha| +
+|beta| r + |gamma| r^2 + k q (1 - r^2) on |x| = r, and when alpha gamma >= 0
+a real x = +-r attains B(r), so the maximum is the peak of B on [0, 1]: the
+canonical x = 1 or x = -1, or one row at x = +-r* inside the disk.  Every
+pinned |a3 - a2| and |a4 - a3| passes that test, as does every pinned kind
+at p1 = 2.  |a2| = s2 p1 does not depend on x and peaks at the canonical
+p1 = 2, and free |a3| <= s3 ((3 lam/4) t + (4 - t)/2) is affine in
+t = p1^2, so it peaks at the canonical (p1, x) = (0, +-1) or p1 = 2.  In
+the default report 98 of the 106 records settle; only the 8 free |a4|
+records, and pinned |a4| at 0 < p1 < 2, run every phase.
 
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
 variant) produce bit-identical reports.  A search scores each phase in
@@ -99,6 +99,9 @@ MAX_BUDGET = 10**9
 CHUNK_ROWS = 8192
 #: A run keeps its lam-independent input blocks only while they fit in this many bytes.
 SHARED_INPUT_BYTES = 16 * 2**20
+
+#: Pinned coefficients all below this are scored scaled by a power of two (see _best_of).
+_TINY = 2.0**-400
 
 #: First polish half-width in grid spacings; later rounds keep as many of the last's spacings, or half its width.
 _POLISH_SPACINGS = 2.0
@@ -324,23 +327,36 @@ class _SearchInputs:
         return self._random[pinned]
 
 
-def _canonical_is_exact(fn: Functional, lam: float, eff: Optional[float]) -> bool:
-    """Whether the canonical witnesses hold the maximum of |F| over the whole body.
+def _settled_rows(fn: Functional, lam: float, eff: Optional[float]):
+    """The candidate rows that hold the maximum of |F| over the whole body, or None.
+
+    Where the maths settles x, these are the canonical rows, and pinned at an
+    interior peak one more row after them, so the canonical witnesses keep
+    exact ties.  None means the maths does not settle x and every phase runs.
 
     Pinned, the search scores |alpha + beta x + gamma x^2| + k q (1 - |x|^2)
     with real scalar coefficients, and by the triangle inequality that is at
     most B(r) = |alpha| + |beta| r + |gamma| r^2 + k q (1 - r^2) on |x| = r.
-    B(1) - B(r) = (1 - r)(|beta| + (|gamma| - k q)(1 + r)), whose second
-    factor is affine in r with its value at 0 the mean of |beta| and its
-    value at 1, so B peaks at r = 1 when |beta| + 2 |gamma| >= 2 k q.  If
-    also alpha gamma >= 0, then |alpha + gamma| = |alpha| + |gamma|, and the
-    canonical x = 1 or x = -1 for which beta x has the sign of alpha + gamma
-    scores |alpha + gamma + beta x| = B(1).  This is the first branch of the
-    Choi-Kim-Sugawa Y lemma in normalized form.  It holds for every pinned
-    |a3 - a2| (gamma = k q = 0), for every pinned kind at p1 = 2 (q = 0, so
-    every x ties x = 0), and for many pinned |a4 - a3|, such as every
-    convex one at p = 0.  The sign test compares alpha and gamma with 0, not
-    their product, which can underflow to a zero of either sign.
+    If alpha gamma >= 0, the real x = s r with s = +-1 such that beta s has
+    the sign of alpha + gamma makes alpha, beta x and gamma x^2 share one
+    sign, so it scores B(r): B is attained on every circle, and the maximum
+    over the disk is the peak of B on [0, 1].  B(r) = |alpha| + k q +
+    |beta| r - (k q - |gamma|) r^2 peaks at r = 1 when k q <= |gamma| or
+    |beta| >= 2 (k q - |gamma|); a canonical x = +-1 then scores
+    |alpha + gamma +- beta| = B(1).  Otherwise it peaks at
+    r* = |beta| / (2 (k q - |gamma|)) < 1 with the value
+    |alpha| + k q + beta^2 / (4 (k q - |gamma|)), and the row (s r*, 0)
+    scores it up to rounding; an error d in r* costs only
+    (k q - |gamma|) d^2.  This is the a, c >= 0 case of the Choi-Kim-Sugawa
+    Y lemma in normalized form.  The sign test compares alpha and gamma
+    with 0, not their product, which can underflow to a zero of either
+    sign, and k q - |gamma| is tested before the division: at p1 = 2 it is 0.
+
+    Every registered pinned claim passes the test at every admissible
+    (lam, p): |a3 - a2| has gamma = 0, and |a4 - a3| has gamma = -s4 q p1/4
+    <= 0 and alpha <= 0 (see the tests).  So does pinned |a2| and |a3|, and
+    pinned |a4| at p1 = 0 or 2; at 0 < p1 < 2 it has alpha > 0 > gamma and
+    runs every phase.
 
     Free, |a2| = s2 p1 does not depend on x and peaks at p1 = 2, and |a3| =
     s3 |(3 lam/4) t + ((4 - t)/2) x| with t = p1^2 in [0, 4] is at most
@@ -353,10 +369,16 @@ def _canonical_is_exact(fn: Functional, lam: float, eff: Optional[float]) -> boo
     coefficients, so they could only tie it or beat it by rounding.
     """
     if eff is None:
-        return fn.kind in ("abs_a2", "abs_a3")
+        return _canonical(False) if fn.kind in ("abs_a2", "abs_a3") else None
     alpha, beta, gamma, kq = _quadratic(fn, lam, float(eff))
-    same_sign = min(alpha, gamma) >= 0.0 or max(alpha, gamma) <= 0.0  # alpha gamma >= 0
-    return same_sign and abs(beta) + 2.0 * abs(gamma) >= 2.0 * kq
+    if not (min(alpha, gamma) >= 0.0 or max(alpha, gamma) <= 0.0):  # alpha gamma < 0
+        return None
+    p1, u, v = _canonical(True)
+    slack = kq - abs(gamma)
+    if slack <= 0.0 or abs(beta) >= 2.0 * slack:
+        return p1, u, v
+    s = 1.0 if (beta >= 0.0) == (alpha + gamma >= 0.0) else -1.0
+    return p1, np.append(u, s * (abs(beta) / (2.0 * slack))), np.append(v, 0.0)
 
 
 def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: float, witness):
@@ -369,8 +391,19 @@ def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: flo
     if strictly larger, so the result is the first maximal row of the whole
     stream, whatever the block size.  The incumbent is (p1, Re x, Im x, A).
     Returns it and the number of rows scanned.
+
+    Pinned coefficients that are all below _TINY, as for |a4| at p1 = 2 and
+    lam below about 1e-40, where A = alpha is of order lam^3, or for |a2| at
+    a tiny pinned p1, are scaled by a power of two that brings the largest
+    into [1/2, 1), and the score is scaled back, so that |A| is not lost to
+    an underflowing square.  The scaling is exact, and no other block is
+    scaled.
     """
     fixed = None if eff is None else _quadratic(fn, lam, float(eff))
+    shift = 0
+    if fixed is not None and 0.0 < (top := max(map(abs, fixed))) < _TINY:
+        shift = math.frexp(top)[1]
+        fixed = tuple(math.ldexp(c, -shift) for c in fixed)
     scanned = 0
     for p1, u, v in blocks:
         alpha, beta, gamma, kq = _quadratic(fn, lam, p1) if fixed is None else fixed
@@ -378,8 +411,8 @@ def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: flo
         im = v * (beta + 2.0 * gamma * u)
         vals = np.sqrt(re * re + im * im) + kq * (1.0 - u * u - v * v)
         i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
+        if math.ldexp(vals[i], shift) > best:
+            best = math.ldexp(vals[i], shift)
             wp1 = float(p1[i]) if eff is None else float(eff)
             witness = (wp1, float(u[i]), float(v[i]), complex(re[i], im[i]))
         scanned += u.size
@@ -432,12 +465,13 @@ def extremal_search(
     (p1, Re x, Im x) row before it may replace the incumbent, so the value
     is its witness's own score; replacement requires strict improvement, so
     canonical witnesses win exact ties.  ``samples`` is the budget: every
-    candidate, whether scored or skipped by its bound.  Where the canonical
-    witnesses hold the exact maximum (see _canonical_is_exact: pinned p1
-    whose radial bound peaks at |x| = 1 with alpha gamma >= 0, or free |a2|
-    and |a3|; 80 of the default report's 106 records), the search returns
-    after the canonical phase, since a later phase could only tie it or beat
-    it by rounding.  It then builds no schedule and draws nothing.
+    candidate, whether scored or skipped by its bound.  Where the maths
+    settles x (see _settled_rows: pinned p1 with alpha gamma >= 0, or free
+    |a2| and |a3|; 98 of the default report's 106 records and every
+    pinned difference), the search scores the canonical witnesses and,
+    where the radial bound peaks inside the disk, its peak row, and
+    returns, since a later phase could only tie it or beat it by rounding.
+    It then builds no schedule and draws nothing.
     ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET], ``seed`` must be >= 0.
 
     ``inputs`` carries the schedule and the random blocks that verify_claim
@@ -451,9 +485,11 @@ def extremal_search(
         raise ValueError("inputs were built for another seed or budget")
     eff = fn.effective_p1
     pinned = eff is not None
-    best, witness, evaluated = _best_of(fn, lam, eff, [_canonical(pinned)], -np.inf, None)
-    if _canonical_is_exact(fn, lam, eff):
+    settled = _settled_rows(fn, lam, eff)
+    if settled is not None:
+        best, witness, _ = _best_of(fn, lam, eff, [settled], -np.inf, None)
         return _search_result(best, witness, budget)
+    best, witness, evaluated = _best_of(fn, lam, eff, [_canonical(pinned)], -np.inf, None)
     if inputs is None:
         inputs = _SearchInputs(seed, budget)
     axes, _, m, rounds, shrink = inputs.schedule[pinned]

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -295,6 +299,13 @@ class TestBoundCommand:
         assert code == 0
         assert out.startswith("-1.38889")
 
+    def test_signed_zero_p_reads_as_zero(self, capsys):
+        argv = ("bound", "--class", "starlike", "--which", "d43", "--lambda", "1", "--p", "-0.0")
+        _, text, _ = run_cli(capsys, *argv)
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert text == run_cli(capsys, *argv[:-1], "0")[1]
+        assert repr(json.loads(out)[0]["p"]) == "0.0"
+
 
 class TestTableCommand:
     def test_csv_columns_and_locale(self, capsys):
@@ -319,8 +330,24 @@ class TestTableCommand:
         rows = out.strip().splitlines()[1:]
         assert [float(r.split(",")[1]) for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
+    def test_signed_zero_p_reads_as_zero(self, capsys):
+        _, out, _ = run_cli(capsys, "table", "--class", "starlike", "--lambda", "1", "--p", "-0.0")
+        assert out.startswith("lambda=1 p=0: ")
+        _, out, _ = run_cli(
+            capsys, "table", "--class", "starlike", "--lambda", "1", "--p", "-0.0", "--format", "csv"
+        )
+        assert out.splitlines()[1].startswith("1.0,0.0,")
+
 
 class TestVerifyCommand:
+    def test_signed_zero_p_reads_as_zero(self, capsys):
+        argv = ("verify", "--claim", "thm3.3-d43", "--lambda", "1", "--p", "-0.0", "--budget", "1000")
+        _, text, _ = run_cli(capsys, *argv)
+        assert text.startswith("thm3.3-d43 lambda=1 p=0: ")
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        (doc,) = json.loads(out)
+        assert repr((doc["p"], doc["witness"]["p1"])) == "(0.0, 0.0)"
+
     def test_quoted_example_report(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -395,12 +422,15 @@ class TestRootsCommand:
 
 #: sha256 of the default `report --seed 42` JSON with every duration_ms zeroed, as
 #: bench/workloads.py hashes it.  A change that moves the report on purpose
-#: updates this digest and says so.  Settling every pinned search whose
-#: radial bound peaks at |x| = 1 (oracle._canonical_is_exact) moved 4
-#: records, each by one ulp, to the canonical witness x = 1: thm3.5-d43 at
-#: p = 0 and lambda 0.3, 0.6, 1.0 and 1.4.  At lambda 1.0 the value fell
-#: from one ulp over the bound (gap -2.8e-17) to the bound (gap 0.0).
-REPORT_DIGEST = "1cd4533e394bd452fa44d41438767c020a4a5d8ec1ef102f6da19843b2bf5a90"
+#: updates this digest and says so.  Settling every pinned search at the
+#: peak of its radial bound (oracle._settled_rows) moved the 18 pinned d43
+#: records that ran every phase to their real witness x = +-r*: thm3.3-d43 at
+#: (lambda, p) = (0.3, 0), (0.3, 0.5), (0.6, 0), (0.6, 0.5), (0.6, 1.0),
+#: (0.6, 1.5), (1.0, 0), (1.0, 0.5), (1.0, 1.0), (1.0, 1.5), (1.4, 0),
+#: (1.4, 0.5) and (1.4, 1.0), and thm3.5-d43 at (1.0, 0.25), (1.0, 0.5),
+#: (1.0, 0.75), (1.4, 0.25) and (1.4, 0.5).  oracle_max moved in 6 of them,
+#: by at most 5.6e-17.
+REPORT_DIGEST = "4c428599341382b47484c74b4ca304e0b06ff3baca04abc00d31eb96e62c07f4"
 
 
 def _normalize_durations(doc):
@@ -434,19 +464,54 @@ class TestReportCommand:
 
     def test_default_report_resolves_every_bound_and_settles_affine_witnesses(self, capsys):
         # holds whatever digest is pinned above: every attained bound to one
-        # ulp-sized gap, and every search the maths settles (80 of 106) ends
-        # at a canonical x = 0 or +-1, where its maximum over the disk lies
+        # ulp-sized gap, and every search the maths settles (98 of 106) ends
+        # at a real witness: a canonical x = 0 or +-1, or pinned x = +-r*
+        # inside the disk, where its radial bound peaks
         _, out, _ = run_cli(capsys, "report", "--seed", "42")
-        settled = 0
+        settled = inside = 0
         for record in json.loads(out)["claims"]:
             if not record["violation"]:
                 assert abs(record["gap"]) <= 2.2e-16 * max(1.0, record["bound"]), record
             claim = CLAIMS[record["claim_id"]]
             fn = oracle.Functional(claim.kind, claim.cls, fixed_p=record["p"])
-            if not oracle._canonical_is_exact(fn, record["lambda"], fn.effective_p1):
+            if oracle._settled_rows(fn, record["lambda"], fn.effective_p1) is None:
                 continue
             settled += 1
             assert record["witness"]["p1"] in (0.0, 1.0, 2.0) or record["p"] is not None, record
-            assert record["witness"]["x_re"] in (-1.0, 0.0, 1.0), record
             assert record["witness"]["x_im"] == 0.0, record
-        assert settled == 80
+            if record["witness"]["x_re"] in (-1.0, 0.0, 1.0):
+                continue
+            _, beta, gamma, kq = oracle._quadratic(fn, record["lambda"], fn.effective_p1)
+            assert abs(record["witness"]["x_re"]) == abs(beta) / (2.0 * (kq - abs(gamma))) < 1.0, record
+            inside += 1
+        assert settled == 98
+        assert inside == 18
+
+
+class TestModuleEntryPoint:
+    """``python -m coefbound`` in a fresh process: __main__ passes main's code to the exit status."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "coefbound", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_a_clean_verify_exits_0(self):
+        proc = self.run("verify", "--claim", "thm3.3-d43", "--lambda", "1", "--p", "1", "--budget", "1000")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("thm3.3-d43 lambda=1 p=1: ") and proc.stderr == ""
+
+    def test_a_report_with_violations_exits_1(self):
+        proc = self.run("report", "--budget", "1000")
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["violated_claim_ids"] == ["thm3.1-a4", "thm3.3-d43-psi2-statement"]
+
+    def test_a_usage_error_exits_2(self):
+        proc = self.run("verify", "--claim", "thm3.3-d43", "--lambda", "1", "--p", "1", "--budget", "1e3")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1].endswith("argument --budget: invalid int value: '1e3'")

@@ -29,7 +29,7 @@ from coefbound.oracle import (
     series_cross_check,
     verify_claim,
 )
-from coefbound.bounds import LAMBDA_MIN, P_MAX, bound
+from coefbound.bounds import BREAK_TOL, LAMBDA_MIN, P_MAX, bound
 from coefbound.schwarz import (
     CaratheodoryParams,
     finish_rows,
@@ -145,7 +145,8 @@ class TestExtremalSearch:
             ("abs_a4", "starlike", None, False),
             ("abs_a4_minus_a3", "convex", 0.0, True),
             ("abs_a4_minus_a3", "starlike", 1.8, True),
-            ("abs_a4_minus_a3", "starlike", 1.2, False),
+            ("abs_a4_minus_a3", "starlike", 1.2, True),
+            ("abs_a4", "starlike", 1.2, False),
         ],
     )
     def test_only_a_search_the_maths_settles_skips_the_grid(self, grid_points_scored, kind, cls, p, settled):
@@ -169,37 +170,75 @@ class TestExtremalSearch:
         settled = extremal_search(fn, lam).value
         assert settled == pytest.approx(want, rel=4 * 2.0**-52, abs=0.0)
         with pytest.MonkeyPatch.context() as m:  # a full search, every phase run
-            m.setattr(oracle, "_canonical_is_exact", lambda *_: False)
+            m.setattr(oracle, "_settled_rows", lambda *_: None)
             searched = extremal_search(fn, lam, budget=1000).value
         assert settled >= searched * (1.0 - 4 * 2.0**-52)
 
     @given(
-        st.sampled_from(("abs_a4_minus_a3", "abs_a4")),
+        st.sampled_from(FUNCTIONAL_KINDS),
         st.sampled_from(("starlike", "convex")),
         st.floats(min_value=LAMBDA_MIN, max_value=math.pi / 2),
         st.floats(min_value=0.0, max_value=1.0),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_a_pinned_search_settles_where_its_radial_bound_peaks_at_the_circle(self, kind, cls, lam, share):
+    @settings(max_examples=100, deadline=None)
+    def test_a_pinned_search_settles_where_its_radial_bound_peaks_at_the_real_axis(self, kind, cls, lam, share):
         # on |x| = r the score is at most B(r) = |alpha| + |beta| r + |gamma| r^2
-        # + k q (1 - r^2); with alpha gamma >= 0 and |beta| + 2 |gamma| >= 2 k q,
-        # B peaks at r = 1, where x = 1 or x = -1 attains it
+        # + k q (1 - r^2); with alpha gamma >= 0 a real x = +-r attains B(r), so
+        # the maximum is the peak of B on [0, 1], at r = 1 or inside the disk
         fn = Functional(kind, cls, fixed_p=share * P_MAX[cls])
         alpha, beta, gamma, kq = _quadratic(fn, lam, float(fn.effective_p1))
-        rule = np.sign(alpha) * np.sign(gamma) >= 0.0 and abs(beta) + 2.0 * abs(gamma) >= 2.0 * kq
+        rule = np.sign(alpha) * np.sign(gamma) >= 0.0
         grids = []
         with pytest.MonkeyPatch.context() as m:
             scan = oracle.polar_scan
             m.setattr(oracle, "polar_scan", lambda *args, **kw: grids.append(1) or scan(*args, **kw))
-            settled = extremal_search(fn, lam, budget=1000).value
+            out = extremal_search(fn, lam, budget=1000)
         assert bool(grids) != rule  # where the rule fails, the grid runs
         if not rule:
             return
-        assert settled == pytest.approx(abs(alpha) + abs(beta) + abs(gamma), rel=4 * 2.0**-52, abs=0.0)
+        slack = kq - abs(gamma)
+        if slack <= 0.0 or abs(beta) >= 2.0 * slack:
+            peak = abs(alpha) + abs(beta) + abs(gamma)
+        else:
+            peak = abs(alpha) + kq + beta * beta / (4.0 * slack)
+        assert out.value == pytest.approx(peak, rel=4 * 2.0**-52, abs=0.0)
         with pytest.MonkeyPatch.context() as m:  # a full search, every phase run
-            m.setattr(oracle, "_canonical_is_exact", lambda *_: False)
+            m.setattr(oracle, "_settled_rows", lambda *_: None)
             searched = extremal_search(fn, lam, budget=1000).value
-        assert settled >= searched * (1.0 - 4 * 2.0**-52)
+        assert out.value >= searched * (1.0 - 4 * 2.0**-52)
+        assert out.witness.x.imag == 0.0
+        assert abs(functional_value(fn, lam, out.witness) - out.value) <= 1e-12  # the moments route
+
+    @pytest.mark.parametrize(
+        "kind, cls, p, lam",
+        [("abs_a4", "starlike", 2.0, LAMBDA_MIN), ("abs_a4", "convex", 1.0, 1e-55), ("abs_a2", "starlike", 1e-310, 1.0)],
+    )
+    def test_a_pinned_score_too_small_to_square_is_not_lost(self, kind, cls, p, lam):
+        # F = alpha at every x, of order lam^3 for |a4| at p1 = 2, and alpha^2
+        # underflows to 0: the search scores the coefficients scaled up and back
+        fn = Functional(kind, cls, fixed_p=p)
+        alpha, beta, gamma, kq = _quadratic(fn, lam, float(fn.effective_p1))
+        assert alpha * alpha == 0.0 < alpha and beta == gamma == kq == 0.0
+        out = extremal_search(fn, lam, budget=1000)
+        assert out.value == alpha
+        assert out.witness.y == 1.0
+
+    @pytest.mark.parametrize("cls", ["starlike", "convex"])
+    def test_every_registered_pinned_claim_settles_over_its_whole_domain(self, cls):
+        # |a3 - a2| has gamma = 0, and |a4 - a3| has gamma = -s4 q p1/4 <= 0 and
+        # alpha = lam^2 p1^2 (17 lam p1/288 - 3/16) starlike, lam^2 p1^2
+        # (17 lam p1/1152 - 1/16) convex, which is <= 0 while lam p1 <= 54/17
+        # (starlike) or 72/17 (convex); lam p1 <= 2 (pi/2 + BREAK_TOL) < 3.15
+        pmax = P_MAX[cls]
+        lams = [LAMBDA_MIN, 0.01, 0.3, 1.0, math.pi / 2, math.pi / 2 + BREAK_TOL]
+        ps = [pmax * i / 16 for i in range(17)]
+        for claim in CLAIMS.values():
+            if claim.cls != cls or claim.default_ps is None:
+                continue
+            for lam in lams:
+                for p in ps:
+                    fn = Functional(claim.kind, cls, fixed_p=p)
+                    assert oracle._settled_rows(fn, lam, fn.effective_p1) is not None, (claim.claim_id, lam, p)
 
     def test_a4_small_lambda_z_cubed_witness(self):
         fn = Functional("abs_a4", "starlike")
@@ -359,6 +398,14 @@ class TestVerifyClaim:
         for claim_id in CLAIMS:
             for r in verify_claim(claim_id, [LAMBDA_MIN], budget=1000):
                 assert abs(r.gap) <= 1e-12 * r.bound, (claim_id, r.p)
+
+    def test_every_default_pinned_record_resolves_its_bound_at_the_least_budget(self):
+        # a settled search returns the peak of its radial bound whatever the budget
+        pinned = [r for r in run_claim_suite(budget=oracle.MIN_BUDGET) if r.p is not None]
+        clean = [r for r in pinned if not r.violation]
+        assert (len(pinned), len(clean)) == (82, 80)
+        for r in clean:
+            assert abs(r.gap) <= 2.2e-16 * max(1.0, r.bound), (r.claim_id, r.lam, r.p, r.gap)
 
     def test_violation_flag_matches_definition(self):
         reports = verify_claim("thm3.1-a4", [0.1, 0.21, 0.3, 1.0], budget=5000, seed=3)
@@ -538,9 +585,10 @@ class TestBoundedDraws:
         assert finished
 
     def test_an_unshared_pinned_search_finishes_few_of_its_random_rows(self, monkeypatch):
-        # 0.11 % of the rows survive; the search is one _canonical_is_exact leaves unsettled
-        fn, budget = Functional("abs_a4_minus_a3", "convex", fixed_p=0.25), 200_000
-        shared = extremal_search(fn, 1.0, budget=budget, seed=9)
+        # 0.9 % of the rows survive; pinned |a4| at 0 < p1 < 2 has alpha gamma < 0,
+        # so _settled_rows leaves it to every phase
+        fn, budget = Functional("abs_a4", "starlike", fixed_p=0.1), 200_000
+        shared = extremal_search(fn, 0.3, budget=budget, seed=9)
         finished = []
 
         def counting(mod, phase_u):
@@ -549,16 +597,16 @@ class TestBoundedDraws:
 
         monkeypatch.setattr(oracle, "finish_rows", counting)
         monkeypatch.setattr(oracle, "SHARED_INPUT_BYTES", 0)
-        unshared = extremal_search(fn, 1.0, budget=budget, seed=9)
+        unshared = extremal_search(fn, 0.3, budget=budget, seed=9)
         assert _bits(unshared) == _bits(shared)
         assert unshared.samples == budget
         assert 0 < sum(finished) < _schedule(budget, True)[1] / 4
 
-    @pytest.mark.parametrize("cls, p, lam", [("starlike", 0.6, 1.0), ("convex", 0.3, 1.4)])
+    @pytest.mark.parametrize("cls, p, lam", [("starlike", 0.1, 0.3), ("convex", 0.05, 0.3)])
     def test_a_pinned_search_scores_few_of_its_grid_rows(self, grid_points_scored, cls, p, lam):
         # the grid's row of largest bound is scored first and lifts the
         # incumbent, so the bound prunes from the grid's first row
-        fn = Functional("abs_a4_minus_a3", cls, fixed_p=p)
+        fn = Functional("abs_a4", cls, fixed_p=p)
         points = grid_points_scored(oracle, lambda: extremal_search(fn, lam))
         _, mod, arg = _schedule(oracle.DEFAULT_BUDGET, True)[0]
         assert 0 < points < 0.05 * mod.size * arg.size
