@@ -28,17 +28,16 @@ Each search walks (p1, x) candidates and takes the maximum over y in closed
 form: canonical witnesses, a polar grid, random draws and a polish of
 shrinking local polar grids, all scored in fixed-size blocks of real
 numbers, so memory does not grow with --budget.  Where the maths settles x
-(|a2|, |a3|, whose bound is affine in p1^2, and a pinned p whose bound on
-|x| = r is attained at a real x = +-r, as for every |a3 - a2| and
-|a4 - a3|) the search scores the canonical witnesses and, where that bound
+(|a2|, |a3|, whose bound is affine in p1^2, and every |a3 - a2| and
+|a4 - a3| at its --p, whose bound on |x| = r is attained at a real
+x = +-r) the search scores the canonical witnesses and, where that bound
 peaks inside the disk, its peak row, which hold the exact maximum, and
 reports the whole budget as samples; that is 98 of the 106 records of
 `report`, all but the 8 free |a4| records.
 `verify` (per claim) and `report` draw the lam-independent random
 candidates once and share them across their searches while they fit
-under a fixed cap (budgets up to about 1,600,000), so the first record
-that uses the free-p1 draws, and the first that uses the pinned-p1 draws,
-also times drawing them in its duration_ms.
+under a fixed cap (budgets up to about 1,600,000), so the first |a4|
+record also times drawing them in its duration_ms.
 The search is single-threaded: --workers is accepted for compatibility and
 must be a positive integer, but it changes nothing.
 """

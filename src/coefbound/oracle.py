@@ -22,16 +22,16 @@ checks the polynomials independently.
 
 Where the maths settles x, the search scores the rows that hold the
 maximum and returns: a later phase could only tie it or beat it by rounding
-(see _settled_rows).  With p1 pinned, the score is at most B(r) = |alpha| +
-|beta| r + |gamma| r^2 + k q (1 - r^2) on |x| = r, and when alpha gamma >= 0
-a real x = +-r attains B(r), so the maximum is the peak of B on [0, 1]: the
-canonical x = 1 or x = -1, or one row at x = +-r* inside the disk.  Every
-pinned |a3 - a2| and |a4 - a3| passes that test, as does every pinned kind
-at p1 = 2.  |a2| = s2 p1 does not depend on x and peaks at the canonical
-p1 = 2, and free |a3| <= s3 ((3 lam/4) t + (4 - t)/2) is affine in
-t = p1^2, so it peaks at the canonical (p1, x) = (0, +-1) or p1 = 2.  In
-the default report 98 of the 106 records settle; only the 8 free |a4|
-records, and pinned |a4| at 0 < p1 < 2, run every phase.
+(see _settled_rows).  Only the differences |a3 - a2| and |a4 - a3| pin p1,
+and pinned, the score is at most B(r) = |alpha| + |beta| r + |gamma| r^2 +
+k q (1 - r^2) on |x| = r.  Both have alpha gamma >= 0 at every admissible
+(lam, p), where a real x = +-r attains B(r), so the maximum is the peak of
+B on [0, 1]: the canonical x = 1 or x = -1, or one row at x = +-r* inside
+the disk.  So every pinned search settles.  |a2| = s2 p1 does not depend
+on x and peaks at the canonical p1 = 2, and free |a3| <= s3 ((3 lam/4) t +
+(4 - t)/2) is affine in t = p1^2, so it peaks at the canonical
+(p1, x) = (0, +-1) or p1 = 2.  In the default report 98 of the 106 records
+settle; only the 8 free |a4| records run every phase, over free (p1, x).
 
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
 variant) produce bit-identical reports.  A search scores each phase in
@@ -39,18 +39,16 @@ blocks of at most CHUNK_ROWS candidates (whole grid rows in the grids, or
 runs of one row's angles where a row is longer) with a running first-index
 argmax, so its result does not depend on the block size.  The random draws
 do not depend on lam, so while they fit in SHARED_INPUT_BYTES a run draws
-them once and shares the blocks: the (p1, Re x, Im x) columns of the
-free-p1 searches and the (Re x, Im x) columns of the pinned ones, which
-never see the pinned value.  Above that cap each search draws its own
-blocks and finishes into (Re x, Im x) and scores only the rows whose
-schwarz.score_bound, from (p1, |x|), is above the incumbent.  The grids and
-the polish skip (p1, |x|) rows the same way; where the rows left fill more
-than one block, polar_scan first scores the row of largest bound and lifts
-the incumbent to just below that row's maximum, a grid score, so the
-exploration grid, which starts with no incumbent, is pruned from its first
-row too.  The bound is an upper bound on the computed score, rounding
-included, so a skipped row could not have passed the strict improvement
-test.  Every search scores the grids afresh.
+them once and shares the finished (p1, Re x, Im x) blocks.  Above that cap
+each search draws its own blocks and finishes into (Re x, Im x) and scores
+only the rows whose schwarz.score_bound, from (p1, |x|), is above the
+incumbent.  The grids and the polish skip (p1, |x|) rows the same way;
+where the rows left fill more than one block, polar_scan first scores the
+row of largest bound and lifts the incumbent to just below that row's
+maximum, a grid score, so the exploration grid, which starts with no
+incumbent, is pruned from its first row too.  The bound is an upper bound
+on the computed score, rounding included, so a skipped row could not have
+passed the strict improvement test.  Every search scores the grids afresh.
 Neither blocks, sharing nor skipping reorder a floating-point operation of
 a scored row, so every path returns the same bits, and ``samples`` counts
 every candidate, scored or bounded out.  The search is single-threaded.
@@ -97,11 +95,8 @@ MAX_BUDGET = 10**9
 
 #: Rows per block of the streaming search; a block's arrays and temporaries stay in cache.
 CHUNK_ROWS = 8192
-#: A run keeps its lam-independent input blocks only while they fit in this many bytes.
-SHARED_INPUT_BYTES = 16 * 2**20
-
-#: Pinned coefficients all below this are scored scaled by a power of two (see _best_of).
-_TINY = 2.0**-400
+#: A run keeps its lam-independent input blocks only while they fit in this many bytes (9.75 MiB).
+SHARED_INPUT_BYTES = 39 * 2**18
 
 #: First polish half-width in grid spacings; later rounds keep as many of the last's spacings, or half its width.
 _POLISH_SPACINGS = 2.0
@@ -124,6 +119,8 @@ class Functional:
             raise ValueError(f"unknown class {self.cls!r}")
         if self.kind in _DIFFERENCE_KINDS and self.fixed_p is None:
             raise ValueError(f"{self.kind} constrains f''(0); fixed_p is required")
+        if self.kind not in _DIFFERENCE_KINDS and self.fixed_p is not None:
+            raise ValueError(f"the |a_{self.kind[-1]}| functional takes no fixed_p")
         if self.fixed_p is not None:
             pmax = bounds.P_MAX[self.cls]
             if not 0.0 <= self.fixed_p <= pmax:
@@ -264,67 +261,62 @@ def _canonical(pinned: bool):
     )
 
 
-def _schedule(budget: int, pinned: bool):
+def _schedule(budget: int):
     """(grid axes, random rows, polish levels m, rounds, shrink s); the phases add up to ``budget``.
 
-    The polish takes the fewest rounds of m^3 (m^2 pinned) points in half the
-    budget with s^(rounds - 1) = _POLISH_NARROWING and s >= min(0.5,
+    The polish takes the fewest rounds of m^3 points in half the budget with
+    s^(rounds - 1) = _POLISH_NARROWING and s >= min(0.5,
     2 _POLISH_SPACINGS / (m - 1)); the grid takes half the rest.
     """
     half = budget // 2
-    dims = 2 if pinned else 3
     for rounds in itertools.count(2):
         rows = half // rounds
-        m = round(rows ** (1.0 / dims))
-        m = max(3, m - (m**dims > rows))
+        m = round(rows ** (1.0 / 3.0))
+        m = max(3, m - (m**3 > rows))
         if min(0.5, 2.0 * _POLISH_SPACINGS / (m - 1)) ** (rounds - 1) <= _POLISH_NARROWING:
             break
-    canonical = _UNITS_RE.size * (1 if pinned else 3)
-    axes = grid_axes((budget - half - canonical) // 2, pinned)
-    grid = math.prod(a.size for a in axes if a is not None)
+    canonical = 3 * _UNITS_RE.size
+    axes = grid_axes((budget - half - canonical) // 2)
+    grid = math.prod(a.size for a in axes)
     shrink = _POLISH_NARROWING ** (1.0 / (rounds - 1))
-    return axes, budget - canonical - grid - rounds * m**dims, m, rounds, shrink
-
-
-def _shared_bytes(schedule) -> int:
-    """Bytes of the free (p1, x_re, x_im) and pinned (x_re, x_im) random rows of {pinned: _schedule}."""
-    return 24 * schedule[False][1] + 16 * schedule[True][1]
+    return axes, budget - canonical - grid - rounds * m**3, m, rounds, shrink
 
 
 class _SearchInputs:
-    """The lam-independent random blocks of every search at one (seed, budget).
+    """The schedule and the lam-independent random blocks of every search at one (seed, budget).
 
-    While they fit in SHARED_INPUT_BYTES (``shared``) it keeps, once drawn
-    and finished, the blocks of the free-p1 random phase and those of the
-    pinned one.  Above that it keeps nothing and every search draws its
-    blocks afresh, unfinished.  The schedule, the sharing test and the
-    blocks are built on first use, so a run whose every search settles at
-    its canonical phase builds none of them.  Callers own an instance for
-    one run and drop it after.
+    While the random rows' (p1, x_re, x_im) columns fit in
+    SHARED_INPUT_BYTES (``shared``) it keeps them, once drawn and finished.
+    Above that it keeps nothing and every search draws its blocks afresh,
+    unfinished.  The schedule, the sharing test and the blocks are built on
+    first use, so a run whose every search settles at its canonical phase
+    builds none of them.  Callers own an instance for one run and drop it
+    after.
     """
 
     def __init__(self, seed: int, budget: int):
         self.seed = seed
         self.budget = budget
-        self._random: dict = {}
 
     @functools.cached_property
-    def schedule(self) -> dict:
-        """{pinned: _schedule}, built by the first search that passes its canonical phase."""
-        return {pinned: _schedule(self.budget, pinned) for pinned in (False, True)}
+    def schedule(self):
+        """_schedule(budget), built by the first search that passes its canonical phase."""
+        return _schedule(self.budget)
 
     @functools.cached_property
     def shared(self) -> bool:
-        return _shared_bytes(self.schedule) <= SHARED_INPUT_BYTES
+        return 24 * self.schedule[1] <= SHARED_INPUT_BYTES
 
-    def random(self, pinned: bool):
+    @functools.cached_property
+    def _finished(self) -> list:
+        return [(p1, *finish_rows(mod, phase_u)) for p1, mod, phase_u in self._draws()]
+
+    def _draws(self):
+        return random_chunks(self.seed, self.schedule[1], CHUNK_ROWS)
+
+    def random(self):
         """The random phase's blocks: finished (p1, x_re, x_im) if shared, else random_chunks' own."""
-        blocks = random_chunks(self.seed, self.schedule[pinned][1], pinned, CHUNK_ROWS)
-        if not self.shared:
-            return blocks
-        if pinned not in self._random:
-            self._random[pinned] = [(p1, *finish_rows(mod, phase_u)) for p1, mod, phase_u in blocks]
-        return self._random[pinned]
+        return self._finished if self.shared else self._draws()
 
 
 def _settled_rows(fn: Functional, lam: float, eff: Optional[float]):
@@ -332,7 +324,8 @@ def _settled_rows(fn: Functional, lam: float, eff: Optional[float]):
 
     Where the maths settles x, these are the canonical rows, and pinned at an
     interior peak one more row after them, so the canonical witnesses keep
-    exact ties.  None means the maths does not settle x and every phase runs.
+    exact ties.  None means the maths does not settle x and every phase runs;
+    that is free |a4| alone, since every pinned functional settles.
 
     Pinned, the search scores |alpha + beta x + gamma x^2| + k q (1 - |x|^2)
     with real scalar coefficients, and by the triangle inequality that is at
@@ -352,11 +345,11 @@ def _settled_rows(fn: Functional, lam: float, eff: Optional[float]):
     with 0, not their product, which can underflow to a zero of either
     sign, and k q - |gamma| is tested before the division: at p1 = 2 it is 0.
 
-    Every registered pinned claim passes the test at every admissible
-    (lam, p): |a3 - a2| has gamma = 0, and |a4 - a3| has gamma = -s4 q p1/4
-    <= 0 and alpha <= 0 (see the tests).  So does pinned |a2| and |a3|, and
-    pinned |a4| at p1 = 0 or 2; at 0 < p1 < 2 it has alpha > 0 > gamma and
-    runs every phase.
+    Only the differences are pinned (see Functional), and both pass the
+    test at every admissible (lam, p): |a3 - a2| has gamma = 0, and
+    |a4 - a3| has gamma = -s4 q p1/4 <= 0 and alpha <= 0 (see the tests).
+    A pinned functional that failed it would have no search left to run,
+    so that raises.
 
     Free, |a2| = s2 p1 does not depend on x and peaks at p1 = 2, and |a3| =
     s3 |(3 lam/4) t + ((4 - t)/2) x| with t = p1^2 in [0, 4] is at most
@@ -372,7 +365,7 @@ def _settled_rows(fn: Functional, lam: float, eff: Optional[float]):
         return _canonical(False) if fn.kind in ("abs_a2", "abs_a3") else None
     alpha, beta, gamma, kq = _quadratic(fn, lam, float(eff))
     if not (min(alpha, gamma) >= 0.0 or max(alpha, gamma) <= 0.0):  # alpha gamma < 0
-        return None
+        raise ArithmeticError(f"{fn} at lam = {lam} has alpha gamma < 0; its radial bound settles nothing")
     p1, u, v = _canonical(True)
     slack = kq - abs(gamma)
     if slack <= 0.0 or abs(beta) >= 2.0 * slack:
@@ -386,24 +379,14 @@ def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: flo
 
     u and v are the columns of Re x and Im x, and A = alpha + beta x +
     gamma x^2 (see _quadratic) is evaluated in real arithmetic on them.
-    When p1 is pinned to ``eff`` the coefficients are scalars and the
-    blocks' p1 is not read.  A block's maximum replaces the incumbent only
-    if strictly larger, so the result is the first maximal row of the whole
-    stream, whatever the block size.  The incumbent is (p1, Re x, Im x, A).
-    Returns it and the number of rows scanned.
-
-    Pinned coefficients that are all below _TINY, as for |a4| at p1 = 2 and
-    lam below about 1e-40, where A = alpha is of order lam^3, or for |a2| at
-    a tiny pinned p1, are scaled by a power of two that brings the largest
-    into [1/2, 1), and the score is scaled back, so that |A| is not lost to
-    an underflowing square.  The scaling is exact, and no other block is
-    scaled.
+    When p1 is pinned to ``eff``, as for the settled rows, the coefficients
+    are scalars and the blocks' p1 is not read.  A block's maximum replaces
+    the incumbent only if strictly larger, so the result is the first
+    maximal row of the whole stream, whatever the block size.  The
+    incumbent is (p1, Re x, Im x, A).  Returns it and the number of rows
+    scanned.
     """
     fixed = None if eff is None else _quadratic(fn, lam, float(eff))
-    shift = 0
-    if fixed is not None and 0.0 < (top := max(map(abs, fixed))) < _TINY:
-        shift = math.frexp(top)[1]
-        fixed = tuple(math.ldexp(c, -shift) for c in fixed)
     scanned = 0
     for p1, u, v in blocks:
         alpha, beta, gamma, kq = _quadratic(fn, lam, p1) if fixed is None else fixed
@@ -411,15 +394,15 @@ def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: flo
         im = v * (beta + 2.0 * gamma * u)
         vals = np.sqrt(re * re + im * im) + kq * (1.0 - u * u - v * v)
         i = int(np.argmax(vals))
-        if math.ldexp(vals[i], shift) > best:
-            best = math.ldexp(vals[i], shift)
+        if vals[i] > best:
+            best = float(vals[i])
             wp1 = float(p1[i]) if eff is None else float(eff)
             witness = (wp1, float(u[i]), float(v[i]), complex(re[i], im[i]))
         scanned += u.size
     return best, witness, scanned
 
 
-def _best_of_draws(fn: Functional, lam: float, eff: Optional[float], draws, best: float, witness):
+def _best_of_draws(fn: Functional, lam: float, draws, best: float, witness):
     """_best_of over random_chunks' unfinished (p1, |x|, phase uniforms) blocks.
 
     Only the rows whose score_bound is above the incumbent at the start of
@@ -428,14 +411,12 @@ def _best_of_draws(fn: Functional, lam: float, eff: Optional[float], draws, best
     is _best_of's on the finished blocks, bit for bit.  Returns the
     incumbent and the number of rows drawn, scored or not.
     """
-    fixed = None if eff is None else _quadratic(fn, lam, float(eff))
     drawn = 0
     for p1, mod, phase_u in draws:
-        coefs = _quadratic(fn, lam, p1) if fixed is None else fixed
-        rows = np.flatnonzero(score_bound(*coefs, mod) > best)
+        rows = np.flatnonzero(score_bound(*_quadratic(fn, lam, p1), mod) > best)
         if rows.size:
-            block = (None if p1 is None else p1[rows], *finish_rows(mod[rows], phase_u[rows]))
-            best, witness, _ = _best_of(fn, lam, eff, [block], best, witness)
+            block = (p1[rows], *finish_rows(mod[rows], phase_u[rows]))
+            best, witness, _ = _best_of(fn, lam, None, [block], best, witness)
         drawn += mod.size
     return best, witness, drawn
 
@@ -458,20 +439,20 @@ def extremal_search(
     """Maximize the functional over the admissible parameter body.
 
     Each candidate is a (p1, x) pair scored by its maximum over y (see the
-    module docstring).  Phases (see _schedule): canonical witnesses, a
-    stratified (p1, |x|, arg x) grid (a quarter of the budget), seeded
-    random draws, then a polish of local polar grids around the incumbent
-    (at most half the budget).  A polar phase's winner is rescored as a
-    (p1, Re x, Im x) row before it may replace the incumbent, so the value
-    is its witness's own score; replacement requires strict improvement, so
-    canonical witnesses win exact ties.  ``samples`` is the budget: every
-    candidate, whether scored or skipped by its bound.  Where the maths
-    settles x (see _settled_rows: pinned p1 with alpha gamma >= 0, or free
-    |a2| and |a3|; 98 of the default report's 106 records and every
-    pinned difference), the search scores the canonical witnesses and,
-    where the radial bound peaks inside the disk, its peak row, and
-    returns, since a later phase could only tie it or beat it by rounding.
-    It then builds no schedule and draws nothing.
+    module docstring).  Where the maths settles x (see _settled_rows: every
+    pinned difference, and free |a2| and |a3|; 98 of the default report's
+    106 records), the search scores the canonical witnesses and, where a
+    pinned radial bound peaks inside the disk, its peak row, and returns,
+    since a later phase could only tie it or beat it by rounding.  It then
+    builds no schedule and draws nothing.  Free |a4| runs every phase (see
+    _schedule) over free (p1, x): canonical witnesses, a stratified
+    (p1, |x|, arg x) grid (a quarter of the budget), seeded random draws,
+    then a polish of local polar grids around the incumbent (at most half
+    the budget).  A polar phase's winner is rescored as a (p1, Re x, Im x)
+    row before it may replace the incumbent, so the value is its witness's
+    own score; replacement requires strict improvement, so canonical
+    witnesses win exact ties.  ``samples`` is the budget: every candidate,
+    whether scored or skipped by its bound.
     ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET], ``seed`` must be >= 0.
 
     ``inputs`` carries the schedule and the random blocks that verify_claim
@@ -483,35 +464,33 @@ def extremal_search(
     check_seed(seed)
     if inputs is not None and (inputs.seed, inputs.budget) != (seed, budget):
         raise ValueError("inputs were built for another seed or budget")
-    eff = fn.effective_p1
-    pinned = eff is not None
-    settled = _settled_rows(fn, lam, eff)
+    settled = _settled_rows(fn, lam, fn.effective_p1)
     if settled is not None:
-        best, witness, _ = _best_of(fn, lam, eff, [settled], -np.inf, None)
+        best, witness, _ = _best_of(fn, lam, fn.effective_p1, [settled], -np.inf, None)
         return _search_result(best, witness, budget)
-    best, witness, evaluated = _best_of(fn, lam, eff, [_canonical(pinned)], -np.inf, None)
+    best, witness, evaluated = _best_of(fn, lam, None, [_canonical(False)], -np.inf, None)
     if inputs is None:
         inputs = _SearchInputs(seed, budget)
-    axes, _, m, rounds, shrink = inputs.schedule[pinned]
-
-    def coefficients(p1_levels):
-        return _quadratic(fn, lam, float(eff) if pinned else p1_levels)
+    axes, _, m, rounds, shrink = inputs.schedule
+    coefficients = functools.partial(_quadratic, fn, lam)
 
     def rescored(found, best, witness):
         p1, r, t = found[1:]
-        row = (None if pinned else np.array([p1]), np.array([r * math.cos(t)]), np.array([r * math.sin(t)]))
-        return _best_of(fn, lam, eff, [row], best, witness)[:2]
+        row = (np.array([p1]), np.array([r * math.cos(t)]), np.array([r * math.sin(t)]))
+        return _best_of(fn, lam, None, [row], best, witness)[:2]
 
     best, witness = rescored(polar_scan(coefficients, *axes, chunk=CHUNK_ROWS), best, witness)
-    score = _best_of if inputs.shared else _best_of_draws
-    best, witness, scanned = score(fn, lam, eff, inputs.random(pinned), best, witness)
+    if inputs.shared:
+        best, witness, scanned = _best_of(fn, lam, None, inputs.random(), best, witness)
+    else:
+        best, witness, scanned = _best_of_draws(fn, lam, inputs.random(), best, witness)
     p1, u, v, _ = witness
-    start = (best, None if pinned else p1, math.hypot(u, v), math.atan2(v, u))
-    widths = [0.0 if axis is None else _POLISH_SPACINGS * float(axis[1] - axis[0]) for axis in axes]
+    start = (best, p1, math.hypot(u, v), math.atan2(v, u))
+    widths = [_POLISH_SPACINGS * float(axis[1] - axis[0]) for axis in axes]
     end = polish(coefficients, start, widths, rounds, m, shrink, CHUNK_ROWS, span_disk=True)
     if end is not start:
         best, witness = rescored(end, best, witness)
-    evaluated += scanned + math.prod(a.size for a in axes if a is not None) + rounds * m ** (2 if pinned else 3)
+    evaluated += scanned + math.prod(a.size for a in axes) + rounds * m**3
     return _search_result(best, witness, evaluated)
 
 
@@ -646,8 +625,8 @@ def _verify_points(
     """One report per (claim, lam, p) point, in the order given.
 
     The searches share one _SearchInputs, so the first record that passes
-    its canonical phase also times the schedule, and the first that uses
-    each exploration set (free or pinned p1) also times building it.
+    its canonical phase (a free |a4| record) also times the schedule and,
+    where the random blocks are shared, drawing them.
     """
     check_tol(tol)
     inputs = _SearchInputs(seed, budget)

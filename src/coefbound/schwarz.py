@@ -14,10 +14,10 @@ coefficients through w = (q - 1)/(q + 1).
 
 The extremal search maximizes over y in closed form (see oracle), so it
 walks (p1, x) only: random rows from random_chunks, as contiguous float64
-columns (p1, |x|) that carry p1 = None when p1 is pinned, which
-finish_rows turns into (x_re, x_im) for the rows that score_bound cannot
-rule out, and (p1, |x|, arg x) grids from grid_axes through polar_scan
-and polish, the kernel it shares with lemmas.y_bruteforce.
+columns (p1, |x|), which finish_rows turns into (x_re, x_im) for the rows
+that score_bound cannot rule out, and (p1, |x|, arg x) grids from
+grid_axes through polar_scan and polish, the kernel it shares with
+lemmas.y_bruteforce, which scans (|x|, arg x) grids with no p1 axis.
 sample_param_arrays (sample_params as objects) draws whole (p1, x, y) random
 rows from the same row maps and is the one place where complex arrays are
 built, bit for bit from columns that carry the bits numpy's complex
@@ -137,18 +137,18 @@ def sample_param_arrays(
     return p1, _complex(*x), _complex(*y)
 
 
-def grid_axes(count: int, pinned: bool):
-    """The search grid's levels (p1 or None when pinned, |x|, arg x); their product is <= count.
+def grid_axes(count: int):
+    """The search grid's levels (p1, |x|, arg x); their product is <= count.
 
-    Each axis starts at 2 levels, so a count below 8 (4 when pinned) is
-    refused, and the axes take turns to grow while the product stays <= count.
-    arg x grows by 2, so that its levels 2 pi k / n hold 0 and, to within
-    an ulp, pi; the levels of p1 run from 0 to 2 and those of |x| from 0 to 1.
+    Each axis starts at 2 levels, so a count below 8 is refused, and the
+    axes take turns to grow while the product stays <= count.  arg x grows
+    by 2, so that its levels 2 pi k / n hold 0 and, to within an ulp, pi;
+    the levels of p1 run from 0 to 2 and those of |x| from 0 to 1.
     """
-    steps = (1, 2) if pinned else (1, 1, 2)
-    levels = [2] * len(steps)
-    if math.prod(levels) > count:
-        raise ValueError(f"a grid needs count >= {math.prod(levels)}, got {count}")
+    steps = (1, 1, 2)
+    levels = [2, 2, 2]
+    if count < 8:
+        raise ValueError(f"a grid needs count >= 8, got {count}")
     grew = True
     while grew:
         grew = False
@@ -156,9 +156,8 @@ def grid_axes(count: int, pinned: bool):
             if math.prod(levels) // levels[i] * (levels[i] + step) <= count:
                 levels[i] += step
                 grew = True
-    *p1, n_mod, n_arg = levels
-    p1_levels = np.linspace(0.0, 2.0, p1[0]) if p1 else None
-    return p1_levels, np.linspace(0.0, 1.0, n_mod), 2.0 * np.pi * np.arange(n_arg) / n_arg
+    n_p1, n_mod, n_arg = levels
+    return np.linspace(0.0, 2.0, n_p1), np.linspace(0.0, 1.0, n_mod), 2.0 * np.pi * np.arange(n_arg) / n_arg
 
 
 def _polar(mod: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,21 +217,20 @@ def _disk_point(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return finish_rows(_modulus(u[:, 0:2]), u[:, 2:4])
 
 
-def random_chunks(seed, count: int, pinned: bool, chunk: int):
+def random_chunks(seed, count: int, chunk: int):
     """The random search rows as (p1, |x|, phase uniforms) blocks of at most ``chunk`` rows, in order.
 
     Row k maps 6 uniforms through the (p1, x) maps of sample_params' 10-wide
     random rows, all but the last step: finish_rows(|x|, phase uniforms)
     gives the (Re x, Im x) columns, for the whole block or for any of its
     rows.  So a search can bound a row by score_bound from (p1, |x|) and pay
-    for the trigonometry of the rows that may win only.  A pinned draw's
-    blocks carry p1 = None.  The blocks concatenate to one draw, and a
-    smaller draw is a prefix of a larger one.
+    for the trigonometry of the rows that may win only.  The blocks
+    concatenate to one draw, and a smaller draw is a prefix of a larger one.
     """
     rng = np.random.default_rng(seed)
     for start in range(0, count, chunk):
         u = rng.random((min(chunk, count - start), 6))
-        yield None if pinned else _p1_draw(u), _modulus(u[:, 2:4]), u[:, 4:6]
+        yield _p1_draw(u), _modulus(u[:, 2:4]), u[:, 4:6]
 
 
 #: Rounding margin of score_bound, relative to |alpha| + |beta| + |gamma| + |kq|.

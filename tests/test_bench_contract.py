@@ -90,8 +90,8 @@ def test_y_bruteforce_scores_y_evals_points(monkeypatch):
     assert sum(scored) == workloads.Y_EVALS
 
 
-@pytest.mark.parametrize("p", [None, 0.5])
-def test_a_default_search_scores_the_samples_it_reports(monkeypatch, p):
+@pytest.mark.parametrize("cls", ["starlike", "convex"])
+def test_a_default_search_scores_the_samples_it_reports(monkeypatch, cls):
     # report's and deep's evals_per_s sum the records' samples
     from coefbound import oracle
 
@@ -111,7 +111,7 @@ def test_a_default_search_scores_the_samples_it_reports(monkeypatch, p):
         return out
 
     monkeypatch.setattr(oracle, "_best_of", counting_best_of)
-    # pinned |a4| at 0 < p1 < 2 is not settled by the maths, so it runs every phase
-    result = oracle.extremal_search(oracle.Functional("abs_a4", "starlike", fixed_p=p), 0.8)
+    # free |a4| is the one search that the maths does not settle, so it runs every phase
+    result = oracle.extremal_search(oracle.Functional("abs_a4", cls), 0.8)
     assert result.samples == sum(scored) == oracle.DEFAULT_BUDGET
     assert 1 <= len(rescored) <= 2

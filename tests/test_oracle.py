@@ -23,7 +23,6 @@ from coefbound.oracle import (
     _moments,
     _quadratic,
     _schedule,
-    _shared_bytes,
     general_bound_probe,
     run_claim_suite,
     series_cross_check,
@@ -33,7 +32,6 @@ from coefbound.bounds import BREAK_TOL, LAMBDA_MIN, P_MAX, bound
 from coefbound.schwarz import (
     CaratheodoryParams,
     finish_rows,
-    grid_axes,
     polar_scan,
     random_chunks,
     sample_params,
@@ -55,6 +53,13 @@ class TestFunctional:
         Functional("abs_a4_minus_a3", "convex", fixed_p=1.0)
         with pytest.raises(ValueError):
             Functional("abs_a4_minus_a3", "convex", fixed_p=1.5)
+
+    @pytest.mark.parametrize("kind", ["abs_a2", "abs_a3", "abs_a4"])
+    def test_an_a_n_functional_takes_no_fixed_p(self, kind):
+        # only the successive differences constrain f''(0), as in bounds.bound
+        for cls, p in (("starlike", 0.0), ("starlike", 2.0), ("convex", 0.5)):
+            with pytest.raises(ValueError, match=rf"the \|a_{kind[-1]}\| functional takes no fixed_p"):
+                Functional(kind, cls, fixed_p=p)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -115,7 +120,7 @@ class TestExtremalSearch:
         assert functional_value(fn, 1.0, out.witness) == 0.7
 
     @given(
-        st.sampled_from(("abs_a3_minus_a2", "abs_a3")),
+        st.just("abs_a3_minus_a2"),  # the one pinned functional affine in x
         st.sampled_from(("starlike", "convex")),
         st.floats(min_value=0.01, max_value=math.pi / 2),
         st.floats(min_value=0.0, max_value=1.0),
@@ -138,7 +143,6 @@ class TestExtremalSearch:
         "kind, cls, p, settled",
         [
             ("abs_a2", "convex", None, True),
-            ("abs_a3", "starlike", 1.2, True),
             ("abs_a3_minus_a2", "convex", 0.25, True),
             ("abs_a3", "starlike", None, True),
             ("abs_a3", "convex", None, True),
@@ -146,7 +150,6 @@ class TestExtremalSearch:
             ("abs_a4_minus_a3", "convex", 0.0, True),
             ("abs_a4_minus_a3", "starlike", 1.8, True),
             ("abs_a4_minus_a3", "starlike", 1.2, True),
-            ("abs_a4", "starlike", 1.2, False),
         ],
     )
     def test_only_a_search_the_maths_settles_skips_the_grid(self, grid_points_scored, kind, cls, p, settled):
@@ -175,7 +178,7 @@ class TestExtremalSearch:
         assert settled >= searched * (1.0 - 4 * 2.0**-52)
 
     @given(
-        st.sampled_from(FUNCTIONAL_KINDS),
+        st.sampled_from(("abs_a3_minus_a2", "abs_a4_minus_a3")),
         st.sampled_from(("starlike", "convex")),
         st.floats(min_value=LAMBDA_MIN, max_value=math.pi / 2),
         st.floats(min_value=0.0, max_value=1.0),
@@ -186,59 +189,64 @@ class TestExtremalSearch:
         # + k q (1 - r^2); with alpha gamma >= 0 a real x = +-r attains B(r), so
         # the maximum is the peak of B on [0, 1], at r = 1 or inside the disk
         fn = Functional(kind, cls, fixed_p=share * P_MAX[cls])
-        alpha, beta, gamma, kq = _quadratic(fn, lam, float(fn.effective_p1))
-        rule = np.sign(alpha) * np.sign(gamma) >= 0.0
+        coefs = _quadratic(fn, lam, float(fn.effective_p1))
+        alpha, beta, gamma, kq = coefs
+        assert np.sign(alpha) * np.sign(gamma) >= 0.0
         grids = []
         with pytest.MonkeyPatch.context() as m:
             scan = oracle.polar_scan
             m.setattr(oracle, "polar_scan", lambda *args, **kw: grids.append(1) or scan(*args, **kw))
             out = extremal_search(fn, lam, budget=1000)
-        assert bool(grids) != rule  # where the rule fails, the grid runs
-        if not rule:
-            return
+        assert not grids
         slack = kq - abs(gamma)
         if slack <= 0.0 or abs(beta) >= 2.0 * slack:
             peak = abs(alpha) + abs(beta) + abs(gamma)
         else:
             peak = abs(alpha) + kq + beta * beta / (4.0 * slack)
         assert out.value == pytest.approx(peak, rel=4 * 2.0**-52, abs=0.0)
-        with pytest.MonkeyPatch.context() as m:  # a full search, every phase run
-            m.setattr(oracle, "_settled_rows", lambda *_: None)
-            searched = extremal_search(fn, lam, budget=1000).value
-        assert out.value >= searched * (1.0 - 4 * 2.0**-52)
+        # no point of a fine polar grid over the pinned disk beats it
+        rs, ts = np.linspace(0.0, 1.0, 129), np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+        assert polar_scan(lambda _: coefs, None, rs, ts)[0] <= out.value * (1.0 + 4 * 2.0**-52)
         assert out.witness.x.imag == 0.0
         assert abs(functional_value(fn, lam, out.witness) - out.value) <= 1e-12  # the moments route
 
-    @pytest.mark.parametrize(
-        "kind, cls, p, lam",
-        [("abs_a4", "starlike", 2.0, LAMBDA_MIN), ("abs_a4", "convex", 1.0, 1e-55), ("abs_a2", "starlike", 1e-310, 1.0)],
-    )
-    def test_a_pinned_score_too_small_to_square_is_not_lost(self, kind, cls, p, lam):
-        # F = alpha at every x, of order lam^3 for |a4| at p1 = 2, and alpha^2
-        # underflows to 0: the search scores the coefficients scaled up and back
-        fn = Functional(kind, cls, fixed_p=p)
-        alpha, beta, gamma, kq = _quadratic(fn, lam, float(fn.effective_p1))
-        assert alpha * alpha == 0.0 < alpha and beta == gamma == kq == 0.0
-        out = extremal_search(fn, lam, budget=1000)
-        assert out.value == alpha
-        assert out.witness.y == 1.0
+    def test_convex_d43_at_p_one_and_the_lambda_floor_scores_exactly_alpha(self):
+        # q = 0 at p1 = 2, so F = alpha at every x; alpha is about 2.5e-121, but
+        # its square is a normal float, so sqrt(alpha^2) gives |alpha| back exactly
+        fn = Functional("abs_a4_minus_a3", "convex", fixed_p=1.0)
+        alpha, beta, gamma, kq = _quadratic(fn, LAMBDA_MIN, 2.0)
+        assert beta == gamma == kq == 0.0
+        assert abs(alpha) < 2.0**-400 and alpha * alpha >= np.finfo(float).tiny
+        out = extremal_search(fn, LAMBDA_MIN, budget=1000)
+        assert out.value == abs(alpha)
+        assert out.witness.p1 == 2.0 and repr(out.witness.x) == repr(0j)
 
     @pytest.mark.parametrize("cls", ["starlike", "convex"])
     def test_every_registered_pinned_claim_settles_over_its_whole_domain(self, cls):
+        # every pinned functional that Functional admits, registered or not:
         # |a3 - a2| has gamma = 0, and |a4 - a3| has gamma = -s4 q p1/4 <= 0 and
         # alpha = lam^2 p1^2 (17 lam p1/288 - 3/16) starlike, lam^2 p1^2
         # (17 lam p1/1152 - 1/16) convex, which is <= 0 while lam p1 <= 54/17
         # (starlike) or 72/17 (convex); lam p1 <= 2 (pi/2 + BREAK_TOL) < 3.15
         pmax = P_MAX[cls]
-        lams = [LAMBDA_MIN, 0.01, 0.3, 1.0, math.pi / 2, math.pi / 2 + BREAK_TOL]
-        ps = [pmax * i / 16 for i in range(17)]
-        for claim in CLAIMS.values():
-            if claim.cls != cls or claim.default_ps is None:
-                continue
-            for lam in lams:
-                for p in ps:
-                    fn = Functional(claim.kind, cls, fixed_p=p)
-                    assert oracle._settled_rows(fn, lam, fn.effective_p1) is not None, (claim.claim_id, lam, p)
+        lams = [LAMBDA_MIN, 1e-50, 1e-40, 0.01, 0.3, 1.0, math.pi / 2, math.pi / 2 + BREAK_TOL]
+        ps = [pmax * i / 64 for i in range(65)]
+        assert {c.kind for c in CLAIMS.values() if c.default_ps is not None} == {"abs_a3_minus_a2", "abs_a4_minus_a3"}
+        for kind in FUNCTIONAL_KINDS:
+            for p in ps:
+                try:
+                    fn = Functional(kind, cls, fixed_p=p)
+                except ValueError:
+                    continue
+                for lam in lams:
+                    assert oracle._settled_rows(fn, lam, fn.effective_p1) is not None, (kind, lam, p)
+
+    def test_a_pinned_functional_that_the_radial_bound_cannot_settle_raises(self, monkeypatch):
+        # alpha gamma < 0 would leave a pinned search nothing to run
+        fn = Functional("abs_a4_minus_a3", "starlike", fixed_p=1.0)
+        monkeypatch.setattr(oracle, "_quadratic", lambda *_: (1.0, 0.5, -1.0, 2.0))
+        with pytest.raises(ArithmeticError, match="alpha gamma < 0"):
+            extremal_search(fn, 1.0)
 
     def test_a4_small_lambda_z_cubed_witness(self):
         fn = Functional("abs_a4", "starlike")
@@ -293,20 +301,19 @@ class TestExtremalSearch:
             assert abs(sharp - value) <= 1e-9, seed
 
     @pytest.mark.parametrize(
-        "kind, cls, p, lam, budget, seed, refined",
+        "kind, cls, lam, budget, seed, refined",
         [
-            # free p1, where the polish had 7 levels per axis
-            ("abs_a4", "starlike", None, 0.7993214127316798, 17520, 1157691257, 0.26948732959496235),
-            # pinned p1, 5 levels per axis
-            ("abs_a4", "starlike", 1.699132996132531, 1.1324070423425991, 1260, 1733077630, 0.6084929467009099),
-            # the maximum at x = -0.0485, across the origin from the incumbent
-            ("abs_a4", "convex", 0.2799917441958927, 0.09975798938055512, 1471, 1989104852, 0.007671850471091683),
+            # the polish has 7 levels per axis
+            ("abs_a4", "starlike", 0.7993214127316798, 17520, 1157691257, 0.26948732959496235),
+            # 3 levels per axis, at the least budgets
+            ("abs_a4", "starlike", 0.8487731687614083, 1043, 470325821, 0.29513414485900435),
+            ("abs_a4", "convex", 0.8357257722538398, 1687, 525182117, 0.07207079758725989),
         ],
     )
-    def test_small_budgets_reach_the_random_refine_search(self, kind, cls, p, lam, budget, seed, refined):
+    def test_small_budgets_reach_the_random_refine_search(self, kind, cls, lam, budget, seed, refined):
         # ``refined`` is what the search returned when five random refine
         # rounds ended it: a polish that falls short could miss a violation
-        value = extremal_search(Functional(kind, cls, fixed_p=p), lam, budget=budget, seed=seed).value
+        value = extremal_search(Functional(kind, cls), lam, budget=budget, seed=seed).value
         assert value >= refined * (1.0 - 1e-12)
 
     def test_budget_floor(self):
@@ -460,9 +467,9 @@ def _bits(result):
 def functionals(draw):
     kind = draw(st.sampled_from(FUNCTIONAL_KINDS))
     cls = draw(st.sampled_from(("starlike", "convex")))
-    p = st.floats(min_value=0.0, max_value=2.0 if cls == "starlike" else 1.0)
-    if kind not in ("abs_a3_minus_a2", "abs_a4_minus_a3"):
-        p = st.one_of(st.none(), p)  # free or pinned p1
+    p = st.none()  # only the differences pin p1
+    if kind in ("abs_a3_minus_a2", "abs_a4_minus_a3"):
+        p = st.floats(min_value=0.0, max_value=2.0 if cls == "starlike" else 1.0)
     return Functional(kind, cls, fixed_p=draw(p))
 
 
@@ -517,9 +524,7 @@ def _finished(blocks):
 
 def _draw_bounds(fn, lam, draws):
     """score_bound and the bare triangle bound (no rounding margin) of every drawn row."""
-    p1 = fn.effective_p1
-    if p1 is None:
-        p1 = np.concatenate([block[0] for block in draws])
+    p1 = np.concatenate([block[0] for block in draws])
     r = np.concatenate([block[1] for block in draws])
     alpha, beta, gamma, kq = _quadratic(fn, lam, p1)
     triangle = abs(alpha) + abs(beta) * r + abs(gamma) * (r * r) + kq * (1.0 - r * r)
@@ -539,13 +544,13 @@ class TestBoundedDraws:
     @settings(max_examples=300, deadline=None)
     def test_bounded_draws_score_as_the_finished_rows(self, fn, lam, seed, count, chunk, incumbent, row):
         # a row is left unfinished only where it could not pass the strict
-        # test, so every incumbent, ties included, keeps every bit
-        eff = fn.effective_p1
+        # test, so every incumbent, ties included, keeps every bit; the
+        # draws' p1 column is scored whether or not fn pins p1
 
         def draws():
-            return list(random_chunks(seed, count, eff is not None, chunk))
+            return list(random_chunks(seed, count, chunk))
 
-        top = _best_of(fn, lam, eff, _finished(draws()), -np.inf, None)[0]
+        top = _best_of(fn, lam, None, _finished(draws()), -np.inf, None)[0]
         bound, triangle = (np.broadcast_to(b, (count,)) for b in _draw_bounds(fn, lam, draws()))
         best = {
             "none": -np.inf,
@@ -554,17 +559,17 @@ class TestBoundedDraws:
             "bound": bound[row % count],
             "triangle": triangle[row % count],
         }[incumbent]
-        want = _best_of(fn, lam, eff, _finished(draws()), float(best), None)
-        assert repr(_best_of_draws(fn, lam, eff, draws(), float(best), None)) == repr(want)
+        want = _best_of(fn, lam, None, _finished(draws()), float(best), None)
+        assert repr(_best_of_draws(fn, lam, draws(), float(best), None)) == repr(want)
 
     def test_draws_on_the_circle_can_round_above_the_bare_bound(self):
         # at p1 = 0, |a4| is k q (1 - |x|^2) alone, 0 on the circle, but
         # 1 - u^2 - v^2 rounds above 0 on some finished rows: the margin keeps them
-        fn = Functional("abs_a4", "starlike", fixed_p=0.0)
-        block = (None, np.ones(64), np.random.default_rng(0).random((64, 2)))
-        want = _best_of(fn, 1.0, 0.0, _finished([block]), 0.0, None)
+        fn = Functional("abs_a4", "starlike")
+        block = (np.zeros(64), np.ones(64), np.random.default_rng(0).random((64, 2)))
+        want = _best_of(fn, 1.0, None, _finished([block]), 0.0, None)
         assert want[0] > 0.0
-        assert repr(_best_of_draws(fn, 1.0, 0.0, [block], 0.0, None)) == repr(want)
+        assert repr(_best_of_draws(fn, 1.0, [block], 0.0, None)) == repr(want)
 
     @pytest.mark.parametrize("p", [None, 0.5])
     def test_no_row_bounded_at_the_incumbent_is_finished(self, monkeypatch, p):
@@ -576,18 +581,18 @@ class TestBoundedDraws:
 
         monkeypatch.setattr(oracle, "finish_rows", counting)
         fn = Functional("abs_a4_minus_a3" if p else "abs_a4", "convex", fixed_p=p)
-        draws = list(random_chunks(4, 2000, p is not None, 512))
+        draws = list(random_chunks(4, 2000, 512))
         best = float(np.max(_draw_bounds(fn, 0.9, draws)[0]))
-        assert _best_of_draws(fn, 0.9, fn.effective_p1, draws, best, None) == (best, None, 2000)
+        assert _best_of_draws(fn, 0.9, draws, best, None) == (best, None, 2000)
         assert finished == []
         # one ulp lower, the rows at that bound are finished
-        _best_of_draws(fn, 0.9, fn.effective_p1, draws, float(np.nextafter(best, -np.inf)), None)
+        _best_of_draws(fn, 0.9, draws, float(np.nextafter(best, -np.inf)), None)
         assert finished
 
-    def test_an_unshared_pinned_search_finishes_few_of_its_random_rows(self, monkeypatch):
-        # 0.9 % of the rows survive; pinned |a4| at 0 < p1 < 2 has alpha gamma < 0,
-        # so _settled_rows leaves it to every phase
-        fn, budget = Functional("abs_a4", "starlike", fixed_p=0.1), 200_000
+    def test_an_unshared_search_finishes_few_of_its_random_rows(self, monkeypatch):
+        # 0.35 % of the rows survive: free |a4| is the one search that the
+        # maths does not settle, so _settled_rows leaves it to every phase
+        fn, budget = Functional("abs_a4", "starlike"), 200_000
         shared = extremal_search(fn, 0.3, budget=budget, seed=9)
         finished = []
 
@@ -600,16 +605,16 @@ class TestBoundedDraws:
         unshared = extremal_search(fn, 0.3, budget=budget, seed=9)
         assert _bits(unshared) == _bits(shared)
         assert unshared.samples == budget
-        assert 0 < sum(finished) < _schedule(budget, True)[1] / 4
+        assert 0 < sum(finished) < _schedule(budget)[1] / 4
 
-    @pytest.mark.parametrize("cls, p, lam", [("starlike", 0.1, 0.3), ("convex", 0.05, 0.3)])
-    def test_a_pinned_search_scores_few_of_its_grid_rows(self, grid_points_scored, cls, p, lam):
+    @pytest.mark.parametrize("cls, lam", [("starlike", 0.3), ("convex", 0.3)])
+    def test_a_search_scores_few_of_its_grid_rows(self, grid_points_scored, cls, lam):
         # the grid's row of largest bound is scored first and lifts the
         # incumbent, so the bound prunes from the grid's first row
-        fn = Functional("abs_a4", cls, fixed_p=p)
+        fn = Functional("abs_a4", cls)
         points = grid_points_scored(oracle, lambda: extremal_search(fn, lam))
-        _, mod, arg = _schedule(oracle.DEFAULT_BUDGET, True)[0]
-        assert 0 < points < 0.05 * mod.size * arg.size
+        p1, mod, arg = _schedule(oracle.DEFAULT_BUDGET)[0]
+        assert 0 < points < 0.05 * p1.size * mod.size * arg.size
 
     @pytest.mark.parametrize(
         "kind, cls, p, lam",
@@ -695,45 +700,41 @@ class TestMaximumOverY:
             assert gamma == kq == 0.0
 
     def test_cached_inputs_carry_no_y(self):
-        # a free random row is p1, Re x, Im x; a pinned one is Re x, Im x alone
-        # (its p1 is None), all of them contiguous float64 columns; they are
-        # the only blocks a run keeps, and _shared_bytes counts exactly them
+        # a random row is p1, Re x, Im x, all contiguous float64 columns;
+        # they are the only blocks a run keeps, 24 bytes a row, as ``shared`` counts them
         inputs = _SearchInputs(3, 5000)
-        free, pinned = inputs.random(False), inputs.random(True)
-        assert inputs.random(False) is free
-        assert sum(u.size for _, u, _ in free) == _schedule(5000, False)[1]
-        assert {len(block) for block in free + pinned} == {3}
-        assert {p1 is None for p1, _, _ in pinned} == {True}
-        columns = [a for block in free + pinned for a in block if a is not None]
+        blocks = inputs.random()
+        assert inputs.shared and inputs.random() is blocks
+        assert sum(u.size for _, u, _ in blocks) == _schedule(5000)[1]
+        assert {len(block) for block in blocks} == {3}
+        columns = [a for block in blocks for a in block]
         assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in columns)
-        assert sum(a.nbytes for a in columns) == _shared_bytes(inputs.schedule)
+        assert sum(a.nbytes for a in columns) == 24 * _schedule(5000)[1]
 
-    @pytest.mark.parametrize("pinned", [False, True])
+    @pytest.mark.parametrize(
+        "budget, shared", [(1000, True), (100_000, True), (1_625_622, True), (1_700_000, False), (2_000_000, False)]
+    )
+    def test_the_sharing_switch_keeps_its_side(self, budget, shared):
+        # 24 bytes a random row against SHARED_INPUT_BYTES: budgets up to
+        # about 1,600,000 share, and above that a search draws its own
+        # blocks, which it bounds before their trigonometry
+        assert _SearchInputs(1, budget).shared == shared
+
+    @pytest.mark.parametrize("searched", [False, True])
     @pytest.mark.parametrize("budget", [1000, 1001, 5000, 99_999, 100_000, 2_000_000])
-    def test_phases_add_up_to_the_budget(self, budget, pinned):
-        axes, rand, m, rounds, shrink = _schedule(budget, pinned)
-        dims = 2 if pinned else 3
+    def test_phases_add_up_to_the_budget(self, budget, searched):
+        axes, rand, m, rounds, shrink = _schedule(budget)
         # the polish takes at most half the budget, and its last window is
         # the same fraction of its first at every budget, never narrowing
         # a round by more than two spacings of the last or by half
-        assert 3 <= m and rounds * m**dims <= budget // 2 < rounds * (m + 1) ** dims
+        assert 3 <= m and rounds * m**3 <= budget // 2 < rounds * (m + 1) ** 3
         assert abs(shrink ** (rounds - 1) / oracle._POLISH_NARROWING - 1.0) <= 1e-12
         assert min(0.5, 4.0 / (m - 1)) <= shrink + 1e-15
-        grid = math.prod(a.size for a in axes if a is not None)
-        canonical = 5 if pinned else 15
+        grid = math.prod(a.size for a in axes)
         assert rand >= 1
-        assert canonical + grid + rand + rounds * m**dims == budget
-
-    def test_pinned_x_draws_do_not_depend_on_the_pinned_value(self):
-        # a pinned draw takes no p1 value, so one pinned random set serves
-        # every pinned p1 of a run: its blocks carry p1 None and the x columns
-        # of the free draw's blocks; a pinned grid has no p1 axis
-        assert grid_axes(3000, True)[0] is None
-        pinned, free = random_chunks(5, 3000, True, 1000), random_chunks(5, 3000, False, 1000)
-        for (p1, *x), (free_p1, *free_x) in zip(pinned, free, strict=True):
-            (u, v), (free_u, free_v) = finish_rows(*x), finish_rows(*free_x)
-            assert p1 is None and free_p1.size == u.size
-            assert u.tobytes() == free_u.tobytes() and v.tobytes() == free_v.tobytes()
+        assert 15 + grid + rand + rounds * m**3 == budget
+        if searched:  # and the search that runs every phase reports exactly that many
+            assert extremal_search(Functional("abs_a4", "convex"), 0.7, budget=budget).samples == budget
 
     def test_default_suite_attains_every_sharp_bound_to_1e_12(self):
         records = run_claim_suite()

@@ -148,27 +148,24 @@ class TestSampler:
     # the grid is grid_axes, the (p1, |x|, arg x) levels that polar_scan searches
 
     def test_grid_includes_corner(self):
-        p1, mod, arg = grid_axes(32, False)
+        p1, mod, arg = grid_axes(32)
         assert p1[-1] == 2.0 and mod[-1] == 1.0 and arg[0] == 0.0
 
     def test_grid_respects_count(self):
-        # the smallest grid has 2 levels per axis: 8 points, 4 when p1 is pinned
-        for pinned, smallest in ((False, 8), (True, 4)):
-            for count in range(1, smallest):
-                with pytest.raises(ValueError, match=f"count >= {smallest}"):
-                    grid_axes(count, pinned)
-            for count in [*range(smallest, 3001), 24_000, 499_000]:
-                axes = grid_axes(count, pinned)
-                assert math.prod(a.size for a in axes if a is not None) <= count
+        # the smallest grid has 2 levels per axis: 8 points
+        for count in range(1, 8):
+            with pytest.raises(ValueError, match="count >= 8"):
+                grid_axes(count)
+        for count in [*range(8, 3001), 24_000, 499_000]:
+            assert math.prod(a.size for a in grid_axes(count)) <= count
 
     def test_grid_hits_boundary_moduli_and_phases(self):
-        for pinned in (False, True):
-            for count in [*range(4 if pinned else 8, 3001), 24_000, 499_000]:
-                _, mod, arg = grid_axes(count, pinned)
-                assert mod[0] == 0.0 and mod[-1] == 1.0 and arg[0] == 0.0
-                # the phase levels are even in number, so one is pi to within an ulp
-                assert arg.size % 2 == 0 and abs(arg[arg.size // 2] - np.pi) <= 4.5e-16
-            assert np.pi in grid_axes(3000, pinned)[2]
+        for count in [*range(8, 3001), 24_000, 499_000]:
+            _, mod, arg = grid_axes(count)
+            assert mod[0] == 0.0 and mod[-1] == 1.0 and arg[0] == 0.0
+            # the phase levels are even in number, so one is pi to within an ulp
+            assert arg.size % 2 == 0 and abs(arg[arg.size // 2] - np.pi) <= 4.5e-16
+        assert np.pi in grid_axes(3000)[2]
 
     def test_array_and_object_paths_agree(self):
         p1, x, y = sample_param_arrays(9, 17, "random")
@@ -194,12 +191,10 @@ def _assembled(columns):
 
 
 def _joined(blocks, chunk):
-    """The columns of ``blocks`` joined, a p1 column of None staying None."""
+    """The columns of ``blocks`` joined."""
     blocks = list(blocks)
     assert all(0 < b[1].size <= chunk for b in blocks)
-    p1, *parts = zip(*blocks)
-    assert len({c is None for c in p1}) == 1
-    return [None if p1[0] is None else np.concatenate(p1), *map(np.concatenate, parts)]
+    return [np.concatenate(column) for column in zip(*blocks)]
 
 
 def _finished(blocks):
@@ -207,34 +202,26 @@ def _finished(blocks):
     return [(p1, *finish_rows(mod, phase_u)) for p1, mod, phase_u in blocks]
 
 
-def _search_columns(got, want, pinned):
-    """Check joined search blocks against the (p1, x) of a reference; pinned ones carry p1 None."""
+def _search_columns(got, want):
+    """Check joined search blocks against the (p1, x) of a reference."""
     assert len(got) == 3
-    assert all(col.dtype == np.float64 and col.flags.c_contiguous for col in got if col is not None)
-    p1, x = _assembled(got)
-    assert _bits([x]) == _bits(want[1:2])
-    if pinned:
-        assert p1 is None
-    else:
-        assert _bits([p1]) == _bits(want[:1])
+    assert all(col.dtype == np.float64 and col.flags.c_contiguous for col in got)
+    assert _bits(_assembled(got)) == _bits(want[:2])
 
 
-pinned_p1 = st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0))
 chunks = st.integers(min_value=1, max_value=5000)
 
 
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=1, max_value=4000),
-    pinned_p1,
     chunks,
 )
 @settings(max_examples=100, deadline=None)
-def test_random_chunks_concatenate_to_one_draw(seed, count, fixed_p1, chunk):
+def test_random_chunks_concatenate_to_one_draw(seed, count, chunk):
     # a search row is the (p1, x) of a 6-uniform row of one draw
-    pinned = fixed_p1 is not None
-    got = _joined(_finished(random_chunks(seed, count, pinned, chunk)), chunk)
-    _search_columns(got, _random_reference(seed, count, fixed_p1, 6), pinned)
+    got = _joined(_finished(random_chunks(seed, count, chunk)), chunk)
+    _search_columns(got, _random_reference(seed, count, None, 6))
 
 
 def _masked_modulus(u):
@@ -269,33 +256,34 @@ def _random_reference(seed, count, fixed_p1, width):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42])
-@pytest.mark.parametrize("fixed_p1", [None, 0.7])
-def test_random_bits_match_the_complex_draw(seed, fixed_p1):
+def test_random_bits_match_the_complex_draw(seed):
     # 20,000 rows, in the search's blocks of 8192, hit every atom about
     # 1,000 times, the signed zeros of the zero-modulus atom included
-    pinned = fixed_p1 is not None
-    got = _joined(_finished(random_chunks(seed, 20_000, pinned, 8192)), 8192)
-    want = _random_reference(seed, 20_000, fixed_p1, 6)
+    got = _joined(_finished(random_chunks(seed, 20_000, 8192)), 8192)
+    want = _random_reference(seed, 20_000, None, 6)
     assert np.count_nonzero(want[1] == 0.0) > 500
     assert np.signbit(want[1].real[want[1] == 0.0]).any()
-    _search_columns(got, want, pinned)
+    _search_columns(got, want)
 
 
 @pytest.mark.parametrize("chunk", [1, 777, 8192])
-@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("subset", [False, True])
 @pytest.mark.parametrize("seed", [0, 7, 42, 2**32 - 1])
-def test_random_chunks_are_the_masked_draw_byte_for_byte(seed, pinned, chunk):
+def test_random_chunks_are_the_masked_draw_byte_for_byte(seed, subset, chunk):
     # the raw (p1, |x|, phase uniforms) blocks, before any trigonometry,
     # against the uniforms of one draw mapped by the masked modulus
     count = 20_000 if chunk > 1 else 300
-    got = _joined(random_chunks(seed, count, pinned, chunk), chunk)
+    blocks = list(random_chunks(seed, count, chunk))
+    got = _joined(blocks, chunk)
     u = np.random.default_rng(seed).random((count, 6))
-    if pinned:
-        assert got[0] is None
-    else:
-        assert got[0].tobytes() == (2.0 * _masked_modulus(u[:, 0:2])).tobytes()
+    assert got[0].tobytes() == (2.0 * _masked_modulus(u[:, 0:2])).tobytes()
     assert got[1].tobytes() == _masked_modulus(u[:, 2:4]).tobytes()
     assert got[2].tobytes() == np.ascontiguousarray(u[:, 4:6]).tobytes()
+    if subset:  # finishing every third row of a block gives those rows of the finished block
+        for _, mod, phase_u in blocks:
+            whole = finish_rows(mod, phase_u)
+            part = finish_rows(mod[::3], phase_u[::3])
+            assert _bits(part) == _bits([c[::3].copy() for c in whole])
 
 
 @pytest.mark.parametrize("count", [8193, 20_000])
@@ -667,12 +655,9 @@ def test_polish_spanning_the_disk_reaches_across_the_origin():
     assert abs(value - 1.0035) <= 1e-12 and math.cos(t) > 0 and abs(r - 0.05) <= 1e-6
 
 
-@pytest.mark.parametrize("pinned", [False, True])
-def test_grid_axes_keep_the_exact_levels(pinned):
+def test_grid_axes_keep_the_exact_levels():
     # count, moduli and phases are checked in TestSampler; here the p1 axis
-    for count in [*range(4 if pinned else 8, 3001), 24_000, 499_000]:
-        p1, mod, arg = grid_axes(count, pinned)
-        assert (p1 is None) == pinned
-        if not pinned:
-            assert p1[0] == 0.0 and p1[-1] == 2.0
-        assert math.prod(a.size for a in (p1, mod, arg) if a is not None) <= count
+    for count in [*range(8, 3001), 24_000, 499_000]:
+        p1, mod, arg = grid_axes(count)
+        assert p1[0] == 0.0 and p1[-1] == 2.0
+        assert math.prod(a.size for a in (p1, mod, arg)) <= count
