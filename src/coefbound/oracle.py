@@ -496,9 +496,12 @@ def extremal_search(
 
 def _search_result(best: float, witness, samples: int) -> SearchResult:
     p1, u, v, a = witness
+    y = _maximizing_y(a)
+    # + 0.0 turns a zero of either sign into 0.0 and keeps every other value,
+    # so no witness field is a negative zero (A = -0.0i gave y = 1 - 0.0i)
     return SearchResult(
         value=best,
-        witness=CaratheodoryParams(p1, complex(u, v), _maximizing_y(a)),
+        witness=CaratheodoryParams(p1 + 0.0, complex(u + 0.0, v + 0.0), complex(y.real + 0.0, y.imag + 0.0)),
         samples=samples,
     )
 

@@ -429,8 +429,10 @@ class TestRootsCommand:
 #: (0.6, 1.5), (1.0, 0), (1.0, 0.5), (1.0, 1.0), (1.0, 1.5), (1.4, 0),
 #: (1.4, 0.5) and (1.4, 1.0), and thm3.5-d43 at (1.0, 0.25), (1.0, 0.5),
 #: (1.0, 0.75), (1.4, 0.25) and (1.4, 0.5).  oracle_max moved in 6 of them,
-#: by at most 5.6e-17.
-REPORT_DIGEST = "4c428599341382b47484c74b4ca304e0b06ff3baca04abc00d31eb96e62c07f4"
+#: by at most 5.6e-17.  Emitting no witness field as a negative zero then
+#: moved the 4 thm3.3-d43 records at p = 0 (lambda = 0.3, 0.6, 1.0 and 1.4),
+#: whose y_im read -0.0 and now reads 0.0; no other field moved.
+REPORT_DIGEST = "ad19ba9b1a497536c7df129c5a8228239553203f9b26167a09180bc1e04abf73"
 
 
 def _normalize_durations(doc):
@@ -461,6 +463,13 @@ class TestReportCommand:
         assert code == 1
         doc = _normalize_durations(json.loads(out))
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == REPORT_DIGEST
+
+    def test_default_report_emits_no_negative_zero_witness_field(self, capsys):
+        # A = -0.0i at a real x once gave y = 1 - 0.0i, printed as "y_im": -0.0
+        _, out, _ = run_cli(capsys, "report", "--seed", "42")
+        fields = [v for record in json.loads(out)["claims"] for v in record["witness"].values()]
+        assert len(fields) == 5 * 106
+        assert not [v for v in fields if v == 0.0 and math.copysign(1.0, v) < 0.0]
 
     def test_default_report_resolves_every_bound_and_settles_affine_witnesses(self, capsys):
         # holds whatever digest is pinned above: every attained bound to one
