@@ -99,6 +99,17 @@ class UsageError(ValueError):
     """Invalid flags or out-of-range values; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each of its subparsers, whose errors raise UsageError.
+
+    argparse would print its usage block before the "error:" line; main
+    prints the one line alone.
+    """
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -155,7 +166,7 @@ def _validate_ps(ps: list[float], cls: str) -> list[float]:
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once: parsing never changes it, and each parse starts a new namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coefbound",
         description="Evaluate and verify sharp coefficient bounds for classes "
         "subordinate to exp(lambda*z).",
@@ -208,8 +219,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_args(argv: list[str]) -> RunConfig:
     """Deterministic flag parsing and range validation.
 
-    Raises UsageError (exit 2) for malformed or out-of-range values; argparse
-    itself exits with code 2 for unknown flags or a missing subcommand.
+    Raises UsageError (exit 2) for malformed or out-of-range values, and for
+    argparse's own errors: an unknown flag or subcommand, a missing required
+    flag, a value of the wrong type.  --help exits 0 through SystemExit.
     """
     ns = _build_parser().parse_args(argv)
     cfg = RunConfig(command=ns.command)
@@ -458,8 +470,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
         return run(cfg)

@@ -125,6 +125,27 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "roots", "--frobnicate")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ((), "the following arguments are required: command"),
+            (("verify", "--lambda", "1"), "the following arguments are required: --claim"),
+            (("frobnicate",), "argument command: invalid choice: 'frobnicate'"),
+            (("roots", "--frobnicate"), "unrecognized arguments: --frobnicate"),
+            (("bound", "--class", "starlike", "--lambda", "1"), "one of the arguments --n --which is required"),
+        ],
+    )
+    def test_an_argparse_error_is_one_error_line(self, capsys, argv, message):
+        # no usage block: stderr holds the one "error:" line alone
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")])
+    def test_help_exits_0(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith("usage: coefbound") and err == ""
+
     def test_out_of_range_lambda_exit_2_with_single_line(self, capsys):
         for argv in (
             ("bound", "--class", "starlike", "--n", "3", "--lambda", "2.0"),
@@ -523,4 +544,4 @@ class TestModuleEntryPoint:
         proc = self.run("verify", "--claim", "thm3.3-d43", "--lambda", "1", "--p", "1", "--budget", "1e3")
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr.splitlines()[-1].endswith("argument --budget: invalid int value: '1e3'")
+        assert proc.stderr.splitlines() == ["error: argument --budget: invalid int value: '1e3'"]
