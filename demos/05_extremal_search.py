@@ -5,12 +5,14 @@ Each bound claims sharpness: some admissible function attains it.  The
 oracle maximizes the bounded functional over the exactly parameterized
 body and reports the attainment gap and machine-replayable witness
 parameters.  The functional is affine in y, so the search walks (p1, x)
-only (canonical witnesses first, a stratified polar grid plus random
-exploration, then a polish of shrinking local polar grids around the best
-point) and scores each candidate by its maximum over y, |A| + K; the
+only and scores each candidate by its maximum over y, |A| + K; the
 witness y is A/|A|.  Only the successive differences pin p1 (to p, or 2p
 for convex), and the maths settles every pinned search: it scores the
-canonical witnesses and the peak of its radial bound, and returns.
+canonical witnesses and the peak of its radial bound, and returns.  Free
+|a4| searches the (p1, |x|) plane, since on each circle |x| = r the
+maximum over arg x is at cos(arg x) = +-1 or at the vertex of a quadratic
+in cos(arg x): canonical witnesses first, a (p1, |x|) grid plus random
+draws, then a polish of shrinking local grids around the best point.
 """
 
 from coefbound import (
@@ -76,7 +78,8 @@ b = extremal_search(fn, 0.8, budget=20_000, seed=7)
 print(f"  same seed, run twice: identical results -> {a == b}")
 values = [extremal_search(fn, 0.8, budget=n, seed=7).value for n in (1000, 10_000, 100_000)]
 print(f"  free |a4| at lam=0.8, growing budgets 1e3 -> 1e5: {values}")
-print(f"  spread {max(values) - min(values):.1e}: the maximum lies at an interior p1, so the")
-print("  budget still matters there, and more of it need not give a larger value (the")
-print("  polish grids move with the incumbent).  A pinned difference is settled by the")
-print("  maths and returns the same value at every budget.")
+print(f"  spread {max(values) - min(values):.1e}: the maximum lies at an interior p1 on |x| = 1,")
+print("  so the budget still matters there, and more of it need not give a larger value")
+print("  (the polish grids move with the incumbent); arg x is settled on every circle.")
+print("  A pinned difference is settled by the maths and returns the same value at every")
+print("  budget.")

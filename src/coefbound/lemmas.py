@@ -22,6 +22,7 @@ left in place here and surfaced by the extremal oracle, not patched.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -158,12 +159,10 @@ def y_bruteforce(a: float, b: float, c: float) -> float:
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError(f"a, b and c must be finite, got a={a}, b={b}, c={c}")
 
-    def coefficients(_):
-        return a, b, c, 1.0
-
+    scan = functools.partial(polar_scan, (a, b, c, 1.0))
     rs, ts = np.linspace(0.0, 1.0, 512), np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
-    start = polar_scan(coefficients, None, rs, ts)
-    return polish(coefficients, start, (0.0, 2.0 / 511, 4.0 * np.pi / 1024), 5, 65, 0.25)[0]
+    limits = (0.0, 1.0), (-math.inf, math.inf)
+    return polish(scan, scan(rs, ts), (2.0 / 511, 4.0 * np.pi / 1024), limits, 5, 65, 0.25)[0]
 
 
 RationalLike = Union[Fraction, int]

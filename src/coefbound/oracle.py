@@ -12,12 +12,10 @@ q = 4 - p1^2 and k >= 0 (k = 0 for |a2|, |a3| and |a3 - a2|).  So the
 maximum over y is |A| + k q (1 - |x|^2), attained at y = A/|A|, and the
 search walks (p1, x) only.  A is a quadratic alpha + beta x + gamma x^2 in x
 whose coefficients are real polynomials in (lam, p1) (see _quadratic), so
-the search scores it in real arithmetic without forming the moments: its
-grids through schwarz.polar_scan, from cos/sin tables of arg x, and its
-canonical and random candidates, and each grid's winner, through _best_of,
-on contiguous float64 columns (p1, Re x, Im x).  No complex array is built.
-Its witness is a full (p1, x, y) triple with that y (y = 1 where A = 0),
-which functional_value replays through the full moments, so a replay
+the search scores it in real arithmetic without forming the moments, by
+schwarz.point_scores.  Its witness is a full (p1, x, y) triple with that y
+(y = 1 where A = 0), which functional_value replays through the full
+moments in floats and exact_value in exact rational arithmetic, so a replay
 checks the polynomials independently.
 
 Where the maths settles x, the search scores the rows that hold the
@@ -31,27 +29,26 @@ the disk.  So every pinned search settles.  |a2| = s2 p1 does not depend
 on x and peaks at the canonical p1 = 2, and free |a3| <= s3 ((3 lam/4) t +
 (4 - t)/2) is affine in t = p1^2, so it peaks at the canonical
 (p1, x) = (0, +-1) or p1 = 2.  In the default report 98 of the 106 records
-settle; only the 8 free |a4| records run every phase, over free (p1, x).
+settle; only the 8 free |a4| records run every phase.
+
+Free |a4| still settles arg x: on each circle |x| = r, |A|^2 is a quadratic
+in cos(arg x), whose maximum is at one of at most three candidates, and
+schwarz.circle_max scores the one that the maths picks.  The search
+therefore walks the (p1, r) plane, and counts each row as its 3 points.
 
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
 variant) produce bit-identical reports.  A search scores each phase in
-blocks of at most CHUNK_ROWS candidates (whole grid rows in the grids, or
-runs of one row's angles where a row is longer) with a running first-index
-argmax, so its result does not depend on the block size.  The random draws
-do not depend on lam, so while they fit in SHARED_INPUT_BYTES a run draws
-them once and shares the finished (p1, Re x, Im x) blocks.  Above that cap
-each search draws its own blocks and finishes into (Re x, Im x) and scores
-only the rows whose schwarz.score_bound, from (p1, |x|), is above the
-incumbent.  The grids and the polish skip (p1, |x|) rows the same way;
-where the rows left fill more than one block, polar_scan first scores the
-row of largest bound and lifts the incumbent to just below that row's
-maximum, a grid score, so the exploration grid, which starts with no
-incumbent, is pruned from its first row too.  The bound is an upper bound
-on the computed score, rounding included, so a skipped row could not have
-passed the strict improvement test.  Every search scores the grids afresh.
-Neither blocks, sharing nor skipping reorder a floating-point operation of
-a scored row, so every path returns the same bits, and ``samples`` counts
-every candidate, scored or bounded out.  The search is single-threaded.
+blocks of at most CHUNK_ROWS (p1, r) rows, built from an index range or
+drawn, with a running first-index argmax, so neither its result nor its
+memory depends on the budget's size beyond the block.  Every phase skips
+the rows whose schwarz.score_bound is not above the incumbent at the start
+of their block; the bound is an upper bound on the computed score,
+rounding included, so a skipped row could not have passed the strict
+improvement test.  Neither blocks nor skipping reorder a floating-point
+operation of a scored row, so every path returns the same bits, and
+``samples`` counts every point, scored or bounded out.  The search is
+single-threaded and draws its own rows, so a search in a run returns the
+bits of a standalone one.
 """
 
 from __future__ import annotations
@@ -61,6 +58,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -71,13 +69,13 @@ from .schwarz import (
     CaratheodoryParams,
     caratheodory_moments,
     caratheodory_to_schwarz,
-    finish_rows,
+    circle_scan,
     grid_axes,
-    polar_scan,
+    plane_scan,
+    point_scores,
     polish,
     random_chunks,
     sample_param_arrays,  # noqa: F401  (unused here; bench/spans.py wraps it under this name)
-    score_bound,
 )
 
 FUNCTIONAL_KINDS = ("abs_a2", "abs_a3", "abs_a4", "abs_a3_minus_a2", "abs_a4_minus_a3")
@@ -95,13 +93,13 @@ MAX_BUDGET = 10**9
 
 #: Rows per block of the streaming search; a block's arrays and temporaries stay in cache.
 CHUNK_ROWS = 8192
-#: A run keeps its lam-independent input blocks only while they fit in this many bytes (9.75 MiB).
-SHARED_INPUT_BYTES = 39 * 2**18
 
 #: First polish half-width in grid spacings; later rounds keep as many of the last's spacings, or half its width.
 _POLISH_SPACINGS = 2.0
 #: The last polish round's width over the first's, at every budget.
-_POLISH_NARROWING = 2.0**-17
+_POLISH_NARROWING = 2.0**-20
+#: The (p1, r) plane of free p1: p1 in [0, 2] (a rotation makes p1 >= 0) and r = |x| in [0, 1].
+_PLANE = (0.0, 2.0), (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -225,6 +223,35 @@ def functional_value(fn: Functional, lam: float, params: CaratheodoryParams) -> 
     return float(np.abs(_functional(fn, lam, p1, p2, p3)))
 
 
+def exact_value(fn: Functional, lam: float, params: CaratheodoryParams) -> float:
+    """The requested modulus at one parameter point, rounded once (fixed_p overrides p1).
+
+    lam and the parameters' floats are read as Fractions, and p2, p3, a2..a4
+    and the functional are formed from the moment formulas in exact
+    rational arithmetic, as [re, im] pairs.  Only sqrt(|F|^2) is rounded,
+    after an exact scaling by a power of 4.  It shares no formula with
+    _quadratic and no rounding with functional_value, whose moments cancel
+    at small lam.
+    """
+    bounds.check_lambda(lam)
+    lam, p = Fraction(lam), Fraction(params.p1 if fn.effective_p1 is None else fn.effective_p1)
+    u, v, *y = map(Fraction, (params.x.real, params.x.imag, params.y.real, params.y.imag))
+    q, x, x2, one = 4 - p * p, [u, v], [u * u - v * v, 2 * u * v], [1, 0]
+    ky = 2 * q * (1 - u * u - v * v)
+    p2 = [(p * p * one[i] + q * x[i]) / 2 for i in (0, 1)]
+    p3 = [(p**3 * one[i] + 2 * q * p * x[i] - q * p * x2[i] + ky * y[i]) / 4 for i in (0, 1)]
+    c3, c4 = (3 * lam - 2) / 4 * p * p, (17 * lam**2 - 30 * lam + 12) / 48 * p**3
+    inner3 = [p2[i] + c3 * one[i] for i in (0, 1)]
+    inner4 = [p3[i] + (5 * lam - 4) / 4 * p * p2[i] + c4 * one[i] for i in (0, 1)]
+    s2, s3, s4 = (lam / 2, lam / 4, lam / 6) if fn.cls == "starlike" else (lam / 4, lam / 12, lam / 24)
+    a2, a3, a4 = [s2 * p, 0], [s3 * w for w in inner3], [s4 * w for w in inner4]
+    f = {"abs_a2": a2, "abs_a3": a3, "abs_a4": a4, "abs_a3_minus_a2": (a3, a2), "abs_a4_minus_a3": (a4, a3)}
+    f = f[fn.kind] if fn.kind not in _DIFFERENCE_KINDS else [hi - lo for hi, lo in zip(*f[fn.kind])]
+    square = f[0] * f[0] + f[1] * f[1]
+    k = (square.denominator.bit_length() - square.numerator.bit_length()) // 2
+    return math.ldexp(math.sqrt(square * Fraction(4) ** k), -k)
+
+
 def check_budget(budget: int, name: str = "budget") -> None:
     """Raise ValueError unless MIN_BUDGET <= budget <= MAX_BUDGET; ``name`` labels it."""
     if not MIN_BUDGET <= budget <= MAX_BUDGET:
@@ -262,61 +289,25 @@ def _canonical(pinned: bool):
 
 
 def _schedule(budget: int):
-    """(grid axes, random rows, polish levels m, rounds, shrink s); the phases add up to ``budget``.
+    """((p1, |x|) grid levels, random rows, polish levels m, rounds, shrink s) of a budget.
 
-    The polish takes the fewest rounds of m^3 points in half the budget with
-    s^(rounds - 1) = _POLISH_NARROWING and s >= min(0.5,
-    2 _POLISH_SPACINGS / (m - 1)); the grid takes half the rest.
+    A search scores the 15 canonical points and (budget - 15) // 3 rows of 3
+    points.  The polish takes the fewest rounds of m^2 rows in half the rows
+    with s^(rounds - 1) = _POLISH_NARROWING and s >= min(0.5,
+    2 _POLISH_SPACINGS / (m - 1)), m >= 3 (below budget 1,149 that is
+    21 rounds of 9 rows, more than half); the grid takes three quarters of
+    the rest, where rows cost less than draws, and the random draws the
+    remainder.
     """
-    half = budget // 2
+    rows = (budget - 3 * _UNITS_RE.size) // 3
     for rounds in itertools.count(2):
-        rows = half // rounds
-        m = round(rows ** (1.0 / 3.0))
-        m = max(3, m - (m**3 > rows))
+        m = max(3, math.isqrt(rows // 2 // rounds))
         if min(0.5, 2.0 * _POLISH_SPACINGS / (m - 1)) ** (rounds - 1) <= _POLISH_NARROWING:
             break
-    canonical = 3 * _UNITS_RE.size
-    axes = grid_axes((budget - half - canonical) // 2)
-    grid = math.prod(a.size for a in axes)
+    rest = rows - rounds * m * m
+    axes = grid_axes(rest * 3 // 4)
     shrink = _POLISH_NARROWING ** (1.0 / (rounds - 1))
-    return axes, budget - canonical - grid - rounds * m**3, m, rounds, shrink
-
-
-class _SearchInputs:
-    """The schedule and the lam-independent random blocks of every search at one (seed, budget).
-
-    While the random rows' (p1, x_re, x_im) columns fit in
-    SHARED_INPUT_BYTES (``shared``) it keeps them, once drawn and finished.
-    Above that it keeps nothing and every search draws its blocks afresh,
-    unfinished.  The schedule, the sharing test and the blocks are built on
-    first use, so a run whose every search settles at its canonical phase
-    builds none of them.  Callers own an instance for one run and drop it
-    after.
-    """
-
-    def __init__(self, seed: int, budget: int):
-        self.seed = seed
-        self.budget = budget
-
-    @functools.cached_property
-    def schedule(self):
-        """_schedule(budget), built by the first search that passes its canonical phase."""
-        return _schedule(self.budget)
-
-    @functools.cached_property
-    def shared(self) -> bool:
-        return 24 * self.schedule[1] <= SHARED_INPUT_BYTES
-
-    @functools.cached_property
-    def _finished(self) -> list:
-        return [(p1, *finish_rows(mod, phase_u)) for p1, mod, phase_u in self._draws()]
-
-    def _draws(self):
-        return random_chunks(self.seed, self.schedule[1], CHUNK_ROWS)
-
-    def random(self):
-        """The random phase's blocks: finished (p1, x_re, x_im) if shared, else random_chunks' own."""
-        return self._finished if self.shared else self._draws()
+    return axes, rest - axes[0].size * axes[1].size, m, rounds, shrink
 
 
 def _settled_rows(fn: Functional, lam: float, eff: Optional[float]):
@@ -377,22 +368,18 @@ def _settled_rows(fn: Functional, lam: float, eff: Optional[float]):
 def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: float, witness):
     """Scan (p1, u, v) blocks for the largest |A| + k q (1 - |x|^2) by a first-index argmax.
 
-    u and v are the columns of Re x and Im x, and A = alpha + beta x +
-    gamma x^2 (see _quadratic) is evaluated in real arithmetic on them.
-    When p1 is pinned to ``eff``, as for the settled rows, the coefficients
-    are scalars and the blocks' p1 is not read.  A block's maximum replaces
-    the incumbent only if strictly larger, so the result is the first
-    maximal row of the whole stream, whatever the block size.  The
-    incumbent is (p1, Re x, Im x, A).  Returns it and the number of rows
-    scanned.
+    u and v are the columns of Re x and Im x, scored by schwarz.point_scores
+    with the coefficients of _quadratic.  When p1 is pinned to ``eff``, as
+    for the settled rows, the coefficients are scalars and the blocks' p1
+    is not read.  A block's maximum replaces the incumbent only if strictly
+    larger, so the result is the first maximal row of the whole stream,
+    whatever the block size.  The incumbent is (p1, Re x, Im x, A).
+    Returns it and the number of rows scanned.
     """
     fixed = None if eff is None else _quadratic(fn, lam, float(eff))
     scanned = 0
     for p1, u, v in blocks:
-        alpha, beta, gamma, kq = _quadratic(fn, lam, p1) if fixed is None else fixed
-        re = alpha + u * (beta + gamma * u) - gamma * (v * v)
-        im = v * (beta + 2.0 * gamma * u)
-        vals = np.sqrt(re * re + im * im) + kq * (1.0 - u * u - v * v)
+        vals, re, im = point_scores(*(_quadratic(fn, lam, p1) if fixed is None else fixed), u, v)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
@@ -400,25 +387,6 @@ def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: flo
             witness = (wp1, float(u[i]), float(v[i]), complex(re[i], im[i]))
         scanned += u.size
     return best, witness, scanned
-
-
-def _best_of_draws(fn: Functional, lam: float, draws, best: float, witness):
-    """_best_of over random_chunks' unfinished (p1, |x|, phase uniforms) blocks.
-
-    Only the rows whose score_bound is above the incumbent at the start of
-    their block are finished and scored.  A skipped row scores at most that
-    incumbent, so it could not pass _best_of's strict test, and the result
-    is _best_of's on the finished blocks, bit for bit.  Returns the
-    incumbent and the number of rows drawn, scored or not.
-    """
-    drawn = 0
-    for p1, mod, phase_u in draws:
-        rows = np.flatnonzero(score_bound(*_quadratic(fn, lam, p1), mod) > best)
-        if rows.size:
-            block = (p1[rows], *finish_rows(mod[rows], phase_u[rows]))
-            best, witness, _ = _best_of(fn, lam, None, [block], best, witness)
-        drawn += mod.size
-    return best, witness, drawn
 
 
 @dataclass(frozen=True)
@@ -433,65 +401,41 @@ def extremal_search(
     lam: float,
     budget: int = DEFAULT_BUDGET,
     seed: int = DEFAULT_SEED,
-    *,
-    inputs: Optional[_SearchInputs] = None,
 ) -> SearchResult:
     """Maximize the functional over the admissible parameter body.
 
     Each candidate is a (p1, x) pair scored by its maximum over y (see the
-    module docstring).  Where the maths settles x (see _settled_rows: every
-    pinned difference, and free |a2| and |a3|; 98 of the default report's
-    106 records), the search scores the canonical witnesses and, where a
-    pinned radial bound peaks inside the disk, its peak row, and returns,
-    since a later phase could only tie it or beat it by rounding.  It then
-    builds no schedule and draws nothing.  Free |a4| runs every phase (see
-    _schedule) over free (p1, x): canonical witnesses, a stratified
-    (p1, |x|, arg x) grid (a quarter of the budget), seeded random draws,
-    then a polish of local polar grids around the incumbent (at most half
-    the budget).  A polar phase's winner is rescored as a (p1, Re x, Im x)
-    row before it may replace the incumbent, so the value is its witness's
-    own score; replacement requires strict improvement, so canonical
-    witnesses win exact ties.  ``samples`` is the budget: every candidate,
-    whether scored or skipped by its bound.
-    ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET], ``seed`` must be >= 0.
-
-    ``inputs`` carries the schedule and the random blocks that verify_claim
-    and run_claim_suite share across a run, each built on first use; a call
-    without it builds its own and returns the same result.
+    module docstring).  Where the maths settles x (see _settled_rows; 98 of
+    the default report's 106 records) the search scores the rows that hold
+    the maximum and returns, with the budget as ``samples``, building no
+    schedule and drawing nothing.  Free |a4| runs every phase of _schedule
+    on the (p1, r) plane, each row scored at its circle_max: the 15
+    canonical witnesses, a (p1, r) grid, seeded (p1, r) draws with atoms at
+    p1 in {0, 2} and r in {0, 1}, then polish rounds of local (p1, r) grids
+    around the incumbent.  Every score is its witness's own, and
+    replacement requires strict improvement, so canonical witnesses win
+    exact ties.  ``samples`` is then 15 + 3 rows, at most 2 below the
+    budget.  ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET], ``seed`` >= 0.
     """
     bounds.check_lambda(lam)
     check_budget(budget)
     check_seed(seed)
-    if inputs is not None and (inputs.seed, inputs.budget) != (seed, budget):
-        raise ValueError("inputs were built for another seed or budget")
     settled = _settled_rows(fn, lam, fn.effective_p1)
     if settled is not None:
         best, witness, _ = _best_of(fn, lam, fn.effective_p1, [settled], -np.inf, None)
         return _search_result(best, witness, budget)
-    best, witness, evaluated = _best_of(fn, lam, None, [_canonical(False)], -np.inf, None)
-    if inputs is None:
-        inputs = _SearchInputs(seed, budget)
-    axes, _, m, rounds, shrink = inputs.schedule
+    best, (p1, u, v, a), canonical = _best_of(fn, lam, None, [_canonical(False)], -np.inf, None)
+    found = best, p1, math.hypot(u, v), u, v, a.real, a.imag
+    (p1_levels, rs), draws, m, rounds, shrink = _schedule(budget)
     coefficients = functools.partial(_quadratic, fn, lam)
-
-    def rescored(found, best, witness):
-        p1, r, t = found[1:]
-        row = (np.array([p1]), np.array([r * math.cos(t)]), np.array([r * math.sin(t)]))
-        return _best_of(fn, lam, None, [row], best, witness)[:2]
-
-    best, witness = rescored(polar_scan(coefficients, *axes, chunk=CHUNK_ROWS), best, witness)
-    if inputs.shared:
-        best, witness, scanned = _best_of(fn, lam, None, inputs.random(), best, witness)
-    else:
-        best, witness, scanned = _best_of_draws(fn, lam, inputs.random(), best, witness)
-    p1, u, v, _ = witness
-    start = (best, p1, math.hypot(u, v), math.atan2(v, u))
-    widths = [_POLISH_SPACINGS * float(axis[1] - axis[0]) for axis in axes]
-    end = polish(coefficients, start, widths, rounds, m, shrink, CHUNK_ROWS, span_disk=True)
-    if end is not start:
-        best, witness = rescored(end, best, witness)
-    evaluated += scanned + math.prod(a.size for a in axes) + rounds * m**3
-    return _search_result(best, witness, evaluated)
+    found = plane_scan(coefficients, p1_levels, rs, found[0], CHUNK_ROWS) or found
+    drawn = ((p1, r, coefficients(p1)) for p1, r in random_chunks(seed, draws, CHUNK_ROWS))
+    found = circle_scan(drawn, found[0]) or found
+    widths = [_POLISH_SPACINGS * float(axis[1] - axis[0]) for axis in (p1_levels, rs)]
+    scan = functools.partial(plane_scan, coefficients, chunk=CHUNK_ROWS)
+    best, p1, _, u, v, re, im = polish(scan, found, widths, _PLANE, rounds, m, shrink)
+    rows = p1_levels.size * rs.size + draws + rounds * m * m
+    return _search_result(best, (p1, u, v, complex(re, im)), canonical + 3 * rows)
 
 
 def _search_result(best: float, witness, samples: int) -> SearchResult:
@@ -625,19 +569,13 @@ def _verify_points(
     tol: float,
     psi2_variant: str,
 ) -> list[VerificationReport]:
-    """One report per (claim, lam, p) point, in the order given.
-
-    The searches share one _SearchInputs, so the first record that passes
-    its canonical phase (a free |a4| record) also times the schedule and,
-    where the random blocks are shared, drawing them.
-    """
+    """One report per (claim, lam, p) point, in the order given."""
     check_tol(tol)
-    inputs = _SearchInputs(seed, budget)
     reports = []
     for claim, lam, p in points:
         fn = Functional(kind=claim.kind, cls=claim.cls, fixed_p=p)
         t0 = time.perf_counter()
-        result = extremal_search(fn, lam, budget=budget, seed=seed, inputs=inputs)
+        result = extremal_search(fn, lam, budget=budget, seed=seed)
         b = bounds.bound(
             claim.cls, lam, claim.n, claim.which, p, claim.pinned_variant or psi2_variant
         )

@@ -12,16 +12,16 @@ the admissible moment body exactly: no rejection step, no false extremal
 candidates outside the true coefficient body.  The moments convert to Schwarz
 coefficients through w = (q - 1)/(q + 1).
 
-The extremal search maximizes over y in closed form (see oracle), so it
-walks (p1, x) only: random rows from random_chunks, as contiguous float64
-columns (p1, |x|), which finish_rows turns into (x_re, x_im) for the rows
-that score_bound cannot rule out, and (p1, |x|, arg x) grids from
-grid_axes through polar_scan and polish, the kernel it shares with
-lemmas.y_bruteforce, which scans (|x|, arg x) grids with no p1 axis.
-sample_param_arrays (sample_params as objects) draws whole (p1, x, y) random
-rows from the same row maps and is the one place where complex arrays are
-built, bit for bit from columns that carry the bits numpy's complex
-arithmetic gives, signed zeros included.
+The extremal search maximizes over y in closed form (see oracle), and over
+arg x on each circle |x| = r by circle_max, so it walks the (p1, |x|)
+plane: random rows from random_chunks, as contiguous float64 columns
+(p1, |x|), and grids from grid_axes through plane_scan and polish, every
+row scored by circle_scan.  lemmas.y_bruteforce scans (|x|, arg x) grids
+through polar_scan and the same polish.  sample_param_arrays
+(sample_params as objects) draws whole (p1, x, y) random rows with the
+same p1 and |x| maps and is the one place where complex arrays are built,
+bit for bit from columns that carry the bits numpy's complex arithmetic
+gives, signed zeros included.
 """
 
 from __future__ import annotations
@@ -138,26 +138,17 @@ def sample_param_arrays(
 
 
 def grid_axes(count: int):
-    """The search grid's levels (p1, |x|, arg x); their product is <= count.
+    """The search grid's levels (p1, |x|); their product is <= count.
 
-    Each axis starts at 2 levels, so a count below 8 is refused, and the
-    axes take turns to grow while the product stays <= count.  arg x grows
-    by 2, so that its levels 2 pi k / n hold 0 and, to within an ulp, pi;
-    the levels of p1 run from 0 to 2 and those of |x| from 0 to 1.
+    The axes take turns to grow by one level, p1 first, while the product
+    stays <= count: n levels of |x| and n or n + 1 of p1, with n =
+    isqrt(count), so a count below 4 (2 levels per axis) is refused.  The
+    levels of p1 run from 0 to 2 and those of |x| from 0 to 1.
     """
-    steps = (1, 1, 2)
-    levels = [2, 2, 2]
-    if count < 8:
-        raise ValueError(f"a grid needs count >= 8, got {count}")
-    grew = True
-    while grew:
-        grew = False
-        for i, step in enumerate(steps):
-            if math.prod(levels) // levels[i] * (levels[i] + step) <= count:
-                levels[i] += step
-                grew = True
-    n_p1, n_mod, n_arg = levels
-    return np.linspace(0.0, 2.0, n_p1), np.linspace(0.0, 1.0, n_mod), 2.0 * np.pi * np.arange(n_arg) / n_arg
+    if count < 4:
+        raise ValueError(f"a grid needs count >= 4, got {count}")
+    n = math.isqrt(count)
+    return np.linspace(0.0, 2.0, n + (n * (n + 1) <= count)), np.linspace(0.0, 1.0, n)
 
 
 def _polar(mod: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,45 +183,29 @@ def _modulus(u: np.ndarray) -> np.ndarray:
     return mod
 
 
-def _phase(u: np.ndarray) -> np.ndarray:
-    """Map uniform rows u[:, 0:2] to a disk point's phase, with atoms at 0 and pi."""
-    selp, valp = u[:, 0], u[:, 1]
+def _disk_point(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map uniform rows u[:, 0:4] to the (re, im) columns of a disk point with boundary atoms.
+
+    The phase has atoms at 0 and pi.
+    """
+    selp, valp = u[:, 2], u[:, 3]
     phase = 2.0 * np.pi * valp
     phase[selp < 0.125] = 0.0
     phase[(selp >= 0.125) & (selp < 0.25)] = np.pi
-    return phase
-
-
-def finish_rows(mod: np.ndarray, phase_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (re, im) columns of the disk points of modulus ``mod`` and phase uniforms ``phase_u``.
-
-    Every row is mapped on its own (the phase map, cos, sin and _polar), so
-    finishing any subset of a block's rows gives those rows' bits of
-    finishing the whole block.
-    """
-    phase = _phase(phase_u)
-    return _polar(mod, np.cos(phase), np.sin(phase))
-
-
-def _disk_point(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map uniform rows u[:, 0:4] to the (re, im) columns of a disk point with boundary atoms."""
-    return finish_rows(_modulus(u[:, 0:2]), u[:, 2:4])
+    return _polar(_modulus(u[:, 0:2]), np.cos(phase), np.sin(phase))
 
 
 def random_chunks(seed, count: int, chunk: int):
-    """The random search rows as (p1, |x|, phase uniforms) blocks of at most ``chunk`` rows, in order.
+    """The random search rows as (p1, |x|) blocks of at most ``chunk`` rows, in order.
 
-    Row k maps 6 uniforms through the (p1, x) maps of sample_params' 10-wide
-    random rows, all but the last step: finish_rows(|x|, phase uniforms)
-    gives the (Re x, Im x) columns, for the whole block or for any of its
-    rows.  So a search can bound a row by score_bound from (p1, |x|) and pay
-    for the trigonometry of the rows that may win only.  The blocks
-    concatenate to one draw, and a smaller draw is a prefix of a larger one.
+    Row k maps 4 uniforms through sample_params' maps of p1 and of |x|, with
+    atoms at p1 = 2 and 0 and at |x| = 1 and 0.  The blocks concatenate to
+    one draw, and a smaller draw is a prefix of a larger one.
     """
     rng = np.random.default_rng(seed)
     for start in range(0, count, chunk):
-        u = rng.random((min(chunk, count - start), 6))
-        yield _p1_draw(u), _modulus(u[:, 2:4]), u[:, 4:6]
+        u = rng.random((min(chunk, count - start), 4))
+        yield _p1_draw(u), _modulus(u[:, 2:4])
 
 
 #: Rounding margin of score_bound, relative to |alpha| + |beta| + |gamma| + |kq|.
@@ -250,10 +225,10 @@ def score_bound(alpha, beta, gamma, kq, r):
     A = alpha + beta x + gamma x^2, so |A| <= |alpha| + |beta| r + |gamma| r^2,
     with equality where every phase aligns.  The bound adds BOUND_MARGIN of
     the coefficients' sizes and BOUND_FLOOR, which cover the rounding of
-    polar_scan's and oracle._best_of's scores, subnormal squares included,
-    and of |x| against r for a finished random row.  A row whose bound is
-    not above the incumbent cannot pass the strict improvement test, so
-    skipping it leaves every bit as it is.
+    polar_scan's and point_scores' scores, subnormal squares included, and
+    of |x| against r at circle_max's vertex.  A row whose bound is not above
+    the incumbent cannot pass the strict improvement test, so skipping it
+    leaves every bit as it is.
     Works on scalars and on broadcasting arrays.
     """
     a, b, g = np.abs(alpha), np.abs(beta), np.abs(gamma)
@@ -262,18 +237,101 @@ def score_bound(alpha, beta, gamma, kq, r):
     return a + b * r + g * r2 + margin + kq * (1.0 - r2)
 
 
+def point_scores(alpha, beta, gamma, kq, u, v):
+    """(|A| + kq (1 - |x|^2), Re A, Im A) at x = u + i v, with A = alpha + beta x + gamma x^2.
+
+    The search's one scoring formula, in real arithmetic: its canonical and
+    settled points (oracle._best_of) and circle_max's candidates go through
+    it, so a witness rescored gives its value bit for bit.
+    """
+    re = alpha + u * (beta + gamma * u) - gamma * (v * v)
+    im = v * (beta + 2.0 * gamma * u)
+    return np.sqrt(re * re + im * im) + kq * (1.0 - u * u - v * v), re, im
+
+
+def circle_max(alpha, beta, gamma, kq, r):
+    """The largest score on |x| = r, at the point that the maths picks: (score, Re x, Im x, Re A, Im A).
+
+    For real alpha, beta and gamma, at x = r e^{it} and c = cos t,
+
+        |A|^2 = (alpha - gamma r^2)^2 + beta^2 r^2 + L c + M c^2,
+        L = 2 beta r (alpha + gamma r^2),  M = 4 alpha gamma r^2,
+
+    a quadratic in c on [-1, 1], and kq (1 - r^2) does not depend on c.  So
+    the maximum is at one of three candidates: the vertex c* = -L / (2M) =
+    -(beta/gamma) / (4 r) - (beta/alpha) r/4 where M < 0 and |c*| < 1,
+    which beats both ends, or else c = 1 where L >= 0 and c = -1 where
+    L < 0, since |A|^2 is 2L larger at c = 1 than at c = -1.  Only that
+    candidate x = r (c + i sqrt(1 - c^2)) is scored, by point_scores; the
+    other two are bounded out.  The signs of M and L are taken from the
+    signs of their factors, which cannot underflow as the products can.
+    Works on scalars and on broadcasting arrays.
+    """
+    alpha, beta, gamma, kq, r = np.broadcast_arrays(alpha, beta, gamma, kq, r)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vertex = -(beta / gamma) / (4.0 * r) - (beta / alpha) * (0.25 * r)
+    inside = (np.sign(alpha) * np.sign(gamma) < 0.0) & (np.abs(vertex) < 1.0)
+    end = np.where(np.sign(beta) * np.sign(alpha + gamma * (r * r)) < 0.0, -1.0, 1.0)
+    c = np.where(inside, vertex, end)
+    u, v = r * c, r * np.sqrt(1.0 - c * c)
+    vals, re, im = point_scores(alpha, beta, gamma, kq, u, v)
+    return vals, u, v, re, im
+
+
+def circle_scan(blocks, best: float = -math.inf):
+    """The first (p1, r) row of ``blocks`` whose circle_max exceeds ``best``.
+
+    Each block is (p1, r, (alpha, beta, gamma, kq)), a coefficient a scalar
+    or one value per row.  Only the rows whose score_bound is above the
+    incumbent at the start of their block are scored, and a block's maximum
+    replaces the incumbent only where strictly larger: the result is the
+    first maximal row of the stream at any block size, with the bits of
+    scoring every row.  Returns (value, p1, r, Re x, Im x, Re A, Im A) or
+    None.
+    """
+    found = None
+    for p1, r, coefs in blocks:
+        rows = np.broadcast_arrays(*coefs, r)
+        keep = np.flatnonzero(score_bound(*rows) > best)
+        if keep.size:
+            vals, *point = circle_max(*(a[keep] for a in rows))
+            i = int(np.argmax(vals))
+            if vals[i] > best:
+                best = float(vals[i])
+                found = (best, float(p1[keep[i]]), float(r[keep[i]]), *(float(a[i]) for a in point))
+    return found
+
+
+def plane_scan(coefficients, p1_levels, rs, best: float = -math.inf, chunk: int = 8192):
+    """circle_scan over the rows p1_levels x rs, p1 outer, ``chunk`` rows a block.
+
+    ``coefficients(p1_levels)`` gives each level's (alpha, beta, gamma,
+    kq), a scalar or one value per level, which a block's rows index; the
+    blocks are built from an index range, so the grid is never held whole.
+    """
+    coefs = coefficients(p1_levels)
+
+    def rows():
+        n = p1_levels.size * rs.size
+        for first in range(0, n, chunk):
+            level, radius = np.divmod(np.arange(first, min(n, first + chunk)), rs.size)
+            yield p1_levels[level], rs[radius], [c[level] if np.ndim(c) else c for c in coefs]
+
+    return circle_scan(rows(), best)
+
+
 def _scores(factors, trig, rows, cols):
     """|A| + kq (1 - r^2) of the block ``rows`` x ``cols`` of a polar grid.
 
-    ``factors`` are the rows' (alpha, beta r, gamma r^2, kq (1 - r^2)),
-    alpha a scalar or a column like the others, and ``trig`` the cos t,
-    sin t, cos 2t and sin 2t tables.  Every element goes through the same
-    operations whatever the block, so a point has the same bits in any block.
+    ``factors`` are the scalar alpha and the radii's columns (beta r,
+    gamma r^2, kq (1 - r^2)), and ``trig`` the cos t, sin t, cos 2t and
+    sin 2t tables.  Every element goes through the same operations whatever
+    the block, so a point has the same bits in any block.
     """
     alpha, br, gr2, kr = factors
     cos1, sin1, cos2, sin2 = trig
     re = br[rows] * cos1[cols]
-    re += alpha[rows] if np.ndim(alpha) else alpha
+    re += alpha
     im = br[rows] * sin1[cols]
     re += gr2[rows] * cos2[cols]
     im += gr2[rows] * sin2[cols]
@@ -284,13 +342,12 @@ def _scores(factors, trig, rows, cols):
     return vals
 
 
-def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: int = 8192):
-    """The first point of the grid p1_levels x rs x ts where |A| + kq (1 - r^2) exceeds ``best``.
+def polar_scan(coefficients, rs, ts, best: float = -math.inf, chunk: int = 8192):
+    """The first point of the grid rs x ts where |A| + kq (1 - r^2) exceeds ``best``.
 
-    A = alpha + beta x + gamma x^2 at x = r e^{it}, with (alpha, beta, gamma,
-    kq) = coefficients(p1_levels), each a scalar or one value per level
-    (p1_levels None: no p1 axis), from cos/sin tables of t and 2t.  Rows run
-    over p1 levels, then radii.  Blocks of at most ``chunk`` points (whole
+    A = alpha + beta x + gamma x^2 at x = r e^{it}, with the scalars
+    (alpha, beta, gamma, kq) = coefficients, from cos/sin tables of t and
+    2t.  Rows run over radii.  Blocks of at most ``chunk`` points (whole
     rows, or runs of one row's angles) each replace the incumbent only where
     strictly larger: the row-major first maximum at any block size.
 
@@ -304,18 +361,14 @@ def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: 
     row holding a point of value M is bounded at M or more and kept: the
     scan still returns the first point of value M, ties in earlier rows
     included, and a skipped row has no point that could replace the
-    incumbent, so the result keeps every bit.  Returns (value, p1, r, t)
-    or None.
+    incumbent, so the result keeps every bit.  Returns (value, r, t) or None.
     """
-    coefs = coefficients(p1_levels)
+    alpha, beta, gamma, kq = coefficients
     trig = np.cos(ts), np.sin(ts), np.cos(2.0 * ts), np.sin(2.0 * ts)
-    n_rows = rs.size * (1 if p1_levels is None else p1_levels.size)
     rows, width = max(1, chunk // ts.size), min(chunk, ts.size)
     found = None
-    for first in range(0, n_rows, chunk):  # the row factors of at most chunk rows
-        level, radius = np.divmod(np.arange(first, min(n_rows, first + chunk)), rs.size)
-        r = rs[radius, None]
-        alpha, beta, gamma, kq = (c[level, None] if np.ndim(c) else c for c in coefs)
+    for first in range(0, rs.size, chunk):  # the row factors of at most chunk rows
+        r = rs[first : first + chunk, None]
         bound = score_bound(alpha, beta, gamma, kq, r).ravel()
         factors = alpha, beta * r, gamma * (r * r), kq * (1.0 - r * r)
         keep = np.flatnonzero(bound > best)
@@ -325,15 +378,14 @@ def polar_scan(coefficients, p1_levels, rs, ts, best: float = -math.inf, chunk: 
             v = max(float(_scores(factors, trig, slice(top, top + 1), cols).max()) for cols in runs)
             best = max(best, math.nextafter(v, -math.inf))
             keep = np.flatnonzero(bound > best)
-        level, r = level[keep], r[keep]
-        factors = [c[keep] if np.ndim(c) else c for c in factors]
+        r = r[keep]
+        factors = [alpha, *(c[keep] for c in factors[1:])]
         for start, col in itertools.product(range(0, r.size, rows), range(0, ts.size, width)):
             vals = _scores(factors, trig, slice(start, start + rows), slice(col, col + width))
             i, j = divmod(int(np.argmax(vals)), vals.shape[1])
             if vals[i, j] > best:
                 best = float(vals[i, j])
-                p1 = None if p1_levels is None else float(p1_levels[level[start + i]])
-                found = best, p1, float(r[start + i, 0]), float(ts[col + j])
+                found = best, float(r[start + i, 0]), float(ts[col + j])
     return found
 
 
@@ -352,25 +404,21 @@ def _linspace(k: np.ndarray, start: float, stop: float) -> np.ndarray:
     return y
 
 
-def polish(coefficients, incumbent, widths, rounds, levels, shrink, chunk=8192, *, span_disk=False):
-    """Rounds of polar_scan on local grids around the incumbent, each ``shrink`` times narrower.
+def polish(scan, incumbent, widths, limits, rounds, levels, shrink):
+    """Rounds of ``scan`` on local grids around the incumbent, each ``shrink`` times narrower.
 
-    ``incumbent`` is polar_scan's result and ``widths`` the first half-widths
-    (dp1, dr, dt).  A round scans ``levels`` points per axis across c +- w
-    around the incumbent, clipping p1 to [0, 2] and r to [0, 1].  With
-    ``span_disk`` the t window also spans the disk of radius dr around x
-    (all t once it holds 0), which near x = 0 a few t spacings do not.
+    ``incumbent`` is a scan's result, whose entries 1 and 2 are its point on
+    the scan's two axes, and ``widths`` the first half-widths.  A round
+    calls scan(axis0, axis1, best) with ``levels`` levels per axis across
+    c +- w around the incumbent, clipped to the axis's (lo, hi) in
+    ``limits``, and keeps the incumbent where the scan finds nothing above.
     """
     k = np.arange(levels, dtype=float)
-    dp1, dr, dt = widths
     for _ in range(rounds):
-        value, p1, r, t = incumbent
-        arc = dt if not span_disk else max(dt, math.asin(dr / r)) if r > dr else math.pi
-        p1_levels = None if p1 is None else _linspace(k, max(0.0, p1 - dp1), min(2.0, p1 + dp1))
-        rs = _linspace(k, max(0.0, r - dr), min(1.0, r + dr))
-        ts = _linspace(k, t - arc, t + arc)
-        incumbent = polar_scan(coefficients, p1_levels, rs, ts, value, chunk) or incumbent
-        dp1, dr, dt = dp1 * shrink, dr * shrink, dt * shrink
+        centre = zip(incumbent[1:3], widths, limits)
+        axes = [_linspace(k, max(lo, c - w), min(hi, c + w)) for c, w, (lo, hi) in centre]
+        incumbent = scan(*axes, incumbent[0]) or incumbent
+        widths = [w * shrink for w in widths]
     return incumbent
 
 

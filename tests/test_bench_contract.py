@@ -72,9 +72,9 @@ def _count_scored(monkeypatch, modules):
     scored = []
     scan = schwarz.polar_scan
 
-    def counting(coefficients, p1_levels, rs, ts, *args, **kwargs):
-        scored.append((1 if p1_levels is None else p1_levels.size) * rs.size * ts.size)
-        return scan(coefficients, p1_levels, rs, ts, *args, **kwargs)
+    def counting(coefficients, rs, ts, *args, **kwargs):
+        scored.append(rs.size * ts.size)
+        return scan(coefficients, rs, ts, *args, **kwargs)
 
     for module in (schwarz, *modules):
         monkeypatch.setattr(module, "polar_scan", counting)
@@ -92,26 +92,28 @@ def test_y_bruteforce_scores_y_evals_points(monkeypatch):
 
 @pytest.mark.parametrize("cls", ["starlike", "convex"])
 def test_a_default_search_scores_the_samples_it_reports(monkeypatch, cls):
-    # report's and deep's evals_per_s sum the records' samples
-    from coefbound import oracle
+    # report's and deep's evals_per_s sum the records' samples: the canonical
+    # points, and 3 points for each (p1, r) row, scored or bounded out
+    from coefbound import oracle, schwarz
 
-    scored = _count_scored(monkeypatch, [oracle])
-    best_of = oracle._best_of
-    rescored = []
+    scored = []
+    best_of, circle_scan = oracle._best_of, schwarz.circle_scan
 
     def counting_best_of(fn, lam, eff, blocks, *args):
-        blocks = list(blocks)
         out = best_of(fn, lam, eff, blocks, *args)
-        # a polar phase's winner comes back as a block of one row, which its
-        # grid has scored already; no other phase passes a block that small
-        if len(blocks) == 1 and blocks[0][1].size == 1:
-            rescored.append(out[2])
-        else:
-            scored.append(out[2])
+        scored.append(out[2])
         return out
 
+    def counting_circle_scan(blocks, *args):
+        blocks = list(blocks)
+        scored.append(3 * sum(r.size for _, r, _ in blocks))
+        return circle_scan(blocks, *args)
+
     monkeypatch.setattr(oracle, "_best_of", counting_best_of)
+    for module in (schwarz, oracle):
+        monkeypatch.setattr(module, "circle_scan", counting_circle_scan)
     # free |a4| is the one search that the maths does not settle, so it runs every phase
     result = oracle.extremal_search(oracle.Functional("abs_a4", cls), 0.8)
-    assert result.samples == sum(scored) == oracle.DEFAULT_BUDGET
-    assert 1 <= len(rescored) <= 2
+    budget = oracle.DEFAULT_BUDGET
+    assert result.samples == sum(scored) == 15 + 3 * ((budget - 15) // 3) == budget - 1
+    assert scored[0] == 15  # the canonical phase, the one block of points

@@ -13,11 +13,10 @@ from coefbound.oracle import (
     FUNCTIONAL_KINDS,
     Functional,
     VerificationReport,
+    exact_value,
     extremal_search,
     functional_value,
-    _SearchInputs,
     _best_of,
-    _best_of_draws,
     _functional,
     _maximizing_y,
     _moments,
@@ -29,9 +28,11 @@ from coefbound.oracle import (
     verify_claim,
 )
 from coefbound.bounds import BREAK_TOL, LAMBDA_MIN, P_MAX, bound
+from coefbound import schwarz
 from coefbound.schwarz import (
     CaratheodoryParams,
-    finish_rows,
+    circle_scan,
+    plane_scan,
     polar_scan,
     random_chunks,
     sample_params,
@@ -136,7 +137,7 @@ class TestExtremalSearch:
         assert out.value == max(abs(alpha + beta), abs(alpha - beta))
         assert out.samples == oracle.DEFAULT_BUDGET
         rs, ts = np.linspace(0.0, 1.0, 129), np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
-        grid = polar_scan(lambda _: coefs, None, rs, ts)[0]
+        grid = polar_scan(coefs, rs, ts)[0]
         assert grid <= out.value + 4.0 * math.ulp(out.value)
 
     @pytest.mark.parametrize(
@@ -155,9 +156,10 @@ class TestExtremalSearch:
     def test_only_a_search_the_maths_settles_skips_the_grid(self, grid_points_scored, kind, cls, p, settled):
         fn = Functional(kind, cls, fixed_p=p)
         found = []
-        points = grid_points_scored(oracle, lambda: found.append(extremal_search(fn, 0.9)))
+        points = grid_points_scored(oracle, lambda: found.append(extremal_search(fn, 0.9)), "plane_scan")
         assert (points == 0) == settled
-        assert found[0].samples == oracle.DEFAULT_BUDGET
+        # a settled search reports the budget; free |a4| 15 points and 3 per row
+        assert found[0].samples == oracle.DEFAULT_BUDGET - (not settled)
 
     @given(
         st.sampled_from(("starlike", "convex")),
@@ -194,8 +196,8 @@ class TestExtremalSearch:
         assert np.sign(alpha) * np.sign(gamma) >= 0.0
         grids = []
         with pytest.MonkeyPatch.context() as m:
-            scan = oracle.polar_scan
-            m.setattr(oracle, "polar_scan", lambda *args, **kw: grids.append(1) or scan(*args, **kw))
+            scan = oracle.plane_scan
+            m.setattr(oracle, "plane_scan", lambda *args, **kw: grids.append(1) or scan(*args, **kw))
             out = extremal_search(fn, lam, budget=1000)
         assert not grids
         slack = kq - abs(gamma)
@@ -206,9 +208,9 @@ class TestExtremalSearch:
         assert out.value == pytest.approx(peak, rel=4 * 2.0**-52, abs=0.0)
         # no point of a fine polar grid over the pinned disk beats it
         rs, ts = np.linspace(0.0, 1.0, 129), np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-        assert polar_scan(lambda _: coefs, None, rs, ts)[0] <= out.value * (1.0 + 4 * 2.0**-52)
+        assert polar_scan(coefs, rs, ts)[0] <= out.value * (1.0 + 4 * 2.0**-52)
         assert out.witness.x.imag == 0.0
-        assert abs(functional_value(fn, lam, out.witness) - out.value) <= 1e-12  # the moments route
+        assert _replays(fn, lam, out.witness, out.value)  # the moments route
 
     def test_convex_d43_at_p_one_and_the_lambda_floor_scores_exactly_alpha(self):
         # q = 0 at p1 = 2, so F = alpha at every x; alpha is about 2.5e-121, but
@@ -264,11 +266,11 @@ class TestExtremalSearch:
         ]:
             fn = Functional(kind, cls, fixed_p=p)
             out = extremal_search(fn, 1.1, budget=5000, seed=9)
-            assert abs(functional_value(fn, 1.1, out.witness) - out.value) <= 1e-12
+            assert _replays(fn, 1.1, out.witness, out.value)
 
     def test_value_is_the_score_of_its_witness_row(self):
-        # a polar phase's winner is rescored at its witness (p1, Re x, Im x)
-        # before it counts, so the value is that row's score, bit for bit
+        # every phase scores its points through schwarz.point_scores, so the
+        # witness (p1, Re x, Im x), rescored, gives the value bit for bit
         for kind, cls, p, lam in [
             ("abs_a4", "starlike", None, 0.9),
             ("abs_a3", "convex", None, 1.3),
@@ -328,13 +330,6 @@ class TestExtremalSearch:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             extremal_search(Functional("abs_a2", "starlike"), 1.0, budget=1000, seed=-1)
-
-    def test_inputs_built_for_another_run_rejected(self):
-        fn = Functional("abs_a2", "starlike")
-        with pytest.raises(ValueError):
-            extremal_search(fn, 1.0, budget=2000, seed=1, inputs=_SearchInputs(2, 2000))
-        with pytest.raises(ValueError):
-            extremal_search(fn, 1.0, budget=2000, seed=1, inputs=_SearchInputs(1, 3000))
 
     def test_canonical_seeding_reaches_bound_with_minimal_budget(self):
         # the seeded witnesses alone attain the sharp |a2| bound, at the
@@ -423,7 +418,7 @@ class TestVerifyClaim:
 
 class TestSharedInputs:
     def test_suite_records_match_standalone_searches(self):
-        # Sharing inputs across a run must not change a single bit.
+        # A search in a run must return the bits of a standalone one.
         reports = run_claim_suite(budget=5000, seed=42)
         assert len(reports) == 106
         for r in reports:
@@ -463,6 +458,25 @@ def _bits(result):
     return repr((result.value, result.witness, result.samples))
 
 
+#: A record's exact_value lies within this many units of 2^-52 of its
+#: oracle_max, relative.  Each is the search's float score of its own
+#: witness, so the gap is that score's rounding: at most 3.6 units over the
+#: default report and over run_claim_suite at budgets 1000 and 5000 and 42
+#: seeds, and the float replay (functional_value) reaches 5.7.
+REPLAY_ULPS = 8
+
+
+def _replays(fn, lam, witness, value) -> bool:
+    """The witness, replayed by exact_value, gives the value to REPLAY_ULPS, relative."""
+    return abs(exact_value(fn, lam, witness) - value) <= REPLAY_ULPS * 2.0**-52 * value
+
+
+def _record_replays(record) -> bool:
+    claim = CLAIMS[record.claim_id]
+    fn = Functional(claim.kind, claim.cls, fixed_p=record.p)
+    return _replays(fn, record.lam, record.witness, record.oracle_max)
+
+
 @st.composite
 def functionals(draw):
     kind = draw(st.sampled_from(FUNCTIONAL_KINDS))
@@ -483,29 +497,18 @@ class TestStreamingSearch:
     @settings(max_examples=50, deadline=None)
     def test_block_size_never_changes_a_bit(self, fn, lam, seed, budget):
         want = _bits(extremal_search(fn, lam, budget=budget, seed=seed))
-        # smaller blocks, one block larger than any phase, and no shared blocks at all
-        for rows, shared in ((1000, None), (4096, None), (10**9, None), (None, 0)):
+        # smaller blocks, and one block larger than any phase
+        for rows in (1000, 4096, 10**9):
             with pytest.MonkeyPatch.context() as mp:
-                if rows is not None:
-                    mp.setattr(oracle, "CHUNK_ROWS", rows)
-                if shared is not None:
-                    mp.setattr(oracle, "SHARED_INPUT_BYTES", shared)
+                mp.setattr(oracle, "CHUNK_ROWS", rows)
                 got = _bits(extremal_search(fn, lam, budget=budget, seed=seed))
-            assert got == want, (rows, shared)
-
-    def test_suite_without_shared_blocks_is_bit_equal(self, monkeypatch):
-        kept = [repr((r.oracle_max, r.witness, r.samples)) for r in run_claim_suite(budget=5000)]
-        monkeypatch.setattr(oracle, "SHARED_INPUT_BYTES", 0)
-        fresh = [repr((r.oracle_max, r.witness, r.samples)) for r in run_claim_suite(budget=5000)]
-        assert fresh == kept
+            assert got == want, rows
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=5, deadline=None)
     def test_every_suite_record_replays_its_witness(self, seed):
         for r in run_claim_suite(budget=5000, seed=seed):
-            claim = CLAIMS[r.claim_id]
-            fn = Functional(claim.kind, claim.cls, fixed_p=r.p)
-            assert abs(functional_value(fn, r.lam, r.witness) - r.oracle_max) <= 1e-12, r
+            assert _record_replays(r), r
 
     def test_peak_memory_does_not_grow_with_the_budget(self):
         # 2,000,000 candidates take 112 MB as whole arrays; the blocks take a few MB.
@@ -518,17 +521,30 @@ class TestStreamingSearch:
         assert peak < 32 * 2**20, peak
 
 
-def _finished(blocks):
-    return [(p1, *finish_rows(mod, phase_u)) for p1, mod, phase_u in blocks]
-
-
-def _draw_bounds(fn, lam, draws):
-    """score_bound and the bare triangle bound (no rounding margin) of every drawn row."""
-    p1 = np.concatenate([block[0] for block in draws])
-    r = np.concatenate([block[1] for block in draws])
+def _row_bounds(fn, lam, blocks):
+    """score_bound and the bare triangle bound (no rounding margin) of every (p1, r) row."""
+    p1 = np.concatenate([block[0] for block in blocks])
+    r = np.concatenate([block[1] for block in blocks])
     alpha, beta, gamma, kq = _quadratic(fn, lam, p1)
     triangle = abs(alpha) + abs(beta) * r + abs(gamma) * (r * r) + kq * (1.0 - r * r)
     return score_bound(alpha, beta, gamma, kq, r), triangle
+
+
+def _coefficient_rows(fn, lam, blocks):
+    """circle_scan's blocks: each (p1, r) block with its rows' coefficients."""
+    return [(p1, r, _quadratic(fn, lam, p1)) for p1, r in blocks]
+
+
+def _unbounded_scan(fn, lam, blocks, best):
+    """circle_scan without the row bound: circle_max scores every row."""
+    found = None
+    for p1, r in blocks:
+        vals, *point = schwarz.circle_max(*_quadratic(fn, lam, p1), r)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best = float(vals[i])
+            found = (best, float(p1[i]), float(r[i]), *(float(a[i]) for a in point))
+    return found
 
 
 class TestBoundedDraws:
@@ -541,17 +557,14 @@ class TestBoundedDraws:
         st.sampled_from(["none", "max", "below", "bound", "triangle"]),
         st.integers(min_value=0),
     )
-    @settings(max_examples=300, deadline=None)
-    def test_bounded_draws_score_as_the_finished_rows(self, fn, lam, seed, count, chunk, incumbent, row):
-        # a row is left unfinished only where it could not pass the strict
-        # test, so every incumbent, ties included, keeps every bit; the
-        # draws' p1 column is scored whether or not fn pins p1
-
-        def draws():
-            return list(random_chunks(seed, count, chunk))
-
-        top = _best_of(fn, lam, None, _finished(draws()), -np.inf, None)[0]
-        bound, triangle = (np.broadcast_to(b, (count,)) for b in _draw_bounds(fn, lam, draws()))
+    @settings(max_examples=200, deadline=None)
+    def test_bounded_rows_score_as_every_row(self, fn, lam, seed, count, chunk, incumbent, row):
+        # a row is skipped only where it could not pass the strict test, so
+        # every incumbent, ties included, keeps every bit; the rows' p1
+        # column is scored whether or not fn pins p1
+        blocks = list(random_chunks(seed, count, chunk))
+        top = _unbounded_scan(fn, lam, blocks, -np.inf)[0]
+        bound, triangle = (np.broadcast_to(b, (count,)) for b in _row_bounds(fn, lam, blocks))
         best = {
             "none": -np.inf,
             "max": top,
@@ -559,62 +572,37 @@ class TestBoundedDraws:
             "bound": bound[row % count],
             "triangle": triangle[row % count],
         }[incumbent]
-        want = _best_of(fn, lam, None, _finished(draws()), float(best), None)
-        assert repr(_best_of_draws(fn, lam, draws(), float(best), None)) == repr(want)
-
-    def test_draws_on_the_circle_can_round_above_the_bare_bound(self):
-        # at p1 = 0, |a4| is k q (1 - |x|^2) alone, 0 on the circle, but
-        # 1 - u^2 - v^2 rounds above 0 on some finished rows: the margin keeps them
-        fn = Functional("abs_a4", "starlike")
-        block = (np.zeros(64), np.ones(64), np.random.default_rng(0).random((64, 2)))
-        want = _best_of(fn, 1.0, None, _finished([block]), 0.0, None)
-        assert want[0] > 0.0
-        assert repr(_best_of_draws(fn, 1.0, [block], 0.0, None)) == repr(want)
+        got = circle_scan(_coefficient_rows(fn, lam, blocks), float(best))
+        assert repr(got) == repr(_unbounded_scan(fn, lam, blocks, float(best)))
 
     @pytest.mark.parametrize("p", [None, 0.5])
     def test_no_row_bounded_at_the_incumbent_is_finished(self, monkeypatch, p):
-        finished = []
+        # no work past the bound: a row bounded at the incumbent never reaches circle_max
+        scored = []
+        circle = schwarz.circle_max
 
-        def counting(mod, phase_u):
-            finished.append(mod.size)
-            return finish_rows(mod, phase_u)
+        def counting(*args):
+            scored.append(args[-1].size)
+            return circle(*args)
 
-        monkeypatch.setattr(oracle, "finish_rows", counting)
+        monkeypatch.setattr(schwarz, "circle_max", counting)
         fn = Functional("abs_a4_minus_a3" if p else "abs_a4", "convex", fixed_p=p)
-        draws = list(random_chunks(4, 2000, 512))
-        best = float(np.max(_draw_bounds(fn, 0.9, draws)[0]))
-        assert _best_of_draws(fn, 0.9, draws, best, None) == (best, None, 2000)
-        assert finished == []
-        # one ulp lower, the rows at that bound are finished
-        _best_of_draws(fn, 0.9, draws, float(np.nextafter(best, -np.inf)), None)
-        assert finished
-
-    def test_an_unshared_search_finishes_few_of_its_random_rows(self, monkeypatch):
-        # 0.35 % of the rows survive: free |a4| is the one search that the
-        # maths does not settle, so _settled_rows leaves it to every phase
-        fn, budget = Functional("abs_a4", "starlike"), 200_000
-        shared = extremal_search(fn, 0.3, budget=budget, seed=9)
-        finished = []
-
-        def counting(mod, phase_u):
-            finished.append(mod.size)
-            return finish_rows(mod, phase_u)
-
-        monkeypatch.setattr(oracle, "finish_rows", counting)
-        monkeypatch.setattr(oracle, "SHARED_INPUT_BYTES", 0)
-        unshared = extremal_search(fn, 0.3, budget=budget, seed=9)
-        assert _bits(unshared) == _bits(shared)
-        assert unshared.samples == budget
-        assert 0 < sum(finished) < _schedule(budget)[1] / 4
+        blocks = list(random_chunks(4, 2000, 512))
+        rows = _coefficient_rows(fn, 0.9, blocks)
+        best = float(np.max(_row_bounds(fn, 0.9, blocks)[0]))
+        assert circle_scan(rows, best) is None
+        assert scored == []
+        # one ulp lower, the rows at that bound are scored
+        circle_scan(rows, float(np.nextafter(best, -np.inf)))
+        assert scored
 
     @pytest.mark.parametrize("cls, lam", [("starlike", 0.3), ("convex", 0.3)])
     def test_a_search_scores_few_of_its_grid_rows(self, grid_points_scored, cls, lam):
-        # the grid's row of largest bound is scored first and lifts the
-        # incumbent, so the bound prunes from the grid's first row
+        # the canonical witnesses bound out most of the (p1, r) grid
         fn = Functional("abs_a4", cls)
-        points = grid_points_scored(oracle, lambda: extremal_search(fn, lam))
-        p1, mod, arg = _schedule(oracle.DEFAULT_BUDGET)[0]
-        assert 0 < points < 0.05 * p1.size * mod.size * arg.size
+        points = grid_points_scored(oracle, lambda: extremal_search(fn, lam), "plane_scan")
+        p1, mod = _schedule(oracle.DEFAULT_BUDGET)[0]
+        assert 0 < points < 0.05 * 3 * p1.size * mod.size
 
     @pytest.mark.parametrize(
         "kind, cls, p, lam",
@@ -625,7 +613,7 @@ class TestBoundedDraws:
         # canonical x = 0, and the search returns it after the canonical phase
         fn = Functional(kind, cls, fixed_p=p)
         found = []
-        points = grid_points_scored(oracle, lambda: found.append(extremal_search(fn, lam)))
+        points = grid_points_scored(oracle, lambda: found.append(extremal_search(fn, lam)), "plane_scan")
         (out,) = found
         alpha, *rest = _quadratic(fn, lam, 2.0)
         assert rest == [0.0, 0.0, 0.0]
@@ -699,42 +687,55 @@ class TestMaximumOverY:
         if kind not in ("abs_a4", "abs_a4_minus_a3"):
             assert gamma == kq == 0.0
 
-    def test_cached_inputs_carry_no_y(self):
-        # a random row is p1, Re x, Im x, all contiguous float64 columns;
-        # they are the only blocks a run keeps, 24 bytes a row, as ``shared`` counts them
-        inputs = _SearchInputs(3, 5000)
-        blocks = inputs.random()
-        assert inputs.shared and inputs.random() is blocks
-        assert sum(u.size for _, u, _ in blocks) == _schedule(5000)[1]
-        assert {len(block) for block in blocks} == {3}
-        columns = [a for block in blocks for a in block]
-        assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in columns)
-        assert sum(a.nbytes for a in columns) == 24 * _schedule(5000)[1]
-
-    @pytest.mark.parametrize(
-        "budget, shared", [(1000, True), (100_000, True), (1_625_622, True), (1_700_000, False), (2_000_000, False)]
-    )
-    def test_the_sharing_switch_keeps_its_side(self, budget, shared):
-        # 24 bytes a random row against SHARED_INPUT_BYTES: budgets up to
-        # about 1,600,000 share, and above that a search draws its own
-        # blocks, which it bounds before their trigonometry
-        assert _SearchInputs(1, budget).shared == shared
-
     @pytest.mark.parametrize("searched", [False, True])
     @pytest.mark.parametrize("budget", [1000, 1001, 5000, 99_999, 100_000, 2_000_000])
     def test_phases_add_up_to_the_budget(self, budget, searched):
-        axes, rand, m, rounds, shrink = _schedule(budget)
-        # the polish takes at most half the budget, and its last window is
-        # the same fraction of its first at every budget, never narrowing
-        # a round by more than two spacings of the last or by half
-        assert 3 <= m and rounds * m**3 <= budget // 2 < rounds * (m + 1) ** 3
+        (p1, mod), rand, m, rounds, shrink = _schedule(budget)
+        rows = (budget - 15) // 3
+        # the polish takes at most half the rows (at the least budgets, 21
+        # rounds of 3 x 3 rows), and its last window is the same fraction of
+        # its first at every budget, never narrowing a round by more than
+        # two spacings of the last or by half
+        assert 3 <= m and (rounds * m * m <= rows // 2 < rounds * (m + 1) ** 2 or (m, rounds) == (3, 21))
         assert abs(shrink ** (rounds - 1) / oracle._POLISH_NARROWING - 1.0) <= 1e-12
         assert min(0.5, 4.0 / (m - 1)) <= shrink + 1e-15
-        grid = math.prod(a.size for a in axes)
-        assert rand >= 1
-        assert 15 + grid + rand + rounds * m**3 == budget
-        if searched:  # and the search that runs every phase reports exactly that many
-            assert extremal_search(Functional("abs_a4", "convex"), 0.7, budget=budget).samples == budget
+        assert rand >= 1 and p1.size * mod.size >= rand
+        assert p1.size * mod.size + rand + rounds * m * m == rows
+        assert budget - 2 <= 15 + 3 * rows <= budget
+        if searched:  # and the search that runs every phase reports exactly those points
+            assert extremal_search(Functional("abs_a4", "convex"), 0.7, budget=budget).samples == 15 + 3 * rows
+
+    def test_every_default_record_replays_exactly(self):
+        records = run_claim_suite()
+        assert len(records) == 106
+        for r in records:
+            assert _record_replays(r), r
+
+    @pytest.mark.parametrize("cls, p", [("starlike", 2.0), ("convex", 1.0)])
+    def test_a_tiny_d43_replays_to_its_searched_value(self, cls, p):
+        # at p1 = 2 the moments' terms cancel in floats: the float replay
+        # gives 0.0, and a check absolute in the value would pass anything
+        fn = Functional("abs_a4_minus_a3", cls, fixed_p=p)
+        out = extremal_search(fn, 1e-20)
+        assert 1e-42 < out.value < 1e-40
+        assert functional_value(fn, 1e-20, out.witness) == 0.0
+        assert _replays(fn, 1e-20, out.witness, out.value)
+
+    @given(
+        st.sampled_from(FUNCTIONAL_KINDS),
+        st.sampled_from(("starlike", "convex")),
+        st.floats(min_value=0.01, max_value=math.pi / 2),
+        st.floats(min_value=0.0, max_value=2.0),
+        unit_disk,
+        unit_disk,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exact_value_is_the_float_replay_to_rounding(self, kind, cls, lam, p1, x, y):
+        fixed_p = None
+        if kind in ("abs_a3_minus_a2", "abs_a4_minus_a3"):
+            fixed_p = p1 if cls == "starlike" else p1 / 2.0
+        fn, params = Functional(kind, cls, fixed_p=fixed_p), CaratheodoryParams(p1, x, y)
+        assert abs(exact_value(fn, lam, params) - functional_value(fn, lam, params)) <= 1e-14
 
     def test_default_suite_attains_every_sharp_bound_to_1e_12(self):
         records = run_claim_suite()
