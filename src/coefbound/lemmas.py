@@ -7,8 +7,8 @@ Three ingredients used by the theorem-level bounds:
   plane (only those quoted pieces are implemented; points outside every
   region raise instead of extrapolating);
 * the maximum Y(a, b, c) of |a + b*z + c*z^2| + 1 - |z|^2 over the closed
-  unit disk, in closed form and as an independent polar-grid search on the
-  extremal search's kernel (schwarz.polar_scan and polish);
+  unit disk, in closed form and as an independent polar-grid search
+  (schwarz.polar_scan, and the polish that the extremal search shares);
 * the sequence A_m defined by A_2 = lam, A_m = lam/(m-1) * (1 + sum A_k),
   together with its closed product form, in exact rational arithmetic.
 

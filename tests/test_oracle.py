@@ -32,7 +32,6 @@ from coefbound import schwarz
 from coefbound.schwarz import (
     CaratheodoryParams,
     circle_scan,
-    plane_scan,
     polar_scan,
     random_chunks,
     sample_params,
