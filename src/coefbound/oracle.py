@@ -38,17 +38,17 @@ therefore walks the (p1, r) plane, and counts each row as its 3 points.
 
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
 variant) produce bit-identical reports.  A search scores each phase in
-blocks of at most CHUNK_ROWS (p1, r) rows, built from an index range or
-drawn, with a running first-index argmax, so neither its result nor its
-memory depends on the budget's size beyond the block.  Every phase skips
-the rows whose schwarz.score_bound is not above the incumbent at the start
-of their block; the bound is an upper bound on the computed score,
-rounding included, so a skipped row could not have passed the strict
-improvement test.  Neither blocks nor skipping reorder a floating-point
-operation of a scored row, so every path returns the same bits, and
-``samples`` counts every point, scored or bounded out.  The search is
-single-threaded and draws its own rows, so a search in a run returns the
-bits of a standalone one.
+blocks of at most CHUNK_ROWS (p1, r) rows, drawn or a grid's (levels x
+radii) outer product, with a running first-index argmax, so neither its
+result nor its memory depends on the budget's size beyond the block.
+Every phase skips the rows whose schwarz.score_bound is not above the
+incumbent at the start of their block; the bound is an upper bound on the
+computed score, rounding included, so a skipped row could not have passed
+the strict improvement test.  Neither blocks nor skipping reorder a
+floating-point operation of a scored row, so every path returns the same
+bits, and ``samples`` counts every point, scored or bounded out.  The
+search is single-threaded and draws its own rows, so a search in a run
+returns the bits of a standalone one.
 """
 
 from __future__ import annotations
@@ -273,19 +273,21 @@ def check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
 
 
+def _read_only(*columns):
+    """The columns, made read-only: module constants that every search shares."""
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
 #: Re and Im of x in {0, 1, -1, i, -i}; -1j has real part -0.0.
-_UNITS_RE = np.array([0.0, 1.0, -1.0, 0.0, -0.0])
-_UNITS_IM = np.array([0.0, 0.0, 0.0, 1.0, -1.0])
+_UNITS_RE, _UNITS_IM = _read_only(np.array([0.0, 1.0, -1.0, 0.0, -0.0]), np.array([0.0, 0.0, 0.0, 1.0, -1.0]))
 
-
-def _canonical(pinned: bool):
-    """The canonical witnesses, p1 in {0, 1, 2} (None when pinned) times x in {0, +-1, +-i}."""
-    n = 1 if pinned else 3
-    return (
-        None if pinned else np.repeat([0.0, 1.0, 2.0], _UNITS_RE.size),
-        np.tile(_UNITS_RE, n),
-        np.tile(_UNITS_IM, n),
-    )
+#: The canonical witnesses (p1, Re x, Im x) by pinned: p1 in {0, 1, 2} (None when pinned) times x in {0, +-1, +-i}.
+_CANONICAL = {
+    True: (None, _UNITS_RE, _UNITS_IM),
+    False: _read_only(np.repeat([0.0, 1.0, 2.0], _UNITS_RE.size), np.tile(_UNITS_RE, 3), np.tile(_UNITS_IM, 3)),
+}
 
 
 def _schedule(budget: int):
@@ -353,11 +355,11 @@ def _settled_rows(fn: Functional, lam: float, eff: Optional[float]):
     coefficients, so they could only tie it or beat it by rounding.
     """
     if eff is None:
-        return _canonical(False) if fn.kind in ("abs_a2", "abs_a3") else None
+        return _CANONICAL[False] if fn.kind in ("abs_a2", "abs_a3") else None
     alpha, beta, gamma, kq = _quadratic(fn, lam, float(eff))
     if not (min(alpha, gamma) >= 0.0 or max(alpha, gamma) <= 0.0):  # alpha gamma < 0
         raise ArithmeticError(f"{fn} at lam = {lam} has alpha gamma < 0; its radial bound settles nothing")
-    p1, u, v = _canonical(True)
+    p1, u, v = _CANONICAL[True]
     slack = kq - abs(gamma)
     if slack <= 0.0 or abs(beta) >= 2.0 * slack:
         return p1, u, v
@@ -424,7 +426,7 @@ def extremal_search(
     if settled is not None:
         best, witness, _ = _best_of(fn, lam, fn.effective_p1, [settled], -np.inf, None)
         return _search_result(best, witness, budget)
-    best, (p1, u, v, a), canonical = _best_of(fn, lam, None, [_canonical(False)], -np.inf, None)
+    best, (p1, u, v, a), canonical = _best_of(fn, lam, None, [_CANONICAL[False]], -np.inf, None)
     found = best, p1, math.hypot(u, v), u, v, a.real, a.imag
     (p1_levels, rs), draws, m, rounds, shrink = _schedule(budget)
     coefficients = functools.partial(_quadratic, fn, lam)
@@ -625,6 +627,8 @@ def verify_claim(
 
     Emits one report per grid point, lam outer and p inner.  The violation
     flag is exactly oracle_max > bound + tol; violations never abort the run.
+    Free |a4| near starlike lam* ~ 0.7817284 reads 2.4e-8 low at the default
+    budget (README, "Performance": the limit at lam*).
     """
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}; registered: {sorted(CLAIMS)}")

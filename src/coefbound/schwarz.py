@@ -14,14 +14,14 @@ coefficients through w = (q - 1)/(q + 1).
 
 The extremal search maximizes over y in closed form (see oracle), and over
 arg x on each circle |x| = r by circle_max, so it walks the (p1, |x|)
-plane: random rows from random_chunks, as contiguous float64 columns
-(p1, |x|), and grids from grid_axes through plane_scan and polish, every
-row scored by circle_scan.  lemmas.y_bruteforce scans (|x|, arg x) grids
-through polar_scan and the same polish.  sample_param_arrays
-(sample_params as objects) draws whole (p1, x, y) random rows with the
-same p1 and |x| maps and is the one place where complex arrays are built,
-bit for bit from columns that carry the bits numpy's complex arithmetic
-gives, signed zeros included.
+plane: random rows from random_chunks, float64 columns (p1, |x|) scanned
+by circle_scan, and grids from grid_axes through plane_scan and polish,
+bounded as outer products of level and radius factors.
+lemmas.y_bruteforce scans (|x|, arg x) grids through polar_scan and the
+same polish.  sample_param_arrays (sample_params as objects) draws whole
+(p1, x, y) random rows with the same p1 and |x| maps and is the one place
+where complex arrays are built, bit for bit from columns that carry the
+bits numpy's complex arithmetic gives, signed zeros included.
 """
 
 from __future__ import annotations
@@ -265,9 +265,10 @@ def circle_max(alpha, beta, gamma, kq, r):
     candidate x = r (c + i sqrt(1 - c^2)) is scored, by point_scores; the
     other two are bounded out.  The signs of M and L are taken from the
     signs of their factors, which cannot underflow as the products can.
-    Works on scalars and on broadcasting arrays.
+    Works on scalars and on broadcasting arrays, broadcast only where needed.
     """
-    alpha, beta, gamma, kq, r = np.broadcast_arrays(alpha, beta, gamma, kq, r)
+    if not all(isinstance(a, np.ndarray) and a.shape == np.shape(r) for a in (alpha, beta, gamma, kq, r)):
+        alpha, beta, gamma, kq, r = np.broadcast_arrays(alpha, beta, gamma, kq, r)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vertex = -(beta / gamma) / (4.0 * r) - (beta / alpha) * (0.25 * r)
     inside = (np.sign(alpha) * np.sign(gamma) < 0.0) & (np.abs(vertex) < 1.0)
@@ -278,46 +279,56 @@ def circle_max(alpha, beta, gamma, kq, r):
     return vals, u, v, re, im
 
 
+def _first_above(best, found, p1, r, coefs):
+    """(best, found) after the rows (p1, r, coefs): the first largest circle_max replaces them where above best."""
+    vals, *point = circle_max(*coefs, r)
+    i = int(np.argmax(vals))
+    if vals[i] > best:
+        found = float(vals[i]), float(p1[i]), float(r[i]), *(float(a[i]) for a in point)
+        best = found[0]
+    return best, found
+
+
 def circle_scan(blocks, best: float = -math.inf):
-    """The first (p1, r) row of ``blocks`` whose circle_max exceeds ``best``.
+    """The first (p1, r) row of ``blocks`` whose circle_max exceeds ``best``: the draws' scan.
 
     Each block is (p1, r, (alpha, beta, gamma, kq)), a coefficient a scalar
     or one value per row.  Only the rows whose score_bound is above the
-    incumbent at the start of their block are scored, and a block's maximum
-    replaces the incumbent only where strictly larger: the result is the
-    first maximal row of the stream at any block size, with the bits of
-    scoring every row.  Returns (value, p1, r, Re x, Im x, Re A, Im A) or
-    None.
+    incumbent at the start of their block are gathered and scored, and a
+    block's maximum replaces the incumbent only where strictly larger: the
+    result is the first maximal row of the stream at any block size, with
+    the bits of scoring every row.  Returns (value, p1, r, Re x, Im x,
+    Re A, Im A) or None.
     """
     found = None
     for p1, r, coefs in blocks:
         rows = np.broadcast_arrays(*coefs, r)
         keep = np.flatnonzero(score_bound(*rows) > best)
         if keep.size:
-            vals, *point = circle_max(*(a[keep] for a in rows))
-            i = int(np.argmax(vals))
-            if vals[i] > best:
-                best = float(vals[i])
-                found = (best, float(p1[keep[i]]), float(r[keep[i]]), *(float(a[i]) for a in point))
+            best, found = _first_above(best, found, p1[keep], r[keep], [a[keep] for a in rows[:4]])
     return found
 
 
 def plane_scan(coefficients, p1_levels, rs, best: float = -math.inf, chunk: int = 8192):
-    """circle_scan over the rows p1_levels x rs, p1 outer, ``chunk`` rows a block.
+    """circle_scan over the rows p1_levels x rs, p1 outer, at most ``chunk`` rows a block.
 
     ``coefficients(p1_levels)`` gives each level's (alpha, beta, gamma,
-    kq), a scalar or one value per level, which a block's rows index; the
-    blocks are built from an index range, so the grid is never held whole.
+    kq), a scalar or one value per level.  A block is whole levels, or a
+    run of one level's radii, as in polar_scan, and its score_bound is the
+    outer product of the levels' columns and the radii's row, each element
+    with the bits of its row's.  Only the rows bounded above the incumbent
+    are gathered and scored, so no grid or block of rows is ever built.
     """
-    coefs = coefficients(p1_levels)
-
-    def rows():
-        n = p1_levels.size * rs.size
-        for first in range(0, n, chunk):
-            level, radius = np.divmod(np.arange(first, min(n, first + chunk)), rs.size)
-            yield p1_levels[level], rs[radius], [c[level] if np.ndim(c) else c for c in coefs]
-
-    return circle_scan(rows(), best)
+    *coefs, _ = np.broadcast_arrays(*coefficients(p1_levels), p1_levels)
+    levels, width = max(1, chunk // rs.size), min(chunk, rs.size)
+    found = None
+    for first, col in itertools.product(range(0, p1_levels.size, levels), range(0, rs.size, width)):
+        p1, *block = (a[first : first + levels] for a in (p1_levels, *coefs))
+        r = rs[col : col + width]
+        i, j = np.divmod(np.flatnonzero(score_bound(*(c[:, None] for c in block), r) > best), r.size)
+        if i.size:
+            best, found = _first_above(best, found, p1[i], r[j], [c[i] for c in block])
+    return found
 
 
 def _scores(factors, trig, rows, cols):

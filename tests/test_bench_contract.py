@@ -97,7 +97,7 @@ def test_a_default_search_scores_the_samples_it_reports(monkeypatch, cls):
     from coefbound import oracle, schwarz
 
     scored = []
-    best_of, circle_scan = oracle._best_of, schwarz.circle_scan
+    best_of, circle_scan, plane_scan = oracle._best_of, schwarz.circle_scan, schwarz.plane_scan
 
     def counting_best_of(fn, lam, eff, blocks, *args):
         out = best_of(fn, lam, eff, blocks, *args)
@@ -109,9 +109,13 @@ def test_a_default_search_scores_the_samples_it_reports(monkeypatch, cls):
         scored.append(3 * sum(r.size for _, r, _ in blocks))
         return circle_scan(blocks, *args)
 
+    def counting_plane_scan(coefficients, p1_levels, rs, *args, **kwargs):
+        scored.append(3 * p1_levels.size * rs.size)
+        return plane_scan(coefficients, p1_levels, rs, *args, **kwargs)
+
     monkeypatch.setattr(oracle, "_best_of", counting_best_of)
-    for module in (schwarz, oracle):
-        monkeypatch.setattr(module, "circle_scan", counting_circle_scan)
+    monkeypatch.setattr(oracle, "circle_scan", counting_circle_scan)  # the draws
+    monkeypatch.setattr(oracle, "plane_scan", counting_plane_scan)  # the grid and the polish rounds
     # free |a4| is the one search that the maths does not settle, so it runs every phase
     result = oracle.extremal_search(oracle.Functional("abs_a4", cls), 0.8)
     budget = oracle.DEFAULT_BUDGET

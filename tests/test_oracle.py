@@ -119,6 +119,21 @@ class TestExtremalSearch:
         assert repr(out.witness.x) == repr(-1 + 0j)
         assert functional_value(fn, 1.0, out.witness) == 0.7
 
+    def test_the_canonical_rows_are_read_only_constants(self):
+        # every search shares them, so none may write to them
+        for pinned, (p1, u, v) in oracle._CANONICAL.items():
+            assert (p1 is None) == pinned
+            for column in (u, v) if pinned else (p1, u, v):
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0] = 0.5
+        # and a search leaves them as they are: settled, free, then settled again
+        settled, free = Functional("abs_a4_minus_a3", "starlike", fixed_p=1.2), Functional("abs_a4", "starlike")
+        first = extremal_search(settled, 0.9)
+        extremal_search(free, 0.9)
+        again = extremal_search(settled, 0.9)
+        assert repr(again) == repr(first)
+
     @given(
         st.just("abs_a3_minus_a2"),  # the one pinned functional affine in x
         st.sampled_from(("starlike", "convex")),

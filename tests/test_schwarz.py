@@ -603,20 +603,92 @@ def test_grid_axes_keep_the_exact_levels():
         assert mod.tobytes() == np.linspace(0.0, 1.0, mod.size).tobytes()
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64, 10**6])
-def test_plane_scan_is_the_grid_of_circle_maxima(chunk):
-    # the rows p1 outer, r inner, each row's circle_max, and the first of the largest
-    p1_levels, rs = np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.0, 7)
+def _level_coefficients(p1):
+    """A free |a4|-like functional's (alpha, beta, gamma, kq), one value per level."""
+    return 0.3 * p1**3, p1 * (4.0 - p1 * p1), -0.25 * p1 * (4.0 - p1 * p1), 0.5 * (4.0 - p1 * p1)
 
-    def coefficients(p1):
-        return 0.3 * p1**3, p1 * (4.0 - p1 * p1), -0.25 * p1 * (4.0 - p1 * p1), 0.5 * (4.0 - p1 * p1)
 
-    got = plane_scan(coefficients, p1_levels, rs, chunk=chunk)
+def _scalar_coefficients(p1):
+    """The same (alpha, beta, gamma, kq) at every level: scalars."""
+    return 0.7, -1.1, -0.4, 0.3
+
+
+def _mirrored_coefficients(p1):
+    """Coefficients of s = (p1 - 1)^2, so the levels 1 -+ d tie bit for bit."""
+    s = (p1 - 1.0) ** 2
+    return 0.5 - s, 1.0 + s, -0.6 + s, 0.4 * s
+
+
+def _plane_rows(coefficients, p1_levels, rs):
+    """The rows p1_levels x rs, p1 outer, each at circle_max, and the rows' (p1, r)."""
     p1, r = np.repeat(p1_levels, rs.size), np.tile(rs, p1_levels.size)
-    vals, u, v, re, im = circle_max(*coefficients(p1), r)
+    coefs = [np.repeat(np.broadcast_to(c, p1_levels.shape), rs.size) for c in coefficients(p1_levels)]
+    return p1, r, coefs
+
+
+_PLANE_CASES = [
+    pytest.param(_level_coefficients, np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.0, 7), chunk, id=str(chunk))
+    for chunk in (1, 7, 64, 10**6)
+]
+_PLANE_CASES += [
+    pytest.param(_scalar_coefficients, np.linspace(0.0, 2.0, 3), np.linspace(0.0, 1.0, 7), chunk, id=f"scalar-{chunk}")
+    for chunk in (1, 5, 64)
+]
+# two levels tie at every radius, one block apart or (chunk 14) in one block
+_PLANE_CASES += [
+    pytest.param(_mirrored_coefficients, np.array([0.75, 1.25]), np.linspace(0.0, 1.0, 7), chunk, id=f"tie-{chunk}")
+    for chunk in (1, 6, 7, 8, 14)
+]
+
+
+@pytest.mark.parametrize("coefficients, p1_levels, rs, chunk", _PLANE_CASES)
+def test_plane_scan_is_the_grid_of_circle_maxima(monkeypatch, coefficients, p1_levels, rs, chunk):
+    # the rows p1 outer, r inner, each row's circle_max, and the first of the largest
+    got = plane_scan(coefficients, p1_levels, rs, chunk=chunk)
+    p1, r, coefs = _plane_rows(coefficients, p1_levels, rs)
+    vals, u, v, re, im = circle_max(*coefs, r)
     i = int(np.argmax(vals))
     assert got == (float(vals[i]), float(p1[i]), float(r[i]), float(u[i]), float(v[i]), float(re[i]), float(im[i]))
+    if coefficients is _mirrored_coefficients:  # the tie goes to the first level
+        assert vals[i + rs.size] == vals[i] and got[1] == p1_levels[0]
     assert plane_scan(coefficients, p1_levels, rs, got[0], chunk) is None
+    # an incumbent at the largest bound scores no row; one ulp lower, the rows at that bound are scored
+    scored = []
+    circle = schwarz.circle_max
+    monkeypatch.setattr(schwarz, "circle_max", lambda *args: scored.append(args[-1].size) or circle(*args))
+    top = float(score_bound(*coefs, r).max())
+    assert plane_scan(coefficients, p1_levels, rs, top, chunk) is None
+    assert scored == []
+    plane_scan(coefficients, p1_levels, rs, float(np.nextafter(top, -np.inf)), chunk)
+    assert scored
+
+
+_tie_prone = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), _coefficient)
+
+
+@st.composite
+def planes(draw):
+    """(coefficients, p1_levels, rs, best, chunk): per-level or scalar coefficients, tie-prone values."""
+    levels = draw(st.integers(min_value=1, max_value=6))
+    p1_levels = np.linspace(0.0, 2.0, levels)
+    rs = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=9)))
+    per_level = st.lists(_tie_prone, min_size=levels, max_size=levels).map(np.array)
+    coefs = tuple(draw(st.one_of(_tie_prone, per_level)) for _ in range(4))
+    rows = _plane_rows(lambda _: coefs, p1_levels, rs)
+    vals, bound = circle_max(*rows[2], rows[1])[0], score_bound(*rows[2], rows[1])
+    k = draw(st.integers(min_value=0, max_value=vals.size - 1))
+    best = draw(st.sampled_from([-np.inf, vals.max(), np.nextafter(vals.max(), -np.inf), vals[k], bound[k]]))
+    return (lambda _: coefs), p1_levels, rs, float(best), draw(st.integers(min_value=1, max_value=60))
+
+
+@given(planes())
+@settings(max_examples=300, deadline=None)
+def test_plane_scan_is_circle_scan_over_its_rows(plane):
+    # the outer-product blocks give the bits of circle_scan over the rows built whole
+    coefficients, p1_levels, rs, best, chunk = plane
+    p1, r, coefs = _plane_rows(coefficients, p1_levels, rs)
+    want = schwarz.circle_scan([(p1, r, coefs)], best)
+    assert repr(plane_scan(coefficients, p1_levels, rs, best, chunk)) == repr(want)
 
 
 #: circle_max against a dense angle scan of the same circle: it is the scan's
