@@ -620,7 +620,7 @@ def _mirrored_coefficients(p1):
 
 
 def _plane_rows(coefficients, p1_levels, rs):
-    """The rows p1_levels x rs, p1 outer, each at circle_max, and the rows' (p1, r)."""
+    """The rows p1_levels x rs, p1 outer: their p1 and r columns and each row's coefficients."""
     p1, r = np.repeat(p1_levels, rs.size), np.tile(rs, p1_levels.size)
     coefs = [np.repeat(np.broadcast_to(c, p1_levels.shape), rs.size) for c in coefficients(p1_levels)]
     return p1, r, coefs
