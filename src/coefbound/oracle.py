@@ -184,7 +184,13 @@ def _quadratic(fn: Functional, lam, p1):
     and (s2, s3, s4) = (lam/2, lam/4, lam/6) for starlike, (lam/4, lam/12,
     lam/24) for convex; differences subtract coefficient-wise.  gamma and
     k q are 0.0 where F has no x^2 or y term.
+
+    A difference's alpha and beta cancel near their zeros (floats lost 49 ulps
+    of starlike |a4 - a3|'s alpha at p1 = 2, lam = 1.5625), and the pinned
+    search reads its maximum from them, so at a scalar p1 they are exact.
     """
+    if fn.kind in _DIFFERENCE_KINDS and not isinstance(p1, np.ndarray):
+        return _difference_coefficients(fn.kind, fn.cls, float(lam), float(p1))
     s2, s3, s4 = (lam / 2.0, lam / 4.0, lam / 6.0) if fn.cls == "starlike" else (
         lam / 4.0, lam / 12.0, lam / 24.0
     )
@@ -202,6 +208,24 @@ def _quadratic(fn: Functional, lam, p1):
     if fn.kind == "abs_a4":
         return alpha4, beta4, gamma, kq
     return alpha4 - alpha3, beta4 - beta3, gamma, kq
+
+
+@functools.lru_cache(maxsize=1024)  # a pinned search reads them twice
+def _difference_coefficients(kind: str, cls: str, lam: float, p1: float):
+    """_quadratic's four for a difference at one p1, each rounded once from its exact value.
+
+    lam = L/A and p1 = P/B with A, B powers of 2, and (s2, s3, s4) = lam (m2, m3, m4)/m,
+    so each is an integer over an integer, which Python's int / int rounds once.
+    """
+    m2, m3, m4, m = (6, 3, 2, 12) if cls == "starlike" else (6, 2, 1, 24)
+    (lnum, a), (pnum, b) = lam.as_integer_ratio(), p1.as_integer_ratio()
+    t, ab, qnum = lnum * pnum, a * b, 4 * b * b - pnum * pnum  # t/ab = lam p1, qnum/b^2 = q
+    beta3, kq = lnum * m3 * qnum / (2 * m * a * b * b), lnum * m4 * qnum / (2 * m * a * b * b)
+    if kind == "abs_a3_minus_a2":  # alpha = p1 ((3/4) s3 lam p1 - s2)
+        return t * (3 * m3 * t - 4 * m2 * ab) / (4 * m * ab * ab), beta3, 0.0, 0.0
+    alpha = t * t * (17 * m4 * t - 36 * m3 * ab) / (48 * m * ab**3)  # lam p1^2 ((17/48) s4 lam p1 - (3/4) s3)
+    beta = lnum * qnum * (5 * m4 * t - 4 * m3 * ab) / (8 * m * a * a * b**3)  # q ((5/8) s4 lam p1 - s3/2)
+    return alpha, beta, -(lnum * m4 * qnum * pnum) / (4 * m * a * b**3), kq
 
 
 def _maximizing_y(a: complex) -> complex:
