@@ -182,15 +182,15 @@ def _quadratic(fn: Functional, lam, p1):
                  + (q/2)(1 - |x|^2) y
 
     and (s2, s3, s4) = (lam/2, lam/4, lam/6) for starlike, (lam/4, lam/12,
-    lam/24) for convex; differences subtract coefficient-wise.  gamma and
-    k q are 0.0 where F has no x^2 or y term.
-
-    A difference's alpha and beta cancel near their zeros (floats lost 49 ulps
-    of starlike |a4 - a3|'s alpha at p1 = 2, lam = 1.5625), and the pinned
-    search reads its maximum from them, so at a scalar p1 they are exact.
+    lam/24) for convex; a difference subtracts coefficient-wise in exact
+    arithmetic (_difference_coefficients, row by row for an array).  gamma
+    and k q are 0.0 where F has no x^2 or y term.
     """
-    if fn.kind in _DIFFERENCE_KINDS and not isinstance(p1, np.ndarray):
-        return _difference_coefficients(fn.kind, fn.cls, float(lam), float(p1))
+    if fn.kind in _DIFFERENCE_KINDS:
+        exact = functools.partial(_difference_coefficients, fn.kind, fn.cls, float(lam))
+        if np.ndim(p1):
+            return tuple(np.array([exact(v) for v in np.ravel(p1).tolist()]).reshape(-1, 4).T)
+        return exact(float(p1))
     s2, s3, s4 = (lam / 2.0, lam / 4.0, lam / 6.0) if fn.cls == "starlike" else (
         lam / 4.0, lam / 12.0, lam / 24.0
     )
@@ -200,20 +200,16 @@ def _quadratic(fn: Functional, lam, p1):
     alpha3, beta3 = s3 * (0.75 * lam * (p1 * p1)), s3 * (0.5 * q)
     if fn.kind == "abs_a3":
         return alpha3, beta3, 0.0, 0.0
-    if fn.kind == "abs_a3_minus_a2":
-        return alpha3 - s2 * p1, beta3, 0.0, 0.0
     qp1 = q * p1
     alpha4 = s4 * (17.0 / 48.0 * lam * lam * (p1 * p1 * p1))
-    beta4, gamma, kq = s4 * (0.625 * lam * qp1), s4 * (-0.25 * qp1), s4 * (0.5 * q)
-    if fn.kind == "abs_a4":
-        return alpha4, beta4, gamma, kq
-    return alpha4 - alpha3, beta4 - beta3, gamma, kq
+    return alpha4, s4 * (0.625 * lam * qp1), s4 * (-0.25 * qp1), s4 * (0.5 * q)
 
 
-@functools.lru_cache(maxsize=1024)  # a pinned search reads them twice
 def _difference_coefficients(kind: str, cls: str, lam: float, p1: float):
     """_quadratic's four for a difference at one p1, each rounded once from its exact value.
 
+    alpha and beta cancel near their zeros (floats lost 49 ulps of starlike |a4 - a3|'s
+    alpha at p1 = 2, lam = 1.5625), and a pinned search reads its maximum from them.
     lam = L/A and p1 = P/B with A, B powers of 2, and (s2, s3, s4) = lam (m2, m3, m4)/m,
     so each is an integer over an integer, which Python's int / int rounds once.
     """

@@ -1,10 +1,11 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coefbound import oracle
@@ -200,6 +201,7 @@ class TestExtremalSearch:
         st.floats(min_value=0.0, max_value=1.0),
     )
     @settings(max_examples=100, deadline=None)
+    @example("abs_a4_minus_a3", "starlike", 1.5625, 1.0)  # p1 = 2: float alpha lost 49 ulps near 27/17
     def test_a_pinned_search_settles_where_its_radial_bound_peaks_at_the_real_axis(self, kind, cls, lam, share):
         # on |x| = r the score is at most B(r) = |alpha| + |beta| r + |gamma| r^2
         # + k q (1 - r^2); with alpha gamma >= 0 a real x = +-r attains B(r), so
@@ -700,6 +702,31 @@ class TestMaximumOverY:
         assert abs(kq - (moments_route(0.0, 1.0) - moments_route(0.0, 0.0))) <= scale
         if kind not in ("abs_a4", "abs_a4_minus_a3"):
             assert gamma == kq == 0.0
+
+    @given(
+        st.sampled_from(("abs_a3_minus_a2", "abs_a4_minus_a3")),
+        st.sampled_from(("starlike", "convex")),
+        st.one_of(st.just(LAMBDA_MIN), st.floats(min_value=LAMBDA_MIN, max_value=math.pi / 2)),
+        st.one_of(st.sampled_from((0.0, 2.0)), st.floats(min_value=0.0, max_value=2.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example("abs_a4_minus_a3", "starlike", 1.5625, 2.0)
+    def test_a_difference_has_its_exact_coefficients_rounded_once(self, kind, cls, lam, p1):
+        # the formulas of _quadratic's docstring in rational arithmetic, then
+        # one rounding each: the differences cancel, so floats would not do
+        lam_, p1_ = Fraction(lam), Fraction(p1)
+        s2, s3, s4 = (lam_ / 2, lam_ / 4, lam_ / 6) if cls == "starlike" else (lam_ / 4, lam_ / 12, lam_ / 24)
+        q = 4 - p1_ * p1_
+        alpha3, beta3 = s3 * Fraction(3, 4) * lam_ * p1_ * p1_, s3 * q / 2
+        if kind == "abs_a3_minus_a2":
+            want = alpha3 - s2 * p1_, beta3, 0, 0
+        else:
+            alpha4, beta4 = s4 * Fraction(17, 48) * lam_ * lam_ * p1_**3, s4 * Fraction(5, 8) * lam_ * q * p1_
+            want = alpha4 - alpha3, beta4 - beta3, -s4 * q * p1_ / 4, s4 * q / 2
+        got = _quadratic(Functional(kind, cls, fixed_p=0.0), lam, p1)
+        assert [repr(v) for v in got] == [repr(float(w)) for w in want]
+        column = _quadratic(Functional(kind, cls, fixed_p=0.0), lam, np.array([p1, 0.5]))
+        assert [repr(float(c[0])) for c in column] == [repr(v) for v in got]
 
     @pytest.mark.parametrize("searched", [False, True])
     @pytest.mark.parametrize("budget", [1000, 1001, 5000, 99_999, 100_000, 2_000_000])
