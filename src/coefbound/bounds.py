@@ -10,10 +10,11 @@ exp(lam*z) with 0 < lam <= pi/2:
 * sup over p of each difference bound;
 * the general |a_n| product bounds for every n >= 2.
 
-``bound`` picks the evaluator for one point.  ``check_lambda``, ``P_MAX`` and
-``DEFAULT_PS`` are the (lam, p) domain that every layer checks against.  That
-domain starts at LAMBDA_MIN, not at 0: the theorems hold for every lam > 0,
-but below the floor the search's squared scores leave the normal floats.
+``bound`` picks the evaluator for one point.  ``check_lambda``,
+``check_p``, ``P_MAX`` and ``DEFAULT_PS`` are the (lam, p) domain that
+every layer checks against.  That domain starts at LAMBDA_MIN, not at 0:
+the theorems hold for every lam > 0, but below the floor the search's
+squared scores leave the normal floats.
 
 The |a4 - a3| starlike bound carries a known transcription defect: for
 lam > 3/5 the theorem statement prints the second-branch linear coefficient
@@ -61,6 +62,13 @@ def check_lambda(lam: float) -> None:
     """Raise ValueError unless LAMBDA_MIN <= lam <= pi/2 (up to the breakpoint slack)."""
     if not LAMBDA_MIN <= lam <= LAMBDA_MAX + BREAK_TOL:
         raise ValueError(f"lambda must lie in [{LAMBDA_MIN}, pi/2], got {lam}")
+
+
+def check_p(p: float, cls: str) -> None:
+    """Raise ValueError unless 0 <= p <= P_MAX[cls], with no slack (a pinned p1 stays in [0, 2]); NaN is refused."""
+    pmax = P_MAX[cls]
+    if not 0.0 <= p <= pmax:
+        raise ValueError(f"p must lie in [0, {pmax}] for the {cls} class, got {p}")
 
 
 @dataclass(frozen=True)
@@ -138,18 +146,12 @@ def s_star_coeff_bound(n: int, lam: float) -> BoundResult:
     return BoundResult(value=n * k.value, branch=k.branch, lam=lam, cls="starlike", n=n)
 
 
-def _check_p(p: float, cls: str) -> None:
-    pmax = P_MAX[cls]
-    if not -BREAK_TOL <= p <= pmax + BREAK_TOL:
-        raise ValueError(f"p must lie in [0, {pmax}] for the {cls} class, got {p}")
-
-
 def s_diff_bound(
     which: str, lam: float, p: float, psi2_variant: str = "proof"
 ) -> BoundResult:
     """Starlike successive-difference bound, |a3 - a2| (d32) or |a4 - a3| (d43)."""
     check_lambda(lam)
-    _check_p(p, "starlike")
+    check_p(p, "starlike")
     if psi2_variant not in ("proof", "statement"):
         raise ValueError(f"psi2_variant must be 'proof' or 'statement', got {psi2_variant!r}")
     if which == "d32":
@@ -209,7 +211,7 @@ def s_diff_bound(
 def k_diff_bound(which: str, lam: float, p: float) -> BoundResult:
     """Convex successive-difference bound, |a3 - a2| (d32) or |a4 - a3| (d43)."""
     check_lambda(lam)
-    _check_p(p, "convex")
+    check_p(p, "convex")
     if which == "d32":
         value = (lam / 12.0) * (2.0 + 6.0 * p - (3.0 * lam + 2.0) * p * p)
         return BoundResult(value=value, branch="all", lam=lam, cls="convex", p=p, which=which)

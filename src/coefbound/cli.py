@@ -16,9 +16,10 @@ Exit codes:
         (bound --n, bound --which d32, the convex class, and a verify
         without thm3.3-d43), a --lambda or --p that gives no number, a
         --lambda outside [1e-60, pi/2] (below bounds.LAMBDA_MIN the search's
-        squared scores would underflow), a --budget outside [1000, 10**9], a
-        negative --seed, a --workers below 1 and a --tol that is negative,
-        inf or nan
+        squared scores would underflow), a --p outside [0, 2] (starlike) or
+        [0, 1] (convex), the domain of bounds.check_p, a --budget outside
+        [1000, 10**9], a negative --seed, a --workers below 1 and a --tol
+        that is negative, inf or nan
 Data goes to stdout, diagnostics (one "error:" line) to stderr.  JSON floats
 are emitted value-preserving (shortest round-trip form); CSV cells use the
 same form, with empty cells for absent values and true/false for flags; text
@@ -144,22 +145,13 @@ def _parse_floats(items: Optional[list[str]], flag: str) -> list[float]:
     return out
 
 
-def _validate_lambdas(lams: list[float]) -> list[float]:
-    for lam in lams:
+def _usage(check, values, *args) -> None:
+    """check(value, *args) for each value, a domain check whose ValueError is a UsageError (exit 2)."""
+    for value in values:
         try:
-            bounds.check_lambda(lam)
+            check(value, *args)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    return lams
-
-
-def _validate_ps(ps: list[float], cls: str) -> list[float]:
-    # Strict [0, P_MAX]: a pinned p1 (p, or 2p for convex) must stay in [0, 2].
-    pmax = bounds.P_MAX[cls]
-    for p in ps:
-        if not 0.0 <= p <= pmax:
-            raise UsageError(f"p must lie in [0, {pmax}] for the {cls} class, got {p}")
-    return ps
 
 
 @lru_cache(maxsize=1)
@@ -229,21 +221,14 @@ def parse_args(argv: list[str]) -> RunConfig:
     cfg.n = getattr(ns, "n", None)
     cfg.which = getattr(ns, "which", None)
     cfg.claims = list(getattr(ns, "claims", []) or [])
-    cfg.lambdas = _validate_lambdas(_parse_floats(getattr(ns, "lambdas", None), "--lambda"))
+    cfg.lambdas = _parse_floats(getattr(ns, "lambdas", None), "--lambda")
+    _usage(bounds.check_lambda, cfg.lambdas)
     cfg.ps = _parse_floats(getattr(ns, "ps", None), "--p") or None
     if hasattr(ns, "budget"):
-        cfg.budget = ns.budget
-        cfg.seed = ns.seed
-        cfg.tol = ns.tol
-        for check, flag, value in (
-            (oracle.check_budget, "--budget", cfg.budget),
-            (oracle.check_seed, "--seed", cfg.seed),
-            (oracle.check_tol, "--tol", cfg.tol),
-        ):
-            try:
-                check(value, flag)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+        cfg.budget, cfg.seed, cfg.tol = ns.budget, ns.seed, ns.tol
+        _usage(oracle.check_budget, [cfg.budget], "--budget")
+        _usage(oracle.check_seed, [cfg.seed], "--seed")
+        _usage(oracle.check_tol, [cfg.tol], "--tol")
         if ns.workers < 1:  # the only use of --workers: the search is single-threaded
             raise UsageError(f"--workers must be positive, got {ns.workers}")
     if cfg.command == "bound":
@@ -251,8 +236,8 @@ def parse_args(argv: list[str]) -> RunConfig:
             raise UsageError(f"--n {cfg.n} takes no --p")
         if cfg.which is not None and cfg.ps is None:
             raise UsageError(f"--which {cfg.which} needs --p")
-    if cfg.command in ("bound", "table") and cfg.ps is not None:
-        _validate_ps(cfg.ps, cfg.cls)
+    if cfg.command in ("bound", "table"):
+        _usage(bounds.check_p, cfg.ps or (), cfg.cls)
     if cfg.command == "verify":
         for claim in cfg.claims:
             if claim not in oracle.CLAIMS:
@@ -263,7 +248,7 @@ def parse_args(argv: list[str]) -> RunConfig:
             if cfg.ps is not None:
                 if spec.default_ps is None:
                     raise UsageError(f"{claim} has no p grid; drop --p")
-                _validate_ps(cfg.ps, spec.cls)
+                _usage(bounds.check_p, cfg.ps, spec.cls)
     variant = getattr(ns, "psi2_variant", None)
     if variant is not None:
         _check_psi2_variant_used(cfg)

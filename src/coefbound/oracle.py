@@ -11,25 +11,24 @@ Every functional is affine in y: F = A(p1, x) + k q (1 - |x|^2) y with
 q = 4 - p1^2 and k >= 0 (k = 0 for |a2|, |a3| and |a3 - a2|).  So the
 maximum over y is |A| + k q (1 - |x|^2), attained at y = A/|A|, and the
 search walks (p1, x) only.  A is a quadratic alpha + beta x + gamma x^2 in x
-whose coefficients are real polynomials in (lam, p1) (see _quadratic), so
-the search scores it in real arithmetic without forming the moments, by
-schwarz.point_scores.  Its witness is a full (p1, x, y) triple with that y
-(y = 1 where A = 0), which functional_value replays through the full
-moments in floats and exact_value in exact rational arithmetic, so a replay
-checks the polynomials independently.
+whose coefficients are real polynomials in (lam, p1).  One table,
+_COEFFICIENTS, holds them for every functional as terms s_k c lam^i m(p1),
+and a difference is two rows subtracted; _quadratic evaluates a row in
+floats, or for a difference rounds each coefficient once from its exact
+value.  A search computes them once and scores A in real arithmetic
+without forming the moments, by schwarz.point_scores.  Its witness is a
+full (p1, x, y) triple with that y (y = 1 where A = 0), which
+functional_value replays through the full moments in floats and
+exact_value in exact rational arithmetic, so a replay checks the table
+independently.
 
 Where the maths settles x, the search scores the rows that hold the
-maximum and returns: a later phase could only tie it or beat it by rounding
-(see _settled_rows).  Only the differences |a3 - a2| and |a4 - a3| pin p1,
-and pinned, the score is at most B(r) = |alpha| + |beta| r + |gamma| r^2 +
-k q (1 - r^2) on |x| = r.  Both have alpha gamma >= 0 at every admissible
-(lam, p), where a real x = +-r attains B(r), so the maximum is the peak of
-B on [0, 1]: the canonical x = 1 or x = -1, or one row at x = +-r* inside
-the disk.  So every pinned search settles.  |a2| = s2 p1 does not depend
-on x and peaks at the canonical p1 = 2, and free |a3| <= s3 ((3 lam/4) t +
-(4 - t)/2) is affine in t = p1^2, so it peaks at the canonical
-(p1, x) = (0, +-1) or p1 = 2.  In the default report 98 of the 106 records
-settle; only the 8 free |a4| records run every phase.
+maximum and returns: a later phase could only tie it or beat it by rounding.
+That is every pinned search (only the differences pin p1), where the
+maximum is the peak of a radial bound on the real axis, and free |a2| and
+|a3|, which peak at canonical rows (see _settled_rows).  In the default
+report 98 of the 106 records settle; only the 8 free |a4| records run every
+phase.
 
 Free |a4| still settles arg x: on each circle |x| = r, |A|^2 is a quadratic
 in cos(arg x), whose maximum is at one of at most three candidates, and
@@ -78,7 +77,38 @@ from .schwarz import (
     sample_param_arrays,  # noqa: F401  (unused here; bench/spans.py wraps it under this name)
 )
 
-FUNCTIONAL_KINDS = ("abs_a2", "abs_a3", "abs_a4", "abs_a3_minus_a2", "abs_a4_minus_a3")
+#: The scalings s_k = lam / _SCALE[cls][k] of a2, a3 and a4 (k = 0, 1, 2).
+_SCALE = {"starlike": (2, 4, 6), "convex": (4, 12, 24)}
+
+#: a2 = s2 p1, a3 = s3 ((3 lam/4) p1^2 + (q/2) x) and a4 = s4 ((17 lam^2/48) p1^3
+#: + (5 lam/8) q p1 x - (q p1/4) x^2 + (q/2)(1 - |x|^2) y), _coefficient_values at
+#: the moments of (p1, x, y), as the (alpha, beta, gamma, k q) of F = alpha + beta x
+#: + gamma x^2 + k q (1 - |x|^2) y.  Each is a tuple of terms (k, c, i, m) meaning
+#: s_k c lam^i m(p1), with m one of p1, p1^2, p1^3, q = 4 - p1^2 or q p1.
+_A2 = ((0, Fraction(1), 0, "p1"),), (), (), ()
+_A3 = ((1, Fraction(3, 4), 1, "p1^2"),), ((1, Fraction(1, 2), 0, "q"),), (), ()
+_A4 = (
+    ((2, Fraction(17, 48), 2, "p1^3"),),
+    ((2, Fraction(5, 8), 1, "q p1"),),
+    ((2, Fraction(-1, 4), 0, "q p1"),),
+    ((2, Fraction(1, 2), 0, "q"),),
+)
+
+
+def _minus(hi, lo):
+    """The table row of hi - lo: each coefficient's terms of hi, then those of lo negated."""
+    return tuple(h + tuple((k, -c, i, m) for k, c, i, m in l) for h, l in zip(hi, lo))
+
+
+#: Every functional's row; a difference subtracts two rows, so no formula is written twice.
+_COEFFICIENTS = {
+    "abs_a2": _A2,
+    "abs_a3": _A3,
+    "abs_a4": _A4,
+    "abs_a3_minus_a2": _minus(_A3, _A2),
+    "abs_a4_minus_a3": _minus(_A4, _A3),
+}
+FUNCTIONAL_KINDS = tuple(_COEFFICIENTS)
 _DIFFERENCE_KINDS = ("abs_a3_minus_a2", "abs_a4_minus_a3")
 
 #: Default evaluation budget per (claim, grid point) and violation tolerance.
@@ -120,9 +150,7 @@ class Functional:
         if self.kind not in _DIFFERENCE_KINDS and self.fixed_p is not None:
             raise ValueError(f"the |a_{self.kind[-1]}| functional takes no fixed_p")
         if self.fixed_p is not None:
-            pmax = bounds.P_MAX[self.cls]
-            if not 0.0 <= self.fixed_p <= pmax:
-                raise ValueError(f"fixed_p must lie in [0, {pmax}] for {self.cls}")
+            bounds.check_p(self.fixed_p, self.cls)
 
     @property
     def effective_p1(self) -> Optional[float]:
@@ -170,58 +198,48 @@ def _functional(fn: Functional, lam, p1, p2, p3):
 
 
 def _quadratic(fn: Functional, lam, p1):
-    """(alpha, beta, gamma, k q) of F = alpha + beta x + gamma x^2 + k q (1 - |x|^2) y.
+    """fn's row of _COEFFICIENTS at (lam, p1): (alpha, beta, gamma, k q), 0.0 where it has no term.
 
-    Here q = 4 - p1^2, and all four are real: scalars for a scalar p1, arrays
-    for an array.  Substituting the moments of (p1, x, y) into the closed
-    formulas of _coefficient_values gives a2 = s2 p1, a3 = s3 inner3 and
-    a4 = s4 inner4 with
-
-        inner3 = (3 lam/4) p1^2 + (q/2) x
-        inner4 = (17 lam^2/48) p1^3 + (5 lam/8) q p1 x - (q p1/4) x^2
-                 + (q/2)(1 - |x|^2) y
-
-    and (s2, s3, s4) = (lam/2, lam/4, lam/6) for starlike, (lam/4, lam/12,
-    lam/24) for convex; a difference subtracts coefficient-wise in exact
-    arithmetic (_difference_coefficients, row by row for an array).  gamma
-    and k q are 0.0 where F has no x^2 or y term.
+    Real scalars for a scalar p1, arrays for an array.  A free kind has one
+    term per coefficient, evaluated in floats.  A difference's terms cancel
+    near their zeros (in floats starlike |a4 - a3|'s alpha lost 49 ulps at
+    p1 = 2, lam = 1.5625), and a pinned search reads its maximum from them,
+    so _exact_row rounds each coefficient once, row by row for an array.
     """
+    scale, row = _SCALE[fn.cls], _COEFFICIENTS[fn.kind]
     if fn.kind in _DIFFERENCE_KINDS:
-        exact = functools.partial(_difference_coefficients, fn.kind, fn.cls, float(lam))
-        if np.ndim(p1):
+        exact = functools.partial(_exact_row, row, scale, float(lam))
+        if isinstance(p1, np.ndarray):
             return tuple(np.array([exact(v) for v in np.ravel(p1).tolist()]).reshape(-1, 4).T)
         return exact(float(p1))
-    s2, s3, s4 = (lam / 2.0, lam / 4.0, lam / 6.0) if fn.cls == "starlike" else (
-        lam / 4.0, lam / 12.0, lam / 24.0
-    )
-    if fn.kind == "abs_a2":
-        return s2 * p1, 0.0, 0.0, 0.0
-    q = 4.0 - p1 * p1
-    alpha3, beta3 = s3 * (0.75 * lam * (p1 * p1)), s3 * (0.5 * q)
-    if fn.kind == "abs_a3":
-        return alpha3, beta3, 0.0, 0.0
-    qp1 = q * p1
-    alpha4 = s4 * (17.0 / 48.0 * lam * lam * (p1 * p1 * p1))
-    return alpha4, s4 * (0.625 * lam * qp1), s4 * (-0.25 * qp1), s4 * (0.5 * q)
+    square = p1 * p1
+    q = 4.0 - square
+    m = {"p1": p1, "p1^2": square, "p1^3": square * p1, "q": q, "q p1": q * p1}
+
+    def term(k, c, i, name):  # (lam / D) ((c lam ... lam) m), one order of operations for every p1
+        return (lam / scale[k]) * (math.prod([c.numerator / c.denominator, *[lam] * i]) * m[name])
+
+    return tuple(term(*terms[0]) if terms else 0.0 for terms in row)
 
 
-def _difference_coefficients(kind: str, cls: str, lam: float, p1: float):
-    """_quadratic's four for a difference at one p1, each rounded once from its exact value.
+def _exact_row(row, scale, lam: float, p1: float):
+    """A row's four at one p1, each rounded once from its exact value.
 
-    alpha and beta cancel near their zeros (floats lost 49 ulps of starlike |a4 - a3|'s
-    alpha at p1 = 2, lam = 1.5625), and a pinned search reads its maximum from them.
-    lam = L/A and p1 = P/B with A, B powers of 2, and (s2, s3, s4) = lam (m2, m3, m4)/m,
-    so each is an integer over an integer, which Python's int / int rounds once.
+    With lam = L/A and p1 = P/B, the term s_k c lam^i m(p1) is c L^(i+1) A^(2-i) M / (D (A B)^3),
+    M = B^3 m(p1) an integer, so a coefficient is one integer over another: int / int rounds once.
     """
-    m2, m3, m4, m = (6, 3, 2, 12) if cls == "starlike" else (6, 2, 1, 24)
     (lnum, a), (pnum, b) = lam.as_integer_ratio(), p1.as_integer_ratio()
-    t, ab, qnum = lnum * pnum, a * b, 4 * b * b - pnum * pnum  # t/ab = lam p1, qnum/b^2 = q
-    beta3, kq = lnum * m3 * qnum / (2 * m * a * b * b), lnum * m4 * qnum / (2 * m * a * b * b)
-    if kind == "abs_a3_minus_a2":  # alpha = p1 ((3/4) s3 lam p1 - s2)
-        return t * (3 * m3 * t - 4 * m2 * ab) / (4 * m * ab * ab), beta3, 0.0, 0.0
-    alpha = t * t * (17 * m4 * t - 36 * m3 * ab) / (48 * m * ab**3)  # lam p1^2 ((17/48) s4 lam p1 - (3/4) s3)
-    beta = lnum * qnum * (5 * m4 * t - 4 * m3 * ab) / (8 * m * a * a * b**3)  # q ((5/8) s4 lam p1 - s3/2)
-    return alpha, beta, -(lnum * m4 * qnum * pnum) / (4 * m * a * b**3), kq
+    qnum = 4 * b * b - pnum * pnum  # q = qnum / b^2
+    m = {"p1": pnum * b * b, "p1^2": pnum * pnum * b, "p1^3": pnum**3, "q": qnum * b, "q p1": qnum * pnum}
+    lams = lnum * a * a, lnum * lnum * a, lnum**3  # lam^(i+1) a^3
+    out = []
+    for terms in row:
+        num, den = 0, 1  # the coefficient times (a b)^3
+        for k, c, i, name in terms:
+            n, d = lams[i] * c.numerator * m[name], scale[k] * c.denominator
+            num, den = num * d + n * den, den * d
+        out.append(num / (den * (a * b) ** 3))
+    return tuple(out)
 
 
 def _maximizing_y(a: complex) -> complex:
@@ -303,11 +321,14 @@ def _read_only(*columns):
 #: Re and Im of x in {0, 1, -1, i, -i}; -1j has real part -0.0.
 _UNITS_RE, _UNITS_IM = _read_only(np.array([0.0, 1.0, -1.0, 0.0, -0.0]), np.array([0.0, 0.0, 0.0, 1.0, -1.0]))
 
-#: The canonical witnesses (p1, Re x, Im x) by pinned: p1 in {0, 1, 2} (None when pinned) times x in {0, +-1, +-i}.
-_CANONICAL = {
-    True: (None, _UNITS_RE, _UNITS_IM),
-    False: _read_only(np.repeat([0.0, 1.0, 2.0], _UNITS_RE.size), np.tile(_UNITS_RE, 3), np.tile(_UNITS_IM, 3)),
-}
+#: The canonical witnesses (p1, Re x, Im x) of free p1: p1 in {0, 1, 2} times x in {0, +-1, +-i}.
+_CANONICAL = _read_only(np.repeat([0.0, 1.0, 2.0], _UNITS_RE.size), np.tile(_UNITS_RE, 3), np.tile(_UNITS_IM, 3))
+
+
+def _canonical_rows(fn: Functional):
+    """fn's canonical witnesses (p1, Re x, Im x): _CANONICAL, or pinned, x in {0, +-1, +-i} at the scalar p1."""
+    eff = fn.effective_p1
+    return _CANONICAL if eff is None else (float(eff), _UNITS_RE, _UNITS_IM)
 
 
 def _schedule(budget: int):
@@ -332,10 +353,11 @@ def _schedule(budget: int):
     return axes, rest - axes[0].size * axes[1].size, m, rounds, shrink
 
 
-def _settled_rows(fn: Functional, lam: float, eff: Optional[float]):
-    """The candidate rows that hold the maximum of |F| over the whole body, or None.
+def _settled_rows(fn: Functional, coefs):
+    """The candidate rows (p1, Re x, Im x) that hold the maximum of |F| over the whole body, or None.
 
-    Where the maths settles x, these are the canonical rows, and pinned at an
+    ``coefs`` are _quadratic's four at the canonical rows' p1.  Where the
+    maths settles x, the rows are the canonical ones, and pinned at an
     interior peak one more row after them, so the canonical witnesses keep
     exact ties.  None means the maths does not settle x and every phase runs;
     that is free |a4| alone, since every pinned functional settles.
@@ -367,19 +389,19 @@ def _settled_rows(fn: Functional, lam: float, eff: Optional[float]):
     Free, |a2| = s2 p1 does not depend on x and peaks at p1 = 2, and |a3| =
     s3 |(3 lam/4) t + ((4 - t)/2) x| with t = p1^2 in [0, 4] is at most
     s3 ((3 lam/4) t + (4 - t)/2), which is affine in t, so it peaks at t = 0
-    (2 s3, at x = +-1) or t = 4 (3 lam s3, every x).  Free |a3 - a2| is not
-    affine in t.  Each of these maxima is a canonical row, scored as the
-    computed |alpha + gamma +- beta| or |s2 p1| itself: sqrt(r * r) is |r|
-    in binary64 where r * r neither underflows nor overflows, and
-    1 - u^2 - v^2 is 0 at x = +-1.  The later phases score the same
-    coefficients, so they could only tie it or beat it by rounding.
+    (2 s3, at x = +-1) or t = 4 (3 lam s3, every x).  Each of these maxima
+    is a canonical row, scored as the computed |alpha + gamma +- beta| or
+    |s2 p1| itself: sqrt(r * r) is |r| in binary64 where r * r neither
+    underflows nor overflows, and 1 - u^2 - v^2 is 0 at x = +-1.  The later
+    phases score the same coefficients, so they could only tie it or beat it
+    by rounding.
     """
-    if eff is None:
-        return _CANONICAL[False] if fn.kind in ("abs_a2", "abs_a3") else None
-    alpha, beta, gamma, kq = _quadratic(fn, lam, float(eff))
+    p1, u, v = _canonical_rows(fn)
+    if fn.effective_p1 is None:
+        return (p1, u, v) if fn.kind in ("abs_a2", "abs_a3") else None
+    alpha, beta, gamma, kq = coefs
     if not (min(alpha, gamma) >= 0.0 or max(alpha, gamma) <= 0.0):  # alpha gamma < 0
-        raise ArithmeticError(f"{fn} at lam = {lam} has alpha gamma < 0; its radial bound settles nothing")
-    p1, u, v = _CANONICAL[True]
+        raise ArithmeticError(f"{fn} has alpha gamma < 0 at {coefs}; its radial bound settles nothing")
     slack = kq - abs(gamma)
     if slack <= 0.0 or abs(beta) >= 2.0 * slack:
         return p1, u, v
@@ -387,28 +409,17 @@ def _settled_rows(fn: Functional, lam: float, eff: Optional[float]):
     return p1, np.append(u, s * (abs(beta) / (2.0 * slack))), np.append(v, 0.0)
 
 
-def _best_of(fn: Functional, lam: float, eff: Optional[float], blocks, best: float, witness):
-    """Scan (p1, u, v) blocks for the largest |A| + k q (1 - |x|^2) by a first-index argmax.
+def _best_of(coefs, p1, u, v):
+    """The first largest |A| + k q (1 - |x|^2) of the rows (p1, u + i v): (value, p1, r, Re x, Im x, Re A, Im A).
 
-    u and v are the columns of Re x and Im x, scored by schwarz.point_scores
-    with the coefficients of _quadratic.  When p1 is pinned to ``eff``, as
-    for the settled rows, the coefficients are scalars and the blocks' p1
-    is not read.  A block's maximum replaces the incumbent only if strictly
-    larger, so the result is the first maximal row of the whole stream,
-    whatever the block size.  The incumbent is (p1, Re x, Im x, A).
-    Returns it and the number of rows scanned.
+    ``coefs`` are _quadratic's four at ``p1``, a pinned scalar or a column,
+    and schwarz.point_scores scores the rows, so a witness rescored gives
+    its value bit for bit.  r = |x|; the tuple is the plane scans' format.
     """
-    fixed = None if eff is None else _quadratic(fn, lam, float(eff))
-    scanned = 0
-    for p1, u, v in blocks:
-        vals, re, im = point_scores(*(_quadratic(fn, lam, p1) if fixed is None else fixed), u, v)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
-            wp1 = float(p1[i]) if eff is None else float(eff)
-            witness = (wp1, float(u[i]), float(v[i]), complex(re[i], im[i]))
-        scanned += u.size
-    return best, witness, scanned
+    vals, re, im = point_scores(*coefs, u, v)
+    i = int(np.argmax(vals))
+    p1, u, v = float(p1[i] if isinstance(p1, np.ndarray) else p1), float(u[i]), float(v[i])
+    return float(vals[i]), p1, math.hypot(u, v), u, v, float(re[i]), float(im[i])
 
 
 @dataclass(frozen=True)
@@ -442,12 +453,12 @@ def extremal_search(
     bounds.check_lambda(lam)
     check_budget(budget)
     check_seed(seed)
-    settled = _settled_rows(fn, lam, fn.effective_p1)
+    p1, u, v = _canonical_rows(fn)
+    coefs = _quadratic(fn, lam, p1)
+    settled = _settled_rows(fn, coefs)
     if settled is not None:
-        best, witness, _ = _best_of(fn, lam, fn.effective_p1, [settled], -np.inf, None)
-        return _search_result(best, witness, budget)
-    best, (p1, u, v, a), canonical = _best_of(fn, lam, None, [_CANONICAL[False]], -np.inf, None)
-    found = best, p1, math.hypot(u, v), u, v, a.real, a.imag
+        return _search_result(_best_of(coefs, *settled), budget)
+    found = _best_of(coefs, p1, u, v)
     (p1_levels, rs), draws, m, rounds, shrink = _schedule(budget)
     coefficients = functools.partial(_quadratic, fn, lam)
     found = plane_scan(coefficients, p1_levels, rs, found[0], CHUNK_ROWS) or found
@@ -455,14 +466,15 @@ def extremal_search(
     found = circle_scan(drawn, found[0]) or found
     widths = [_POLISH_SPACINGS * float(axis[1] - axis[0]) for axis in (p1_levels, rs)]
     scan = functools.partial(plane_scan, coefficients, chunk=CHUNK_ROWS)
-    best, p1, _, u, v, re, im = polish(scan, found, widths, _PLANE, rounds, m, shrink)
+    found = polish(scan, found, widths, _PLANE, rounds, m, shrink)
     rows = p1_levels.size * rs.size + draws + rounds * m * m
-    return _search_result(best, (p1, u, v, complex(re, im)), canonical + 3 * rows)
+    return _search_result(found, u.size + 3 * rows)
 
 
-def _search_result(best: float, witness, samples: int) -> SearchResult:
-    p1, u, v, a = witness
-    y = _maximizing_y(a)
+def _search_result(found, samples: int) -> SearchResult:
+    """The result of a (value, p1, r, Re x, Im x, Re A, Im A) tuple, y maximizing over the circle."""
+    best, p1, _, u, v, re, im = found
+    y = _maximizing_y(complex(re, im))
     # + 0.0 turns a zero of either sign into 0.0 and keeps every other value,
     # so no witness field is a negative zero (A = -0.0i gave y = 1 - 0.0i)
     return SearchResult(

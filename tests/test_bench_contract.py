@@ -99,10 +99,9 @@ def test_a_default_search_scores_the_samples_it_reports(monkeypatch, cls):
     scored = []
     best_of, circle_scan, plane_scan = oracle._best_of, schwarz.circle_scan, schwarz.plane_scan
 
-    def counting_best_of(fn, lam, eff, blocks, *args):
-        out = best_of(fn, lam, eff, blocks, *args)
-        scored.append(out[2])
-        return out
+    def counting_best_of(coefs, p1, u, v):
+        scored.append(u.size)
+        return best_of(coefs, p1, u, v)
 
     def counting_circle_scan(blocks, *args):
         blocks = list(blocks)

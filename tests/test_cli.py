@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coefbound import cli, oracle
+from coefbound import bounds, cli, oracle
 from coefbound.oracle import CLAIMS, VerificationReport
 
 
@@ -186,6 +186,37 @@ class TestExitCodes:
             capsys, "bound", "--class", "starlike", "--n", "2", "--lambda", "1", "--p", "0,1"
         )
         assert (code, out) == (2, "") and "takes no --p" in err
+
+    @pytest.mark.parametrize(
+        "cls, which, p",
+        [
+            ("starlike", "d43", 2.0 + 5e-13),
+            ("convex", "d32", -5e-13),
+            ("starlike", "d32", -5e-13),
+            ("convex", "d43", 1.0 + 5e-13),
+            ("starlike", "d43", math.nan),
+        ],
+    )
+    def test_an_out_of_domain_p_is_refused_by_every_layer(self, capsys, cls, which, p):
+        # bounds.check_p is the one p domain, strict [0, P_MAX] with NaN
+        # refused: the bounds once took p up to 1e-12 past either end
+        with pytest.raises(ValueError, match=r"p must lie in \[0, "):
+            bounds.bound(cls, 1.0, which=which, p=p)
+        kind = "abs_a4_minus_a3" if which == "d43" else "abs_a3_minus_a2"
+        with pytest.raises(ValueError, match=r"p must lie in \[0, "):
+            oracle.Functional(kind, cls, fixed_p=p)
+        claim = next(c for c in CLAIMS.values() if (c.cls, c.which, c.pinned_variant) == (cls, which, None))
+        for argv in (
+            ("bound", "--class", cls, "--which", which, "--lambda", "1"),
+            ("verify", "--claim", claim.claim_id, "--lambda", "1", "--budget", "1000"),
+        ):
+            code, out, err = run_cli(capsys, *argv, f"--p={p!r}")  # argparse reads "-5e-13" as a flag
+            assert (code, out) == (2, "")
+            assert err.startswith("error: p must lie in [0, ") and err.count("\n") == 1
+        # the ends themselves are in the domain
+        for end in (0.0, bounds.P_MAX[cls]):
+            bounds.bound(cls, 1.0, which=which, p=end)
+            oracle.Functional(kind, cls, fixed_p=end)
 
     def test_unallocatable_budget_exit_2_with_single_line(self, capsys):
         # Memory no longer grows with the budget, so a budget once too large
@@ -511,14 +542,15 @@ class TestReportCommand:
                 assert abs(record["gap"]) <= 2.2e-16 * max(1.0, record["bound"]), record
             claim = CLAIMS[record["claim_id"]]
             fn = oracle.Functional(claim.kind, claim.cls, fixed_p=record["p"])
-            if oracle._settled_rows(fn, record["lambda"], fn.effective_p1) is None:
+            coefs = oracle._quadratic(fn, record["lambda"], oracle._canonical_rows(fn)[0])
+            if oracle._settled_rows(fn, coefs) is None:
                 continue
             settled += 1
             assert record["witness"]["p1"] in (0.0, 1.0, 2.0) or record["p"] is not None, record
             assert record["witness"]["x_im"] == 0.0, record
             if record["witness"]["x_re"] in (-1.0, 0.0, 1.0):
                 continue
-            _, beta, gamma, kq = oracle._quadratic(fn, record["lambda"], fn.effective_p1)
+            _, beta, gamma, kq = coefs  # pinned here, so scalars
             assert abs(record["witness"]["x_re"]) == abs(beta) / (2.0 * (kq - abs(gamma))) < 1.0, record
             inside += 1
         assert settled == 98

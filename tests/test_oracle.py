@@ -122,8 +122,11 @@ class TestExtremalSearch:
 
     def test_the_canonical_rows_are_read_only_constants(self):
         # every search shares them, so none may write to them
-        for pinned, (p1, u, v) in oracle._CANONICAL.items():
-            assert (p1 is None) == pinned
+        for p in (0.5, None):
+            fn = Functional("abs_a3_minus_a2" if p else "abs_a4", "convex", fixed_p=p)
+            p1, u, v = oracle._canonical_rows(fn)
+            pinned = p is not None
+            assert (np.ndim(p1) == 0) == pinned  # pinned, the rows share the scalar p1
             for column in (u, v) if pinned else (p1, u, v):
                 assert not column.flags.writeable
                 with pytest.raises(ValueError):
@@ -210,12 +213,14 @@ class TestExtremalSearch:
         coefs = _quadratic(fn, lam, float(fn.effective_p1))
         alpha, beta, gamma, kq = coefs
         assert np.sign(alpha) * np.sign(gamma) >= 0.0
-        grids = []
+        grids, quadratics = [], []
         with pytest.MonkeyPatch.context() as m:
             scan = oracle.plane_scan
             m.setattr(oracle, "plane_scan", lambda *args, **kw: grids.append(1) or scan(*args, **kw))
+            m.setattr(oracle, "_quadratic", lambda *args: quadratics.append(1) or _quadratic(*args))
             out = extremal_search(fn, lam, budget=1000)
         assert not grids
+        assert len(quadratics) == 1  # the coefficients are computed once per pinned search
         slack = kq - abs(gamma)
         if slack <= 0.0 or abs(beta) >= 2.0 * slack:
             peak = abs(alpha) + abs(beta) + abs(gamma)
@@ -257,7 +262,8 @@ class TestExtremalSearch:
                 except ValueError:
                     continue
                 for lam in lams:
-                    assert oracle._settled_rows(fn, lam, fn.effective_p1) is not None, (kind, lam, p)
+                    coefs = _quadratic(fn, lam, fn.effective_p1)
+                    assert oracle._settled_rows(fn, coefs) is not None, (kind, lam, p)
 
     def test_a_pinned_functional_that_the_radial_bound_cannot_settle_raises(self, monkeypatch):
         # alpha gamma < 0 would leave a pinned search nothing to run
@@ -297,8 +303,9 @@ class TestExtremalSearch:
             for seed in range(3):
                 out = extremal_search(fn, lam, budget=3000, seed=seed)
                 w = out.witness
-                row = (None if p else np.array([w.p1]), np.array([w.x.real]), np.array([w.x.imag]))
-                assert _best_of(fn, lam, fn.effective_p1, [row], -np.inf, None)[0] == out.value
+                p1 = fn.effective_p1 if p else np.array([w.p1])
+                row = (p1, np.array([w.x.real]), np.array([w.x.imag]))
+                assert _best_of(_quadratic(fn, lam, p1), *row)[0] == out.value
 
     def test_deterministic(self):
         fn = Functional("abs_a4_minus_a3", "convex", fixed_p=0.6)
@@ -665,11 +672,11 @@ class TestMaximumOverY:
         eff = fn.effective_p1
         # a pinned search scores scalar coefficients and reads no p1 column
         u, v = np.array([x.real]), np.array([x.imag])
-        block = (np.array([p1]) if eff is None else None, u, v)
+        column = np.array([p1]) if eff is None else eff
         p1 = p1 if eff is None else eff
-        score, (wp1, wu, wv, a), rows = _best_of(fn, lam, eff, [block], -np.inf, None)
-        assert (wp1, complex(wu, wv), rows) == (p1, x, 1)
-        y = _maximizing_y(a)
+        score, wp1, r, wu, wv, re, im = _best_of(_quadratic(fn, lam, column), column, u, v)
+        assert (wp1, complex(wu, wv), r) == (p1, x, math.hypot(x.real, x.imag))  # abs(x) can differ by an ulp
+        y = _maximizing_y(complex(re, im))
         assert abs(functional_value(fn, lam, CaratheodoryParams(p1, x, y)) - score) <= 1e-12
         for yv in ys:
             assert functional_value(fn, lam, CaratheodoryParams(p1, x, yv)) <= score + 1e-12
@@ -712,7 +719,7 @@ class TestMaximumOverY:
     @settings(max_examples=300, deadline=None)
     @example("abs_a4_minus_a3", "starlike", 1.5625, 2.0)
     def test_a_difference_has_its_exact_coefficients_rounded_once(self, kind, cls, lam, p1):
-        # the formulas of _quadratic's docstring in rational arithmetic, then
+        # the formulas of the _COEFFICIENTS comment in rational arithmetic, then
         # one rounding each: the differences cancel, so floats would not do
         lam_, p1_ = Fraction(lam), Fraction(p1)
         s2, s3, s4 = (lam_ / 2, lam_ / 4, lam_ / 6) if cls == "starlike" else (lam_ / 4, lam_ / 12, lam_ / 24)
@@ -725,8 +732,26 @@ class TestMaximumOverY:
             want = alpha4 - alpha3, beta4 - beta3, -s4 * q * p1_ / 4, s4 * q / 2
         got = _quadratic(Functional(kind, cls, fixed_p=0.0), lam, p1)
         assert [repr(v) for v in got] == [repr(float(w)) for w in want]
-        column = _quadratic(Functional(kind, cls, fixed_p=0.0), lam, np.array([p1, 0.5]))
-        assert [repr(float(c[0])) for c in column] == [repr(v) for v in got]
+
+    @given(
+        st.sampled_from(FUNCTIONAL_KINDS),
+        st.sampled_from(("starlike", "convex")),
+        st.one_of(st.just(LAMBDA_MIN), st.floats(min_value=LAMBDA_MIN, max_value=math.pi / 2)),
+        st.lists(
+            st.one_of(st.sampled_from((0.0, 2.0)), st.floats(min_value=0.0, max_value=2.0)), min_size=1, max_size=4
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example("abs_a4", "convex", LAMBDA_MIN, [0.0, 2.0])
+    @example("abs_a2", "starlike", math.pi / 2, [2.0, 0.0, 1.0])
+    def test_a_column_has_the_bits_of_its_scalar_calls(self, kind, cls, lam, p1s):
+        # the search scores columns of p1 and a witness rescores as a scalar,
+        # so every kind's column element has the repr of its own scalar call
+        fn = Functional(kind, cls, fixed_p=0.0 if kind in oracle._DIFFERENCE_KINDS else None)
+        column = _quadratic(fn, lam, np.array(p1s))
+        for j, p1 in enumerate(p1s):
+            got = [repr(float(np.broadcast_to(c, len(p1s))[j])) for c in column]
+            assert got == [repr(v) for v in _quadratic(fn, lam, p1)], (j, p1)
 
     @pytest.mark.parametrize("searched", [False, True])
     @pytest.mark.parametrize("budget", [1000, 1001, 5000, 99_999, 100_000, 2_000_000])
