@@ -557,6 +557,42 @@ class TestReportCommand:
         assert inside == 18
 
 
+#: sha256 over repr((argv, exit code, stdout)) of every call of
+#: TestOutputBytes._MATRIX, in order, with duration_ms frozen at 0: every
+#: command's text, JSON and CSV bytes and exit code.  A change that moves
+#: any output on purpose updates this digest and says so.
+CLI_DIGEST = "209eb6854152baa813eb10017e2ebf7bfdbd98c52a960c49118a95f301e90769"
+
+
+class TestOutputBytes:
+    _CALLS = [
+        ["bound", "--class", "starlike", "--n", "4", "--lambda", "0.1,0.3,1"],
+        ["bound", "--class", "starlike", "--which", "d43", "--lambda", "0.5,1", "--p", "0,1.5,2"],
+        ["bound", "--class", "starlike", "--which", "d43", "--lambda", "1", "--p", "2",
+         "--psi2-variant", "statement"],
+        ["table", "--class", "starlike", "--lambda", "0.5,1", "--p", "0,1,2"],
+        ["table", "--class", "convex", "--lambda", "1"],
+        ["verify", "--claim", "thm3.1-a4", "--lambda", "0.21,1", "--budget", "1000"],
+        ["verify", "--claim", "thm3.3-d43", "--lambda", "1", "--p", "0,1", "--budget", "1000"],
+        ["roots"],
+    ]
+    _MATRIX = [argv + ["--format", fmt] for argv in _CALLS for fmt in cli._FORMATS] + [
+        ["report", "--budget", "1000"]
+    ]
+
+    def test_every_output_keeps_its_pinned_bytes(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        digest = hashlib.sha256()
+        codes = []
+        for argv in self._MATRIX:
+            code, out, err = run_cli(capsys, *argv)
+            assert err == "", argv
+            codes.append(code)
+            digest.update(repr((argv, code, out)).encode())
+        assert codes == [0] * 15 + [1] * 3 + [0] * 6 + [1]
+        assert digest.hexdigest() == CLI_DIGEST
+
+
 class TestModuleEntryPoint:
     """``python -m coefbound`` in a fresh process: __main__ passes main's code to the exit status."""
 
