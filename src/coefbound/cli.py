@@ -20,8 +20,9 @@ Exit codes:
         [0, 1] (convex), the domain of bounds.check_p, a --budget outside
         [1000, 10**9], a negative --seed, a --workers below 1 and a --tol
         that is negative, inf or nan
-Data goes to stdout, diagnostics (one "error:" line) to stderr.  JSON floats
-are emitted value-preserving (shortest round-trip form); CSV cells use the
+Data goes to stdout, diagnostics (one "error:" line) to stderr.  One writer,
+_write, renders every command's output in every format.  JSON floats are
+emitted value-preserving (shortest round-trip form); CSV cells use the
 same form, with empty cells for absent values and true/false for flags; text
 mode prints 6 significant digits.
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -105,6 +107,12 @@ class _Parser(argparse.ArgumentParser):
     argparse would print its usage block before the "error:" line; main
     prints the one line alone.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's negative-number pattern with an exponent allowed, so that
+        # "--p -5e-13" reaches the domain check instead of reading as a flag
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise UsageError(message)
@@ -283,10 +291,6 @@ def _fmt_text(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _emit_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
 def _csv_cell(v) -> str:
     if v is None:
         return ""
@@ -297,38 +301,27 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _emit_csv(columns: list[str], rows: list[dict]) -> None:
-    print(",".join(columns))
-    for row in rows:
-        print(",".join(_csv_cell(row[c]) for c in columns))
-
-
-def _bound_result_dict(b: bounds.BoundResult) -> dict:
-    return {
-        "value": b.value,
-        "branch": b.branch,
-        "lambda": b.lam,
-        "class": b.cls,
-        "n": b.n,
-        "p": b.p,
-        "which": b.which,
-        "variant": b.variant,
-    }
+def _write(fmt: str, doc, columns, rows, lines) -> None:
+    """Write a command's output: doc as indented JSON, rows as CSV cells in columns order, or the text lines."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    elif fmt == "csv":
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(_csv_cell(row[c]) for c in columns))
+    else:
+        for line in lines:
+            print(line)
 
 
 def _cmd_bound(cfg: RunConfig) -> int:
     rows = [
-        bounds.bound(cfg.cls, lam, cfg.n, cfg.which, p, cfg.psi2_variant)
+        oracle.record_dict(bounds.bound(cfg.cls, lam, cfg.n, cfg.which, p, cfg.psi2_variant))
         for lam in cfg.lambdas
         for p in cfg.ps or [None]
     ]
-    if cfg.fmt == "json":
-        _emit_json([_bound_result_dict(b) for b in rows])
-    elif cfg.fmt == "csv":
-        _emit_csv(BOUND_COLUMNS, [_bound_result_dict(b) for b in rows])
-    else:
-        for b in rows:
-            print(f"{_fmt_text(b.value)} (branch: {b.branch})")
+    lines = (f"{_fmt_text(r['value'])} (branch: {r['branch']})" for r in rows)
+    _write(cfg.fmt, rows, BOUND_COLUMNS, rows, lines)
     return 0
 
 
@@ -346,37 +339,15 @@ def _cmd_table(cfg: RunConfig) -> int:
                 name, field = col.split("_")
                 row[col] = named[name].value if field == "bound" else named[name].branch
             rows.append(row)
-    if cfg.fmt == "json":
-        _emit_json(rows)
-    elif cfg.fmt == "csv":
-        _emit_csv(TABLE_COLUMNS, rows)
-    else:
-        for r in rows:
-            print(
-                f"lambda={_fmt_text(r['lambda'])} p={_fmt_text(r['p'])}: "
-                f"a2<={_fmt_text(r['a2_bound'])} a3<={_fmt_text(r['a3_bound'])} "
-                f"a4<={_fmt_text(r['a4_bound'])} d32<={_fmt_text(r['d32_bound'])} "
-                f"d43<={_fmt_text(r['d43_bound'])}"
-            )
+    lines = (
+        f"lambda={_fmt_text(r['lambda'])} p={_fmt_text(r['p'])}: "
+        f"a2<={_fmt_text(r['a2_bound'])} a3<={_fmt_text(r['a3_bound'])} "
+        f"a4<={_fmt_text(r['a4_bound'])} d32<={_fmt_text(r['d32_bound'])} "
+        f"d43<={_fmt_text(r['d43_bound'])}"
+        for r in rows
+    )
+    _write(cfg.fmt, rows, TABLE_COLUMNS, rows, lines)
     return 0
-
-
-def _print_reports(reports, fmt: str) -> None:
-    dicts = [r.to_dict() for r in reports]
-    if fmt == "json":
-        _emit_json(dicts)
-    elif fmt == "csv":
-        flat = [{**d, **{f"witness_{k}": v for k, v in d["witness"].items()}} for d in dicts]
-        _emit_csv(REPORT_COLUMNS, flat)
-    else:
-        for d in dicts:
-            p = "" if d["p"] is None else f" p={_fmt_text(d['p'])}"
-            flag = "VIOLATION" if d["violation"] else "ok"
-            print(
-                f"{d['claim_id']} lambda={_fmt_text(d['lambda'])}{p}: "
-                f"bound={_fmt_text(d['bound'])} [{d['branch']}] "
-                f"oracle_max={_fmt_text(d['oracle_max'])} gap={d['gap']:.3e} {flag}"
-            )
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
@@ -395,7 +366,17 @@ def _cmd_verify(cfg: RunConfig) -> int:
                 psi2_variant=cfg.psi2_variant,
             )
         )
-    _print_reports(reports, cfg.fmt)
+    dicts = [r.to_dict() for r in reports]
+    flat = ({**d, **{f"witness_{k}": v for k, v in d["witness"].items()}} for d in dicts)
+    lines = (
+        f"{d['claim_id']} lambda={_fmt_text(d['lambda'])}"
+        + ("" if d["p"] is None else f" p={_fmt_text(d['p'])}")
+        + f": bound={_fmt_text(d['bound'])} [{d['branch']}] "
+        f"oracle_max={_fmt_text(d['oracle_max'])} gap={d['gap']:.3e} "
+        + ("VIOLATION" if d["violation"] else "ok")
+        for d in dicts
+    )
+    _write(cfg.fmt, dicts, REPORT_COLUMNS, flat, lines)
     return 1 if any(r.violation for r in reports) else 0
 
 
@@ -418,19 +399,15 @@ def _cmd_report(cfg: RunConfig) -> int:
         "violated_claim_ids": violated,
         "claims": [r.to_dict() for r in reports],
     }
-    _emit_json(doc)
+    _write(cfg.fmt, doc, (), (), ())  # --format is json only
     return 1 if violated else 0
 
 
 def _cmd_roots(cfg: RunConfig) -> int:
     r0 = bounds.r0_root()
     residual = abs(425.0 * r0 ** 3 + 340.0 * r0 * r0 - 328.0 * r0 - 240.0)
-    if cfg.fmt == "json":
-        _emit_json({"r0": r0, "residual": residual})
-    elif cfg.fmt == "csv":
-        _emit_csv(["r0", "residual"], [{"r0": r0, "residual": residual}])
-    else:
-        print(f"r0 = {r0:.17g}  residual = {residual:.3e}")
+    row = {"r0": r0, "residual": residual}
+    _write(cfg.fmt, row, list(row), [row], [f"r0 = {r0:.17g}  residual = {residual:.3e}"])
     return 0
 
 

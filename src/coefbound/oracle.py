@@ -56,7 +56,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -484,6 +484,24 @@ def _search_result(found, samples: int) -> SearchResult:
     )
 
 
+#: Output keys that are not their field's name.
+_OUTPUT_KEYS = {"lam": "lambda", "cls": "class"}
+
+#: A witness (p1, x, y) nested in a report record.
+_WITNESS_KEYS = ("p1", "x_re", "x_im", "y_re", "y_im")
+
+
+@functools.lru_cache(maxsize=None)
+def _field_keys(cls) -> tuple[tuple[str, str], ...]:
+    """(field name, output key) of a record dataclass, in declaration order; lam is "lambda", cls "class"."""
+    return tuple((f.name, _OUTPUT_KEYS.get(f.name, f.name)) for f in fields(cls))
+
+
+def record_dict(record) -> dict:
+    """A record dataclass as its output row: one key per field, as _field_keys names them."""
+    return {key: getattr(record, name) for name, key in _field_keys(type(record))}
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """One claim at one grid point: printed bound versus searched maximum."""
@@ -503,48 +521,19 @@ class VerificationReport:
     variant: Optional[str]
 
     def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "lambda": self.lam,
-            "p": self.p,
-            "bound": self.bound,
-            "branch": self.branch,
-            "oracle_max": self.oracle_max,
-            "witness": {
-                "p1": self.witness.p1,
-                "x_re": self.witness.x.real,
-                "x_im": self.witness.x.imag,
-                "y_re": self.witness.y.real,
-                "y_im": self.witness.y.imag,
-            },
-            "gap": self.gap,
-            "violation": self.violation,
-            "samples": self.samples,
-            "seed": self.seed,
-            "duration_ms": self.duration_ms,
-            "variant": self.variant,
-        }
+        """record_dict's row, with the witness nested under _WITNESS_KEYS."""
+        d, w = record_dict(self), self.witness
+        d["witness"] = dict(zip(_WITNESS_KEYS, (w.p1, w.x.real, w.x.imag, w.y.real, w.y.imag)))
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationReport":
-        w = d["witness"]
-        return cls(
-            claim_id=d["claim_id"],
-            lam=d["lambda"],
-            p=d["p"],
-            bound=d["bound"],
-            branch=d["branch"],
-            oracle_max=d["oracle_max"],
-            witness=CaratheodoryParams(
-                w["p1"], complex(w["x_re"], w["x_im"]), complex(w["y_re"], w["y_im"])
-            ),
-            gap=d["gap"],
-            violation=d["violation"],
-            samples=d["samples"],
-            seed=d["seed"],
-            duration_ms=d["duration_ms"],
-            variant=d["variant"],
+        kw = {name: d[key] for name, key in _field_keys(cls)}
+        w = kw["witness"]
+        kw["witness"] = CaratheodoryParams(
+            w["p1"], complex(w["x_re"], w["x_im"]), complex(w["y_re"], w["y_im"])
         )
+        return cls(**kw)
 
 
 @dataclass(frozen=True)

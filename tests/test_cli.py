@@ -210,9 +210,13 @@ class TestExitCodes:
             ("bound", "--class", cls, "--which", which, "--lambda", "1"),
             ("verify", "--claim", claim.claim_id, "--lambda", "1", "--budget", "1000"),
         ):
-            code, out, err = run_cli(capsys, *argv, f"--p={p!r}")  # argparse reads "-5e-13" as a flag
-            assert (code, out) == (2, "")
-            assert err.startswith("error: p must lie in [0, ") and err.count("\n") == 1
+            # "--p -5e-13" too: argparse's own pattern read a number with an exponent as a flag
+            for given in ([f"--p={p!r}"], ["--p", repr(p)]):
+                code, out, err = run_cli(capsys, *argv, *given)
+                assert (code, out) == (2, "")
+                assert err.startswith("error: p must lie in [0, ") and err.count("\n") == 1
+        code, out, err = run_cli(capsys, "bound", "--class", cls, "--which", which, "--lambda", "-1e-3", "--p", "0")
+        assert (code, out, err) == (2, "", "error: lambda must lie in [1e-60, pi/2], got -0.001\n")
         # the ends themselves are in the domain
         for end in (0.0, bounds.P_MAX[cls]):
             bounds.bound(cls, 1.0, which=which, p=end)
@@ -421,6 +425,26 @@ class TestVerifyCommand:
         docs = json.loads(out)
         reports = [VerificationReport.from_dict(d) for d in docs]
         assert [r.to_dict() for r in reports] == docs
+        # every record of the suite, p = None and variant = "statement" among them
+        suite = oracle.run_claim_suite(budget=1000)
+        assert len(suite) == 106
+        assert {r.p is None for r in suite} == {True, False}
+        assert "statement" in {r.variant for r in suite}
+        for r in suite:
+            assert VerificationReport.from_dict(json.loads(json.dumps(r.to_dict()))) == r
+
+    def test_columns_follow_the_record_keys(self, capsys):
+        # one rule writes a record's keys: its fields in declaration order,
+        # lam as "lambda", cls as "class" and the witness nested
+        (record,) = oracle.verify_claim("thm3.1-a2", [1.0], None, budget=1000)
+        keys = []
+        for key, value in record.to_dict().items():
+            keys += [f"witness_{k}" for k in value] if key == "witness" else [key]
+        assert cli.REPORT_COLUMNS == keys
+        for argv in (("--n", "4"), ("--which", "d43", "--p", "1")):
+            _, out, _ = run_cli(capsys, "bound", "--class", "starlike", "--lambda", "1", *argv, "--format", "json")
+            (row,) = json.loads(out)
+            assert set(cli.BOUND_COLUMNS) <= set(row)
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
