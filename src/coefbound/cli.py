@@ -110,9 +110,13 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's negative-number pattern with an exponent allowed, so that
-        # "--p -5e-13" reaches the domain check instead of reading as a flag
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse's negative-number pattern with an exponent, -inf, -infinity
+        # and -nan allowed in any case, as float() reads them, so that
+        # "--p -5e-13" or "--p -inf" reaches the domain check instead of
+        # reading as a flag
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
 
     def error(self, message):
         raise UsageError(message)

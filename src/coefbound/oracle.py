@@ -689,6 +689,11 @@ def series_cross_check(lam: float, cls: str, params: CaratheodoryParams) -> floa
     return float(np.abs(a_series - closed).max())
 
 
+#: Samples general_bound_probe expands per block of series arithmetic: a
+#: block holds a few (PROBE_BLOCK, n_max + 1) complex arrays, whatever ``samples`` is.
+PROBE_BLOCK = 512
+
+
 @dataclass(frozen=True)
 class ProbeReport:
     """Outcome of a random-Blaschke sweep against the general bounds."""
@@ -713,6 +718,12 @@ def general_bound_probe(
     are violations; the maxima are reported either way.  ``n_max`` must lie
     in [2, series.DEFAULT_ORDER], ``samples`` must be positive and ``seed``
     nonnegative; all are checked before the first draw.
+
+    The samples are drawn one at a time, in one rng stream, and their series
+    are computed PROBE_BLOCK rows at a time through the series engine's row
+    helpers, so memory stays bounded for any ``samples``.  Every row has the
+    bits the engine gives one sample, so the report is the same as a loop
+    over exp_series and ratio_to_coefficients would give.
     """
     bounds.check_lambda(lam)
     if samples < 1:  # a probe of nothing would read as a pass
@@ -727,25 +738,25 @@ def general_bound_probe(
     violations = 0
     max_cn_excess = -np.inf
     max_an_excess = -np.inf
-    for _ in range(samples):
-        degree = int(rng.integers(0, 4))
-        theta = float(rng.uniform(0.0, 2.0 * np.pi))
-        moduli = rng.uniform(0.0, 0.97, degree)
-        phases = rng.uniform(0.0, 2.0 * np.pi, degree)
-        zeros = moduli * np.exp(1j * phases)
-        w = series.blaschke_schwarz(theta, list(zeros), n_max)
-        e = series.exp_series(series.TruncatedSeries(lam * w.coeffs))
-        cn_excess = float(np.abs(e.coeffs[1:]).max() - lam)
-        max_cn_excess = max(max_cn_excess, cn_excess)
-        if cn_excess > 1e-12:
-            violations += 1
-        c = e.coeffs.copy()
-        c[0] -= 1.0  # exp(lam*w) - 1, exactly as subtracting unit_series
-        a_star = np.abs(series.ratio_to_coefficients(series.TruncatedSeries(c), n_max))
-        an_excess = float(max((a_star - star_bounds).max(), (a_star / ns - conv_bounds).max()))
-        max_an_excess = max(max_an_excess, an_excess)
-        if an_excess > 1e-9:
-            violations += 1
+    for start in range(0, samples, PROBE_BLOCK):
+        scaled = np.empty((min(PROBE_BLOCK, samples - start), n_max + 1), dtype=np.complex128)
+        for row in scaled:
+            degree = int(rng.integers(0, 4))
+            theta = float(rng.uniform(0.0, 2.0 * np.pi))
+            moduli = rng.uniform(0.0, 0.97, degree)
+            phases = rng.uniform(0.0, 2.0 * np.pi, degree)
+            zeros = moduli * np.exp(1j * phases)
+            row[:] = lam * series.blaschke_schwarz(theta, list(zeros), n_max).coeffs
+        series._check_finite(scaled)
+        e = series._exp_rows(scaled)
+        series._check_finite(e)
+        cn_excess = np.abs(e[:, 1:]).max(axis=1) - lam
+        e[:, 0] -= 1.0  # exp(lam*w) - 1, exactly as subtracting unit_series
+        a_star = np.abs(series._ratio_rows(e, n_max))
+        an_excess = np.maximum((a_star - star_bounds).max(axis=1), (a_star / ns - conv_bounds).max(axis=1))
+        violations += int(np.count_nonzero(cn_excess > 1e-12) + np.count_nonzero(an_excess > 1e-9))
+        max_cn_excess = max(max_cn_excess, float(cn_excess.max()))
+        max_an_excess = max(max_an_excess, float(an_excess.max()))
     return ProbeReport(
         lam=lam,
         n_max=n_max,

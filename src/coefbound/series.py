@@ -11,11 +11,19 @@ value, so series may be shared freely across threads.
 
 The slices are short (4 to 13 terms), so the cost is per-call overhead, not
 arithmetic.  The recurrences therefore run on Python ``complex`` wherever
-that gives numpy's bits: a complex multiply or add is the same IEEE
-operation in both.  Two operations stay in numpy because their Python
-counterparts round differently.  ``np.dot`` sums in BLAS order, which a
-sequential Python sum does not reproduce, and numpy divides a complex by an
-integer through a rounded reciprocal, where Python divides exactly.
+that gives numpy's bits: a complex add is the same IEEE operation in both,
+and so is a multiply of numpy complex scalars.  numpy's complex multiply on
+arrays is not: its SIMD loops may fuse a multiply and an add into one
+rounding.  Two operations stay in numpy because their Python counterparts
+round differently.  ``np.dot`` sums in BLAS order, which a sequential Python
+sum does not reproduce, and numpy divides a complex by an integer through a
+rounded reciprocal, where Python divides exactly.
+
+A block of many slices, as the general-bound probe expands, runs the same
+recurrences down the rows of one array (_exp_rows, _ratio_rows), each row
+with the bits of the one-slice route; their docstrings give the rules that
+keep those bits.  A single slice stays on the one-slice route: for a 4-term
+slice the row helpers' array calls cost more than the Python loop.
 """
 
 from __future__ import annotations
@@ -137,6 +145,26 @@ def _exp_coeffs(c: np.ndarray) -> np.ndarray:
     return er[::-1]
 
 
+def _exp_rows(c: np.ndarray) -> np.ndarray:
+    """_exp_coeffs down the rows of ``c``, shape (B, n) with c[:, 0] == 0.
+
+    Returns a fresh C-contiguous (B, n) array whose every row has the bits
+    _exp_coeffs gives that row.  Two rules keep them.  Each sum is a
+    (B, 1, k) @ (B, k, 1) matmul: numpy computes a vector . vector matmul
+    with the dtype dot that ``ndarray.dot`` calls, so each row sums in the
+    same BLAS order.  The result is made contiguous, not returned as the
+    reversed view _exp_coeffs returns, because numpy's ``np.abs`` of a complex
+    array can round differently on a reversed view than on contiguous memory.
+    """
+    n = c.shape[1]
+    jc = np.arange(n) * c  # an integer has no imaginary part to fuse, so array and scalar agree
+    er = np.zeros(c.shape, dtype=np.complex128)
+    er[:, -1] = 1.0
+    for k in range(1, n):
+        er[:, n - 1 - k] = (jc[:, None, 1 : k + 1] @ er[:, n - k :, None])[:, 0, 0] / k
+    return np.ascontiguousarray(er[:, ::-1])
+
+
 def ratio_to_coefficients(c: TruncatedSeries, n_max: int) -> np.ndarray:
     """Recover a_2..a_n from the series c = z*f'(z)/f(z) - 1.
 
@@ -163,6 +191,31 @@ def _ratio_coeffs(cf: np.ndarray, n_max: int) -> np.ndarray:
             acc = acc + ck * ak
         a.append(complex(np.complex128(acc) / (n - 1)))
     return np.array(a[2:], dtype=np.complex128)
+
+
+def _ratio_rows(cf: np.ndarray, n_max: int) -> np.ndarray:
+    """_ratio_coeffs down the rows of ``cf``, shape (B, N + 1) with cf[:, 0] == 0.
+
+    Returns the C-contiguous (B, n_max - 1) array of [a_2, ..., a_{n_max}],
+    each row with the bits _ratio_coeffs gives that row.  Every product is
+    formed in real form, re = xr*yr - xi*yi and im = xr*yi + xi*yr: that is
+    Python's complex multiply, which numpy scalars share, while numpy's
+    complex multiply on arrays may fuse a multiply and an add into one
+    rounding (see the module docstring).  Adds and the division by n - 1 are
+    numpy's complex operations, which round alike on arrays and scalars.
+    """
+    cr, ci = cf.real, cf.imag
+    a = np.zeros((cf.shape[0], n_max - 1), dtype=np.complex128)  # a[:, n - 2] = a_n
+    ar, ai = a.real, a.imag
+    for n in range(2, n_max + 1):
+        accr, acci = cr[:, n - 1], ci[:, n - 1]
+        for k in range(2, n):  # c_{n-k} a_k in _ratio_coeffs' order
+            xr, xi, yr, yi = cr[:, n - k], ci[:, n - k], ar[:, k - 2], ai[:, k - 2]
+            accr = accr + (xr * yr - xi * yi)
+            acci = acci + (xr * yi + xi * yr)
+        ar[:, n - 2], ai[:, n - 2] = accr, acci
+        a[:, n - 2] /= n - 1
+    return a
 
 
 def coefficients_from_schwarz(

@@ -222,6 +222,17 @@ class TestExitCodes:
             bounds.bound(cls, 1.0, which=which, p=end)
             oracle.Functional(kind, cls, fixed_p=end)
 
+    @pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
+    def test_a_negative_infinity_or_nan_reaches_the_domain_check(self, capsys, value):
+        # argparse's own pattern read "-inf" and "-nan" as flags, so the value
+        # failed with "expected one argument" instead of its domain message
+        shown = repr(float(value))
+        base = ("bound", "--class", "convex", "--which", "d32")
+        code, out, err = run_cli(capsys, *base, "--lambda", "1", "--p", value)
+        assert (code, out, err) == (2, "", f"error: p must lie in [0, 1.0] for the convex class, got {shown}\n")
+        code, out, err = run_cli(capsys, *base, "--lambda", value, "--p", "0")
+        assert (code, out, err) == (2, "", f"error: lambda must lie in [1e-60, pi/2], got {shown}\n")
+
     def test_unallocatable_budget_exit_2_with_single_line(self, capsys):
         # Memory no longer grows with the budget, so a budget once too large
         # to allocate is refused by the budget domain before any search.

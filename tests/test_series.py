@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from coefbound.bounds import LAMBDA_MIN
-from coefbound.oracle import general_bound_probe, series_cross_check
+from coefbound.bounds import LAMBDA_MIN, general_coeff_bound
+from coefbound.oracle import DEFAULT_SEED, PROBE_BLOCK, ProbeReport, general_bound_probe, series_cross_check
 from coefbound.series import (
     DEFAULT_ORDER,
     SeriesError,
     TruncatedSeries,
+    _exp_coeffs,
+    _exp_rows,
+    _ratio_coeffs,
+    _ratio_rows,
     blaschke_schwarz,
     coefficients_from_schwarz,
     exp_series,
@@ -350,7 +355,7 @@ class TestBlaschkeSchwarz:
 
 def _bits(coeffs) -> np.ndarray:
     """The float64 bit patterns of a complex vector, signed zeros included."""
-    return np.asarray(coeffs, dtype=np.complex128).view(np.uint64)
+    return np.ascontiguousarray(coeffs, dtype=np.complex128).view(np.uint64)
 
 
 def _reference_exp(c):
@@ -392,6 +397,37 @@ def _reference_blaschke(theta, zeros, n_max):
         den[0], den[1] = 1.0, -np.conj(a)
         w = mul(mul(w, TruncatedSeries(num)), reciprocal(TruncatedSeries(den)))
     return w.coeffs
+
+
+def _reference_probe(lam, n_max=DEFAULT_ORDER, samples=500, seed=DEFAULT_SEED):
+    """general_bound_probe as a loop over samples, each through the public series calls."""
+    rng = np.random.default_rng(seed)
+    ns = np.arange(2, n_max + 1)
+    star_bounds = np.array([general_coeff_bound("starlike", n, lam) for n in range(2, n_max + 1)])
+    conv_bounds = star_bounds / ns
+    violations = 0
+    max_cn_excess = -np.inf
+    max_an_excess = -np.inf
+    for _ in range(samples):
+        degree = int(rng.integers(0, 4))
+        theta = float(rng.uniform(0.0, 2.0 * np.pi))
+        moduli = rng.uniform(0.0, 0.97, degree)
+        phases = rng.uniform(0.0, 2.0 * np.pi, degree)
+        zeros = moduli * np.exp(1j * phases)
+        w = blaschke_schwarz(theta, list(zeros), n_max)
+        e = exp_series(TruncatedSeries(lam * w.coeffs))
+        cn_excess = float(np.abs(e.coeffs[1:]).max() - lam)
+        max_cn_excess = max(max_cn_excess, cn_excess)
+        if cn_excess > 1e-12:
+            violations += 1
+        c = e.coeffs.copy()
+        c[0] -= 1.0
+        a_star = np.abs(ratio_to_coefficients(TruncatedSeries(c), n_max))
+        an_excess = float(max((a_star - star_bounds).max(), (a_star / ns - conv_bounds).max()))
+        max_an_excess = max(max_an_excess, an_excess)
+        if an_excess > 1e-9:
+            violations += 1
+    return ProbeReport(lam, n_max, samples, seed, violations, max_cn_excess, max_an_excess)
 
 
 small = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
@@ -442,6 +478,49 @@ class TestBitsOfTheReferenceLoops:
     def test_blaschke_schwarz(self, theta, zeros, n_max):
         got = blaschke_schwarz(theta, zeros, n_max).coeffs
         assert np.array_equal(_bits(got), _bits(_reference_blaschke(theta, zeros, n_max)))
+
+
+def _rows(data):
+    """Draw a (B, n) complex block, B in [1, 40] and order n - 1 in [1, 13], with column 0 zero."""
+    b = data.draw(st.integers(min_value=1, max_value=40), label="B")
+    n = data.draw(st.integers(min_value=2, max_value=14), label="n")
+    part = st.one_of(st.floats(min_value=-2.0, max_value=2.0), st.sampled_from([0.0, -0.0]))
+    c = np.ascontiguousarray(data.draw(arrays(np.float64, (b, n, 2), elements=part))).view(np.complex128)[..., 0]
+    c[:, 0] = 0.0
+    return c
+
+
+class TestBitsOfTheRowHelpers:
+    """Each row of a block gets the bits the one-row engine gives it."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exp_rows(self, data):
+        c = _rows(data)
+        got = _exp_rows(c)
+        assert got.flags.c_contiguous
+        for row, want in zip(got, c):
+            assert np.array_equal(_bits(row), _bits(_exp_coeffs(want)))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ratio_rows(self, data):
+        c = _rows(data)
+        n_max = data.draw(st.integers(min_value=2, max_value=c.shape[1]), label="n_max")
+        got = _ratio_rows(c, n_max)
+        assert got.flags.c_contiguous and got.shape == (c.shape[0], n_max - 1)
+        for row, want in zip(got, c):
+            assert np.array_equal(_bits(row), _bits(_ratio_coeffs(want, n_max)))
+
+
+class TestProbeMatchesTheReferenceLoop:
+    # samples 1, 2, 300 and one past PROBE_BLOCK, which spills into a second block
+    @pytest.mark.parametrize("lam", [LAMBDA_MIN, 0.5, 1.0, math.pi / 2 + 5e-13])
+    @pytest.mark.parametrize("seed", [0, 7, 99])
+    def test_same_report(self, lam, seed):
+        for samples in (1, 2, 300, PROBE_BLOCK + 1):
+            got = general_bound_probe(lam, n_max=DEFAULT_ORDER, samples=samples, seed=seed)
+            assert repr(got) == repr(_reference_probe(lam, DEFAULT_ORDER, samples, seed))
 
 
 #: sha256 of the float64 bytes of _digest_values().  A change that moves
