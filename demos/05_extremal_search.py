@@ -9,10 +9,12 @@ only and scores each candidate by its maximum over y, |A| + K; the
 witness y is A/|A|.  Only the successive differences pin p1 (to p, or 2p
 for convex), and the maths settles every pinned search: it scores the
 canonical witnesses and the peak of its radial bound, and returns.  Free
-|a4| searches the (p1, |x|) plane, since on each circle |x| = r the
-maximum over arg x is at cos(arg x) = +-1 or at the vertex of a quadratic
-in cos(arg x): canonical witnesses first, a (p1, |x|) grid plus random
-draws, then a polish of shrinking local grids around the best point.
+|a4| searches p1 alone: on each circle |x| = r the maximum over arg x is
+at cos(arg x) = +-1 or at the vertex of a quadratic in cos(arg x), and
+the maximum over r is at one of 8 radii in closed form (the ends of
+[0, 1] and the stationary points of those branches).  So it scores the
+canonical witnesses first, then a p1 grid plus random p1 draws, then a
+polish of shrinking local p1 grids around the best level.
 """
 
 from coefbound import (
@@ -79,7 +81,10 @@ print(f"  same seed, run twice: identical results -> {a == b}")
 values = [extremal_search(fn, 0.8, budget=n, seed=7).value for n in (1000, 10_000, 100_000)]
 print(f"  free |a4| at lam=0.8, growing budgets 1e3 -> 1e5: {values}")
 print(f"  spread {max(values) - min(values):.1e}: the maximum lies at an interior p1 on |x| = 1,")
-print("  so the budget still matters there, and more of it need not give a larger value")
-print("  (the polish grids move with the incumbent); arg x is settled on every circle.")
+print("  so the budget still matters there: it sets how finely p1 is searched, and more")
+print("  of it need not give a larger value (the polish windows move with the incumbent).")
+print("  x is settled at every p1: arg x on each circle, and |x| at one of 8 radii.")
+seeds = {extremal_search(fn, 0.8, budget=BUDGET, seed=s).value for s in range(4)}
+print(f"  the seed picks only the random p1 draws: seeds 0 to 3 give {sorted(seeds)}.")
 print("  A pinned difference is settled by the maths and returns the same value at every")
 print("  budget.")

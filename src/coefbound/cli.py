@@ -32,13 +32,13 @@ and |a4 - a3| at its --p, whose bound on |x| = r is attained at a real
 x = +-r) the search scores the canonical witnesses and, where that bound
 peaks inside the disk, its peak row, which hold the exact maximum, and
 reports the whole budget as samples; that is 98 of the 106 records of
-`report`.  The 8 free |a4| records search the (p1, |x|) plane, since the
-maximum over arg x on each circle is settled too: canonical witnesses, a
-grid, random draws and a polish of shrinking local grids, all scored in
-fixed-size blocks of real numbers, so memory does not grow with --budget.
-They report as samples 15 canonical points and 3 per (p1, |x|) row, at
-most 2 below the budget.  Every search draws its own rows, so a record's
-duration_ms is its own search.
+`report`.  The 8 free |a4| records search p1 alone, since x is settled at
+each p1 too (arg x on each circle, |x| at one of 8 radii): canonical
+witnesses, a p1 grid, random p1 draws and a polish of shrinking local
+grids, scored in fixed-size blocks, so memory does not grow with --budget.
+They report as samples 15 canonical points and 24 per p1 level (8 radii,
+each a circle of 3 candidates), at most 23 below the budget.  Every search
+draws its own levels, so a record's duration_ms is its own search.
 The search is single-threaded: --workers is accepted for compatibility and
 must be a positive integer, but it changes nothing.
 """

@@ -30,24 +30,21 @@ maximum is the peak of a radial bound on the real axis, and free |a2| and
 report 98 of the 106 records settle; only the 8 free |a4| records run every
 phase.
 
-Free |a4| still settles arg x: on each circle |x| = r, |A|^2 is a quadratic
-in cos(arg x), whose maximum is at one of at most three candidates, and
-schwarz.circle_max scores the one that the maths picks.  The search
-therefore walks the (p1, r) plane, and counts each row as its 3 points.
+Free |a4| still settles x at each p1: schwarz.circle_max takes the best
+of at most three points of each circle |x| = r, and the best circle is at
+one of the 8 radii of schwarz.level_radii.  The search walks p1 alone, and
+counts each level as its 24 points.
 
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
 variant) produce bit-identical reports.  A search scores each phase in
-blocks of at most CHUNK_ROWS (p1, r) rows, drawn or a grid's (levels x
-radii) outer product, with a running first-index argmax, so neither its
-result nor its memory depends on the budget's size beyond the block.
-Every phase skips the rows whose schwarz.score_bound is not above the
-incumbent at the start of their block; the bound is an upper bound on the
-computed score, rounding included, so a skipped row could not have passed
-the strict improvement test.  Neither blocks nor skipping reorder a
-floating-point operation of a scored row, so every path returns the same
-bits, and ``samples`` counts every point, scored or bounded out.  The
-search is single-threaded and draws its own rows, so a search in a run
-returns the bits of a standalone one.
+blocks of at most CHUNK_ROWS p1 levels with a running first-index argmax,
+and skips the levels whose schwarz.level_bound, then the radii whose
+schwarz.score_bound, is not above the incumbent at the start of their
+block: both bound the computed score, rounding included, so nothing
+skipped could pass the strict improvement test.  Neither the result nor
+the memory depends on the block size, ``samples`` counts every point,
+scored or bounded out, and a search in a run (single-threaded, drawing its
+own levels) returns the bits of a standalone one.
 """
 
 from __future__ import annotations
@@ -68,9 +65,8 @@ from .schwarz import (
     CaratheodoryParams,
     caratheodory_moments,
     caratheodory_to_schwarz,
-    circle_scan,
-    grid_axes,
-    plane_scan,
+    grid_chunks,
+    level_scan,
     point_scores,
     polish,
     random_chunks,
@@ -121,15 +117,13 @@ DEFAULT_SEED = 42
 MIN_BUDGET = 1000
 MAX_BUDGET = 10**9
 
-#: Rows per block of the streaming search; a block's arrays and temporaries stay in cache.
+#: p1 levels per block of the streaming search; a block's arrays and temporaries stay in cache.
 CHUNK_ROWS = 8192
 
 #: First polish half-width in grid spacings; later rounds keep as many of the last's spacings, or half its width.
 _POLISH_SPACINGS = 2.0
 #: The last polish round's width over the first's, at every budget.
-_POLISH_NARROWING = 2.0**-20
-#: The (p1, r) plane of free p1: p1 in [0, 2] (a rotation makes p1 >= 0) and r = |x| in [0, 1].
-_PLANE = (0.0, 2.0), (0.0, 1.0)
+_POLISH_NARROWING = 2.0**-15
 
 
 @dataclass(frozen=True)
@@ -332,25 +326,23 @@ def _canonical_rows(fn: Functional):
 
 
 def _schedule(budget: int):
-    """((p1, |x|) grid levels, random rows, polish levels m, rounds, shrink s) of a budget.
+    """(grid levels, random levels, polish levels m, rounds, shrink s) of a budget.
 
-    A search scores the 15 canonical points and (budget - 15) // 3 rows of 3
-    points.  The polish takes the fewest rounds of m^2 rows in half the rows
-    with s^(rounds - 1) = _POLISH_NARROWING and s >= min(0.5,
-    2 _POLISH_SPACINGS / (m - 1)), m >= 3 (below budget 1,149 that is
-    21 rounds of 9 rows, more than half); the grid takes three quarters of
-    the rest, where rows cost less than draws, and the random draws the
-    remainder.
+    A search scores the 15 canonical points and (budget - 15) // 24 p1 levels of 24 points (8 radii,
+    each a circle of 3 candidates).  The polish takes the fewest rounds of m = max(3, levels // 8 //
+    rounds) levels with s^(rounds - 1) = _POLISH_NARROWING and s >= min(0.5, 2 _POLISH_SPACINGS /
+    (m - 1)), or below budget 1,551 as many rounds of 3 levels, s = 1/2, as three quarters of the
+    levels hold.  The grid takes three quarters of the rest, and the random draws the remainder.
     """
-    rows = (budget - 3 * _UNITS_RE.size) // 3
+    levels = (budget - 3 * _UNITS_RE.size) // 24
     for rounds in itertools.count(2):
-        m = max(3, math.isqrt(rows // 2 // rounds))
-        if min(0.5, 2.0 * _POLISH_SPACINGS / (m - 1)) ** (rounds - 1) <= _POLISH_NARROWING:
+        m = max(3, levels // 8 // rounds)
+        floor = min(0.5, 2.0 * _POLISH_SPACINGS / (m - 1))
+        if floor ** (rounds - 1) <= _POLISH_NARROWING or (rounds + 1) * m > levels * 3 // 4:
             break
-    rest = rows - rounds * m * m
-    axes = grid_axes(rest * 3 // 4)
-    shrink = _POLISH_NARROWING ** (1.0 / (rounds - 1))
-    return axes, rest - axes[0].size * axes[1].size, m, rounds, shrink
+    rest = levels - rounds * m
+    shrink = max(floor, _POLISH_NARROWING ** (1.0 / (rounds - 1)))
+    return rest * 3 // 4, rest - rest * 3 // 4, m, rounds, shrink
 
 
 def _settled_rows(fn: Functional, coefs):
@@ -414,7 +406,7 @@ def _best_of(coefs, p1, u, v):
 
     ``coefs`` are _quadratic's four at ``p1``, a pinned scalar or a column,
     and schwarz.point_scores scores the rows, so a witness rescored gives
-    its value bit for bit.  r = |x|; the tuple is the plane scans' format.
+    its value bit for bit.  r = |x|; the tuple is schwarz.level_scan's format.
     """
     vals, re, im = point_scores(*coefs, u, v)
     i = int(np.argmax(vals))
@@ -441,14 +433,13 @@ def extremal_search(
     module docstring).  Where the maths settles x (see _settled_rows; 98 of
     the default report's 106 records) the search scores the rows that hold
     the maximum and returns, with the budget as ``samples``, building no
-    schedule and drawing nothing.  Free |a4| runs every phase of _schedule
-    on the (p1, r) plane, each row scored at its circle_max: the 15
-    canonical witnesses, a (p1, r) grid, seeded (p1, r) draws with atoms at
-    p1 in {0, 2} and r in {0, 1}, then polish rounds of local (p1, r) grids
-    around the incumbent.  Every score is its witness's own, and
-    replacement requires strict improvement, so canonical witnesses win
-    exact ties.  ``samples`` is then 15 + 3 rows, at most 2 below the
-    budget.  ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET], ``seed`` >= 0.
+    schedule and drawing nothing.  Free |a4| runs every phase of _schedule:
+    the 15 canonical witnesses, one stream of a p1 grid and seeded p1 draws
+    (atoms at 0 and 2), then polish rounds of local p1 grids.  Every score
+    is its witness's own, and only a strict improvement replaces the
+    incumbent, so canonical witnesses win exact ties.  ``samples`` is then
+    15 + 24 levels.  ``budget`` must lie in [MIN_BUDGET, MAX_BUDGET],
+    ``seed`` >= 0.
     """
     bounds.check_lambda(lam)
     check_budget(budget)
@@ -459,16 +450,14 @@ def extremal_search(
     if settled is not None:
         return _search_result(_best_of(coefs, *settled), budget)
     found = _best_of(coefs, p1, u, v)
-    (p1_levels, rs), draws, m, rounds, shrink = _schedule(budget)
+    grid, draws, m, rounds, shrink = _schedule(budget)
     coefficients = functools.partial(_quadratic, fn, lam)
-    found = plane_scan(coefficients, p1_levels, rs, found[0], CHUNK_ROWS) or found
-    drawn = ((p1, r, coefficients(p1)) for p1, r in random_chunks(seed, draws, CHUNK_ROWS))
-    found = circle_scan(drawn, found[0]) or found
-    widths = [_POLISH_SPACINGS * float(axis[1] - axis[0]) for axis in (p1_levels, rs)]
-    scan = functools.partial(plane_scan, coefficients, chunk=CHUNK_ROWS)
-    found = polish(scan, found, widths, _PLANE, rounds, m, shrink)
-    rows = p1_levels.size * rs.size + draws + rounds * m * m
-    return _search_result(found, u.size + 3 * rows)
+    levels = itertools.chain(grid_chunks(grid, CHUNK_ROWS), random_chunks(seed, draws, CHUNK_ROWS))
+    found = level_scan(coefficients, levels, found[0], CHUNK_ROWS) or found
+    def scan(p1, best):  # a polish round, on free p1 in [0, 2]: a rotation makes p1 >= 0
+        return level_scan(coefficients, [p1], best, CHUNK_ROWS)
+    found = polish(scan, found, [_POLISH_SPACINGS * 2.0 / (grid - 1)], [(0.0, 2.0)], rounds, m, shrink)
+    return _search_result(found, u.size + 24 * (grid + draws + rounds * m))
 
 
 def _search_result(found, samples: int) -> SearchResult:
@@ -648,8 +637,6 @@ def verify_claim(
 
     Emits one report per grid point, lam outer and p inner.  The violation
     flag is exactly oracle_max > bound + tol; violations never abort the run.
-    Free |a4| near starlike lam* ~ 0.7817284 reads 2.4e-8 low at the default
-    budget (README, "Performance": the limit at lam*).
     """
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}; registered: {sorted(CLAIMS)}")

@@ -12,16 +12,14 @@ the admissible moment body exactly: no rejection step, no false extremal
 candidates outside the true coefficient body.  The moments convert to Schwarz
 coefficients through w = (q - 1)/(q + 1).
 
-The extremal search maximizes over y in closed form (see oracle), and over
-arg x on each circle |x| = r by circle_max, so it walks the (p1, |x|)
-plane: random rows from random_chunks, float64 columns (p1, |x|) scanned
-by circle_scan, and grids from grid_axes through plane_scan and polish,
-bounded as outer products of level and radius factors.
-lemmas.y_bruteforce scans (|x|, arg x) grids through polar_scan and the
-same polish.  sample_param_arrays (sample_params as objects) draws whole
-(p1, x, y) random rows with the same p1 and |x| maps and is the one place
-where complex arrays are built, bit for bit from columns that carry the
-bits numpy's complex arithmetic gives, signed zeros included.
+The extremal search maximizes over y in closed form (see oracle), over arg x
+on each circle |x| = r by circle_max and over r at the 8 radii of
+level_radii, so level_scan walks p1 alone, through the levels of
+grid_chunks, random_chunks and polish.  lemmas.y_bruteforce scans (|x|, arg
+x) grids through polar_scan and the same polish.  sample_param_arrays
+(sample_params as objects) draws whole (p1, x, y) rows and is the one place
+where complex arrays are built, bit for bit from columns that carry the bits
+numpy's complex arithmetic gives, signed zeros included.
 """
 
 from __future__ import annotations
@@ -124,8 +122,8 @@ def sample_param_arrays(
 
     The output depends only on the arguments, never on call order, and a
     smaller draw is a prefix of a larger one.  The rows come whole from the
-    row maps that the search's random rows share; this is the one place
-    where complex arrays are built.
+    maps, the p1 map shared with the search's random levels; this is the one
+    place where complex arrays are built.
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -135,20 +133,6 @@ def sample_param_arrays(
     p1 = _p1_draw(u) if fixed_p1 is None else np.full(count, float(fixed_p1))
     x, y = _disk_point(u[:, 2:6]), _disk_point(u[:, 6:10])
     return p1, _complex(*x), _complex(*y)
-
-
-def grid_axes(count: int):
-    """The search grid's levels (p1, |x|); their product is <= count.
-
-    The axes take turns to grow by one level, p1 first, while the product
-    stays <= count: n levels of |x| and n or n + 1 of p1, with n =
-    isqrt(count), so a count below 4 (2 levels per axis) is refused.  The
-    levels of p1 run from 0 to 2 and those of |x| from 0 to 1.
-    """
-    if count < 4:
-        raise ValueError(f"a grid needs count >= 4, got {count}")
-    n = math.isqrt(count)
-    return np.linspace(0.0, 2.0, n + (n * (n + 1) <= count)), np.linspace(0.0, 1.0, n)
 
 
 def _polar(mod: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,17 +179,23 @@ def _disk_point(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _polar(_modulus(u[:, 0:2]), np.cos(phase), np.sin(phase))
 
 
-def random_chunks(seed, count: int, chunk: int):
-    """The random search rows as (p1, |x|) blocks of at most ``chunk`` rows, in order.
+def grid_chunks(count: int, chunk: int):
+    """The search grid's p1 levels, np.linspace(0, 2, count) bit for bit, in blocks of at most ``chunk``; count >= 2."""
+    if count < 2:
+        raise ValueError(f"a grid needs count >= 2, got {count}")
+    step = 2.0 / (count - 1)  # numpy's: level k is k * step, and the last is 2 exactly
+    for first in range(0, count, chunk):
+        p1 = np.arange(first, min(first + chunk, count), dtype=float) * step
+        if first + chunk >= count:
+            p1[-1] = 2.0
+        yield p1
 
-    Row k maps 4 uniforms through sample_params' maps of p1 and of |x|, with
-    atoms at p1 = 2 and 0 and at |x| = 1 and 0.  The blocks concatenate to
-    one draw, and a smaller draw is a prefix of a larger one.
-    """
+
+def random_chunks(seed, count: int, chunk: int):
+    """The seeded search levels in blocks of at most ``chunk``: level k is sample_params' p1 map of row k of one draw."""
     rng = np.random.default_rng(seed)
     for start in range(0, count, chunk):
-        u = rng.random((min(chunk, count - start), 4))
-        yield _p1_draw(u), _modulus(u[:, 2:4])
+        yield _p1_draw(rng.random((min(chunk, count - start), 2)))
 
 
 #: Rounding margin of score_bound, relative to |alpha| + |beta| + |gamma| + |kq|.
@@ -265,12 +255,10 @@ def circle_max(alpha, beta, gamma, kq, r):
     candidate x = r (c + i sqrt(1 - c^2)) is scored, by point_scores; the
     other two are bounded out.  The signs of M and L are taken from the
     signs of their factors, which cannot underflow as the products can.
-    Works on scalars and on broadcasting arrays, broadcast only where needed.
+    Works on scalars and on broadcasting arrays; np.divide makes Python floats divide by 0 as numpy's.
     """
-    if not all(isinstance(a, np.ndarray) and a.shape == np.shape(r) for a in (alpha, beta, gamma, kq, r)):
-        alpha, beta, gamma, kq, r = np.broadcast_arrays(alpha, beta, gamma, kq, r)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vertex = -(beta / gamma) / (4.0 * r) - (beta / alpha) * (0.25 * r)
+        vertex = -np.divide(beta, gamma) / (4.0 * r) - np.divide(beta, alpha) * (0.25 * r)
     inside = (np.sign(alpha) * np.sign(gamma) < 0.0) & (np.abs(vertex) < 1.0)
     end = np.where(np.sign(beta) * np.sign(alpha + gamma * (r * r)) < 0.0, -1.0, 1.0)
     c = np.where(inside, vertex, end)
@@ -279,55 +267,77 @@ def circle_max(alpha, beta, gamma, kq, r):
     return vals, u, v, re, im
 
 
-def _first_above(best, found, p1, r, coefs):
-    """(best, found) after the rows (p1, r, coefs): the first largest circle_max replaces them where above best."""
-    vals, *point = circle_max(*coefs, r)
-    i = int(np.argmax(vals))
-    if vals[i] > best:
-        found = float(vals[i]), float(p1[i]), float(r[i]), *(float(a[i]) for a in point)
-        best = found[0]
-    return best, found
+def level_bound(alpha, beta, gamma, kq):
+    """score_bound at its peak over r in [0, 1], so above every computed score of the level.
+
+    score_bound is |alpha| + kq + |beta| r - (kq - |gamma|) r^2 plus a margin that covers the
+    rounding of r; it peaks at r = |beta| / (2 (kq - |gamma|)) where that is below 1, else at 1.
+    """
+    b, slack = np.abs(beta), kq - np.abs(gamma)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return score_bound(alpha, beta, gamma, kq, np.where(b < 2.0 * slack, b / (2.0 * slack), 1.0))
 
 
-def circle_scan(blocks, best: float = -math.inf):
-    """The first (p1, r) row of ``blocks`` whose circle_max exceeds ``best``: the draws' scan.
+def level_radii(alpha, beta, gamma, kq):
+    """The 8 radii of each level, one row per level, at one of which circle_max finds the level's maximum.
 
-    Each block is (p1, r, (alpha, beta, gamma, kq)), a coefficient a scalar
-    or one value per row.  Only the rows whose score_bound is above the
-    incumbent at the start of their block are gathered and scored, and a
-    block's maximum replaces the incumbent only where strictly larger: the
-    result is the first maximal row of the stream at any block size, with
-    the bits of scoring every row.  Returns (value, p1, r, Re x, Im x,
-    Re A, Im A) or None.
+    With arg x settled, the maximum over r in [0, 1] is at r = 0, r = 1 or a stationary point of
+    circle_max's branch.  The end branch c = +-1 scores sigma (alpha + c beta r + gamma r^2) +
+    kq (1 - r^2), sigma the bracket's sign: r = sigma c beta / (2 (kq - sigma gamma)), 4 radii.  The
+    vertex branch scores sqrt(A0 + A1 s + A2 s^2) + kq (1 - s) in s = r^2, A0 = alpha (alpha -
+    beta^2/(4 gamma)), A1 = beta^2/2 - 2 alpha gamma, A2 = gamma (gamma - beta^2/(4 alpha)): the roots
+    of A2 (A2 - kq^2) s^2 + A1 (A2 - kq^2) s + (A1^2/4 - kq^2 A0) = 0, or of its linear case, by the
+    stable formula.  Radii off [0, 1] or NaN are clipped; a spurious one takes nothing away.
+    """
+    alpha, beta, gamma, kq = (np.asarray(c, dtype=float) for c in (alpha, beta, gamma, kq))  # numpy's division by 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        square, k2 = beta * beta, kq * kq
+        a1, a2 = 0.5 * square - 2.0 * alpha * gamma, gamma * (gamma - square / (4.0 * alpha))
+        qa, qb, qc = a2 * (a2 - k2), a1 * (a2 - k2), 0.25 * a1 * a1 - k2 * (alpha * (alpha - square / (4.0 * gamma)))
+        h = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+        r = np.empty((*np.shape(h), 8))  # filled column by column: cheaper than stacking 8 arrays
+        r[..., 0], r[..., 1] = 0.0, 1.0
+        r[..., 2], r[..., 3] = beta / (2.0 * (kq - gamma)), beta / (2.0 * (kq + gamma))
+        r[..., 4:6] = -r[..., 2:4]
+        r[..., 6], r[..., 7] = np.sqrt(h / qa), np.sqrt(qc / h)
+    return np.where(r > 0.0, np.minimum(r, 1.0), 0.0)
+
+
+def _blocks(arrays, chunk: int):
+    """The values of ``arrays`` in order, as blocks of ``chunk`` values; the last holds the rest, maybe none."""
+    held = np.empty(0)
+    for a in arrays:
+        held = np.concatenate([held, a])
+        while held.size >= chunk:
+            yield held[:chunk]
+            held = held[chunk:]
+    yield held
+
+
+def level_scan(coefficients, levels, best: float = -math.inf, chunk: int = 8192):
+    """The first p1 level whose maximum exceeds ``best``: (value, p1, r, Re x, Im x, Re A, Im A) or None.
+
+    ``levels`` are arrays of p1, scored in order in blocks of at most ``chunk``, whose (alpha, beta,
+    gamma, kq) ``coefficients(p1)`` gives.  Levels whose level_bound, then radii whose score_bound,
+    is not above the incumbent at the start of the block are skipped, so the result, the first
+    maximal radius, has the bits of scoring every radius at any block size.
     """
     found = None
-    for p1, r, coefs in blocks:
-        rows = np.broadcast_arrays(*coefs, r)
-        keep = np.flatnonzero(score_bound(*rows) > best)
-        if keep.size:
-            best, found = _first_above(best, found, p1[keep], r[keep], [a[keep] for a in rows[:4]])
-    return found
-
-
-def plane_scan(coefficients, p1_levels, rs, best: float = -math.inf, chunk: int = 8192):
-    """circle_scan over the rows p1_levels x rs, p1 outer, at most ``chunk`` rows a block.
-
-    ``coefficients(p1_levels)`` gives each level's (alpha, beta, gamma,
-    kq), a scalar or one value per level.  A block is whole levels, or a
-    run of one level's radii, as in polar_scan, and its score_bound is the
-    outer product of the levels' columns and the radii's row, each element
-    with the bits of its row's.  Only the rows bounded above the incumbent
-    are gathered and scored, so no grid or block of rows is ever built.
-    """
-    *coefs, _ = np.broadcast_arrays(*coefficients(p1_levels), p1_levels)
-    levels, width = max(1, chunk // rs.size), min(chunk, rs.size)
-    found = None
-    for first, col in itertools.product(range(0, p1_levels.size, levels), range(0, rs.size, width)):
-        p1, *block = (a[first : first + levels] for a in (p1_levels, *coefs))
-        r = rs[col : col + width]
-        i, j = np.divmod(np.flatnonzero(score_bound(*(c[:, None] for c in block), r) > best), r.size)
-        if i.size:
-            best, found = _first_above(best, found, p1[i], r[j], [c[i] for c in block])
+    for p1 in _blocks(levels, chunk):
+        *coefs, _ = np.broadcast_arrays(*coefficients(p1), p1)
+        keep = np.flatnonzero(level_bound(*coefs) > best)
+        if not keep.size:
+            continue
+        p1, coefs = p1[keep], [c[keep] for c in coefs]
+        r = level_radii(*coefs)
+        i, j = np.divmod(np.flatnonzero(score_bound(*(c[:, None] for c in coefs), r) > best), r.shape[1])
+        if not i.size:
+            continue
+        vals, *point = circle_max(*(c[i] for c in coefs), r[i, j])
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            found = float(vals[k]), float(p1[i[k]]), float(r[i[k], j[k]]), *(float(a[k]) for a in point)
+            best = found[0]
     return found
 
 
@@ -418,11 +428,11 @@ def _linspace(k: np.ndarray, start: float, stop: float) -> np.ndarray:
 def polish(scan, incumbent, widths, limits, rounds, levels, shrink):
     """Rounds of ``scan`` on local grids around the incumbent, each ``shrink`` times narrower.
 
-    ``incumbent`` is a scan's result, whose entries 1 and 2 are its point on
-    the scan's two axes, and ``widths`` the first half-widths.  A round
-    calls scan(axis0, axis1, best) with ``levels`` levels per axis across
-    c +- w around the incumbent, clipped to the axis's (lo, hi) in
-    ``limits``, and keeps the incumbent where the scan finds nothing above.
+    ``incumbent`` is a scan's result, whose entries from 1 on are its point
+    on the scan's axes (p1, or (r, t)), one per first half-width in
+    ``widths``.  A round calls scan(*axes, best) with ``levels`` levels per
+    axis across c +- w around the incumbent, clipped to the axis's (lo, hi)
+    in ``limits``, and keeps the incumbent where the scan finds nothing above.
     """
     k = np.arange(levels, dtype=float)
     for _ in range(rounds):

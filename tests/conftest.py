@@ -5,29 +5,22 @@ from coefbound import schwarz
 
 @pytest.fixture
 def grid_points_scored(monkeypatch):
-    """points(module, run, scan): the points scored in run()'s first call of ``module``'s own ``scan``.
+    """points(module, run): the points scored in run()'s first call of ``module``'s own polar_scan.
 
-    That first call is the exploration grid: y_bruteforce's polar_scan, or a
-    search's plane_scan; the polish rounds call the same scan later.  A
-    polar point is one schwarz._scores element, seed rows included, and a
-    plane row that circle_max scores counts as its 3 points.
+    That first call is y_bruteforce's exploration grid; the polish rounds
+    call the same scan later.  A point is one schwarz._scores element, seed
+    rows included.
     """
 
-    def points(module, run, scan="polar_scan"):
+    def points(module, run):
         sizes, calls = [], []
-        scores, circle, grid_scan = schwarz._scores, schwarz.circle_max, getattr(module, scan)
+        scores, grid_scan = schwarz._scores, module.polar_scan
 
         def counting_scores(*args):
             vals = scores(*args)
             if calls == [True]:
                 sizes.append(vals.size)
             return vals
-
-        def counting_circle(*args):
-            out = circle(*args)
-            if calls == [True]:
-                sizes.append(3 * out[0].size)
-            return out
 
         def grid(*args, **kwargs):
             calls.append(True)
@@ -37,8 +30,7 @@ def grid_points_scored(monkeypatch):
                 calls.append(False)
 
         monkeypatch.setattr(schwarz, "_scores", counting_scores)
-        monkeypatch.setattr(schwarz, "circle_max", counting_circle)
-        monkeypatch.setattr(module, scan, grid)
+        monkeypatch.setattr(module, "polar_scan", grid)
         run()
         return sum(sizes)
 

@@ -93,30 +93,26 @@ def test_y_bruteforce_scores_y_evals_points(monkeypatch):
 @pytest.mark.parametrize("cls", ["starlike", "convex"])
 def test_a_default_search_scores_the_samples_it_reports(monkeypatch, cls):
     # report's and deep's evals_per_s sum the records' samples: the canonical
-    # points, and 3 points for each (p1, r) row, scored or bounded out
-    from coefbound import oracle, schwarz
+    # points, and 24 points for each p1 level (8 radii, each a circle of 3
+    # candidates), scored or bounded out
+    from coefbound import oracle
 
     scored = []
-    best_of, circle_scan, plane_scan = oracle._best_of, schwarz.circle_scan, schwarz.plane_scan
+    best_of, level_scan = oracle._best_of, oracle.level_scan
 
     def counting_best_of(coefs, p1, u, v):
         scored.append(u.size)
         return best_of(coefs, p1, u, v)
 
-    def counting_circle_scan(blocks, *args):
-        blocks = list(blocks)
-        scored.append(3 * sum(r.size for _, r, _ in blocks))
-        return circle_scan(blocks, *args)
-
-    def counting_plane_scan(coefficients, p1_levels, rs, *args, **kwargs):
-        scored.append(3 * p1_levels.size * rs.size)
-        return plane_scan(coefficients, p1_levels, rs, *args, **kwargs)
+    def counting_level_scan(coefficients, levels, *args, **kwargs):
+        levels = list(levels)
+        scored.append(24 * sum(p1.size for p1 in levels))
+        return level_scan(coefficients, levels, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_best_of", counting_best_of)
-    monkeypatch.setattr(oracle, "circle_scan", counting_circle_scan)  # the draws
-    monkeypatch.setattr(oracle, "plane_scan", counting_plane_scan)  # the grid and the polish rounds
+    monkeypatch.setattr(oracle, "level_scan", counting_level_scan)  # the grid and draws, then each polish round
     # free |a4| is the one search that the maths does not settle, so it runs every phase
     result = oracle.extremal_search(oracle.Functional("abs_a4", cls), 0.8)
     budget = oracle.DEFAULT_BUDGET
-    assert result.samples == sum(scored) == 15 + 3 * ((budget - 15) // 3) == budget - 1
+    assert result.samples == sum(scored) == 15 + 24 * ((budget - 15) // 24) == budget - 1
     assert scored[0] == 15  # the canonical phase, the one block of points

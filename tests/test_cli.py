@@ -476,12 +476,13 @@ class TestVerifyCommand:
             "--format", "csv",
         )
         assert code == 1
+        # samples: the 15 canonical points and 24 per p1 level, 15 + 24 ((2000 - 15) // 24) = 1983
         assert out == (
             ",".join(cli.REPORT_COLUMNS) + "\n"
             "thm3.1-a4,0.21,,0.05411496359365945,1/5<lambda<=r0,0.06999999999999999,"
-            "0.0,0.0,0.0,1.0,0.0,-0.015885036406340543,true,1998,42,0,\n"
+            "0.0,0.0,0.0,1.0,0.0,-0.015885036406340543,true,1983,42,0,\n"
             "thm3.1-a4,1.0,,0.4722222222222222,lambda>sqrt(32/43),0.4722222222222222,"
-            "2.0,0.0,0.0,1.0,0.0,0.0,false,1998,42,0,\n"
+            "2.0,0.0,0.0,1.0,0.0,0.0,false,1983,42,0,\n"
         )
 
     def test_default_grids_from_registry(self, capsys):

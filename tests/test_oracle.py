@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -32,12 +33,36 @@ from coefbound.bounds import BREAK_TOL, LAMBDA_MIN, P_MAX, bound
 from coefbound import schwarz
 from coefbound.schwarz import (
     CaratheodoryParams,
-    circle_scan,
+    level_bound,
+    level_scan,
     polar_scan,
     random_chunks,
     sample_params,
     score_bound,
 )
+
+
+def _levels_formed(monkeypatch, run):
+    """The levels whose radii run()'s first oracle.level_scan call forms: the grid and draws its level bound keeps."""
+    sizes, calls = [], []
+    radii, scan = schwarz.level_radii, oracle.level_scan
+
+    def counting_radii(*coefs):
+        if calls == [True]:
+            sizes.append(np.size(coefs[0]))
+        return radii(*coefs)
+
+    def first_scan(*args, **kwargs):
+        calls.append(True)
+        try:
+            return scan(*args, **kwargs)
+        finally:
+            calls.append(False)
+
+    monkeypatch.setattr(schwarz, "level_radii", counting_radii)
+    monkeypatch.setattr(oracle, "level_scan", first_scan)
+    run()
+    return sum(sizes)
 
 
 class TestFunctional:
@@ -171,12 +196,12 @@ class TestExtremalSearch:
             ("abs_a4_minus_a3", "starlike", 1.2, True),
         ],
     )
-    def test_only_a_search_the_maths_settles_skips_the_grid(self, grid_points_scored, kind, cls, p, settled):
+    def test_only_a_search_the_maths_settles_skips_the_grid(self, monkeypatch, kind, cls, p, settled):
         fn = Functional(kind, cls, fixed_p=p)
         found = []
-        points = grid_points_scored(oracle, lambda: found.append(extremal_search(fn, 0.9)), "plane_scan")
-        assert (points == 0) == settled
-        # a settled search reports the budget; free |a4| 15 points and 3 per row
+        levels = _levels_formed(monkeypatch, lambda: found.append(extremal_search(fn, 0.9)))
+        assert (levels == 0) == settled
+        # a settled search reports the budget; free |a4| 15 points and 24 per level
         assert found[0].samples == oracle.DEFAULT_BUDGET - (not settled)
 
     @given(
@@ -215,8 +240,8 @@ class TestExtremalSearch:
         assert np.sign(alpha) * np.sign(gamma) >= 0.0
         grids, quadratics = [], []
         with pytest.MonkeyPatch.context() as m:
-            scan = oracle.plane_scan
-            m.setattr(oracle, "plane_scan", lambda *args, **kw: grids.append(1) or scan(*args, **kw))
+            scan = oracle.level_scan
+            m.setattr(oracle, "level_scan", lambda *args, **kw: grids.append(1) or scan(*args, **kw))
             m.setattr(oracle, "_quadratic", lambda *args: quadratics.append(1) or _quadratic(*args))
             out = extremal_search(fn, lam, budget=1000)
         assert not grids
@@ -314,7 +339,7 @@ class TestExtremalSearch:
         assert a == b
 
     def test_budget_sweep_stays_under_the_bound_and_converges(self):
-        # More budget need not give a larger value (the polish grids move with
+        # More budget need not give a larger value (the polish windows move with
         # the incumbent), but no budget may exceed the sharp bound, and the
         # default budget resolves it to 1e-9 at every seed.
         fn = Functional("abs_a4_minus_a3", "convex", fixed_p=0.6)
@@ -328,9 +353,9 @@ class TestExtremalSearch:
     @pytest.mark.parametrize(
         "kind, cls, lam, budget, seed, refined",
         [
-            # the polish has 7 levels per axis
+            # 16 polish rounds of 5 levels
             ("abs_a4", "starlike", 0.7993214127316798, 17520, 1157691257, 0.26948732959496235),
-            # 3 levels per axis, at the least budgets
+            # 10 and 16 polish rounds of 3 levels, at the least budgets
             ("abs_a4", "starlike", 0.8487731687614083, 1043, 470325821, 0.29513414485900435),
             ("abs_a4", "convex", 0.8357257722538398, 1687, 525182117, 0.07207079758725989),
         ],
@@ -463,12 +488,12 @@ class TestSharedInputs:
     def test_a_run_whose_every_search_settles_builds_no_schedule(self, monkeypatch):
         # the schedule waits for the first search that passes its canonical phase
         def refuse(*_):
-            raise AssertionError("grid_axes called")
+            raise AssertionError("_schedule called")
 
-        monkeypatch.setattr(oracle, "grid_axes", refuse)
+        monkeypatch.setattr(oracle, "_schedule", refuse)
         reports = verify_claim("thm3.5-d32", [0.3, 1.0])
         assert len(reports) == 10 and all(r.samples == oracle.DEFAULT_BUDGET for r in reports)
-        with pytest.raises(AssertionError, match="grid_axes called"):
+        with pytest.raises(AssertionError, match="_schedule called"):
             verify_claim("thm3.1-a4", [1.0])
 
     def test_records_keep_lambda_outer_p_inner_order(self):
@@ -544,30 +569,21 @@ class TestStreamingSearch:
         assert peak < 32 * 2**20, peak
 
 
-def _row_bounds(fn, lam, blocks):
-    """score_bound and the bare triangle bound (no rounding margin) of every (p1, r) row."""
-    p1 = np.concatenate([block[0] for block in blocks])
-    r = np.concatenate([block[1] for block in blocks])
-    alpha, beta, gamma, kq = _quadratic(fn, lam, p1)
-    triangle = abs(alpha) + abs(beta) * r + abs(gamma) * (r * r) + kq * (1.0 - r * r)
-    return score_bound(alpha, beta, gamma, kq, r), triangle
-
-
-def _coefficient_rows(fn, lam, blocks):
-    """circle_scan's blocks: each (p1, r) block with its rows' coefficients."""
-    return [(p1, r, _quadratic(fn, lam, p1)) for p1, r in blocks]
+def _level_coefficients(fn, lam, blocks):
+    """The levels of ``blocks`` joined, and their (alpha, beta, gamma, kq), one value per level."""
+    p1 = np.concatenate(blocks)
+    return p1, [np.broadcast_to(c, p1.shape) for c in _quadratic(fn, lam, p1)]
 
 
 def _unbounded_scan(fn, lam, blocks, best):
-    """circle_scan without the row bound: circle_max scores every row."""
-    found = None
-    for p1, r in blocks:
-        vals, *point = schwarz.circle_max(*_quadratic(fn, lam, p1), r)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
-            found = (best, float(p1[i]), float(r[i]), *(float(a[i]) for a in point))
-    return found
+    """level_scan without its bounds: circle_max scores every radius of every level."""
+    p1, coefs = _level_coefficients(fn, lam, blocks)
+    r = schwarz.level_radii(*coefs)
+    vals, *point = schwarz.circle_max(*(c[:, None] for c in coefs), r)
+    i, j = divmod(int(np.argmax(vals)), r.shape[1])
+    if not vals[i, j] > best:
+        return None
+    return float(vals[i, j]), float(p1[i]), float(r[i, j]), *(float(a[i, j]) for a in point)
 
 
 class TestBoundedDraws:
@@ -577,70 +593,67 @@ class TestBoundedDraws:
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=1, max_value=300),
         st.integers(min_value=1, max_value=64),
-        st.sampled_from(["none", "max", "below", "bound", "triangle"]),
+        st.sampled_from(["none", "max", "below", "level", "radius"]),
         st.integers(min_value=0),
     )
     @settings(max_examples=200, deadline=None)
     def test_bounded_rows_score_as_every_row(self, fn, lam, seed, count, chunk, incumbent, row):
-        # a row is skipped only where it could not pass the strict test, so
-        # every incumbent, ties included, keeps every bit; the rows' p1
-        # column is scored whether or not fn pins p1
+        # a level or a radius is skipped only where it could not pass the
+        # strict test, so every incumbent, ties included, keeps every bit;
+        # the draws' p1 is scored whether or not fn pins p1
         blocks = list(random_chunks(seed, count, chunk))
         top = _unbounded_scan(fn, lam, blocks, -np.inf)[0]
-        bound, triangle = (np.broadcast_to(b, (count,)) for b in _row_bounds(fn, lam, blocks))
+        _, coefs = _level_coefficients(fn, lam, blocks)
+        radius = schwarz.level_radii(*coefs).ravel()[row % (8 * count)]
         best = {
             "none": -np.inf,
             "max": top,
             "below": np.nextafter(top, -np.inf),
-            "bound": bound[row % count],
-            "triangle": triangle[row % count],
+            "level": level_bound(*coefs)[row % count],
+            "radius": score_bound(*(c[row % (8 * count) // 8] for c in coefs), radius),
         }[incumbent]
-        got = circle_scan(_coefficient_rows(fn, lam, blocks), float(best))
+        got = level_scan(functools.partial(_quadratic, fn, lam), blocks, float(best), chunk)
         assert repr(got) == repr(_unbounded_scan(fn, lam, blocks, float(best)))
 
     @pytest.mark.parametrize("p", [None, 0.5])
     def test_no_row_bounded_at_the_incumbent_is_finished(self, monkeypatch, p):
-        # no work past the bound: a row bounded at the incumbent never reaches circle_max
-        scored = []
-        circle = schwarz.circle_max
-
-        def counting(*args):
-            scored.append(args[-1].size)
-            return circle(*args)
-
-        monkeypatch.setattr(schwarz, "circle_max", counting)
+        # no work past the bound: a level bounded at the incumbent forms no radii and reaches no circle_max
+        formed, scored = [], []
+        radii, circle = schwarz.level_radii, schwarz.circle_max
+        monkeypatch.setattr(schwarz, "level_radii", lambda *args: formed.append(1) or radii(*args))
+        monkeypatch.setattr(schwarz, "circle_max", lambda *args: scored.append(1) or circle(*args))
         fn = Functional("abs_a4_minus_a3" if p else "abs_a4", "convex", fixed_p=p)
         blocks = list(random_chunks(4, 2000, 512))
-        rows = _coefficient_rows(fn, 0.9, blocks)
-        best = float(np.max(_row_bounds(fn, 0.9, blocks)[0]))
-        assert circle_scan(rows, best) is None
-        assert scored == []
-        # one ulp lower, the rows at that bound are scored
-        circle_scan(rows, float(np.nextafter(best, -np.inf)))
-        assert scored
+        coefficients = functools.partial(_quadratic, fn, 0.9)
+        best = float(np.max(level_bound(*_level_coefficients(fn, 0.9, blocks)[1])))
+        assert level_scan(coefficients, blocks, best) is None
+        assert formed == scored == []
+        # one ulp lower, the levels at that bound form their radii
+        level_scan(coefficients, blocks, float(np.nextafter(best, -np.inf)))
+        assert formed
 
     @pytest.mark.parametrize("cls, lam", [("starlike", 0.3), ("convex", 0.3)])
-    def test_a_search_scores_few_of_its_grid_rows(self, grid_points_scored, cls, lam):
-        # the canonical witnesses bound out most of the (p1, r) grid
+    def test_a_search_scores_few_of_its_grid_rows(self, monkeypatch, cls, lam):
+        # the canonical witnesses bound out most of the grid's and the draws' levels
         fn = Functional("abs_a4", cls)
-        points = grid_points_scored(oracle, lambda: extremal_search(fn, lam), "plane_scan")
-        p1, mod = _schedule(oracle.DEFAULT_BUDGET)[0]
-        assert 0 < points < 0.05 * 3 * p1.size * mod.size
+        levels = _levels_formed(monkeypatch, lambda: extremal_search(fn, lam))
+        grid, draws = _schedule(oracle.DEFAULT_BUDGET)[:2]
+        assert 0 < levels < 0.05 * (grid + draws)
 
     @pytest.mark.parametrize(
         "kind, cls, p, lam",
         [("abs_a4_minus_a3", "starlike", 2.0, 1.4), ("abs_a3_minus_a2", "convex", 1.0, 0.3)],
     )
-    def test_a_search_pinned_at_p1_two_scores_no_grid_point(self, grid_points_scored, kind, cls, p, lam):
+    def test_a_search_pinned_at_p1_two_scores_no_grid_point(self, monkeypatch, kind, cls, p, lam):
         # q = 0 there, so F = alpha for every x: all candidates tie the
         # canonical x = 0, and the search returns it after the canonical phase
         fn = Functional(kind, cls, fixed_p=p)
         found = []
-        points = grid_points_scored(oracle, lambda: found.append(extremal_search(fn, lam)), "plane_scan")
+        levels = _levels_formed(monkeypatch, lambda: found.append(extremal_search(fn, lam)))
         (out,) = found
         alpha, *rest = _quadratic(fn, lam, 2.0)
         assert rest == [0.0, 0.0, 0.0]
-        assert points == 0
+        assert levels == 0
         assert out.witness.p1 == 2.0 and out.witness.x == 0
         assert out.value == abs(alpha)
         assert functional_value(fn, lam, out.witness) == pytest.approx(out.value, rel=1e-12)
@@ -756,20 +769,32 @@ class TestMaximumOverY:
     @pytest.mark.parametrize("searched", [False, True])
     @pytest.mark.parametrize("budget", [1000, 1001, 5000, 99_999, 100_000, 2_000_000])
     def test_phases_add_up_to_the_budget(self, budget, searched):
-        (p1, mod), rand, m, rounds, shrink = _schedule(budget)
-        rows = (budget - 15) // 3
-        # the polish takes at most half the rows (at the least budgets, 21
-        # rounds of 3 x 3 rows), and its last window is the same fraction of
-        # its first at every budget, never narrowing a round by more than
-        # two spacings of the last or by half
-        assert 3 <= m and (rounds * m * m <= rows // 2 < rounds * (m + 1) ** 2 or (m, rounds) == (3, 21))
-        assert abs(shrink ** (rounds - 1) / oracle._POLISH_NARROWING - 1.0) <= 1e-12
+        grid, rand, m, rounds, shrink = _schedule(budget)
+        levels = (budget - 15) // 24
+        # the polish takes an eighth of the levels, or rounds of 3 levels, and
+        # its last window is the same fraction of its first at every budget,
+        # never narrowing a round by more than two spacings of the last or by
+        # half; below budget 1,551 it takes as many rounds of 3 levels, each
+        # half as wide, as three quarters of the levels hold
+        assert 3 <= m and rounds >= 2 and rounds * m <= max(levels // 8, 3 * rounds)
         assert min(0.5, 4.0 / (m - 1)) <= shrink + 1e-15
-        assert rand >= 1 and p1.size * mod.size >= rand
-        assert p1.size * mod.size + rand + rounds * m * m == rows
-        assert budget - 2 <= 15 + 3 * rows <= budget
+        if abs(shrink ** (rounds - 1) / oracle._POLISH_NARROWING - 1.0) > 1e-12:
+            assert budget < 1551 and (m, shrink) == (3, 0.5) and rounds * m <= levels * 3 // 4 < (rounds + 1) * m
+        assert rand >= 1 and grid >= rand
+        assert grid + rand + rounds * m == levels
+        assert budget - 23 <= 15 + 24 * levels <= budget
         if searched:  # and the search that runs every phase reports exactly those points
-            assert extremal_search(Functional("abs_a4", "convex"), 0.7, budget=budget).samples == 15 + 3 * rows
+            assert extremal_search(Functional("abs_a4", "convex"), 0.7, budget=budget).samples == 15 + 24 * levels
+
+    @pytest.mark.parametrize("cls, want", [("starlike", 0.2605763713364155), ("convex", 0.06514409283410387)])
+    def test_free_a4_at_the_branch_switch_finds_the_narrow_maximum(self, cls, want):
+        # at lam* ~ 0.7817284 the maximum sits on |x| = 1 in a p1 bump 0.0015
+        # wide, 2.4e-7 (starlike) above the z^3 witness value lam/3 at p1 = 0;
+        # ``want`` is what budget 1,200,000 returns
+        out = extremal_search(Functional("abs_a4", cls), 0.7817284)
+        assert abs(out.value - want) <= 2 * math.ulp(want)
+        assert 1.014 < out.witness.p1 < 1.017 and abs(abs(out.witness.x) - 1.0) <= 1e-15
+        assert _replays(Functional("abs_a4", cls), 0.7817284, out.witness, out.value)
 
     def test_every_default_record_replays_exactly(self):
         records = run_claim_suite()

@@ -1,5 +1,4 @@
 import cmath
-import functools
 import itertools
 import math
 
@@ -14,8 +13,10 @@ from coefbound.schwarz import (
     caratheodory_moments,
     caratheodory_to_schwarz,
     circle_max,
-    grid_axes,
-    plane_scan,
+    grid_chunks,
+    level_bound,
+    level_radii,
+    level_scan,
     point_scores,
     polar_scan,
     polish,
@@ -149,24 +150,23 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_params(1, 0, "random")
 
-    # the grid is grid_axes, the (p1, |x|) levels that plane_scan searches
+    # the grid is grid_chunks, the p1 levels that the search's level_scan takes first
 
     def test_grid_includes_corner(self):
-        for count in [*range(4, 3001), 24_000, 499_000]:
-            p1, mod = grid_axes(count)
-            assert p1[0] == mod[0] == 0.0 and p1[-1] == 2.0 and mod[-1] == 1.0
+        # the levels are np.linspace's, so the ends p1 = 0 and 2 are exact, at any block size
+        for count, chunk in [*((n, 8192) for n in range(2, 3001)), (24_000, 8192), (499_000, 8192), (1000, 7), (9, 1)]:
+            p1 = np.concatenate(list(grid_chunks(count, chunk)))
+            assert p1[0] == 0.0 and p1[-1] == 2.0
+            assert p1.tobytes() == np.linspace(0.0, 2.0, count).tobytes()
 
     def test_grid_respects_count(self):
-        # the smallest grid has 2 levels per axis: 4 points
-        for count in range(1, 4):
-            with pytest.raises(ValueError, match="count >= 4"):
-                grid_axes(count)
-        for count in [*range(4, 3001), 24_000, 499_000]:
-            p1, mod = grid_axes(count)
-            # the axes took turns to grow, p1 first, while the product stayed <= count
-            assert p1.size * mod.size <= count
-            assert mod.size <= p1.size <= mod.size + 1
-            assert (p1.size + 1) * mod.size > count if p1.size == mod.size else p1.size * (mod.size + 1) > count
+        # the smallest grid has its 2 ends; a grid holds count levels, in blocks of at most chunk
+        for count in range(-1, 2):
+            with pytest.raises(ValueError, match="count >= 2"):
+                next(grid_chunks(count, 8192))
+        for count, chunk in itertools.product([2, 3, 8, 9, 1000, 24_000], [1, 8, 8192]):
+            sizes = [block.size for block in grid_chunks(count, chunk)]
+            assert sum(sizes) == count and all(0 < size <= chunk for size in sizes)
 
     def test_array_and_object_paths_agree(self):
         p1, x, y = sample_param_arrays(9, 17, "random")
@@ -181,10 +181,10 @@ def _bits(arrays):
 
 
 def _joined(blocks, chunk):
-    """The columns of ``blocks`` joined."""
+    """The p1 levels of ``blocks`` joined."""
     blocks = list(blocks)
-    assert all(0 < b[1].size <= chunk for b in blocks)
-    return [np.concatenate(column) for column in zip(*blocks)]
+    assert all(0 < b.size <= chunk for b in blocks)
+    return np.concatenate(blocks)
 
 
 chunks = st.integers(min_value=1, max_value=5000)
@@ -197,12 +197,11 @@ chunks = st.integers(min_value=1, max_value=5000)
 )
 @settings(max_examples=100, deadline=None)
 def test_random_chunks_concatenate_to_one_draw(seed, count, chunk):
-    # a search row is the (p1, |x|) of a 4-uniform row of one draw
+    # a search level is the p1 of a 2-uniform row of one draw
     got = _joined(random_chunks(seed, count, chunk), chunk)
-    assert len(got) == 2
-    assert all(col.dtype == np.float64 and col.flags.c_contiguous for col in got)
-    want = _random_reference(seed, count, None, 4)
-    assert _bits(got) == _bits(want)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    want = _random_reference(seed, count, None, 2)
+    assert _bits([got]) == _bits(want)
 
 
 def _masked_modulus(u):
@@ -217,9 +216,8 @@ def _masked_modulus(u):
 def _random_reference(seed, count, fixed_p1, width):
     """The random draw as one complex computation, mod * exp(1j * phase) on every row.
 
-    Rows of ``width`` uniforms: 4 give (p1, |x|), as the search draws them
-    (the phase is all 0, so |x| is the modulus), and 10 give (p1, x, y), as
-    sample_params draws them.
+    Rows of ``width`` uniforms: 2 give p1, as the search draws its levels,
+    and 10 give (p1, x, y), as sample_params draws them.
     """
     u = np.random.default_rng(seed).random((count, width))
     if fixed_p1 is None:  # p1 has the modulus's atoms at twice the values, and doubling is exact
@@ -229,9 +227,6 @@ def _random_reference(seed, count, fixed_p1, width):
     points = []
     for k in range(2, width, 4):
         mod = _masked_modulus(u[:, k : k + 2])
-        if width == 4:
-            points.append(mod)
-            continue
         selp, valp = u[:, k + 2], u[:, k + 3]
         phase = 2.0 * np.pi * valp
         phase[selp < 0.125] = 0.0
@@ -257,15 +252,14 @@ def test_random_bits_match_the_complex_draw(seed):
 @pytest.mark.parametrize("subset", [False, True])
 @pytest.mark.parametrize("seed", [0, 7, 42, 2**32 - 1])
 def test_random_chunks_are_the_masked_draw_byte_for_byte(seed, subset, chunk):
-    # the (p1, |x|) blocks against the uniforms of one draw mapped by the masked modulus
+    # the p1 blocks against the uniforms of one draw mapped by the masked modulus
     count = 20_000 if chunk > 1 else 300
     got = _joined(random_chunks(seed, count, chunk), chunk)
-    u = np.random.default_rng(seed).random((count, 4))
-    assert got[0].tobytes() == (2.0 * _masked_modulus(u[:, 0:2])).tobytes()
-    assert got[1].tobytes() == _masked_modulus(u[:, 2:4]).tobytes()
+    u = np.random.default_rng(seed).random((count, 2))
+    assert got.tobytes() == (2.0 * _masked_modulus(u)).tobytes()
     if subset:  # a smaller draw is a prefix of a larger one
         part = _joined(random_chunks(seed, count // 3, chunk), chunk)
-        assert _bits(part) == _bits([c[: count // 3] for c in got])
+        assert part.tobytes() == got[: count // 3].tobytes()
 
 
 @pytest.mark.parametrize("count", [8193, 20_000])
@@ -581,26 +575,20 @@ def test_polish_levels_are_linspace_bit_for_bit(ends, n):
 
 
 def test_polish_stops_at_the_edges_of_the_body():
-    # |p1 + x| peaks at p1 = 2, x = 1: the windows cross p1 = 2 and r = 1,
-    # which are clipped to their last levels
+    # |p1 + x| peaks at p1 = 2, x = 1: the windows cross p1 = 2, which is
+    # clipped to the last level, and that level's radii reach r = 1
     def coefficients(p1):
         return p1, 1.0, 0.0, 0.0
 
-    scan = functools.partial(plane_scan, coefficients)
-    plane = (0.0, 2.0), (0.0, 1.0)
-    value, p1, r, u, v, re, im = polish(scan, (0.0, 1.9, 0.9), (0.5, 0.2), plane, 20, 9, 0.5)
+    def scan(p1, best):
+        return level_scan(coefficients, [p1], best)
+
+    limits = ((0.0, 2.0),)
+    value, p1, r, u, v, re, im = polish(scan, (0.0, 1.9, 0.9), (0.5,), limits, 20, 9, 0.5)
     assert (value, p1, r, u, v, re, im) == (3.0, 2.0, 1.0, 1.0, 0.0, 3.0, 0.0)
     # no round beats an incumbent at the maximum, so it is kept as it is
     top = (3.0, 2.0, 1.0, 1.0, 0.0, 3.0, 0.0)
-    assert polish(scan, top, (0.5, 0.2), plane, 3, 9, 0.5) is top
-
-
-def test_grid_axes_keep_the_exact_levels():
-    # the levels are np.linspace's, so p1 = 0, 2 and |x| = 0, 1 are exact
-    for count in [*range(4, 3001), 24_000, 499_000]:
-        p1, mod = grid_axes(count)
-        assert p1.tobytes() == np.linspace(0.0, 2.0, p1.size).tobytes()
-        assert mod.tobytes() == np.linspace(0.0, 1.0, mod.size).tobytes()
+    assert polish(scan, top, (0.5,), limits, 3, 9, 0.5) is top
 
 
 def _level_coefficients(p1):
@@ -619,47 +607,53 @@ def _mirrored_coefficients(p1):
     return 0.5 - s, 1.0 + s, -0.6 + s, 0.4 * s
 
 
-def _plane_rows(coefficients, p1_levels, rs):
-    """The rows p1_levels x rs, p1 outer: their p1 and r columns and each row's coefficients."""
-    p1, r = np.repeat(p1_levels, rs.size), np.tile(rs, p1_levels.size)
-    coefs = [np.repeat(np.broadcast_to(c, p1_levels.shape), rs.size) for c in coefficients(p1_levels)]
-    return p1, r, coefs
+def _level_candidates(coefficients, p1_levels):
+    """Every level's 8 radii, levels outer: their p1 and r columns and each candidate's coefficients."""
+    coefs = [np.broadcast_to(c, p1_levels.shape) for c in coefficients(p1_levels)]
+    r = level_radii(*coefs)
+    return np.repeat(p1_levels, r.shape[1]), r.ravel(), [np.repeat(c, r.shape[1]) for c in coefs]
 
 
-_PLANE_CASES = [
-    pytest.param(_level_coefficients, np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.0, 7), chunk, id=str(chunk))
-    for chunk in (1, 7, 64, 10**6)
+_LEVEL_CASES = [
+    pytest.param(_level_coefficients, np.linspace(0.0, 2.0, 9), chunk, id=str(chunk)) for chunk in (1, 7, 64, 10**6)
 ]
-_PLANE_CASES += [
-    pytest.param(_scalar_coefficients, np.linspace(0.0, 2.0, 3), np.linspace(0.0, 1.0, 7), chunk, id=f"scalar-{chunk}")
-    for chunk in (1, 5, 64)
+_LEVEL_CASES += [
+    pytest.param(_scalar_coefficients, np.linspace(0.0, 2.0, 3), chunk, id=f"scalar-{chunk}") for chunk in (1, 5, 64)
 ]
-# two levels tie at every radius, one block apart or (chunk 14) in one block
-_PLANE_CASES += [
-    pytest.param(_mirrored_coefficients, np.array([0.75, 1.25]), np.linspace(0.0, 1.0, 7), chunk, id=f"tie-{chunk}")
-    for chunk in (1, 6, 7, 8, 14)
+# two levels tie at every radius, one block apart or (chunks 6 to 14) in one block
+_LEVEL_CASES += [
+    pytest.param(_mirrored_coefficients, np.array([0.75, 1.25]), chunk, id=f"tie-{chunk}") for chunk in (1, 6, 7, 8, 14)
 ]
 
 
-@pytest.mark.parametrize("coefficients, p1_levels, rs, chunk", _PLANE_CASES)
-def test_plane_scan_is_the_grid_of_circle_maxima(monkeypatch, coefficients, p1_levels, rs, chunk):
-    # the rows p1 outer, r inner, each row's circle_max, and the first of the largest
-    got = plane_scan(coefficients, p1_levels, rs, chunk=chunk)
-    p1, r, coefs = _plane_rows(coefficients, p1_levels, rs)
+@pytest.mark.parametrize("coefficients, p1_levels, chunk", _LEVEL_CASES)
+def test_level_scan_is_the_grid_of_circle_maxima(monkeypatch, coefficients, p1_levels, chunk):
+    # the levels in order, each at its 8 radii, each radius's circle_max, and the first of the largest
+    got = level_scan(coefficients, [p1_levels], chunk=chunk)
+    p1, r, coefs = _level_candidates(coefficients, p1_levels)
     vals, u, v, re, im = circle_max(*coefs, r)
     i = int(np.argmax(vals))
     assert got == (float(vals[i]), float(p1[i]), float(r[i]), float(u[i]), float(v[i]), float(re[i]), float(im[i]))
     if coefficients is _mirrored_coefficients:  # the tie goes to the first level
-        assert vals[i + rs.size] == vals[i] and got[1] == p1_levels[0]
-    assert plane_scan(coefficients, p1_levels, rs, got[0], chunk) is None
-    # an incumbent at the largest bound scores no row; one ulp lower, the rows at that bound are scored
-    scored = []
-    circle = schwarz.circle_max
-    monkeypatch.setattr(schwarz, "circle_max", lambda *args: scored.append(args[-1].size) or circle(*args))
+        assert vals[i + 8] == vals[i] and got[1] == p1_levels[0]
+    assert level_scan(coefficients, [p1_levels], got[0], chunk) is None
+    # an incumbent at the largest level_bound forms no radii and scores none;
+    # one ulp lower, the levels at that bound form their radii
+    formed, scored = [], []
+    radii, circle = schwarz.level_radii, schwarz.circle_max
+    monkeypatch.setattr(schwarz, "level_radii", lambda *args: formed.append(1) or radii(*args))
+    monkeypatch.setattr(schwarz, "circle_max", lambda *args: scored.append(1) or circle(*args))
+    top = float(level_bound(*coefs).max())
+    assert level_scan(coefficients, [p1_levels], top, chunk) is None
+    assert formed == scored == []
+    level_scan(coefficients, [p1_levels], float(np.nextafter(top, -np.inf)), chunk)
+    assert formed
+    # an incumbent at the largest score_bound of a radius scores none; one ulp lower, the radii at it are scored
+    scored.clear()
     top = float(score_bound(*coefs, r).max())
-    assert plane_scan(coefficients, p1_levels, rs, top, chunk) is None
+    assert level_scan(coefficients, [p1_levels], top, chunk) is None
     assert scored == []
-    plane_scan(coefficients, p1_levels, rs, float(np.nextafter(top, -np.inf)), chunk)
+    level_scan(coefficients, [p1_levels], float(np.nextafter(top, -np.inf)), chunk)
     assert scored
 
 
@@ -667,28 +661,35 @@ _tie_prone = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), _coefficien
 
 
 @st.composite
-def planes(draw):
-    """(coefficients, p1_levels, rs, best, chunk): per-level or scalar coefficients, tie-prone values."""
+def level_streams(draw):
+    """(coefficients, blocks, best, chunk): per-level or scalar coefficients, tie-prone values, any blocks."""
     levels = draw(st.integers(min_value=1, max_value=6))
     p1_levels = np.linspace(0.0, 2.0, levels)
-    rs = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=9)))
     per_level = st.lists(_tie_prone, min_size=levels, max_size=levels).map(np.array)
     coefs = tuple(draw(st.one_of(_tie_prone, per_level)) for _ in range(4))
-    rows = _plane_rows(lambda _: coefs, p1_levels, rs)
-    vals, bound = circle_max(*rows[2], rows[1])[0], score_bound(*rows[2], rows[1])
+    _, r, rows = _level_candidates(lambda _: coefs, p1_levels)
+    vals, bound = circle_max(*rows, r)[0], score_bound(*rows, r)
     k = draw(st.integers(min_value=0, max_value=vals.size - 1))
     best = draw(st.sampled_from([-np.inf, vals.max(), np.nextafter(vals.max(), -np.inf), vals[k], bound[k]]))
-    return (lambda _: coefs), p1_levels, rs, float(best), draw(st.integers(min_value=1, max_value=60))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=levels), max_size=3)))
+    blocks = np.split(p1_levels, cuts)  # empty blocks included
+    return (lambda p1: tuple(c[np.searchsorted(p1_levels, p1)] if np.ndim(c) else c for c in coefs)), blocks, float(best), draw(
+        st.integers(min_value=1, max_value=60)
+    )
 
 
-@given(planes())
+@given(level_streams())
 @settings(max_examples=300, deadline=None)
-def test_plane_scan_is_circle_scan_over_its_rows(plane):
-    # the outer-product blocks give the bits of circle_scan over the rows built whole
-    coefficients, p1_levels, rs, best, chunk = plane
-    p1, r, coefs = _plane_rows(coefficients, p1_levels, rs)
-    want = schwarz.circle_scan([(p1, r, coefs)], best)
-    assert repr(plane_scan(coefficients, p1_levels, rs, best, chunk)) == repr(want)
+def test_level_scan_is_every_radius_scored(stream):
+    # however the levels arrive and are blocked, the result is the first
+    # radius of the largest circle_max above the incumbent, or None
+    coefficients, blocks, best, chunk = stream
+    p1_levels = np.concatenate(blocks)
+    p1, r, coefs = _level_candidates(coefficients, p1_levels)
+    vals, *point = circle_max(*coefs, r)
+    i = int(np.argmax(vals))
+    want = (float(vals[i]), float(p1[i]), float(r[i]), *(float(a[i]) for a in point)) if vals[i] > best else None
+    assert repr(level_scan(coefficients, blocks, best, chunk)) == repr(want)
 
 
 #: circle_max against a dense angle scan of the same circle: it is the scan's
@@ -742,3 +743,40 @@ def test_circle_max_takes_the_vertex_where_the_maths_puts_it():
     # alpha gamma >= 0: the end where L = 2 beta r (alpha + gamma r^2) has its sign
     assert circle_max(1.0, -1.0, 0.5, 0.0, 1.0)[1] == -1.0
     assert circle_max(1.0, 1.0, 0.5, 0.0, 1.0)[1] == 1.0
+
+
+@st.composite
+def levels(draw):
+    """(alpha, beta, gamma, kq): a free |a4| level, or real coefficients of scales 1e-3 to 10, kq >= 0, a tenth exactly 0."""
+    if draw(st.booleans()):
+        fn = oracle.Functional("abs_a4", draw(st.sampled_from(("starlike", "convex"))))
+        lam = draw(st.floats(min_value=LAMBDA_MIN, max_value=math.pi / 2))
+        return oracle._quadratic(fn, lam, draw(st.floats(min_value=0.0, max_value=2.0)))
+
+    def coefficient():
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            return 0.0
+        return draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(min_value=-3.0, max_value=1.0))
+
+    return coefficient(), coefficient(), coefficient(), abs(coefficient())
+
+
+#: The dense scan of test_level_radii_hold_the_maximum_over_the_disk: 4,001 circles, r = 0 and 1 among them.
+_DENSE_RADII = np.linspace(0.0, 1.0, 4001)
+
+
+@given(levels())
+@settings(max_examples=500, deadline=None)
+@example((0.0, 0.0, 0.0, 1.0))  # every radius NaN or clipped: the maximum kq is at r = 0
+@example((1.0, 1.0, -1.0, 0.0))  # kq = 0: the vertex branch's double root
+def test_level_radii_hold_the_maximum_over_the_disk(level):
+    # circle_max settles arg x, and the 8 radii hold the maximum over r: their
+    # best is never below a dense scan of circles by more than rounding, and
+    # level_bound is above every score of the level
+    r = level_radii(*level)
+    assert r.shape == (8,) and ((0.0 <= r) & (r <= 1.0)).all()
+    best = float(circle_max(*level, r)[0].max())
+    dense = float(circle_max(*level, _DENSE_RADII)[0].max())
+    rounding = 2 * CIRCLE_ULPS * 2.0**-52 * sum(abs(c) for c in level) + schwarz.BOUND_FLOOR
+    assert best >= dense - rounding
+    assert level_bound(*level) >= max(best, dense)
