@@ -329,14 +329,16 @@ def _schedule(budget: int):
     """(grid levels, random levels, polish levels m, rounds, shrink s) of a budget.
 
     A search scores the 15 canonical points and (budget - 15) // 24 p1 levels of 24 points (8 radii,
-    each a circle of 3 candidates).  The polish takes the fewest rounds of m = max(3, levels // 8 //
-    rounds) levels with s^(rounds - 1) = _POLISH_NARROWING and s >= min(0.5, 2 _POLISH_SPACINGS /
-    (m - 1)), or below budget 1,551 as many rounds of 3 levels, s = 1/2, as three quarters of the
-    levels hold.  The grid takes three quarters of the rest, and the random draws the remainder.
+    each a circle of 3 candidates).  The polish takes the fewest rounds of m >= 3 levels, at most
+    levels // 8 // rounds and no more than s needs, with s^(rounds - 1) = _POLISH_NARROWING and s >=
+    min(0.5, 2 _POLISH_SPACINGS / (m - 1)); below budget 1,551, as many rounds of 3 levels, s = 1/2,
+    as three quarters of the levels hold.  The grid takes three quarters of the rest, the draws the rest.
     """
     levels = (budget - 3 * _UNITS_RE.size) // 24
     for rounds in itertools.count(2):
-        m = max(3, levels // 8 // rounds)
+        # no more levels than reaching the narrowing in these rounds needs, so a round stays small
+        need = math.ceil(2.0 * _POLISH_SPACINGS / _POLISH_NARROWING ** (1.0 / (rounds - 1))) + 1
+        m = max(3, min(levels // 8 // rounds, need))
         floor = min(0.5, 2.0 * _POLISH_SPACINGS / (m - 1))
         if floor ** (rounds - 1) <= _POLISH_NARROWING or (rounds + 1) * m > levels * 3 // 4:
             break

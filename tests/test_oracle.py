@@ -777,7 +777,7 @@ class TestMaximumOverY:
         # half; below budget 1,551 it takes as many rounds of 3 levels, each
         # half as wide, as three quarters of the levels hold
         assert 3 <= m and rounds >= 2 and rounds * m <= max(levels // 8, 3 * rounds)
-        assert min(0.5, 4.0 / (m - 1)) <= shrink + 1e-15
+        assert min(0.5, 4.0 / (m - 1)) <= shrink + 1e-15 and m - 1 < 4.0 / shrink + 1  # no more levels than s needs
         if abs(shrink ** (rounds - 1) / oracle._POLISH_NARROWING - 1.0) > 1e-12:
             assert budget < 1551 and (m, shrink) == (3, 0.5) and rounds * m <= levels * 3 // 4 < (rounds + 1) * m
         assert rand >= 1 and grid >= rand
