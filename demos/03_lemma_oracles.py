@@ -6,7 +6,8 @@ Three self-contained tools sit under the theorem bounds:
 * a piecewise upper bound Phi(mu, nu) for |c3 + mu c1 c2 + nu c1^3| over
   Schwarz coefficients, quoted on five regions D1..D5;
 * the disk maximum Y(a, b, c) = max |a + b z + c z^2| + 1 - |z|^2, with a
-  two-branch closed form and a polar-grid brute-force oracle;
+  two-branch closed form and a brute-force oracle that searches |z| alone
+  (arg z is settled on each circle);
 * the sequence A_m (recursion vs closed product form) in exact rationals.
 """
 
@@ -44,14 +45,14 @@ print("  (the extremal oracle is what adjudicates this; see demo 06)")
 
 print()
 print("=" * 72)
-print("2. Y(a, b, c): closed form vs brute-force grid")
+print("2. Y(a, b, c): closed form vs brute-force search over |z|")
 print("=" * 72)
 cases = [(0.0, 0.0, 0.0), (1.0, 3.0, 0.0), (0.5, 1.0, 0.5), (0.0, 0.0, 2.0), (2.0, -1.5, 0.3)]
 for a, b, c in cases:
     closed = y_closed_form(a, b, c)
     brute = y_bruteforce(a, b, c)
     print(f"  Y({a}, {b}, {c}) = {closed.value:.8f} [{closed.branch}]  "
-          f"grid oracle {brute:.8f}  gap {abs(closed.value - brute):.1e}")
+          f"search oracle {brute:.8f}  gap {abs(closed.value - brute):.1e}")
 print("  at (0.5, 1, 0.5) the branch condition |b| = 2(1 - c) is an equality;")
 print("  both branch formulas give exactly 2 (continuity across the seam).")
 

@@ -4,7 +4,7 @@ exp(lambda*z), together with a brute-force extremal verification oracle.
 The package splits along the pipeline:
 
 * series    - truncated Taylor arithmetic and coefficient recovery
-* schwarz   - exact parameterization of the admissible moment body, polar grid kernel
+* schwarz   - exact parameterization of the admissible moment body, circle kernel
 * lemmas    - auxiliary closed forms (region bounds, disk maximum, A_m)
 * bounds    - the theorem-level piecewise bounds and sup-over-p
 * oracle    - extremal search, claim registry, verification reports

@@ -7,8 +7,9 @@ Three ingredients used by the theorem-level bounds:
   plane (only those quoted pieces are implemented; points outside every
   region raise instead of extrapolating);
 * the maximum Y(a, b, c) of |a + b*z + c*z^2| + 1 - |z|^2 over the closed
-  unit disk, in closed form and as an independent polar-grid search
-  (schwarz.polar_scan, and the polish that the extremal search shares);
+  unit disk, in closed form and as an independent search over |z| alone
+  (schwarz.circle_max settles arg z, and the polish is the extremal
+  search's);
 * the sequence A_m defined by A_2 = lam, A_m = lam/(m-1) * (1 + sum A_k),
   together with its closed product form, in exact rational arithmetic.
 
@@ -22,7 +23,6 @@ left in place here and surfaced by the extremal oracle, not patched.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .schwarz import SchwarzCoefficients, polar_scan, polish
+from .schwarz import SchwarzCoefficients, circle_max, polish
 
 #: Slack on each printed region inequality.
 REGION_TOL = 1e-12
@@ -142,27 +142,35 @@ def y_closed_form(a: float, b: float, c: float) -> YValue:
     return YValue(value=1.0 + a + b * b / (4.0 * (1.0 - c)), branch="second")
 
 
-def y_bruteforce(a: float, b: float, c: float) -> float:
-    """Grid-search oracle for Y(a, b, c), independent of the closed form.
+#: The largest |a| + |b| + |c| that y_bruteforce takes: above it |A|^2 can overflow.
+Y_INPUT_MAX = 1e150
 
-    schwarz.polar_scan scores |a + b z + c z^2| + 1 - |z|^2 on a polar grid
-    z = r e^{it} of the closed unit disk, 512 radii from 0 to 1 by 1024
-    angles; schwarz.polish then runs five 65 x 65 local grids around the
-    incumbent, each a quarter as wide as the last, starting from two grid
-    spacings.  Ties resolve to the first grid index, so the result does not
-    depend on the kernel's blocks.  The kernel scores the radius of largest
-    bound a + |b| r + |c| r^2 + 1 - r^2 first, and then only the radii
-    whose bound is above that row's maximum: usually that row alone, 2 of
-    the grid's 512 rows scored, with the bits of scoring all of them.
-    a, b and c must be finite.
+
+def y_bruteforce(a: float, b: float, c: float) -> float:
+    """Search oracle for Y(a, b, c), independent of the closed form.
+
+    On each circle |z| = r, schwarz.circle_max settles arg z: the maximum of
+    |a + b z + c z^2| + 1 - |z|^2 there is at one of three points that it
+    picks from a quadratic in cos(arg z).  So the search walks r alone: 1024
+    radii from 0 to 1, then schwarz.polish runs six rounds of 65 radii
+    around the incumbent, each a quarter as wide as the last, starting from
+    two spacings.  Ties resolve to the first radius.  It does not take the
+    closed-form radii of schwarz.level_radii, so it checks that candidate
+    rule too.  a, b and c must be finite, with |a| + |b| + |c| at most
+    Y_INPUT_MAX.
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError(f"a, b and c must be finite, got a={a}, b={b}, c={c}")
+    if abs(a) + abs(b) + abs(c) > Y_INPUT_MAX:
+        raise ValueError(f"|a| + |b| + |c| must be at most {Y_INPUT_MAX}, got a={a}, b={b}, c={c}")
 
-    scan = functools.partial(polar_scan, (a, b, c, 1.0))
-    rs, ts = np.linspace(0.0, 1.0, 512), np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
-    limits = (0.0, 1.0), (-math.inf, math.inf)
-    return polish(scan, scan(rs, ts), (2.0 / 511, 4.0 * np.pi / 1024), limits, 5, 65, 0.25)[0]
+    def scan(r, best):  # the first radius whose circle scores above best: (value, r) or None
+        vals = circle_max(a, b, c, 1.0, r)[0]
+        k = int(np.argmax(vals))
+        return (float(vals[k]), float(r[k])) if vals[k] > best else None
+
+    found = scan(np.linspace(0.0, 1.0, 1024), -math.inf)
+    return polish(scan, found, 2.0 / 1023, (0.0, 1.0), 6, 65, 0.25)[0]
 
 
 RationalLike = Union[Fraction, int]

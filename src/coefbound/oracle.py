@@ -458,7 +458,7 @@ def extremal_search(
     found = level_scan(coefficients, levels, found[0], CHUNK_ROWS) or found
     def scan(p1, best):  # a polish round, on free p1 in [0, 2]: a rotation makes p1 >= 0
         return level_scan(coefficients, [p1], best, CHUNK_ROWS)
-    found = polish(scan, found, [_POLISH_SPACINGS * 2.0 / (grid - 1)], [(0.0, 2.0)], rounds, m, shrink)
+    found = polish(scan, found, _POLISH_SPACINGS * 2.0 / (grid - 1), (0.0, 2.0), rounds, m, shrink)
     return _search_result(found, u.size + 24 * (grid + draws + rounds * m))
 
 

@@ -15,8 +15,8 @@ coefficients through w = (q - 1)/(q + 1).
 The extremal search maximizes over y in closed form (see oracle), over arg x
 on each circle |x| = r by circle_max and over r at the 8 radii of
 level_radii, so level_scan walks p1 alone, through the levels of
-grid_chunks, random_chunks and polish.  lemmas.y_bruteforce scans (|x|, arg
-x) grids through polar_scan and the same polish.  sample_param_arrays
+grid_chunks, random_chunks and polish.  lemmas.y_bruteforce walks |z|
+alone, through circle_max and the same polish.  sample_param_arrays
 (sample_params as objects) draws whole (p1, x, y) rows and is the one place
 where complex arrays are built, bit for bit from columns that carry the bits
 numpy's complex arithmetic gives, signed zeros included.
@@ -24,7 +24,6 @@ numpy's complex arithmetic gives, signed zeros included.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -199,7 +198,7 @@ def random_chunks(seed, count: int, chunk: int):
 
 
 #: Rounding margin of score_bound, relative to |alpha| + |beta| + |gamma| + |kq|.
-#: Either scoring route rounds a score by a few dozen units of 2^-53 of that sum.
+#: point_scores, the one scoring formula, rounds a score by a few dozen units of 2^-53 of that sum.
 BOUND_MARGIN = 1e-12
 
 #: Absolute rounding margin of score_bound.  Below |A| ~ 1e-154 the squares in
@@ -215,10 +214,10 @@ def score_bound(alpha, beta, gamma, kq, r):
     A = alpha + beta x + gamma x^2, so |A| <= |alpha| + |beta| r + |gamma| r^2,
     with equality where every phase aligns.  The bound adds BOUND_MARGIN of
     the coefficients' sizes and BOUND_FLOOR, which cover the rounding of
-    polar_scan's and point_scores' scores, subnormal squares included, and
-    of |x| against r at circle_max's vertex.  A row whose bound is not above
-    the incumbent cannot pass the strict improvement test, so skipping it
-    leaves every bit as it is.
+    point_scores' scores, subnormal squares included, and of |x| against r
+    at circle_max's vertex.  A row whose bound is not above the incumbent
+    cannot pass the strict improvement test, so skipping it leaves every
+    bit as it is.
     Works on scalars and on broadcasting arrays.
     """
     a, b, g = np.abs(alpha), np.abs(beta), np.abs(gamma)
@@ -341,75 +340,6 @@ def level_scan(coefficients, levels, best: float = -math.inf, chunk: int = 8192)
     return found
 
 
-def _scores(factors, trig, rows, cols):
-    """|A| + kq (1 - r^2) of the block ``rows`` x ``cols`` of a polar grid.
-
-    ``factors`` are the scalar alpha and the radii's columns (beta r,
-    gamma r^2, kq (1 - r^2)), and ``trig`` the cos t, sin t, cos 2t and
-    sin 2t tables.  Every element goes through the same operations whatever
-    the block, so a point has the same bits in any block.
-    """
-    alpha, br, gr2, kr = factors
-    cos1, sin1, cos2, sin2 = trig
-    re = br[rows] * cos1[cols]
-    re += alpha
-    im = br[rows] * sin1[cols]
-    re += gr2[rows] * cos2[cols]
-    im += gr2[rows] * sin2[cols]
-    vals = re * re
-    vals += im * im
-    np.sqrt(vals, out=vals)
-    vals += kr[rows]
-    return vals
-
-
-def polar_scan(coefficients, rs, ts, best: float = -math.inf, chunk: int = 8192):
-    """The first point of the grid rs x ts where |A| + kq (1 - r^2) exceeds ``best``.
-
-    A = alpha + beta x + gamma x^2 at x = r e^{it}, with the scalars
-    (alpha, beta, gamma, kq) = coefficients, from cos/sin tables of t and
-    2t.  Rows run over radii.  Blocks of at most ``chunk`` points (whole
-    rows, or runs of one row's angles) each replace the incumbent only where
-    strictly larger: the row-major first maximum at any block size.
-
-    The rows are taken at most ``chunk`` at a time, and only those whose
-    score_bound is above the incumbent are scanned, from the incumbent.
-    Where they fill more than one block, the row of largest bound is scored
-    first, in runs of at most ``chunk`` angles, and the incumbent is lifted
-    to the float just below that row's maximum v, where that is higher, so
-    the bound keeps fewer rows (one block's rows would cost a block either
-    way).  v is a grid score, so it is at most the grid maximum M, and every
-    row holding a point of value M is bounded at M or more and kept: the
-    scan still returns the first point of value M, ties in earlier rows
-    included, and a skipped row has no point that could replace the
-    incumbent, so the result keeps every bit.  Returns (value, r, t) or None.
-    """
-    alpha, beta, gamma, kq = coefficients
-    trig = np.cos(ts), np.sin(ts), np.cos(2.0 * ts), np.sin(2.0 * ts)
-    rows, width = max(1, chunk // ts.size), min(chunk, ts.size)
-    found = None
-    for first in range(0, rs.size, chunk):  # the row factors of at most chunk rows
-        r = rs[first : first + chunk, None]
-        bound = score_bound(alpha, beta, gamma, kq, r).ravel()
-        factors = alpha, beta * r, gamma * (r * r), kq * (1.0 - r * r)
-        keep = np.flatnonzero(bound > best)
-        if keep.size > rows:  # more than one block: seed the incumbent from the top-bound row
-            top = int(np.argmax(bound))
-            runs = (slice(col, col + width) for col in range(0, ts.size, width))
-            v = max(float(_scores(factors, trig, slice(top, top + 1), cols).max()) for cols in runs)
-            best = max(best, math.nextafter(v, -math.inf))
-            keep = np.flatnonzero(bound > best)
-        r = r[keep]
-        factors = [alpha, *(c[keep] for c in factors[1:])]
-        for start, col in itertools.product(range(0, r.size, rows), range(0, ts.size, width)):
-            vals = _scores(factors, trig, slice(start, start + rows), slice(col, col + width))
-            i, j = divmod(int(np.argmax(vals)), vals.shape[1])
-            if vals[i, j] > best:
-                best = float(vals[i, j])
-                found = best, float(r[start + i, 0]), float(ts[col + j])
-    return found
-
-
 def _linspace(k: np.ndarray, start: float, stop: float) -> np.ndarray:
     """np.linspace(start, stop, k.size) bit for bit, from k = np.arange(k.size, dtype=float).
 
@@ -425,21 +355,21 @@ def _linspace(k: np.ndarray, start: float, stop: float) -> np.ndarray:
     return y
 
 
-def polish(scan, incumbent, widths, limits, rounds, levels, shrink):
+def polish(scan, incumbent, width, limits, rounds, levels, shrink):
     """Rounds of ``scan`` on local grids around the incumbent, each ``shrink`` times narrower.
 
-    ``incumbent`` is a scan's result, whose entries from 1 on are its point
-    on the scan's axes (p1, or (r, t)), one per first half-width in
-    ``widths``.  A round calls scan(*axes, best) with ``levels`` levels per
-    axis across c +- w around the incumbent, clipped to the axis's (lo, hi)
-    in ``limits``, and keeps the incumbent where the scan finds nothing above.
+    ``incumbent`` is a scan's result, whose entry 1 is its point on the
+    scan's one axis (p1, or |z| for lemmas.y_bruteforce).  A round calls
+    scan(axis, best) with ``levels`` levels across c +- width around that
+    point, clipped to (lo, hi) = ``limits``, and keeps the incumbent where
+    the scan finds nothing above.
     """
     k = np.arange(levels, dtype=float)
+    lo, hi = limits
     for _ in range(rounds):
-        centre = zip(incumbent[1:3], widths, limits)
-        axes = [_linspace(k, max(lo, c - w), min(hi, c + w)) for c, w, (lo, hi) in centre]
-        incumbent = scan(*axes, incumbent[0]) or incumbent
-        widths = [w * shrink for w in widths]
+        c = incumbent[1]
+        incumbent = scan(_linspace(k, max(lo, c - width), min(hi, c + width)), incumbent[0]) or incumbent
+        width *= shrink
     return incumbent
 
 

@@ -1,37 +1,8 @@
-import pytest
-
-from coefbound import schwarz
+import numpy as np
 
 
-@pytest.fixture
-def grid_points_scored(monkeypatch):
-    """points(module, run): the points scored in run()'s first call of ``module``'s own polar_scan.
-
-    That first call is y_bruteforce's exploration grid; the polish rounds
-    call the same scan later.  A point is one schwarz._scores element, seed
-    rows included.
-    """
-
-    def points(module, run):
-        sizes, calls = [], []
-        scores, grid_scan = schwarz._scores, module.polar_scan
-
-        def counting_scores(*args):
-            vals = scores(*args)
-            if calls == [True]:
-                sizes.append(vals.size)
-            return vals
-
-        def grid(*args, **kwargs):
-            calls.append(True)
-            try:
-                return grid_scan(*args, **kwargs)
-            finally:
-                calls.append(False)
-
-        monkeypatch.setattr(schwarz, "_scores", counting_scores)
-        monkeypatch.setattr(module, "polar_scan", grid)
-        run()
-        return sum(sizes)
-
-    return points
+def _polar_reference(coeffs, rs, ts):
+    """|A| + kq (1 - |x|^2) on the grid rs x ts, A = alpha + beta x + gamma x^2 in complex arithmetic."""
+    alpha, beta, gamma, kq = coeffs
+    x = rs[:, None] * np.exp(1j * ts[None, :])
+    return np.abs(alpha + beta * x + gamma * x * x) + kq * (1.0 - np.abs(x) ** 2)

@@ -65,31 +65,6 @@ def test_smoke_pass_checks_every_operation(workload):
     assert len(result.latencies) == len(result.ok)
 
 
-def _count_scored(monkeypatch, modules):
-    """Wrap polar_scan where ``modules`` look it up; the returned list gets each scan's grid size."""
-    from coefbound import schwarz
-
-    scored = []
-    scan = schwarz.polar_scan
-
-    def counting(coefficients, rs, ts, *args, **kwargs):
-        scored.append(rs.size * ts.size)
-        return scan(coefficients, rs, ts, *args, **kwargs)
-
-    for module in (schwarz, *modules):
-        monkeypatch.setattr(module, "polar_scan", counting)
-    return scored
-
-
-def test_y_bruteforce_scores_y_evals_points(monkeypatch):
-    # crosscheck's evals_per_s counts workloads.Y_EVALS points per y_bruteforce call
-    from coefbound import lemmas
-
-    scored = _count_scored(monkeypatch, [lemmas])
-    lemmas.y_bruteforce(0.7, -2.0, 1.3)
-    assert sum(scored) == workloads.Y_EVALS
-
-
 @pytest.mark.parametrize("cls", ["starlike", "convex"])
 def test_a_default_search_scores_the_samples_it_reports(monkeypatch, cls):
     # report's and deep's evals_per_s sum the records' samples: the canonical

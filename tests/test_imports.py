@@ -34,3 +34,24 @@ def test_imports_only_the_stdlib_and_numpy(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     foreign = [(line, root) for line, root in _imported_roots(tree) if root not in ALLOWED]
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_no_module_imports_a_name_it_never_uses(path):
+    # __init__.py imports to re-export; a line marked "# noqa" keeps a name
+    # on purpose (oracle.py keeps sample_param_arrays for bench/spans.py)
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                # an alias knows its own line, so one name of a parenthesized import can be marked
+                if "# noqa" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -18,7 +18,6 @@ from coefbound.schwarz import (
     level_radii,
     level_scan,
     point_scores,
-    polar_scan,
     polish,
     random_chunks,
     sample_param_arrays,
@@ -275,181 +274,10 @@ def test_sample_param_arrays_match_the_two_disk_references(seed, fixed_p1, count
 _coefficient = st.floats(min_value=-3.0, max_value=3.0)
 
 
-@st.composite
-def polar_grids(draw):
-    """((alpha, beta, gamma, kq), rs, ts): scalar coefficients, gamma and kq often 0."""
-    alpha, beta = draw(_coefficient), draw(_coefficient)
-    gamma, kq = (draw(st.one_of(st.just(0.0), _coefficient)) for _ in range(2))
-    rs = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12))
-    ts = draw(st.lists(st.floats(min_value=-7.0, max_value=7.0), min_size=1, max_size=8))
-    return (alpha, beta, gamma, kq), np.array(rs), np.array(ts)
-
-
-def _polar_reference(coeffs, rs, ts):
-    """|A| + kq (1 - |x|^2) on the whole grid, A = alpha + beta x + gamma x^2 in complex arithmetic."""
-    alpha, beta, gamma, kq = coeffs
-    x = rs[:, None] * np.exp(1j * ts[None, :])
-    return np.abs(alpha + beta * x + gamma * x * x) + kq * (1.0 - np.abs(x) ** 2)
-
-
-@given(polar_grids(), st.integers(min_value=1, max_value=64))
-@settings(max_examples=300, deadline=None)
-def test_polar_scan_is_the_complex_grid_maximum(grid, chunk):
-    coeffs, rs, ts = grid
-    got = polar_scan(coeffs, rs, ts, chunk=chunk)
-    assert repr(got) == repr(polar_scan(coeffs, rs, ts, chunk=10**6))
-    ref = _polar_reference(coeffs, rs, ts)
-    value, r, t = got
-    tol = 1e-15 * (1.0 + sum(abs(c) for c in coeffs))
-    assert abs(value - ref.max()) <= tol
-    # the point is on the grid and scores the value
-    at = (list(rs).index(r), list(ts).index(t))
-    assert abs(ref[at] - value) <= tol
-    # a maximum that no other point comes near is found at its own index
-    top = np.sort(ref.ravel())
-    if top.size == 1 or top[-2] < top[-1] - 4.0 * tol:
-        want = np.unravel_index(np.argmax(ref), ref.shape)
-        assert (rs[want[0]], ts[want[1]]) == (r, t)
-
-
-@given(
-    st.sampled_from([-2.0, -1.0, 0.5, 1.0, 2.0]),
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=8),
-    st.integers(min_value=1, max_value=64),
-)
-@settings(max_examples=100, deadline=None)
-def test_polar_scan_keeps_the_first_of_tied_points(alpha, n_r, n_t, chunk):
-    # with beta = gamma = kq = 0 every point scores |alpha| exactly: the
-    # first radius and angle win
-    rs, ts = np.linspace(0.0, 1.0, n_r), np.linspace(-1.0, 1.0, n_t)
-    assert polar_scan((alpha, 0.0, 0.0, 0.0), rs, ts, chunk=chunk) == (abs(alpha), 0.0, -1.0)
-
-
-def test_polar_scan_reports_nothing_below_the_incumbent():
-    rs, ts = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 6.0, 7)
-    assert polar_scan((1.0, 1.0, 0.0, 0.0), rs, ts, best=2.0) is None
-
-
-def _spy_scores(monkeypatch):
-    """Record (points, beta r, gamma r^2) of every block that schwarz._scores scores, seed rows included."""
-    blocks = []
-    scores = schwarz._scores
-
-    def recording(factors, trig, rows, cols):
-        vals = scores(factors, trig, rows, cols)
-        blocks.append((vals.size, factors[1][rows], factors[2][rows]))
-        return vals
-
-    monkeypatch.setattr(schwarz, "_scores", recording)
-    return blocks
-
-
-def test_polar_scan_blocks_hold_at_most_chunk_points(monkeypatch):
-    # rows longer than the block are cut into runs of angles, in the scan and
-    # in the seed row, and the first maximum is the same at any block
-    rs, ts = np.linspace(0.0, 1.0, 15), np.linspace(-3.0, 3.0, 100)
-    coeffs = (0.7, 1.0, -0.5, 0.25)
-    want = polar_scan(coeffs, rs, ts, chunk=10**6)
-    blocks = _spy_scores(monkeypatch)
-    for chunk in (7, 100, 250):
-        blocks.clear()
-        assert polar_scan(coeffs, rs, ts, chunk=chunk) == want
-        assert max(size for size, *_ in blocks) <= chunk
-    # |x^2| + 1 - |x|^2 is 1 everywhere, so no row can be bounded out: every
-    # grid point is scored once in the scan, plus one seed row per run of
-    # at most chunk rows that fills more than one block (chunk 7 takes runs
-    # of 7, 7 and 1 rows; at chunk 1500 all 15 rows fit one block)
-    flat = (0.0, 0.0, 1.0, 1.0)
-    for chunk, seeds in ((7, 2), (100, 1), (250, 1), (1500, 0)):
-        blocks.clear()
-        polar_scan(flat, rs, ts, chunk=chunk)
-        assert max(size for size, *_ in blocks) <= chunk
-        assert sum(size for size, *_ in blocks) == 15 * 100 + seeds * 100
-
-
-def _polar_scan_unbounded(coeffs, rs, ts, best=-math.inf, chunk=8192):
-    """polar_scan without the row bound: every point of the grid is scored."""
-    alpha, beta, gamma, kq = coeffs
-    affine = not (gamma or kq)
-    cos1, sin1, cos2, sin2 = np.cos(ts), np.sin(ts), np.cos(2.0 * ts), np.sin(2.0 * ts)
-    rows, width = max(1, chunk // ts.size), min(chunk, ts.size)
-    found = None
-    for first in range(0, rs.size, chunk):
-        r = rs[first : first + chunk, None]
-        br, gr2, kr = beta * r, gamma * (r * r), kq * (1.0 - r * r)
-        for start in range(0, r.size, rows):
-            for col in range(0, ts.size, width):
-                block, cols = slice(start, start + rows), slice(col, col + width)
-                re = br[block] * cos1[cols]
-                re += alpha
-                im = br[block] * sin1[cols]
-                if not affine:
-                    re += gr2[block] * cos2[cols]
-                    im += gr2[block] * sin2[cols]
-                vals = re * re
-                vals += im * im
-                np.sqrt(vals, out=vals)
-                if not affine:
-                    vals += kr[block]
-                i, j = divmod(int(np.argmax(vals)), vals.shape[1])
-                if vals[i, j] > best:
-                    best = float(vals[i, j])
-                    found = best, float(r[start + i, 0]), float(ts[col + j])
-    return found
-
-
-def _row_bounds(coeffs, rs):
-    """score_bound and the bare triangle bound (no rounding margin) of every radius."""
-    alpha, beta, gamma, kq = coeffs
-    triangle = abs(alpha) + abs(beta) * rs + abs(gamma) * (rs * rs) + kq * (1.0 - rs * rs)
-    return score_bound(alpha, beta, gamma, kq, rs), triangle
-
-
 #: Angles within 1e-6 of 0, where |A| can round above the bare triangle bound.
 _near_zero = st.floats(min_value=-1e-6, max_value=1e-6)
 
-
-def _seed_row_max(coeffs, rs, ts):
-    """The maximum of the grid's row of largest score_bound, the row polar_scan scores first."""
-    radius = int(np.argmax(_row_bounds(coeffs, rs)[0]))
-    return _polar_scan_unbounded(coeffs, rs[[radius]], ts)[0]
-
-
-@st.composite
-def bounded_scans(draw):
-    """A polar grid and an incumbent: none, the grid maximum, at a row's bound or the seed row's maximum.
-
-    The maxima are also taken one ulp below; half the grids are affine (gamma = kq = 0).
-    """
-    coeffs, rs, ts = draw(polar_grids())
-    if draw(st.booleans()):
-        coeffs = (*coeffs[:2], 0.0, 0.0)
-    ts = np.append(ts, draw(st.lists(_near_zero, max_size=3)))
-    top = _polar_scan_unbounded(coeffs, rs, ts)[0]
-    seed = _seed_row_max(coeffs, rs, ts)
-    bound, triangle = _row_bounds(coeffs, rs)
-    row = draw(st.integers(min_value=0, max_value=rs.size - 1))
-    below = [np.nextafter(v, -math.inf) for v in (top, seed)]
-    best = draw(st.sampled_from([-math.inf, top, seed, *below, bound[row], triangle[row]]))
-    return coeffs, rs, ts, float(best)
-
-
-def _tied_radii(s, rs):
-    """|s - 2 s x^2| at x = +-r: s at r = 0 and r = 1, below s in between; the bound grows with r."""
-    return (s, 0.0, -2.0 * s, 0.0), np.array(rs), np.array([0.0, np.pi])
-
-
-@st.composite
-def tied_scans(draw):
-    """_tied_radii on radii holding 0 and 1, with no incumbent, or at or one ulp below the tied maximum."""
-    s = draw(st.floats(min_value=0.1, max_value=3.0))
-    rs = sorted({0.0, 1.0, *draw(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4))})
-    best = draw(st.sampled_from([-math.inf, s, np.nextafter(s, -math.inf)]))
-    return (*_tied_radii(s, rs), float(best))
-
-
-# each example has one point whose computed score rounds above the bare triangle bound of its row
+# each example has one point whose computed score rounds above the bare triangle bound of its radius
 _above_triangle = [
     ((0.0, 0.21977905140063492, 0.0, 0.0), 1.0, 0.013670235940547695),
     ((0.0, 2.0669152354878, 0.0, 0.6026134915729671), 1.0, -2.393901054228893e-07),
@@ -457,52 +285,9 @@ _above_triangle = [
 ]
 
 
-def _at_triangle(coeffs, r, t):
-    """The one-point scan at (r, t) with its incumbent at the row's bare triangle bound."""
-    rs = np.array([r])
-    return coeffs, rs, np.array([t]), float(_row_bounds(coeffs, rs)[1][0])
-
-
-def _tied_example(best, chunk):
-    return _tied_radii(1.0, [0.0, 0.5, 1.0]) + (best,), chunk
-
-
-@given(
-    st.one_of(bounded_scans(), tied_scans()),
-    st.one_of(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=64)),
-)
-@settings(max_examples=400, deadline=None)
-@example(_at_triangle(*_above_triangle[0]), 1)
-@example(_at_triangle(*_above_triangle[1]), 1)
-@example(_at_triangle(*_above_triangle[2]), 1)
-@example(*_tied_example(-math.inf, 3))  # a block per row; the seed row is r = 1
-@example(*_tied_example(-math.inf, 4))  # two rows per block
-@example(*_tied_example(-math.inf, 1))  # one row per run, each longer than the block
-@example(*_tied_example(float(np.nextafter(1.0, -math.inf)), 3))
-@example(*_tied_example(1.0, 3))
-def test_bounded_polar_scan_is_the_unbounded_scan(scan, chunk):
-    # rows are skipped only where no point could pass the strict test, and
-    # the seed row lifts the incumbent to one ulp below a grid score, so
-    # ties, incumbents at the maximum, at a row's bound and at the seed
-    # row's maximum keep every bit
-    coeffs, rs, ts, best = scan
-    got = polar_scan(coeffs, rs, ts, best, chunk)
-    assert repr(got) == repr(_polar_scan_unbounded(coeffs, rs, ts, best, chunk))
-
-
-def test_a_tie_before_the_seed_row_wins(monkeypatch):
-    # the top-bound row (r = 1) holds the maximum 1.0, and so does the row
-    # r = 0 before it: the first of them wins
-    coeffs, rs, ts = _tied_radii(1.0, [0.0, 0.5, 1.0])
-    assert int(np.argmax(_row_bounds(coeffs, rs)[0])) == 2
-    blocks = _spy_scores(monkeypatch)
-    for chunk in (1, 2, 3, 4, 6, 64):
-        blocks.clear()
-        assert polar_scan(coeffs, rs, ts, chunk=chunk) == (1.0, 0.0, 0.0)
-        # at 3 and 4 points per block the 3 rows of 2 angles fill more than
-        # one block, so the row r = 1 (gamma r^2 = -2) is scored first, as
-        # the seed (at 2, runs of 2 rows seed the first from r = 0.5)
-        assert (blocks[0][2].tolist() == [[-2.0]]) == (chunk in (3, 4))
+def _point_score(coeffs, r, t):
+    """point_scores' score at x = r e^{it}."""
+    return float(point_scores(*coeffs, r * math.cos(t), r * math.sin(t))[0])
 
 
 @given(
@@ -516,9 +301,7 @@ def test_a_tie_before_the_seed_row_wins(monkeypatch):
 @example(*_above_triangle[2])
 @example((0.0, 0.0, 3.741981267376287e-157, 0.0), 1.0, 0.0)  # |A|^2 is subnormal
 def test_score_bound_is_above_every_computed_score(coeffs, r, t):
-    rs, ts = np.array([r]), np.array([t])
-    value = _polar_scan_unbounded(coeffs, rs, ts)[0]
-    assert value <= score_bound(*coeffs, r)
+    assert _point_score(coeffs, r, t) <= score_bound(*coeffs, r)
     # and above circle_max's score on the same circle
     assert circle_max(*coeffs, r)[0] <= score_bound(*coeffs, r)
 
@@ -526,29 +309,9 @@ def test_score_bound_is_above_every_computed_score(coeffs, r, t):
 def test_computed_scores_can_round_above_the_bare_triangle_bound():
     # so the bound needs its margin
     for coeffs, r, t in _above_triangle:
-        rs = np.array([r])
-        value = _polar_scan_unbounded(coeffs, rs, np.array([t]))[0]
-        assert _row_bounds(coeffs, rs)[1][0] < value <= score_bound(*coeffs, r)
-
-
-def test_polar_scan_scores_no_row_bounded_at_the_incumbent(monkeypatch):
-    rs, ts = np.linspace(0.0, 1.0, 15), np.linspace(-3.0, 3.0, 40)
-    coeffs = (0.7, 1.0, -0.5, 0.25)
-    bound = _row_bounds(coeffs, rs)[0]
-    blocks = _spy_scores(monkeypatch)
-    # at the largest bound nothing is scored, not even the seed row
-    for chunk in (40, 8192):
-        assert polar_scan(coeffs, rs, ts, float(bound.max()), chunk) is None
-    assert blocks == []
-    # below it every scored row, the seed row included, is bounded above the
-    # incumbent; beta = 1, so a block's beta r is its rows' r.  At 40 points
-    # per block every row is a block, so each scan of two rows or more is seeded
-    for best, chunk in itertools.product((np.nextafter(bound.max(), -math.inf), *bound), (40, 8192)):
-        blocks.clear()
-        polar_scan(coeffs, rs, ts, float(best), chunk)
-        assert blocks if best < bound.max() else not blocks
-        for _, r, _ in blocks:
-            assert (score_bound(0.7, 1.0, -0.5, 0.25, r) > best).all()
+        alpha, beta, gamma, kq = coeffs
+        triangle = abs(alpha) + abs(beta) * r + abs(gamma) * (r * r) + kq * (1.0 - r * r)
+        assert triangle < _point_score(coeffs, r, t) <= score_bound(*coeffs, r)
 
 
 _subnormal = st.floats(min_value=-1e-307, max_value=1e-307)
@@ -583,12 +346,11 @@ def test_polish_stops_at_the_edges_of_the_body():
     def scan(p1, best):
         return level_scan(coefficients, [p1], best)
 
-    limits = ((0.0, 2.0),)
-    value, p1, r, u, v, re, im = polish(scan, (0.0, 1.9, 0.9), (0.5,), limits, 20, 9, 0.5)
+    value, p1, r, u, v, re, im = polish(scan, (0.0, 1.9, 0.9), 0.5, (0.0, 2.0), 20, 9, 0.5)
     assert (value, p1, r, u, v, re, im) == (3.0, 2.0, 1.0, 1.0, 0.0, 3.0, 0.0)
     # no round beats an incumbent at the maximum, so it is kept as it is
     top = (3.0, 2.0, 1.0, 1.0, 0.0, 3.0, 0.0)
-    assert polish(scan, top, (0.5,), limits, 3, 9, 0.5) is top
+    assert polish(scan, top, 0.5, (0.0, 2.0), 3, 9, 0.5) is top
 
 
 def _level_coefficients(p1):
