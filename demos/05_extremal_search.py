@@ -11,10 +11,11 @@ for convex), and the maths settles every pinned search: it scores the
 canonical witnesses and the peak of its radial bound, and returns.  Free
 |a4| searches p1 alone: on each circle |x| = r the maximum over arg x is
 at cos(arg x) = +-1 or at the vertex of a quadratic in cos(arg x), and
-the maximum over r is at one of 8 radii in closed form (the ends of
-[0, 1] and the stationary points of those branches).  So it scores the
-canonical witnesses first, then a p1 grid plus random p1 draws, then a
-polish of shrinking local p1 grids around the best level.
+the maximum over r is at one of 4 radii in closed form (the ends of
+[0, 1] and the stationary points of the cos(arg x) = +-1 branch; the
+vertex branch is linear in r^2, so it peaks where it meets them).  So it
+scores the canonical witnesses first, then a p1 grid plus random p1
+draws, then a polish of shrinking local p1 grids around the best level.
 """
 
 from coefbound import (
@@ -83,7 +84,7 @@ print(f"  free |a4| at lam=0.8, growing budgets 1e3 -> 1e5: {values}")
 print(f"  spread {max(values) - min(values):.1e}: the maximum lies at an interior p1 on |x| = 1,")
 print("  so the budget still matters there: it sets how finely p1 is searched, and more")
 print("  of it need not give a larger value (the polish windows move with the incumbent).")
-print("  x is settled at every p1: arg x on each circle, and |x| at one of 8 radii.")
+print("  x is settled at every p1: arg x on each circle, and |x| at one of 4 radii.")
 seeds = {extremal_search(fn, 0.8, budget=BUDGET, seed=s).value for s in range(4)}
 print(f"  the seed picks only the random p1 draws: seeds 0 to 3 give {sorted(seeds)}.")
 print("  A pinned difference is settled by the maths and returns the same value at every")

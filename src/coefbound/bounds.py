@@ -331,7 +331,7 @@ def sup_over_p(
 
 
 def general_coeff_bound(cls: str, n: int, lam: float) -> float:
-    """The |a_n| product bound for any n >= 2 (not always sharp).
+    """The |a_n| product bound for n in [2, 171], where (n-1)! is a float (not always sharp).
 
     Starlike: prod_{k=0}^{n-2}(lam + k) / (n-1)!; convex: the same over n!.
     Shares the closed-form sequence kernel tested in exact arithmetic.
@@ -339,6 +339,8 @@ def general_coeff_bound(cls: str, n: int, lam: float) -> float:
     check_lambda(lam)
     if n < 2:
         raise ValueError("general bounds start at n = 2")
+    if n > 171:
+        raise ValueError(f"general bounds end at n = 171, where (n-1)! is still a float; got n = {n}")
     base = a_sequence_closed(float(lam), n)
     if cls == "starlike":
         return float(base)

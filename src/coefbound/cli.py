@@ -33,11 +33,12 @@ x = +-r) the search scores the canonical witnesses and, where that bound
 peaks inside the disk, its peak row, which hold the exact maximum, and
 reports the whole budget as samples; that is 98 of the 106 records of
 `report`.  The 8 free |a4| records search p1 alone, since x is settled at
-each p1 too (arg x on each circle, |x| at one of 8 radii): canonical
+each p1 too (arg x on each circle, |x| at one of 4 radii): canonical
 witnesses, a p1 grid, random p1 draws and a polish of shrinking local
 grids, scored in fixed-size blocks, so memory does not grow with --budget.
-They report as samples 15 canonical points and 24 per p1 level (8 radii,
-each a circle of 3 candidates), at most 23 below the budget.  Every search
+They report as samples 15 canonical points and 24 per p1 level (8 radii
+of 3 candidates each, 4 radii and 2 candidates ruled out in closed form),
+at most 23 below the budget.  Every search
 draws its own levels, so a record's duration_ms is its own search.
 The search is single-threaded: --workers is accepted for compatibility and
 must be a positive integer, but it changes nothing.

@@ -126,24 +126,27 @@ class YValue:
     branch: str
 
 
+#: The largest |a| + |b| + |c| that y_closed_form and y_bruteforce take: above it |A|^2 can overflow.
+Y_INPUT_MAX = 1e150
+
+
 def y_closed_form(a: float, b: float, c: float) -> YValue:
     """Closed form of max over the disk of |a + b*z + c*z^2| + 1 - |z|^2.
 
     Valid for a >= 0 and c >= 0: the maximum is a + |b| + c when
     |b| >= 2(1 - c) (attained at z = +-1) and 1 + a + b^2/(4(1 - c))
     otherwise.  At c >= 1 the first condition always holds, so the
-    1/(1 - c) singularity is never evaluated.  a, b and c must be finite.
+    1/(1 - c) singularity is never evaluated.  a, b and c must be finite and
+    a + |b| + c at most Y_INPUT_MAX: then neither branch overflows.
     """
     # Negated so that NaN is refused: every comparison with NaN is False.
     if not (0.0 <= a < math.inf and 0.0 <= c < math.inf and math.isfinite(b)):
         raise ValueError(f"need finite a, c >= 0 and finite b, got a={a}, b={b}, c={c}")
+    if a + abs(b) + c > Y_INPUT_MAX:
+        raise ValueError(f"a + |b| + c must be at most {Y_INPUT_MAX}, got a={a}, b={b}, c={c}")
     if abs(b) >= 2.0 * (1.0 - c):
         return YValue(value=a + abs(b) + c, branch="first")
     return YValue(value=1.0 + a + b * b / (4.0 * (1.0 - c)), branch="second")
-
-
-#: The largest |a| + |b| + |c| that y_bruteforce takes: above it |A|^2 can overflow.
-Y_INPUT_MAX = 1e150
 
 
 def y_bruteforce(a: float, b: float, c: float) -> float:

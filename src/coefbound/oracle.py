@@ -32,19 +32,20 @@ phase.
 
 Free |a4| still settles x at each p1: schwarz.circle_max takes the best
 of at most three points of each circle |x| = r, and the best circle is at
-one of the 8 radii of schwarz.level_radii.  The search walks p1 alone, and
-counts each level as its 24 points.
+one of the 4 radii of schwarz.level_radii.  The search walks p1 alone, and
+counts each level as its 24 points: 8 candidate radii, each a circle of 3
+candidates, of which the maths rules out 4 radii and 2 candidates.
 
 Determinism contract: identical (claim, grids, budget, seed, tolerance,
 variant) produce bit-identical reports.  A search scores each phase in
 blocks of at most CHUNK_ROWS p1 levels with a running first-index argmax,
-and skips the levels whose schwarz.level_bound, then the radii whose
-schwarz.score_bound, is not above the incumbent at the start of their
-block: both bound the computed score, rounding included, so nothing
-skipped could pass the strict improvement test.  Neither the result nor
-the memory depends on the block size, ``samples`` counts every point,
-scored or bounded out, and a search in a run (single-threaded, drawing its
-own levels) returns the bits of a standalone one.
+and skips the levels whose schwarz.level_bound is not above the incumbent
+at the start of their block: it bounds the computed score, rounding
+included, so nothing skipped could pass the strict improvement test.
+Neither the result nor the memory depends on the block size, ``samples``
+counts every point, scored or bounded out, and a search in a run
+(single-threaded, drawing its own levels) returns the bits of a
+standalone one.
 """
 
 from __future__ import annotations
@@ -328,11 +329,12 @@ def _canonical_rows(fn: Functional):
 def _schedule(budget: int):
     """(grid levels, random levels, polish levels m, rounds, shrink s) of a budget.
 
-    A search scores the 15 canonical points and (budget - 15) // 24 p1 levels of 24 points (8 radii,
-    each a circle of 3 candidates).  The polish takes the fewest rounds of m >= 3 levels, at most
-    levels // 8 // rounds and no more than s needs, with s^(rounds - 1) = _POLISH_NARROWING and s >=
-    min(0.5, 2 _POLISH_SPACINGS / (m - 1)); below budget 1,551, as many rounds of 3 levels, s = 1/2,
-    as three quarters of the levels hold.  The grid takes three quarters of the rest, the draws the rest.
+    A search scores the 15 canonical points and (budget - 15) // 24 p1 levels of 24 points (8 radii of
+    3 candidates each; level_radii rules 4 radii out in closed form, circle_max 2 candidates).  The
+    polish takes the fewest rounds of m >= 3 levels, at most levels // 8 // rounds and no more than s
+    needs, with s^(rounds - 1) = _POLISH_NARROWING and s >= min(0.5, 2 _POLISH_SPACINGS / (m - 1));
+    below budget 1,551, as many rounds of 3 levels, s = 1/2, as three quarters of the levels hold.  The
+    grid takes three quarters of the rest, the draws the rest.
     """
     levels = (budget - 3 * _UNITS_RE.size) // 24
     for rounds in itertools.count(2):

@@ -13,7 +13,7 @@ candidates outside the true coefficient body.  The moments convert to Schwarz
 coefficients through w = (q - 1)/(q + 1).
 
 The extremal search maximizes over y in closed form (see oracle), over arg x
-on each circle |x| = r by circle_max and over r at the 8 radii of
+on each circle |x| = r by circle_max and over r at the 4 radii of
 level_radii, so level_scan walks p1 alone, through the levels of
 grid_chunks, random_chunks and polish.  lemmas.y_bruteforce walks |z|
 alone, through circle_max and the same polish.  sample_param_arrays
@@ -278,27 +278,21 @@ def level_bound(alpha, beta, gamma, kq):
 
 
 def level_radii(alpha, beta, gamma, kq):
-    """The 8 radii of each level, one row per level, at one of which circle_max finds the level's maximum.
+    """The 4 radii of each level, one row per level, at one of which circle_max finds the level's maximum.
 
     With arg x settled, the maximum over r in [0, 1] is at r = 0, r = 1 or a stationary point of
     circle_max's branch.  The end branch c = +-1 scores sigma (alpha + c beta r + gamma r^2) +
-    kq (1 - r^2), sigma the bracket's sign: r = sigma c beta / (2 (kq - sigma gamma)), 4 radii.  The
-    vertex branch scores sqrt(A0 + A1 s + A2 s^2) + kq (1 - s) in s = r^2, A0 = alpha (alpha -
-    beta^2/(4 gamma)), A1 = beta^2/2 - 2 alpha gamma, A2 = gamma (gamma - beta^2/(4 alpha)): the roots
-    of A2 (A2 - kq^2) s^2 + A1 (A2 - kq^2) s + (A1^2/4 - kq^2 A0) = 0, or of its linear case, by the
-    stable formula.  Radii off [0, 1] or NaN are clipped; a spurious one takes nothing away.
+    kq (1 - r^2), sigma the bracket's sign, stationary at r = sigma c beta / (2 (kq - sigma gamma)):
+    for each sigma the two signs of c give r and -r, so |beta / (2 (kq -+ gamma))|.  The vertex branch
+    scores sqrt(A2) |s - alpha/gamma| + kq (1 - s) in s = r^2, A2 = gamma (gamma - beta^2/(4 alpha)),
+    linear in s wherever it exists (alpha gamma < 0), so its maximum is at an edge where it meets an
+    end branch.  A radius NaN or <= 0 becomes 0, one above 1 becomes 1; a spurious one costs nothing.
     """
-    alpha, beta, gamma, kq = (np.asarray(c, dtype=float) for c in (alpha, beta, gamma, kq))  # numpy's division by 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        square, k2 = beta * beta, kq * kq
-        a1, a2 = 0.5 * square - 2.0 * alpha * gamma, gamma * (gamma - square / (4.0 * alpha))
-        qa, qb, qc = a2 * (a2 - k2), a1 * (a2 - k2), 0.25 * a1 * a1 - k2 * (alpha * (alpha - square / (4.0 * gamma)))
-        h = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
-        r = np.empty((*np.shape(h), 8))  # filled column by column: cheaper than stacking 8 arrays
-        r[..., 0], r[..., 1] = 0.0, 1.0
-        r[..., 2], r[..., 3] = beta / (2.0 * (kq - gamma)), beta / (2.0 * (kq + gamma))
-        r[..., 4:6] = -r[..., 2:4]
-        r[..., 6], r[..., 7] = np.sqrt(h / qa), np.sqrt(qc / h)
+    r = np.empty((*np.broadcast(alpha, beta, gamma, kq).shape, 4))
+    r[..., 0], r[..., 1] = 0.0, 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # np.divide: numpy's division by 0
+        r[..., 2], r[..., 3] = np.divide(beta, 2.0 * (kq - gamma)), np.divide(beta, 2.0 * (kq + gamma))
+    r = np.abs(r)
     return np.where(r > 0.0, np.minimum(r, 1.0), 0.0)
 
 
@@ -317,9 +311,9 @@ def level_scan(coefficients, levels, best: float = -math.inf, chunk: int = 8192)
     """The first p1 level whose maximum exceeds ``best``: (value, p1, r, Re x, Im x, Re A, Im A) or None.
 
     ``levels`` are arrays of p1, scored in order in blocks of at most ``chunk``, whose (alpha, beta,
-    gamma, kq) ``coefficients(p1)`` gives.  Levels whose level_bound, then radii whose score_bound,
-    is not above the incumbent at the start of the block are skipped, so the result, the first
-    maximal radius, has the bits of scoring every radius at any block size.
+    gamma, kq) ``coefficients(p1)`` gives.  Levels whose level_bound is not above the incumbent at
+    the start of the block are skipped, and circle_max scores the 4 radii of every other level, so
+    the result, the first maximal radius, has the bits of scoring every radius at any block size.
     """
     found = None
     for p1 in _blocks(levels, chunk):
@@ -329,13 +323,10 @@ def level_scan(coefficients, levels, best: float = -math.inf, chunk: int = 8192)
             continue
         p1, coefs = p1[keep], [c[keep] for c in coefs]
         r = level_radii(*coefs)
-        i, j = np.divmod(np.flatnonzero(score_bound(*(c[:, None] for c in coefs), r) > best), r.shape[1])
-        if not i.size:
-            continue
-        vals, *point = circle_max(*(c[i] for c in coefs), r[i, j])
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            found = float(vals[k]), float(p1[i[k]]), float(r[i[k], j[k]]), *(float(a[k]) for a in point)
+        vals, *point = circle_max(*(c[:, None] for c in coefs), r)
+        i, j = divmod(int(np.argmax(vals)), r.shape[1])
+        if vals[i, j] > best:
+            found = float(vals[i, j]), float(p1[i]), float(r[i, j]), *(float(a[i, j]) for a in point)
             best = found[0]
     return found
 

@@ -68,8 +68,9 @@ def test_smoke_pass_checks_every_operation(workload):
 @pytest.mark.parametrize("cls", ["starlike", "convex"])
 def test_a_default_search_scores_the_samples_it_reports(monkeypatch, cls):
     # report's and deep's evals_per_s sum the records' samples: the canonical
-    # points, and 24 points for each p1 level (8 radii, each a circle of 3
-    # candidates), scored or bounded out
+    # points, and 24 points for each p1 level (8 candidate radii, each a
+    # circle of 3 candidates; level_radii rules 4 radii out in closed form,
+    # as circle_max does 2 candidates), scored or bounded out
     from coefbound import oracle
 
     scored = []

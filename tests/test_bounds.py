@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coefbound.bounds import (
+    LAMBDA_MAX,
     LAMBDA_MIN,
     bound,
     k_coeff_bound,
@@ -335,3 +336,13 @@ class TestGeneralCoeffBound:
     def test_n_below_two_rejected(self):
         with pytest.raises(ValueError):
             general_coeff_bound("starlike", 1, 1.0)
+
+    @pytest.mark.parametrize("cls", ["starlike", "convex"])
+    def test_n_171_is_finite_at_the_largest_lambda(self, cls):
+        assert math.isfinite(general_coeff_bound(cls, 171, LAMBDA_MAX))
+
+    @pytest.mark.parametrize("cls", ["starlike", "convex"])
+    def test_n_above_171_rejected(self, cls):
+        # (n-1)! is no float there; n = 172 once raised OverflowError
+        with pytest.raises(ValueError, match="n = 171"):
+            general_coeff_bound(cls, 172, 1.0)

@@ -159,6 +159,16 @@ class TestYClosedForm:
         with pytest.raises(ValueError):
             y_closed_form(a, b, c)
 
+    @pytest.mark.parametrize("a, b", [(1e308, 1e308), (1e155, 0.0)])
+    def test_huge_inputs_rejected(self, a, b):
+        # y_bruteforce's domain: a + |b| + c above Y_INPUT_MAX; (1e308, 1e308, 0) once returned inf
+        with pytest.raises(ValueError):
+            y_closed_form(a, b, 0.0)
+
+    def test_the_largest_inputs_taken_are_finite(self):
+        out = y_closed_form(1e150, 0.0, 0.0)
+        assert math.isfinite(out.value) and out.value == 1e150 and out.branch == "second"
+
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -619,19 +619,20 @@ class TestBoundedDraws:
     )
     @settings(max_examples=200, deadline=None)
     def test_bounded_rows_score_as_every_row(self, fn, lam, seed, count, chunk, incumbent, row):
-        # a level or a radius is skipped only where it could not pass the
-        # strict test, so every incumbent, ties included, keeps every bit;
-        # the draws' p1 is scored whether or not fn pins p1
+        # a level is skipped only where it could not pass the strict test, so
+        # every incumbent, ties and a radius's score_bound included, keeps
+        # every bit; the draws' p1 is scored whether or not fn pins p1
         blocks = list(random_chunks(seed, count, chunk))
         top = _unbounded_scan(fn, lam, blocks, -np.inf)[0]
         _, coefs = _level_coefficients(fn, lam, blocks)
-        radius = schwarz.level_radii(*coefs).ravel()[row % (8 * count)]
+        r = schwarz.level_radii(*coefs)
+        i, j = divmod(row % r.size, r.shape[1])
         best = {
             "none": -np.inf,
             "max": top,
             "below": np.nextafter(top, -np.inf),
             "level": level_bound(*coefs)[row % count],
-            "radius": score_bound(*(c[row % (8 * count) // 8] for c in coefs), radius),
+            "radius": score_bound(*(c[i] for c in coefs), r[i, j]),
         }[incumbent]
         got = level_scan(functools.partial(_quadratic, fn, lam), blocks, float(best), chunk)
         assert repr(got) == repr(_unbounded_scan(fn, lam, blocks, float(best)))

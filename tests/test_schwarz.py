@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -370,7 +371,7 @@ def _mirrored_coefficients(p1):
 
 
 def _level_candidates(coefficients, p1_levels):
-    """Every level's 8 radii, levels outer: their p1 and r columns and each candidate's coefficients."""
+    """Every level's radii, levels outer: their p1 and r columns and each candidate's coefficients."""
     coefs = [np.broadcast_to(c, p1_levels.shape) for c in coefficients(p1_levels)]
     r = level_radii(*coefs)
     return np.repeat(p1_levels, r.shape[1]), r.ravel(), [np.repeat(c, r.shape[1]) for c in coefs]
@@ -390,14 +391,14 @@ _LEVEL_CASES += [
 
 @pytest.mark.parametrize("coefficients, p1_levels, chunk", _LEVEL_CASES)
 def test_level_scan_is_the_grid_of_circle_maxima(monkeypatch, coefficients, p1_levels, chunk):
-    # the levels in order, each at its 8 radii, each radius's circle_max, and the first of the largest
+    # the levels in order, each at its radii, each radius's circle_max, and the first of the largest
     got = level_scan(coefficients, [p1_levels], chunk=chunk)
     p1, r, coefs = _level_candidates(coefficients, p1_levels)
     vals, u, v, re, im = circle_max(*coefs, r)
     i = int(np.argmax(vals))
     assert got == (float(vals[i]), float(p1[i]), float(r[i]), float(u[i]), float(v[i]), float(re[i]), float(im[i]))
     if coefficients is _mirrored_coefficients:  # the tie goes to the first level
-        assert vals[i + 8] == vals[i] and got[1] == p1_levels[0]
+        assert vals[i + r.size // p1_levels.size] == vals[i] and got[1] == p1_levels[0]
     assert level_scan(coefficients, [p1_levels], got[0], chunk) is None
     # an incumbent at the largest level_bound forms no radii and scores none;
     # one ulp lower, the levels at that bound form their radii
@@ -410,13 +411,6 @@ def test_level_scan_is_the_grid_of_circle_maxima(monkeypatch, coefficients, p1_l
     assert formed == scored == []
     level_scan(coefficients, [p1_levels], float(np.nextafter(top, -np.inf)), chunk)
     assert formed
-    # an incumbent at the largest score_bound of a radius scores none; one ulp lower, the radii at it are scored
-    scored.clear()
-    top = float(score_bound(*coefs, r).max())
-    assert level_scan(coefficients, [p1_levels], top, chunk) is None
-    assert scored == []
-    level_scan(coefficients, [p1_levels], float(np.nextafter(top, -np.inf)), chunk)
-    assert scored
 
 
 _tie_prone = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), _coefficient)
@@ -530,15 +524,70 @@ _DENSE_RADII = np.linspace(0.0, 1.0, 4001)
 @given(levels())
 @settings(max_examples=500, deadline=None)
 @example((0.0, 0.0, 0.0, 1.0))  # every radius NaN or clipped: the maximum kq is at r = 0
-@example((1.0, 1.0, -1.0, 0.0))  # kq = 0: the vertex branch's double root
+@example((1.0, 1.0, -1.0, 0.0))  # kq = 0: the vertex branch is linear in r^2 and peaks at r = 1
 def test_level_radii_hold_the_maximum_over_the_disk(level):
-    # circle_max settles arg x, and the 8 radii hold the maximum over r: their
+    # circle_max settles arg x, and the 4 radii hold the maximum over r: their
     # best is never below a dense scan of circles by more than rounding, and
     # level_bound is above every score of the level
     r = level_radii(*level)
-    assert r.shape == (8,) and ((0.0 <= r) & (r <= 1.0)).all()
+    assert r.shape == (4,) and ((0.0 <= r) & (r <= 1.0)).all()
     best = float(circle_max(*level, r)[0].max())
     dense = float(circle_max(*level, _DENSE_RADII)[0].max())
     rounding = 2 * CIRCLE_ULPS * 2.0**-52 * sum(abs(c) for c in level) + schwarz.BOUND_FLOOR
     assert best >= dense - rounding
     assert level_bound(*level) >= max(best, dense)
+
+
+def _eight_radii(alpha, beta, gamma, kq):
+    """The earlier 8-radius rule, kept as a reference: level_radii's 4, -r of its end-branch 2, and the vertex roots."""
+    alpha, beta, gamma, kq = (np.asarray(c, dtype=float) for c in (alpha, beta, gamma, kq))  # numpy's division by 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        square, k2 = beta * beta, kq * kq
+        a1, a2 = 0.5 * square - 2.0 * alpha * gamma, gamma * (gamma - square / (4.0 * alpha))
+        qa, qb, qc = a2 * (a2 - k2), a1 * (a2 - k2), 0.25 * a1 * a1 - k2 * (alpha * (alpha - square / (4.0 * gamma)))
+        h = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+        r = np.empty((*np.shape(h), 8))  # filled column by column: cheaper than stacking 8 arrays
+        r[..., 0], r[..., 1] = 0.0, 1.0
+        r[..., 2], r[..., 3] = beta / (2.0 * (kq - gamma)), beta / (2.0 * (kq + gamma))
+        r[..., 4:6] = -r[..., 2:4]
+        r[..., 6], r[..., 7] = np.sqrt(h / qa), np.sqrt(qc / h)
+    return np.where(r > 0.0, np.minimum(r, 1.0), 0.0)
+
+
+@given(levels())
+@settings(max_examples=500, deadline=None)
+@example((0.0, 0.0, 0.0, 1.0))
+@example((1.0, 1.0, -1.0, 0.0))
+# free |a4| at p1 one ulp below 2: A2 rounds to kq^2, so qa = 0 and a vertex root is inf
+@example((0.0644895131151605, 4.907053177312107e-17, -3.81153457127596e-17, 3.811534571275961e-17))
+# free |a4| at a tiny lambda near p1 = 2: a vertex root of the reference is 0.0059, spurious
+@example((4.722222222222221e-31, 1.850371707708594e-36, -7.401486830834376e-27, 7.401486830834377e-27))
+# alpha gamma > 0, so a spurious vertex root, 1 - 2^-53, scores one ulp above r = 1
+@example((-1.7782794100389228, -0.023971858303515215, -1.7782794100389228, 1.7782794100389228))
+def test_the_4_radii_score_the_maximum_of_the_8(level):
+    # of the 4 radii dropped, the mirrored end-branch pair -r clips to 0, and
+    # the vertex roots are the double root r^2 = alpha/gamma, below 0 wherever
+    # the vertex branch exists (alpha gamma < 0); elsewhere a spurious root
+    # can beat the 4 radii by rounding alone
+    four, eight = (float(circle_max(*level, radii(*level))[0].max()) for radii in (level_radii, _eight_radii))
+    rounding = 2 * CIRCLE_ULPS * 2.0**-52 * sum(abs(c) for c in level) + schwarz.BOUND_FLOOR
+    assert eight - rounding <= four <= eight  # the 4 radii are among the 8's values
+    alpha, beta, gamma, _ = level
+    if np.sign(alpha) * np.sign(gamma) < 0.0:
+        # exactly, 4 A0 A2 = A1^2; in floats the reference's quartic can put a
+        # spurious root in (0, 1] where A2 rounds near kq^2, as at p1 near 2
+        a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
+        a0, a1, a2 = a * (a - b * b / (4 * g)), b * b / 2 - 2 * a * g, g * (g - b * b / (4 * a))
+        assert 4 * a0 * a2 == a1 * a1 and a / g < 0
+        assert repr(four) == repr(eight)
+
+
+def test_the_4_radii_score_the_maximum_of_the_8_across_free_a4():
+    # every free |a4| level of a 120 x 4,001 (lambda, p1) grid and the 64 p1 just below 2, both classes
+    p1 = np.append(np.linspace(0.0, 2.0, 4001), 2.0 - np.arange(1, 65) * 2.0**-52)
+    for cls in ("starlike", "convex"):
+        for lam in np.linspace(LAMBDA_MIN, math.pi / 2, 120).tolist():
+            coefs = [np.broadcast_to(c, p1.shape) for c in oracle._quadratic(oracle.Functional("abs_a4", cls), lam, p1)]
+            columns = [c[:, None] for c in coefs]
+            four, eight = (circle_max(*columns, radii(*coefs))[0].max(axis=1) for radii in (level_radii, _eight_radii))
+            assert four.tobytes() == eight.tobytes(), (cls, lam)
