@@ -68,7 +68,6 @@ from .series import (
     ratio_to_coefficients,
     reciprocal,
     unit_series,
-    zero_series,
 )
 
 __version__ = "0.1.0"

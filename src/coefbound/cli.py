@@ -26,21 +26,11 @@ emitted value-preserving (shortest round-trip form); CSV cells use the
 same form, with empty cells for absent values and true/false for flags; text
 mode prints 6 significant digits.
 
-Each search takes the maximum over y in closed form.  Where the maths
-settles x (|a2|, |a3|, whose bound is affine in p1^2, and every |a3 - a2|
-and |a4 - a3| at its --p, whose bound on |x| = r is attained at a real
-x = +-r) the search scores the canonical witnesses and, where that bound
-peaks inside the disk, its peak row, which hold the exact maximum, and
-reports the whole budget as samples; that is 98 of the 106 records of
-`report`.  The 8 free |a4| records search p1 alone, since x is settled at
-each p1 too (arg x on each circle, |x| at one of 4 radii): canonical
-witnesses, a p1 grid, random p1 draws and a polish of shrinking local
-grids, scored in fixed-size blocks, so memory does not grow with --budget.
-They report as samples 15 canonical points and 24 per p1 level (8 radii
-of 3 candidates each, 4 radii and 2 candidates ruled out in closed form),
-at most 23 below the budget.  Every search
-draws its own levels, so a record's duration_ms is its own search.
-The search is single-threaded: --workers is accepted for compatibility and
+The oracle module's docstring says how a search walks the parameter body.
+A record's samples is the whole --budget where the maths settles x (98 of
+the 106 records of `report`), else at most 23 below it.  Every search
+draws its own levels, so a record's duration_ms is its own search.  The
+search is single-threaded: --workers is accepted for compatibility and
 must be a positive integer, but it changes nothing.
 """
 

@@ -18,9 +18,9 @@ floats, or for a difference rounds each coefficient once from its exact
 value.  A search computes them once and scores A in real arithmetic
 without forming the moments, by schwarz.point_scores.  Its witness is a
 full (p1, x, y) triple with that y (y = 1 where A = 0), which
-functional_value replays through the full moments in floats and
-exact_value in exact rational arithmetic, so a replay checks the table
-independently.
+functional_value replays through the moment formulas in exact rational
+arithmetic, rounding only |F| once, so a replay checks the table
+independently at every lam.
 
 Where the maths settles x, the search scores the rows that hold the
 maximum and returns: a later phase could only tie it or beat it by rounding.
@@ -155,14 +155,6 @@ class Functional:
         return self.fixed_p if self.cls == "starlike" else 2.0 * self.fixed_p
 
 
-def _moments(p1, x, y):
-    """Moments p2, p3 of (p1, x, y); they do not depend on lam."""
-    q = 4.0 - p1 * p1
-    p2 = 0.5 * (p1 * p1 + q * x)
-    p3 = 0.25 * (p1 ** 3 + 2.0 * q * p1 * x - q * p1 * x * x + 2.0 * q * (1.0 - np.abs(x) ** 2) * y)
-    return p2, p3
-
-
 def _coefficient_values(lam, p1, p2, p3, cls):
     """a2, a3, a4 from the closed moment formulas; works on scalars or arrays."""
     inner3 = p2 + (3.0 * lam - 2.0) / 4.0 * p1 * p1
@@ -172,24 +164,6 @@ def _coefficient_values(lam, p1, p2, p3, cls):
     if cls == "starlike":
         return 0.5 * lam * p1, 0.25 * lam * inner3, lam / 6.0 * inner4
     return 0.25 * lam * p1, lam / 12.0 * inner3, lam / 24.0 * inner4
-
-
-def _functional(fn: Functional, lam, p1, p2, p3):
-    """The complex functional (a2, a3, a4, a3 - a2 or a4 - a3) at the moments.
-
-    The search scores _quadratic instead; functional_value replays a witness
-    through this route, which shares no formula with it.
-    """
-    a2, a3, a4 = _coefficient_values(lam, p1, p2, p3, fn.cls)
-    if fn.kind == "abs_a2":
-        return a2
-    if fn.kind == "abs_a3":
-        return a3
-    if fn.kind == "abs_a4":
-        return a4
-    if fn.kind == "abs_a3_minus_a2":
-        return a3 - a2
-    return a4 - a3
 
 
 def _quadratic(fn: Functional, lam, p1):
@@ -245,29 +219,14 @@ def _maximizing_y(a: complex) -> complex:
     return a / abs(a)
 
 
-def functional_value(fn: Functional, lam: float, params: CaratheodoryParams) -> float:
-    """The requested modulus at one parameter point (fixed_p overrides p1)."""
-    bounds.check_lambda(lam)
-    p1 = fn.effective_p1
-    if p1 is None:
-        p1 = params.p1
-    p1 = np.float64(p1)
-    p2, p3 = _moments(p1, np.complex128(params.x), np.complex128(params.y))
-    return float(np.abs(_functional(fn, lam, p1, p2, p3)))
-
-
-def exact_value(fn: Functional, lam: float, params: CaratheodoryParams) -> float:
-    """The requested modulus at one parameter point, rounded once (fixed_p overrides p1).
+def _exact_functional(fn: Functional, lam: float, params: CaratheodoryParams):
+    """The complex functional F at (p1, x, y) as exact (Re F, Im F); like _quadratic, it never reads fixed_p.
 
     lam and the parameters' floats are read as Fractions, and p2, p3, a2..a4
-    and the functional are formed from the moment formulas in exact
-    rational arithmetic, as [re, im] pairs.  Only sqrt(|F|^2) is rounded,
-    after an exact scaling by a power of 4.  It shares no formula with
-    _quadratic and no rounding with functional_value, whose moments cancel
-    at small lam.
+    and F are formed from the moment formulas in rational arithmetic, as
+    [re, im] pairs.
     """
-    bounds.check_lambda(lam)
-    lam, p = Fraction(lam), Fraction(params.p1 if fn.effective_p1 is None else fn.effective_p1)
+    lam, p = Fraction(lam), Fraction(params.p1)
     u, v, *y = map(Fraction, (params.x.real, params.x.imag, params.y.real, params.y.imag))
     q, x, x2, one = 4 - p * p, [u, v], [u * u - v * v, 2 * u * v], [1, 0]
     ky = 2 * q * (1 - u * u - v * v)
@@ -277,12 +236,39 @@ def exact_value(fn: Functional, lam: float, params: CaratheodoryParams) -> float
     inner3 = [p2[i] + c3 * one[i] for i in (0, 1)]
     inner4 = [p3[i] + (5 * lam - 4) / 4 * p * p2[i] + c4 * one[i] for i in (0, 1)]
     s2, s3, s4 = (lam / 2, lam / 4, lam / 6) if fn.cls == "starlike" else (lam / 4, lam / 12, lam / 24)
-    a2, a3, a4 = [s2 * p, 0], [s3 * w for w in inner3], [s4 * w for w in inner4]
+    a2, a3, a4 = [s2 * p, Fraction(0)], [s3 * w for w in inner3], [s4 * w for w in inner4]
     f = {"abs_a2": a2, "abs_a3": a3, "abs_a4": a4, "abs_a3_minus_a2": (a3, a2), "abs_a4_minus_a3": (a4, a3)}
-    f = f[fn.kind] if fn.kind not in _DIFFERENCE_KINDS else [hi - lo for hi, lo in zip(*f[fn.kind])]
-    square = f[0] * f[0] + f[1] * f[1]
-    k = (square.denominator.bit_length() - square.numerator.bit_length()) // 2
-    return math.ldexp(math.sqrt(square * Fraction(4) ** k), -k)
+    return f[fn.kind] if fn.kind not in _DIFFERENCE_KINDS else [hi - lo for hi, lo in zip(*f[fn.kind])]
+
+
+def _nearest_sqrt(square: Fraction) -> float:
+    """The float nearest sqrt(square), rounded once.
+
+    Scaled by 4^e, the root has at least 56 bits, three more than a float
+    keeps, so isqrt's floor with a sticky lowest bit where the root is
+    inexact rounds as the root does; Python's int / int rounds it once,
+    at subnormal results too.
+    """
+    n, d = square.numerator, square.denominator
+    e = max(0, (112 + d.bit_length() - n.bit_length()) // 2)
+    scaled, rest = divmod(n << 2 * e, d)
+    root = math.isqrt(scaled)
+    return (root | (rest != 0 or root * root != scaled)) / (1 << e)
+
+
+def functional_value(fn: Functional, lam: float, params: CaratheodoryParams) -> float:
+    """|F| at one parameter point, the float nearest its exact value (fixed_p overrides p1).
+
+    The one replay of a witness: _exact_functional forms F from the moment
+    formulas, which share nothing with the search's _quadratic, and only
+    |F| is rounded, so a replay holds at every lam, where float moments
+    would cancel.
+    """
+    bounds.check_lambda(lam)
+    if fn.effective_p1 is not None:
+        params = CaratheodoryParams(fn.effective_p1, params.x, params.y)
+    re, im = _exact_functional(fn, lam, params)
+    return _nearest_sqrt(re * re + im * im)
 
 
 def check_budget(budget: int, name: str = "budget") -> None:
@@ -672,11 +658,8 @@ def series_cross_check(lam: float, cls: str, params: CaratheodoryParams) -> floa
     c = caratheodory_to_schwarz(m)
     omega = series.TruncatedSeries([0.0, c.c1, c.c2, c.c3])
     a_series = series.coefficients_from_schwarz(omega, lam, cls, 4)
-    # Python scalars give numpy's bits here (see series).  np.abs stays: on a
-    # complex array it rounds differently from Python's abs.
-    p1 = float(params.p1)
-    p2, p3 = _moments(p1, complex(params.x), complex(params.y))
-    closed = np.array(_coefficient_values(lam, p1, p2, p3, cls), dtype=np.complex128)
+    # np.abs stays: on a complex array it rounds differently from Python's abs
+    closed = np.array(_coefficient_values(lam, m.p1, m.p2, m.p3, cls), dtype=np.complex128)
     return float(np.abs(a_series - closed).max())
 
 

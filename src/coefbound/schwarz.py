@@ -17,9 +17,8 @@ on each circle |x| = r by circle_max and over r at the 4 radii of
 level_radii, so level_scan walks p1 alone, through the levels of
 grid_chunks, random_chunks and polish.  lemmas.y_bruteforce walks |z|
 alone, through circle_max and the same polish.  sample_param_arrays
-(sample_params as objects) draws whole (p1, x, y) rows and is the one place
-where complex arrays are built, bit for bit from columns that carry the bits
-numpy's complex arithmetic gives, signed zeros included.
+(sample_params as objects) draws whole (p1, x, y) rows, each disk point
+numpy's product of its modulus and its unit phase.
 """
 
 from __future__ import annotations
@@ -130,32 +129,12 @@ def sample_param_arrays(
         raise ValueError(f"unknown sampling strategy {strategy!r}")
     u = np.random.default_rng(seed).random((count, 10))
     p1 = _p1_draw(u) if fixed_p1 is None else np.full(count, float(fixed_p1))
-    x, y = _disk_point(u[:, 2:6]), _disk_point(u[:, 6:10])
-    return p1, _complex(*x), _complex(*y)
-
-
-def _polar(mod: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns (re, im) of mod * (cos + i sin), bit for bit numpy's real-by-complex product.
-
-    That product is (mod cos - 0 sin, mod sin + 0 cos).  A zero term leaves
-    a nonzero part as it is and can change a zero part only in sign, so the
-    zero terms are taken on the zero parts alone: the rows of the
-    zero-modulus atom and the imaginary parts at phase 0.
-    """
-    re, im = mod * cos, mod * sin
-    zero = np.flatnonzero(re == 0.0)
-    re[zero] -= 0.0 * sin[zero]
-    zero = np.flatnonzero(im == 0.0)
-    im[zero] += 0.0 * cos[zero]
-    return re, im
+    return p1, _disk_point(u[:, 2:6]), _disk_point(u[:, 6:10])
 
 
 def _p1_draw(u: np.ndarray) -> np.ndarray:
-    """Map uniform rows u[:, 0:2] to p1 in [0, 2] with atoms at 2 and 0."""
-    p1 = 2.0 * u[:, 1]
-    p1[u[:, 0] < 0.125] = 2.0
-    p1[(u[:, 0] >= 0.125) & (u[:, 0] < 0.1875)] = 0.0
-    return p1
+    """Map uniform rows u[:, 0:2] to p1 in [0, 2] with atoms at 2 and 0: twice a disk point's modulus."""
+    return 2.0 * _modulus(u)
 
 
 def _modulus(u: np.ndarray) -> np.ndarray:
@@ -166,16 +145,13 @@ def _modulus(u: np.ndarray) -> np.ndarray:
     return mod
 
 
-def _disk_point(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map uniform rows u[:, 0:4] to the (re, im) columns of a disk point with boundary atoms.
-
-    The phase has atoms at 0 and pi.
-    """
+def _disk_point(u: np.ndarray) -> np.ndarray:
+    """Map uniform rows u[:, 0:4] to disk points with boundary atoms; the phase has atoms at 0 and pi."""
     selp, valp = u[:, 2], u[:, 3]
     phase = 2.0 * np.pi * valp
     phase[selp < 0.125] = 0.0
     phase[(selp >= 0.125) & (selp < 0.25)] = np.pi
-    return _polar(_modulus(u[:, 0:2]), np.cos(phase), np.sin(phase))
+    return _modulus(u[:, 0:2]) * _complex(np.cos(phase), np.sin(phase))
 
 
 def grid_chunks(count: int, chunk: int):

@@ -85,10 +85,6 @@ def _check_finite(arr: np.ndarray) -> None:
         raise SeriesError("series coefficients must be finite")
 
 
-def zero_series(order: int) -> TruncatedSeries:
-    return TruncatedSeries(np.zeros(order + 1, dtype=np.complex128))
-
-
 def unit_series(order: int) -> TruncatedSeries:
     c = np.zeros(order + 1, dtype=np.complex128)
     c[0] = 1.0

@@ -16,13 +16,11 @@ from coefbound.oracle import (
     FUNCTIONAL_KINDS,
     Functional,
     VerificationReport,
-    exact_value,
     extremal_search,
     functional_value,
     _best_of,
-    _functional,
+    _exact_functional,
     _maximizing_y,
-    _moments,
     _quadratic,
     _schedule,
     general_bound_probe,
@@ -519,17 +517,17 @@ _SEARCH_LAMBDAS = [*np.linspace(0.5, 0.87, 38).tolist(), 0.7817284, 0.2, 0.50517
 SEARCH_DIGEST = "deec4b03dba2b0e4bf842cd6e48938462d795be5cb174aac0b1e122551148377"
 
 
-#: A record's exact_value lies within this many units of 2^-52 of its
+#: A record's functional_value lies within this many units of 2^-52 of its
 #: oracle_max, relative.  Each is the search's float score of its own
 #: witness, so the gap is that score's rounding: at most 3.6 units over the
 #: default report and over run_claim_suite at budgets 1000 and 5000 and 42
-#: seeds, and the float replay (functional_value) reaches 5.7.
+#: seeds.
 REPLAY_ULPS = 8
 
 
 def _replays(fn, lam, witness, value) -> bool:
-    """The witness, replayed by exact_value, gives the value to REPLAY_ULPS, relative."""
-    return abs(exact_value(fn, lam, witness) - value) <= REPLAY_ULPS * 2.0**-52 * value
+    """The witness, replayed by functional_value, gives the value to REPLAY_ULPS, relative."""
+    return abs(functional_value(fn, lam, witness) - value) <= REPLAY_ULPS * 2.0**-52 * value
 
 
 def _record_replays(record) -> bool:
@@ -734,8 +732,9 @@ class TestMaximumOverY:
         for v in (alpha, beta, gamma, kq):
             assert isinstance(v, float)
 
-        def moments_route(xv, yv):
-            return complex(_functional(fn, lam, np.float64(p1), *_moments(np.float64(p1), xv, yv)))
+        def moments_route(xv, yv):  # F exactly, whose modulus functional_value rounds
+            re, im = _exact_functional(fn, lam, CaratheodoryParams(p1, xv, yv))
+            return complex(float(re), float(im))
 
         f0, f1 = moments_route(x, 0.0), moments_route(x, 1.0)
         scale = 1e-13 * max(1.0, abs(f0), abs(f1))
@@ -826,29 +825,37 @@ class TestMaximumOverY:
 
     @pytest.mark.parametrize("cls, p", [("starlike", 2.0), ("convex", 1.0)])
     def test_a_tiny_d43_replays_to_its_searched_value(self, cls, p):
-        # at p1 = 2 the moments' terms cancel in floats: the float replay
-        # gives 0.0, and a check absolute in the value would pass anything
+        # at p1 = 2 the moments' terms cancel: a replay through float moments
+        # gave 0.0, and a check absolute in the value would pass anything
         fn = Functional("abs_a4_minus_a3", cls, fixed_p=p)
         out = extremal_search(fn, 1e-20)
         assert 1e-42 < out.value < 1e-40
-        assert functional_value(fn, 1e-20, out.witness) == 0.0
         assert _replays(fn, 1e-20, out.witness, out.value)
 
     @given(
         st.sampled_from(FUNCTIONAL_KINDS),
         st.sampled_from(("starlike", "convex")),
-        st.floats(min_value=0.01, max_value=math.pi / 2),
-        st.floats(min_value=0.0, max_value=2.0),
+        st.one_of(st.just(LAMBDA_MIN), st.floats(min_value=LAMBDA_MIN, max_value=math.pi / 2)),
+        st.one_of(st.sampled_from((0.0, 5e-324, 2.0)), st.floats(min_value=0.0, max_value=2.0)),
         unit_disk,
         unit_disk,
     )
-    @settings(max_examples=100, deadline=None)
-    def test_exact_value_is_the_float_replay_to_rounding(self, kind, cls, lam, p1, x, y):
+    @settings(max_examples=200, deadline=None)
+    # two roundings, sqrt(float(|F|^2)), gave 0.02021705060090879 here
+    @example("abs_a4", "convex", 0.547, 0.277, 0.51 - 0.17j, 0.52 - 0.16j)
+    @example("abs_a2", "starlike", 1.5, 1.5e-323, 0j, 0j)  # |F| = 2.25 * 2^-1074 rounds to 2^-1073
+    def test_functional_value_is_the_float_nearest_the_exact_modulus(self, kind, cls, lam, p1, x, y):
+        # the neighbours' midpoints around the value bracket the exact |F|
         fixed_p = None
-        if kind in ("abs_a3_minus_a2", "abs_a4_minus_a3"):
+        if kind in oracle._DIFFERENCE_KINDS:
             fixed_p = p1 if cls == "starlike" else p1 / 2.0
-        fn, params = Functional(kind, cls, fixed_p=fixed_p), CaratheodoryParams(p1, x, y)
-        assert abs(exact_value(fn, lam, params) - functional_value(fn, lam, params)) <= 1e-14
+        fn = Functional(kind, cls, fixed_p=fixed_p)
+        params = CaratheodoryParams(p1 if fixed_p is None else fn.effective_p1, x, y)
+        value = functional_value(fn, lam, params)
+        re, im = _exact_functional(fn, lam, params)
+        square = re * re + im * im
+        below, above = ((Fraction(value) + Fraction(math.nextafter(value, to))) / 2 for to in (0.0, math.inf))
+        assert below * below <= square <= above * above
 
     def test_default_suite_attains_every_sharp_bound_to_1e_12(self):
         records = run_claim_suite()

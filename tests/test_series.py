@@ -524,8 +524,12 @@ class TestProbeMatchesTheReferenceLoop:
 
 
 #: sha256 of the float64 bytes of _digest_values().  A change that moves
-#: these bits on purpose updates this digest and says so.
-SERIES_DIGEST = "faac52ad093c535e58e88a5aef37d951c980d4883ea234c236e8092294437bc5"
+#: these bits on purpose updates this digest and says so.  Re-pinned when
+#: series_cross_check took its closed moments from caratheodory_moments,
+#: whose Python abs(x) rounds differently from np.abs: the worst deviation
+#: per (lam, class) stays at or below 6.7e-16, and at lam 0.5 starlike it
+#: went from 5.00e-17 to 4.17e-17.
+SERIES_DIGEST = "4810c74c5d68c16799f97fbf632f339ee96b8d16bb16bc4c2971425231ea1422"
 
 
 def _digest_values() -> np.ndarray:
