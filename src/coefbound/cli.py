@@ -324,16 +324,16 @@ def _cmd_table(cfg: RunConfig) -> int:
     ps = cfg.ps if cfg.ps is not None else bounds.DEFAULT_PS[cfg.cls]
     rows = []
     for lam in cfg.lambdas:
-        coeffs = {f"a{n}": bounds.bound(cfg.cls, lam, n=n) for n in (2, 3, 4)}
+        a2, a3, a4 = (bounds.bound(cfg.cls, lam, n=n) for n in (2, 3, 4))
         for p in ps:
-            named = dict(coeffs)
-            for w in ("d32", "d43"):
-                named[w] = bounds.bound(cfg.cls, lam, which=w, p=p, psi2_variant=cfg.psi2_variant)
-            row = {"lambda": lam, "p": p}
-            for col in TABLE_COLUMNS[2:]:  # "<name>_bound" or "<name>_branch"
-                name, field = col.split("_")
-                row[col] = named[name].value if field == "bound" else named[name].branch
-            rows.append(row)
+            d32, d43 = (
+                bounds.bound(cfg.cls, lam, which=w, p=p, psi2_variant=cfg.psi2_variant) for w in ("d32", "d43")
+            )
+            values = (
+                lam, p, a2.value, a3.value, a4.value, d32.value, d43.value,
+                a3.branch, a4.branch, d32.branch, d43.branch,
+            )  # in TABLE_COLUMNS order
+            rows.append(dict(zip(TABLE_COLUMNS, values)))
     lines = (
         f"lambda={_fmt_text(r['lambda'])} p={_fmt_text(r['p'])}: "
         f"a2<={_fmt_text(r['a2_bound'])} a3<={_fmt_text(r['a3_bound'])} "

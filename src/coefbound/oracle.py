@@ -657,10 +657,9 @@ def series_cross_check(lam: float, cls: str, params: CaratheodoryParams) -> floa
     m = caratheodory_moments(params)
     c = caratheodory_to_schwarz(m)
     omega = series.TruncatedSeries([0.0, c.c1, c.c2, c.c3])
-    a_series = series.coefficients_from_schwarz(omega, lam, cls, 4)
-    # np.abs stays: on a complex array it rounds differently from Python's abs
-    closed = np.array(_coefficient_values(lam, m.p1, m.p2, m.p3, cls), dtype=np.complex128)
-    return float(np.abs(a_series - closed).max())
+    a_series = series.coefficients_from_schwarz(omega, lam, cls, 4).tolist()
+    closed = _coefficient_values(lam, m.p1, m.p2, m.p3, cls)
+    return max(abs(s - c) for s, c in zip(a_series, closed))
 
 
 #: Samples general_bound_probe expands per block of series arithmetic: a

@@ -9,21 +9,28 @@ the univalent function f that the subordination encodes.
 All operations are pure: inputs are never mutated and every result is a fresh
 value, so series may be shared freely across threads.
 
-The slices are short (4 to 13 terms), so the cost is per-call overhead, not
-arithmetic.  The recurrences therefore run on Python ``complex`` wherever
-that gives numpy's bits: a complex add is the same IEEE operation in both,
-and so is a multiply of numpy complex scalars.  numpy's complex multiply on
-arrays is not: its SIMD loops may fuse a multiply and an add into one
-rounding.  Two operations stay in numpy because their Python counterparts
-round differently.  ``np.dot`` sums in BLAS order, which a sequential Python
-sum does not reproduce, and numpy divides a complex by an integer through a
-rounded reciprocal, where Python divides exactly.
+Every coefficient route (exp_series, ratio_to_coefficients,
+coefficients_from_schwarz, blaschke_schwarz and the row helpers below)
+rounds by one rule, written out so that its bits depend only on IEEE
+doubles in a stated order, not on a BLAS kernel, a SIMD loop or the Python
+version:
 
-A block of many slices, as the general-bound probe expands, runs the same
-recurrences down the rows of one array (_exp_rows, _ratio_rows), each row
-with the bits of the one-slice route; their docstrings give the rules that
-keep those bits.  A single slice stays on the one-slice route: for a 4-term
-slice the row helpers' array calls cost more than the Python loop.
+* a product of two complex numbers is Python's complex multiply,
+  re = xr*yr - xi*yi and im = xr*yi + xi*yr, each real product rounded on
+  its own;
+* a product with, or a division by, a real or an integer k acts on each part
+  apart, complex(x.real * k, x.imag * k) and complex(x.real / k, x.imag / k),
+  because Python's mixed complex/real arithmetic differs between versions;
+* a sum adds its terms left to right, starting from the first term.
+
+The slices are short (4 to 13 terms), so the cost is per-call overhead, not
+arithmetic.  A single slice therefore runs the recurrences on a Python list
+of ``complex``: the coefficient array goes in once and comes out once.  A
+block of many slices, as the general-bound probe expands, runs the same
+recurrences down the rows of one array (_exp_rows, _ratio_rows) on its real
+and imaginary parts, since numpy's complex multiply on arrays may fuse a
+multiply and an add into one rounding; each row gets the bits the one-slice
+route gives it.
 """
 
 from __future__ import annotations
@@ -85,6 +92,11 @@ def _check_finite(arr: np.ndarray) -> None:
         raise SeriesError("series coefficients must be finite")
 
 
+def _check_finite_list(values: list[complex]) -> None:
+    if not all(map(cmath.isfinite, values)):
+        raise SeriesError("series coefficients must be finite")
+
+
 def unit_series(order: int) -> TruncatedSeries:
     c = np.zeros(order + 1, dtype=np.complex128)
     c[0] = 1.0
@@ -117,88 +129,88 @@ def reciprocal(s: TruncatedSeries) -> TruncatedSeries:
 def exp_series(s: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term (Schwarz-type input).
 
-    Uses the differential recurrence k*e_k = sum_j j*s_j*e_{k-j}; one pass,
-    no cancellation-prone factorials.  Each sum is one ``np.dot`` and each
-    division by k is numpy's, so every coefficient has the bits of that
-    recurrence as written; see the module docstring.
+    Uses the differential recurrence k*e_k = sum_{j=1}^k (j*s_j)*e_{k-j}; one
+    pass, no cancellation-prone factorials.  Each coefficient rounds by the
+    module's rule: the sum runs j = 1..k left to right and is then divided
+    by k part by part.
     """
     c = s.coeffs
     if c[0] != 0:
         raise SeriesError("exp_series requires a zero constant term")
-    return TruncatedSeries(_exp_coeffs(c))
+    return TruncatedSeries(_exp_coeffs(c.tolist()))
 
 
-def _exp_coeffs(c: np.ndarray) -> np.ndarray:
-    """exp_series on a coefficient vector with c[0] == 0; the result may hold inf or NaN."""
-    n = c.size
-    jc = np.arange(n) * c
-    # er[n-1-k] = e_k: e reversed, so each dot reads two contiguous runs,
-    # the same values in the same order as jc[1:k+1] . e[k-1::-1].
-    er = np.zeros(n, dtype=np.complex128)
-    er[-1] = 1.0
-    for k in range(1, n):
-        er[n - 1 - k] = jc[1 : k + 1].dot(er[n - k :]) / k
-    return er[::-1]
+def _exp_coeffs(c: Sequence[complex]) -> list[complex]:
+    """exp_series on coefficients with c[0] == 0; the result may hold inf or NaN."""
+    jc = [complex(j * z.real, j * z.imag) for j, z in enumerate(c)]
+    e = [1 + 0j]
+    for k in range(1, len(jc)):
+        acc = jc[1] * e[k - 1]
+        for j in range(2, k + 1):
+            acc += jc[j] * e[k - j]
+        e.append(complex(acc.real / k, acc.imag / k))
+    return e
 
 
 def _exp_rows(c: np.ndarray) -> np.ndarray:
     """_exp_coeffs down the rows of ``c``, shape (B, n) with c[:, 0] == 0.
 
     Returns a fresh C-contiguous (B, n) array whose every row has the bits
-    _exp_coeffs gives that row.  Two rules keep them.  Each sum is a
-    (B, 1, k) @ (B, k, 1) matmul: numpy computes a vector . vector matmul
-    with the dtype dot that ``ndarray.dot`` calls, so each row sums in the
-    same BLAS order.  The result is made contiguous, not returned as the
-    reversed view _exp_coeffs returns, because numpy's ``np.abs`` of a complex
-    array can round differently on a reversed view than on contiguous memory.
+    _exp_coeffs gives that row.  It works on the real and imaginary parts:
+    each product is formed in real form, and each sum is a ``np.cumsum``
+    along the row, which adds left to right (``np.sum`` sums pairwise).
     """
     n = c.shape[1]
-    jc = np.arange(n) * c  # an integer has no imaginary part to fuse, so array and scalar agree
-    er = np.zeros(c.shape, dtype=np.complex128)
-    er[:, -1] = 1.0
+    j = np.arange(n)
+    jr, ji = j * c.real, j * c.imag
+    e = np.zeros(c.shape, dtype=np.complex128)
+    er, ei = e.real, e.imag
+    er[:, 0] = 1.0
     for k in range(1, n):
-        er[:, n - 1 - k] = (jc[:, None, 1 : k + 1] @ er[:, n - k :, None])[:, 0, 0] / k
-    return np.ascontiguousarray(er[:, ::-1])
+        xr, xi = jr[:, 1 : k + 1], ji[:, 1 : k + 1]
+        yr, yi = er[:, k - 1 :: -1], ei[:, k - 1 :: -1]  # e_{k-j} for j = 1..k
+        er[:, k] = np.cumsum(xr * yr - xi * yi, axis=1)[:, -1] / k
+        ei[:, k] = np.cumsum(xr * yi + xi * yr, axis=1)[:, -1] / k
+    return e
 
 
 def ratio_to_coefficients(c: TruncatedSeries, n_max: int) -> np.ndarray:
     """Recover a_2..a_n from the series c = z*f'(z)/f(z) - 1.
 
     Inverts the convolution identity (n-1)*a_n = c_{n-1} + sum_{k=2}^{n-1}
-    c_{n-k}*a_k.  Returns the vector [a_2, ..., a_{n_max}].  The sum runs
-    left to right on Python ``complex``; the division by n - 1 is numpy's,
-    so the result has the bits of the same recurrence on numpy scalars.
+    c_{n-k}*a_k.  Returns the vector [a_2, ..., a_{n_max}].  Each coefficient
+    rounds by the module's rule: the sum starts from c_{n-1} and adds its
+    products for k = 2..n-1 left to right, and is then divided by n - 1 part
+    by part.
     """
-    return _ratio_coeffs(c.coeffs, n_max)
+    return np.array(_ratio_coeffs(c.coeffs.tolist(), n_max), dtype=np.complex128)
 
 
-def _ratio_coeffs(cf: np.ndarray, n_max: int) -> np.ndarray:
+def _ratio_coeffs(cf: Sequence[complex], n_max: int) -> list[complex]:
+    if isinstance(cf, np.ndarray):
+        cf = cf.tolist()
     if cf[0] != 0:
         raise SeriesError("ratio series must have zero constant term")
     if n_max < 2:
         raise SeriesError("need n_max >= 2")
-    if cf.size - 1 < n_max - 1:
-        raise SeriesError(f"series order {cf.size - 1} too small for a_{n_max}")
-    cf = cf.tolist()
+    if len(cf) - 1 < n_max - 1:
+        raise SeriesError(f"series order {len(cf) - 1} too small for a_{n_max}")
     a = [0j, 0j]  # a[n] = a_n, a[0:2] unused
     for n in range(2, n_max + 1):
         acc = cf[n - 1]
-        for ck, ak in zip(cf[n - 2 : 0 : -1], a[2:n]):  # c_{n-k} a_k for k = 2..n-1
-            acc = acc + ck * ak
-        a.append(complex(np.complex128(acc) / (n - 1)))
-    return np.array(a[2:], dtype=np.complex128)
+        for k in range(2, n):
+            acc += cf[n - k] * a[k]
+        a.append(complex(acc.real / (n - 1), acc.imag / (n - 1)))
+    return a[2:]
 
 
 def _ratio_rows(cf: np.ndarray, n_max: int) -> np.ndarray:
     """_ratio_coeffs down the rows of ``cf``, shape (B, N + 1) with cf[:, 0] == 0.
 
     Returns the C-contiguous (B, n_max - 1) array of [a_2, ..., a_{n_max}],
-    each row with the bits _ratio_coeffs gives that row.  Every product is
-    formed in real form, re = xr*yr - xi*yi and im = xr*yi + xi*yr: that is
-    Python's complex multiply, which numpy scalars share, while numpy's
-    complex multiply on arrays may fuse a multiply and an add into one
-    rounding (see the module docstring).  Adds and the division by n - 1 are
-    numpy's complex operations, which round alike on arrays and scalars.
+    each row with the bits _ratio_coeffs gives that row.  It works on the
+    real and imaginary parts: each product is formed in real form and added
+    in _ratio_coeffs' order, and each division by n - 1 divides both parts.
     """
     cr, ci = cf.real, cf.imag
     a = np.zeros((cf.shape[0], n_max - 1), dtype=np.complex128)  # a[:, n - 2] = a_n
@@ -209,8 +221,7 @@ def _ratio_rows(cf: np.ndarray, n_max: int) -> np.ndarray:
             xr, xi, yr, yi = cr[:, n - k], ci[:, n - k], ar[:, k - 2], ai[:, k - 2]
             accr = accr + (xr * yr - xi * yi)
             acci = acci + (xr * yi + xi * yr)
-        ar[:, n - 2], ai[:, n - 2] = accr, acci
-        a[:, n - 2] /= n - 1
+        ar[:, n - 2], ai[:, n - 2] = accr / (n - 1), acci / (n - 1)
     return a
 
 
@@ -222,21 +233,24 @@ def coefficients_from_schwarz(
     ``starlike`` solves z*f'/f = exp(lam*w).  ``convex`` solves the analogous
     condition on 1 + z*f''/f': there g = z*f' satisfies the starlike equation
     with the same w, so a_n = b_n / n with b_n the starlike coefficients.
+    Every step rounds by the module's rule, on one Python list: lam*w and
+    b_n / n act on each part apart, and exp and the ratio recurrence are
+    exp_series' and ratio_to_coefficients'.
     """
     check_lambda(lam)
     if cls not in ("starlike", "convex"):
         raise ValueError(f"unknown class {cls!r}")
     if omega.coeffs[0] != 0:
         raise SeriesError("Schwarz series must vanish at the origin")
-    scaled = lam * omega.coeffs
-    _check_finite(scaled)
+    scaled = [complex(lam * z.real, lam * z.imag) for z in omega.coeffs.tolist()]
+    _check_finite_list(scaled)
     c = _exp_coeffs(scaled)
-    _check_finite(c)
-    c[0] -= 1.0  # c = exp(lam*w) - 1, exactly as subtracting unit_series
+    _check_finite_list(c)
+    c[0] = 0j  # c = exp(lam*w) - 1: only its constant term moves, from 1 to 0
     a = _ratio_coeffs(c, n_max)
     if cls == "convex":
-        a = a / np.arange(2, n_max + 1)
-    return a
+        a = [complex(b.real / n, b.imag / n) for n, b in enumerate(a, start=2)]
+    return np.array(a, dtype=np.complex128)
 
 
 def blaschke_schwarz(
@@ -247,23 +261,27 @@ def blaschke_schwarz(
     Finite Blaschke products give valid Schwarz functions of arbitrary
     polynomial degree, used to probe coefficient bounds beyond n = 4.
     ``n_max`` must be at least 1, the order of the z term.
+
+    Each factor takes one O(n_max) pass by the module's rule: it multiplies
+    by (a - z), t_k = a*w_k - w_{k-1}, and divides by (1 - conj(a) z) through
+    r_k = t_k + conj(a)*r_{k-1}.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     for a in zeros:
         if abs(a) >= 1.0:
             raise ValueError(f"Blaschke zero must satisfy |a| < 1, got |{a}| = {abs(a)}")
-    w = np.zeros(n_max + 1, dtype=np.complex128)
+    w = [0j] * (n_max + 1)
     w[1] = cmath.exp(1j * theta)
-    num = np.zeros(n_max + 1, dtype=np.complex128)
-    num[1] = -1.0
     for a in zeros:
-        num[0] = a
-        # 1/(1 - conj(a) z) = sum_k conj(a)^k z^k: one product per term, with
-        # the bits of reciprocal's forward substitution.
-        ca = complex(np.conj(a))
-        inv = [1.0 + 0.0j]
-        for _ in range(n_max):
-            inv.append(ca * inv[-1])
-        w = np.convolve(np.convolve(w, num)[: n_max + 1], inv)[: n_max + 1]
+        a = complex(a)
+        ca = a.conjugate()
+        w_prev = w[0]
+        r_k = a * w_prev
+        r = [r_k]
+        for w_k in w[1:]:
+            r_k = a * w_k - w_prev + ca * r_k  # t_k + conj(a) r_{k-1}
+            r.append(r_k)
+            w_prev = w_k
+        w = r
     return TruncatedSeries(w)
