@@ -71,6 +71,12 @@ def check_p(p: float, cls: str) -> None:
         raise ValueError(f"p must lie in [0, {pmax}] for the {cls} class, got {p}")
 
 
+def check_psi2_variant(psi2_variant: str) -> None:
+    """Raise ValueError unless psi2_variant is 'proof' or 'statement'."""
+    if psi2_variant not in ("proof", "statement"):
+        raise ValueError(f"psi2_variant must be 'proof' or 'statement', got {psi2_variant!r}")
+
+
 @dataclass(frozen=True)
 class BoundResult:
     """An evaluated bound with the branch that produced it."""
@@ -152,8 +158,7 @@ def s_diff_bound(
     """Starlike successive-difference bound, |a3 - a2| (d32) or |a4 - a3| (d43)."""
     check_lambda(lam)
     check_p(p, "starlike")
-    if psi2_variant not in ("proof", "statement"):
-        raise ValueError(f"psi2_variant must be 'proof' or 'statement', got {psi2_variant!r}")
+    check_psi2_variant(psi2_variant)
     if which == "d32":
         bp = 8.0 / (3.0 * lam)
         if p <= bp + BREAK_TOL:
@@ -264,6 +269,7 @@ def bound(
     """
     if cls not in P_MAX:
         raise ValueError(f"unknown class {cls!r}")
+    check_psi2_variant(psi2_variant)
     if (n is None) == (which is None):
         raise ValueError("give exactly one of n and which")
     if n is not None:

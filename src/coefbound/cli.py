@@ -20,6 +20,8 @@ Exit codes:
         [0, 1] (convex), the domain of bounds.check_p, a --budget outside
         [1000, 10**9], a negative --seed, a --workers below 1 and a --tol
         that is negative, inf or nan
+    3   internal error: an exception other than ValueError escaped a command;
+        its traceback goes to stderr
 Data goes to stdout, diagnostics (one "error:" line) to stderr.  One writer,
 _write, renders every command's output in every format.  JSON floats are
 emitted value-preserving (shortest round-trip form); CSV cells use the
@@ -40,7 +42,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+import traceback
 from functools import lru_cache
 from typing import Optional
 
@@ -113,26 +115,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    lambdas: list[float] = field(default_factory=list)
-    ps: Optional[list[float]] = None
-    cls: str = "starlike"
-    n: Optional[int] = None
-    which: Optional[str] = None
-    claims: list[str] = field(default_factory=list)
-    budget: int = oracle.DEFAULT_BUDGET
-    seed: int = oracle.DEFAULT_SEED
-    tol: float = oracle.DEFAULT_TOL
-    psi2_variant: str = "proof"
-    fmt: str = "text"
-
-
-def _parse_floats(items: Optional[list[str]], flag: str) -> list[float]:
-    """The comma-separated numbers of a repeatable flag; [] if it was not given."""
+def _parse_floats(items: Optional[list[str]], flag: str) -> Optional[list[float]]:
+    """The comma-separated numbers of a repeatable flag; None if it was not given."""
     if items is None:
-        return []
+        return None
     out = []
     for chunk in items:
         for tok in str(chunk).split(","):
@@ -159,16 +145,21 @@ def _usage(check, values, *args) -> None:
 
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once: parsing never changes it, and each parse starts a new namespace."""
+    """The parser, built once: parsing never changes it, and each parse starts a new namespace.
+
+    Each subcommand names its handler; a field that it does not take keeps
+    the top parser's not-given value.
+    """
     parser = _Parser(
         prog="coefbound",
         description="Evaluate and verify sharp coefficient bounds for classes "
         "subordinate to exp(lambda*z).",
     )
+    parser.set_defaults(n=None, which=None, claims=None, lambdas=None, ps=None, psi2_variant=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, with_oracle: bool, formats=_FORMATS, with_psi2: bool = True):
-        sp.add_argument("--format", choices=formats, default=formats[0])
+        sp.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
         if with_oracle:
             sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
             sp.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
@@ -181,6 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--psi2-variant", choices=("proof", "statement"))
 
     sp = sub.add_parser("bound", help="evaluate one bound")
+    sp.set_defaults(handler=_cmd_bound)
     sp.add_argument("--class", dest="cls", choices=tuple(bounds.P_MAX), required=True)
     sp.add_argument("--lambda", dest="lambdas", action="append", required=True)
     group = sp.add_mutually_exclusive_group(required=True)
@@ -190,50 +182,51 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, with_oracle=False)
 
     sp = sub.add_parser("table", help="grid of all bounds")
+    sp.set_defaults(handler=_cmd_table)
     sp.add_argument("--class", dest="cls", choices=tuple(bounds.P_MAX), required=True)
     sp.add_argument("--lambda", dest="lambdas", action="append", required=True)
     sp.add_argument("--p", dest="ps", action="append")
     common(sp, with_oracle=False)
 
     sp = sub.add_parser("verify", help="verify selected claims with the oracle")
+    sp.set_defaults(handler=_cmd_verify)
     sp.add_argument("--claim", dest="claims", action="append", required=True)
     sp.add_argument("--lambda", dest="lambdas", action="append")
     sp.add_argument("--p", dest="ps", action="append")
     common(sp, with_oracle=True)
 
     sp = sub.add_parser("report", help="run the full registered claim suite")
+    sp.set_defaults(handler=_cmd_report)
     common(sp, with_oracle=True, formats=("json",))
 
     sp = sub.add_parser("roots", help="print r0 and its residual")
+    sp.set_defaults(handler=_cmd_roots)
     common(sp, with_oracle=False, with_psi2=False)
 
     return parser
 
 
-def parse_args(argv: list[str]) -> RunConfig:
-    """Deterministic flag parsing and range validation.
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The checked namespace of argv; its handler(namespace) runs the command.
 
+    --lambda and --p are lists of floats, or None where not given; --format
+    is stored as fmt; --workers is range-checked and then deleted; an
+    unread --psi2-variant is refused, and one not given reads "proof".
     Raises UsageError (exit 2) for malformed or out-of-range values, and for
     argparse's own errors: an unknown flag or subcommand, a missing required
     flag, a value of the wrong type.  --help exits 0 through SystemExit.
     """
-    ns = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    cfg.fmt = ns.format
-    cfg.cls = getattr(ns, "cls", "starlike")
-    cfg.n = getattr(ns, "n", None)
-    cfg.which = getattr(ns, "which", None)
-    cfg.claims = list(getattr(ns, "claims", []) or [])
-    cfg.lambdas = _parse_floats(getattr(ns, "lambdas", None), "--lambda")
-    _usage(bounds.check_lambda, cfg.lambdas)
-    cfg.ps = _parse_floats(getattr(ns, "ps", None), "--p") or None
-    if hasattr(ns, "budget"):
-        cfg.budget, cfg.seed, cfg.tol = ns.budget, ns.seed, ns.tol
+    cfg = _build_parser().parse_args(argv)
+    cfg.lambdas = _parse_floats(cfg.lambdas, "--lambda")
+    _usage(bounds.check_lambda, cfg.lambdas or ())
+    cfg.ps = _parse_floats(cfg.ps, "--p")
+    if hasattr(cfg, "workers"):
         _usage(oracle.check_budget, [cfg.budget], "--budget")
         _usage(oracle.check_seed, [cfg.seed], "--seed")
         _usage(oracle.check_tol, [cfg.tol], "--tol")
-        if ns.workers < 1:  # the only use of --workers: the search is single-threaded
-            raise UsageError(f"--workers must be positive, got {ns.workers}")
+        if cfg.workers < 1:  # the only use of --workers: the search is single-threaded
+            raise UsageError(f"--workers must be positive, got {cfg.workers}")
+        del cfg.workers
     if cfg.command == "bound":
         if cfg.n is not None and cfg.ps is not None:
             raise UsageError(f"--n {cfg.n} takes no --p")
@@ -241,25 +234,24 @@ def parse_args(argv: list[str]) -> RunConfig:
             raise UsageError(f"--which {cfg.which} needs --p")
     if cfg.command in ("bound", "table"):
         _usage(bounds.check_p, cfg.ps or (), cfg.cls)
-    if cfg.command == "verify":
-        for claim in cfg.claims:
-            if claim not in oracle.CLAIMS:
-                raise UsageError(
-                    f"unknown claim {claim!r}; registered: {', '.join(sorted(oracle.CLAIMS))}"
-                )
-            spec = oracle.CLAIMS[claim]
-            if cfg.ps is not None:
-                if spec.default_ps is None:
-                    raise UsageError(f"{claim} has no p grid; drop --p")
-                _usage(bounds.check_p, cfg.ps, spec.cls)
-    variant = getattr(ns, "psi2_variant", None)
-    if variant is not None:
+    for claim in cfg.claims or ():
+        if claim not in oracle.CLAIMS:
+            raise UsageError(
+                f"unknown claim {claim!r}; registered: {', '.join(sorted(oracle.CLAIMS))}"
+            )
+        spec = oracle.CLAIMS[claim]
+        if cfg.ps is not None:
+            if spec.default_ps is None:
+                raise UsageError(f"{claim} has no p grid; drop --p")
+            _usage(bounds.check_p, cfg.ps, spec.cls)
+    if cfg.psi2_variant is None:
+        cfg.psi2_variant = "proof"
+    else:
         _check_psi2_variant_used(cfg)
-        cfg.psi2_variant = variant
     return cfg
 
 
-def _check_psi2_variant_used(cfg: RunConfig) -> None:
+def _check_psi2_variant_used(cfg: argparse.Namespace) -> None:
     """Raise UsageError unless a bound of the command reads --psi2-variant.
 
     Only the starlike d43 bound has variants, and a claim that pins its
@@ -309,7 +301,7 @@ def _write(fmt: str, doc, columns, rows, lines) -> None:
             print(line)
 
 
-def _cmd_bound(cfg: RunConfig) -> int:
+def _cmd_bound(cfg: argparse.Namespace) -> int:
     rows = [
         oracle.record_dict(bounds.bound(cfg.cls, lam, cfg.n, cfg.which, p, cfg.psi2_variant))
         for lam in cfg.lambdas
@@ -320,7 +312,7 @@ def _cmd_bound(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_table(cfg: RunConfig) -> int:
+def _cmd_table(cfg: argparse.Namespace) -> int:
     ps = cfg.ps if cfg.ps is not None else bounds.DEFAULT_PS[cfg.cls]
     rows = []
     for lam in cfg.lambdas:
@@ -345,22 +337,15 @@ def _cmd_table(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    reports = []
-    for claim in cfg.claims:
-        spec = oracle.CLAIMS[claim]
-        lams = cfg.lambdas if cfg.lambdas else list(spec.default_lambdas)
-        reports.extend(
-            oracle.verify_claim(
-                claim,
-                lams,
-                cfg.ps,
-                budget=cfg.budget,
-                seed=cfg.seed,
-                tol=cfg.tol,
-                psi2_variant=cfg.psi2_variant,
-            )
+def _cmd_verify(cfg: argparse.Namespace) -> int:
+    reports = [
+        r
+        for claim in cfg.claims
+        for r in oracle.verify_claim(
+            claim, cfg.lambdas, cfg.ps, budget=cfg.budget, seed=cfg.seed, tol=cfg.tol,
+            psi2_variant=cfg.psi2_variant,
         )
+    ]
     dicts = [r.to_dict() for r in reports]
     flat = ({**d, **{f"witness_{k}": v for k, v in d["witness"].items()}} for d in dicts)
     lines = (
@@ -375,7 +360,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 1 if any(r.violation for r in reports) else 0
 
 
-def _cmd_report(cfg: RunConfig) -> int:
+def _cmd_report(cfg: argparse.Namespace) -> int:
     reports = oracle.run_claim_suite(
         budget=cfg.budget,
         seed=cfg.seed,
@@ -398,41 +383,27 @@ def _cmd_report(cfg: RunConfig) -> int:
     return 1 if violated else 0
 
 
-def _cmd_roots(cfg: RunConfig) -> int:
+def _cmd_roots(cfg: argparse.Namespace) -> int:
     r0 = bounds.r0_root()
-    residual = abs(425.0 * r0 ** 3 + 340.0 * r0 * r0 - 328.0 * r0 - 240.0)
+    residual = abs(bounds._r0_poly(r0))
     row = {"r0": r0, "residual": residual}
     _write(cfg.fmt, row, list(row), [row], [f"r0 = {r0:.17g}  residual = {residual:.3e}"])
     return 0
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch a validated config; returns the process exit code."""
-    handlers = {
-        "bound": _cmd_bound,
-        "table": _cmd_table,
-        "verify": _cmd_verify,
-        "report": _cmd_report,
-        "roots": _cmd_roots,
-    }
-    return handlers[cfg.command](cfg)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Parse argv (default sys.argv[1:]) and run its command; returns the process exit code."""
     try:
-        cfg = parse_args(list(argv))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        cfg = parse_args(sys.argv[1:] if argv is None else list(argv))
+        return cfg.handler(cfg)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return run(cfg)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

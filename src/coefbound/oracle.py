@@ -573,6 +573,7 @@ def _verify_points(
 ) -> list[VerificationReport]:
     """One report per (claim, lam, p) point, in the order given."""
     check_tol(tol)
+    bounds.check_psi2_variant(psi2_variant)
     reports = []
     for claim, lam, p in points:
         fn = Functional(kind=claim.kind, cls=claim.cls, fixed_p=p)
@@ -604,19 +605,24 @@ def _verify_points(
 
 
 def _claim_points(claim: ClaimDef, lam_grid, p_grid) -> list:
-    """(claim, lam, p) per grid point, lam outer and p inner."""
-    if claim.default_ps is not None:
-        ps: Sequence[Optional[float]] = tuple(p_grid) if p_grid is not None else claim.default_ps
+    """(claim, lam, p) per grid point, lam outer and p inner; a grid of None is the claim's default."""
+    lams = tuple(lam_grid) if lam_grid is not None else claim.default_lambdas
+    if not lams:
+        raise ValueError(f"{claim.claim_id} was given an empty lambda grid")
+    if claim.default_ps is None:
+        if p_grid is not None:
+            raise ValueError(f"{claim.claim_id} takes no p grid")
+        ps: Sequence[Optional[float]] = (None,)
+    else:
+        ps = tuple(p_grid) if p_grid is not None else claim.default_ps
         if not ps:
             raise ValueError(f"{claim.claim_id} constrains f''(0); a p grid is required")
-    else:
-        ps = (None,)
-    return [(claim, lam, p) for lam in lam_grid for p in ps]
+    return [(claim, lam, p) for lam in lams for p in ps]
 
 
 def verify_claim(
     claim_id: str,
-    lam_grid: Sequence[float],
+    lam_grid: Optional[Sequence[float]] = None,
     p_grid: Optional[Sequence[float]] = None,
     budget: int = DEFAULT_BUDGET,
     seed: int = DEFAULT_SEED,
@@ -625,8 +631,10 @@ def verify_claim(
 ) -> list[VerificationReport]:
     """Run the extremal oracle against one registered claim over a grid.
 
-    Emits one report per grid point, lam outer and p inner.  The violation
-    flag is exactly oracle_max > bound + tol; violations never abort the run.
+    Emits one report per grid point, lam outer and p inner.  A grid of None
+    is the claim's default; an empty grid, or a p grid for a claim that
+    takes no p, raises ValueError.  The violation flag is exactly
+    oracle_max > bound + tol; violations never abort the run.
     """
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}; registered: {sorted(CLAIMS)}")
@@ -641,9 +649,7 @@ def run_claim_suite(
     psi2_variant: str = "proof",
 ) -> list[VerificationReport]:
     """Every registered claim over its default grids, in registry order."""
-    points = []
-    for claim in CLAIMS.values():
-        points.extend(_claim_points(claim, claim.default_lambdas, claim.default_ps))
+    points = [point for claim in CLAIMS.values() for point in _claim_points(claim, None, None)]
     return _verify_points(points, budget, seed, tol, psi2_variant)
 
 

@@ -151,6 +151,18 @@ class TestBoundDispatch:
         with pytest.raises(ValueError, match="unknown class"):
             bound("spiral", 1.0, n=2)
 
+    def test_an_unknown_psi2_variant_is_refused_wherever_it_is_passed(self):
+        # not only where a starlike d43 bound would read it
+        calls = [
+            lambda: bound("convex", 1.0, which="d43", p=0.5, psi2_variant="bogus"),
+            lambda: bound("starlike", 1.0, n=2, psi2_variant="bogus"),
+            lambda: s_diff_bound("d32", 1.0, 0.5, psi2_variant="bogus"),
+            lambda: sup_over_p("convex", "d43", 1.0, psi2_variant="bogus"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="psi2_variant must be 'proof' or 'statement', got 'bogus'"):
+                call()
+
 
 class TestStarlikeDifferenceBounds:
     def test_d32_interior_maximum_value(self):

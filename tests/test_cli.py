@@ -57,7 +57,8 @@ class TestParseArgs:
     def test_workers_flag_checked_then_dropped(self):
         # the search is single-threaded; --workers is only range-checked
         cfg = cli.parse_args(["verify", "--claim", "thm3.1-a2", "--workers", "2"])
-        assert cfg == cli.parse_args(["verify", "--claim", "thm3.1-a2"])
+        assert vars(cfg) == vars(cli.parse_args(["verify", "--claim", "thm3.1-a2"]))
+        assert "workers" not in vars(cfg)
         with pytest.raises(cli.UsageError, match="--workers must be positive, got 0"):
             cli.parse_args(["report", "--workers", "0"])
 
@@ -99,12 +100,16 @@ class TestParseArgs:
         assert first.claims == ["thm3.3-d32", "thm3.3-d43"]
         assert (first.lambdas, first.ps) == ([0.5, 1.0, 1.4], [0.5, 1.5])
         second = cli.parse_args(["verify", "--claim", "thm3.5-d32", "--lambda", "0.3", "--p", "0.25"])
-        assert second == cli.RunConfig(
-            command="verify", lambdas=[0.3], ps=[0.25], claims=["thm3.5-d32"]
-        )
-        assert cli.parse_args(["verify", "--claim", "thm3.1-a2"]) == cli.RunConfig(
-            command="verify", claims=["thm3.1-a2"]
-        )
+        fresh = {
+            "command": "verify", "handler": cli._cmd_verify, "claims": ["thm3.5-d32"],
+            "lambdas": [0.3], "ps": [0.25], "n": None, "which": None, "fmt": "text",
+            "budget": oracle.DEFAULT_BUDGET, "seed": oracle.DEFAULT_SEED,
+            "tol": oracle.DEFAULT_TOL, "psi2_variant": "proof",
+        }
+        assert vars(second) == fresh
+        assert vars(cli.parse_args(["verify", "--claim", "thm3.1-a2"])) == {
+            **fresh, "claims": ["thm3.1-a2"], "lambdas": None, "ps": None
+        }
 
     def test_p_for_a_claim_without_p_grid_rejected(self):
         with pytest.raises(cli.UsageError, match="thm3.1-a2 has no p grid"):
@@ -272,6 +277,35 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {message} was given no numbers\n"
+
+    def test_a_value_error_inside_a_command_exits_2(self, capsys, monkeypatch):
+        def refuse(*_, **__):
+            raise ValueError("no such point")
+
+        monkeypatch.setattr(bounds, "bound", refuse)
+        code, out, err = run_cli(capsys, "bound", "--class", "convex", "--n", "2", "--lambda", "1")
+        assert (code, out, err) == (2, "", "error: no such point\n")
+
+    @pytest.mark.parametrize(
+        "target, exc, argv",
+        [
+            ((oracle, "run_claim_suite"), RuntimeError("boom"), ("report", "--budget", "1000")),
+            ((bounds, "bound"), KeyError("oops"), ("bound", "--class", "convex", "--n", "2", "--lambda", "1")),
+        ],
+        ids=["report-RuntimeError", "bound-KeyError"],
+    )
+    def test_any_other_exception_inside_a_command_exits_3_with_its_traceback(
+        self, capsys, monkeypatch, target, exc, argv
+    ):
+        # 1 only ever means a violation, and 2 a usage error
+        def fail(*_, **__):
+            raise exc
+
+        monkeypatch.setattr(*target, fail)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.splitlines()[-1] == f"{type(exc).__name__}: {exc}"
 
     def test_zero_workers_exit_2_with_single_line(self, capsys):
         code, out, err = run_cli(capsys, "report", "--budget", "1000", "--workers", "0")

@@ -428,6 +428,21 @@ class TestVerifyClaim:
         reports = verify_claim("thm3.5-d32", [1.0], budget=2000, seed=1)
         assert [r.p for r in reports] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
+    def test_lambda_grid_defaults_applied(self):
+        reports = verify_claim("thm3.1-a2", budget=1000)
+        assert [r.lam for r in reports] == list(CLAIMS["thm3.1-a2"].default_lambdas)
+
+    def test_a_grid_it_cannot_use_is_refused_before_any_search(self, monkeypatch):
+        monkeypatch.setattr(oracle, "extremal_search", None)  # a search would raise TypeError
+        with pytest.raises(ValueError, match="thm3.1-a2 was given an empty lambda grid"):
+            verify_claim("thm3.1-a2", [])
+        with pytest.raises(ValueError, match="thm3.1-a2 takes no p grid"):
+            verify_claim("thm3.1-a2", [1.0], p_grid=[0.5])
+        with pytest.raises(ValueError, match="thm3.3-d43 constrains f''\\(0\\); a p grid is required"):
+            verify_claim("thm3.3-d43", [1.0], p_grid=[])
+        with pytest.raises(ValueError, match="psi2_variant must be 'proof' or 'statement', got 'bogus'"):
+            verify_claim("thm3.1-a2", [1.0], psi2_variant="bogus")
+
     def test_report_roundtrip(self):
         (r,) = verify_claim("thm3.3-d32", [1.0], [0.8], budget=2000, seed=5)
         blob = json.dumps(r.to_dict())
