@@ -18,8 +18,8 @@ floats, or for a difference rounds each coefficient once from its exact
 value.  A search computes them once and scores A in real arithmetic
 without forming the moments, by schwarz.point_scores.  Its witness is a
 full (p1, x, y) triple with that y (y = 1 where A = 0), which
-functional_value replays through the moment formulas in exact rational
-arithmetic, rounding only |F| once, so a replay checks the table
+functional_value replays through the moment formulas in exact integer
+arithmetic over one common denominator, rounding only |F| once, so a replay checks the table
 independently at every lam.
 
 Where the maths settles x, the search scores the rows that hold the
@@ -64,8 +64,8 @@ from . import bounds, series
 from .bounds import DEFAULT_PS
 from .schwarz import (
     CaratheodoryParams,
-    caratheodory_moments,
-    caratheodory_to_schwarz,
+    _moments,
+    _schwarz_from_moments,
     grid_chunks,
     level_scan,
     point_scores,
@@ -220,36 +220,46 @@ def _maximizing_y(a: complex) -> complex:
 
 
 def _exact_functional(fn: Functional, lam: float, params: CaratheodoryParams):
-    """The complex functional F at (p1, x, y) as exact (Re F, Im F); like _quadratic, it never reads fixed_p.
+    """The complex functional F at (p1, x, y) exactly, as integers (re, im, den) with F = (re + i im) / den.
 
-    lam and the parameters' floats are read as Fractions, and p2, p3, a2..a4
-    and F are formed from the moment formulas in rational arithmetic, as
-    [re, im] pairs.
+    Like _quadratic, it never reads fixed_p.  With lam = L/A, p1 = P/B and
+    the parts of x and y over one power of two E, p2, p3, a2..a4 and F are
+    formed from the moment formulas as integer numerators over known
+    denominators, as [re, im] pairs, so nothing is rounded and no fraction
+    is reduced.
     """
-    lam, p = Fraction(lam), Fraction(params.p1)
-    u, v, *y = map(Fraction, (params.x.real, params.x.imag, params.y.real, params.y.imag))
-    q, x, x2, one = 4 - p * p, [u, v], [u * u - v * v, 2 * u * v], [1, 0]
-    ky = 2 * q * (1 - u * u - v * v)
-    p2 = [(p * p * one[i] + q * x[i]) / 2 for i in (0, 1)]
-    p3 = [(p**3 * one[i] + 2 * q * p * x[i] - q * p * x2[i] + ky * y[i]) / 4 for i in (0, 1)]
-    c3, c4 = (3 * lam - 2) / 4 * p * p, (17 * lam**2 - 30 * lam + 12) / 48 * p**3
-    inner3 = [p2[i] + c3 * one[i] for i in (0, 1)]
-    inner4 = [p3[i] + (5 * lam - 4) / 4 * p * p2[i] + c4 * one[i] for i in (0, 1)]
-    s2, s3, s4 = (lam / 2, lam / 4, lam / 6) if fn.cls == "starlike" else (lam / 4, lam / 12, lam / 24)
-    a2, a3, a4 = [s2 * p, Fraction(0)], [s3 * w for w in inner3], [s4 * w for w in inner4]
+    (L, A), (P, B) = float(lam).as_integer_ratio(), float(params.p1).as_integer_ratio()
+    parts = [float(t).as_integer_ratio() for t in (params.x.real, params.x.imag, params.y.real, params.y.imag)]
+    E = max(d for _, d in parts)
+    u, v, *y = (n * (E // d) for n, d in parts)  # x = (u + i v) / E, and y likewise
+    Q, K = 4 * B * B - P * P, E * E - u * u - v * v  # q = Q / B^2 and 1 - |x|^2 = K / E^2
+    x, x2, one, cube = [u, v], [u * u - v * v, 2 * u * v], [1, 0], P**3 * E**3
+    # p2 over 2 B^2 E, p3 over 4 B^3 E^3, a3's bracket over 4 A B^2 E and a4's over 48 A^2 B^3 E^3
+    p2 = [P * P * E * one[i] + Q * x[i] for i in (0, 1)]
+    p3 = [cube * one[i] + Q * P * E * (2 * E * x[i] - x2[i]) + 2 * Q * K * B * y[i] for i in (0, 1)]
+    inner3 = [2 * A * p2[i] + (3 * L - 2 * A) * P * P * E * one[i] for i in (0, 1)]
+    c4 = (17 * L * L - 30 * L * A + 12 * A * A) * cube
+    inner4 = [12 * A * A * p3[i] + 6 * A * (5 * L - 4 * A) * P * E * E * p2[i] + c4 * one[i] for i in (0, 1)]
+    # a_k = lam / scale_k times its bracket = (lam / S) (S / scale_k) bracket_k, with S the scales' lcm
+    scale = _SCALE[fn.cls]
+    S = math.lcm(*scale)
+    w2, w3, w4 = (S // s for s in scale)
+    a2 = [w2 * 48 * A * A * B * B * E**3 * P, 0]  # each a_k times S A / L, over 48 A^2 B^3 E^3
+    a3 = [w3 * 12 * A * B * E * E * t for t in inner3]
+    a4 = [w4 * t for t in inner4]
     f = {"abs_a2": a2, "abs_a3": a3, "abs_a4": a4, "abs_a3_minus_a2": (a3, a2), "abs_a4_minus_a3": (a4, a3)}
-    return f[fn.kind] if fn.kind not in _DIFFERENCE_KINDS else [hi - lo for hi, lo in zip(*f[fn.kind])]
+    f = f[fn.kind] if fn.kind not in _DIFFERENCE_KINDS else [hi - lo for hi, lo in zip(*f[fn.kind])]
+    return L * f[0], L * f[1], 48 * S * A**3 * B**3 * E**3
 
 
-def _nearest_sqrt(square: Fraction) -> float:
-    """The float nearest sqrt(square), rounded once.
+def _nearest_sqrt(n: int, d: int) -> float:
+    """The float nearest sqrt(n / d), rounded once; n >= 0 and d > 0 need no common factor removed.
 
     Scaled by 4^e, the root has at least 56 bits, three more than a float
     keeps, so isqrt's floor with a sticky lowest bit where the root is
     inexact rounds as the root does; Python's int / int rounds it once,
     at subnormal results too.
     """
-    n, d = square.numerator, square.denominator
     e = max(0, (112 + d.bit_length() - n.bit_length()) // 2)
     scaled, rest = divmod(n << 2 * e, d)
     root = math.isqrt(scaled)
@@ -267,8 +277,8 @@ def functional_value(fn: Functional, lam: float, params: CaratheodoryParams) -> 
     bounds.check_lambda(lam)
     if fn.effective_p1 is not None:
         params = CaratheodoryParams(fn.effective_p1, params.x, params.y)
-    re, im = _exact_functional(fn, lam, params)
-    return _nearest_sqrt(re * re + im * im)
+    re, im, den = _exact_functional(fn, lam, params)
+    return _nearest_sqrt(re * re + im * im, den * den)
 
 
 def check_budget(budget: int, name: str = "budget") -> None:
@@ -658,13 +668,14 @@ def series_cross_check(lam: float, cls: str, params: CaratheodoryParams) -> floa
 
     Builds the Schwarz expansion from the parameters, recovers a2..a4 through
     the subordination series, and compares against the moment formulas the
-    oracle maximizes.  The two routes share no code path.
+    oracle maximizes.  The two routes share no code path.  It runs on plain
+    numbers: schwarz's scalar moment and Schwarz formulas, then the series
+    engine's list kernel, with the bits of the public dataclass and
+    TruncatedSeries route.
     """
-    m = caratheodory_moments(params)
-    c = caratheodory_to_schwarz(m)
-    omega = series.TruncatedSeries([0.0, c.c1, c.c2, c.c3])
-    a_series = series.coefficients_from_schwarz(omega, lam, cls, 4).tolist()
-    closed = _coefficient_values(lam, m.p1, m.p2, m.p3, cls)
+    p1, p2, p3 = _moments(params.p1, params.x, params.y)
+    a_series = series._schwarz_coeffs([0j, *_schwarz_from_moments(p1, p2, p3)], lam, cls, 4)
+    closed = _coefficient_values(lam, p1, p2, p3, cls)
     return max(abs(s - c) for s, c in zip(a_series, closed))
 
 
@@ -698,9 +709,11 @@ def general_bound_probe(
     in [2, series.DEFAULT_ORDER], ``samples`` must be positive and ``seed``
     nonnegative; all are checked before the first draw.
 
-    The samples are drawn one at a time, in one rng stream, and their series
-    are computed PROBE_BLOCK rows at a time through the series engine's row
-    helpers, so memory stays bounded for any ``samples``.  Every row has the
+    The samples are drawn one at a time, in one rng stream, each Blaschke
+    coefficient list written into a block row and the block scaled by lam
+    part by part, and their series are computed PROBE_BLOCK rows at a time
+    through the series engine's row helpers, so memory stays bounded for
+    any ``samples``.  Every row has the
     bits the engine gives one sample, so the report is the same as a loop
     over exp_series and ratio_to_coefficients would give.
     """
@@ -724,8 +737,9 @@ def general_bound_probe(
             theta = float(rng.uniform(0.0, 2.0 * np.pi))
             moduli = rng.uniform(0.0, 0.97, degree)
             phases = rng.uniform(0.0, 2.0 * np.pi, degree)
-            zeros = moduli * np.exp(1j * phases)
-            row[:] = lam * series.blaschke_schwarz(theta, list(zeros), n_max).coeffs
+            row[:] = series._blaschke_coeffs(theta, (moduli * np.exp(1j * phases)).tolist(), n_max)
+        scaled.real *= lam  # lam * w by the series rule: each part apart
+        scaled.imag *= lam
         series._check_finite(scaled)
         e = series._exp_rows(scaled)
         series._check_finite(e)

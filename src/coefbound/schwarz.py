@@ -74,19 +74,28 @@ class SchwarzCoefficients:
 
 def caratheodory_moments(params: CaratheodoryParams) -> CaratheodoryMoments:
     """Moments (p1, p2, p3) generated by (p1, x, y); admissible by construction."""
-    p1, x, y = params.p1, params.x, params.y
+    return CaratheodoryMoments(*_moments(params.p1, params.x, params.y))
+
+
+def _moments(p1: float, x: complex, y: complex) -> tuple:
+    """caratheodory_moments' (p1, p2, p3) from plain numbers, with no parameter check."""
     q = 4.0 - p1 * p1
     p2 = 0.5 * (p1 * p1 + q * x)
     p3 = 0.25 * (p1 ** 3 + 2.0 * q * p1 * x - q * p1 * x * x + 2.0 * q * (1.0 - abs(x) ** 2) * y)
-    return CaratheodoryMoments(p1=p1, p2=p2, p3=p3)
+    return p1, p2, p3
 
 
 def caratheodory_to_schwarz(m: CaratheodoryMoments) -> SchwarzCoefficients:
     """Schwarz coefficients of w = (q - 1)/(q + 1) from the moments of q."""
-    c1 = m.p1 / 2.0
-    c2 = m.p2 / 2.0 - m.p1 * m.p1 / 4.0
-    c3 = m.p3 / 2.0 - m.p1 * m.p2 / 2.0 + m.p1 ** 3 / 8.0
-    return SchwarzCoefficients(c1=c1, c2=c2, c3=c3)
+    return SchwarzCoefficients(*_schwarz_from_moments(m.p1, m.p2, m.p3))
+
+
+def _schwarz_from_moments(p1: float, p2: complex, p3: complex) -> tuple:
+    """caratheodory_to_schwarz's (c1, c2, c3) from plain numbers."""
+    c1 = p1 / 2.0
+    c2 = p2 / 2.0 - p1 * p1 / 4.0
+    c3 = p3 / 2.0 - p1 * p2 / 2.0 + p1 ** 3 / 8.0
+    return c1, c2, c3
 
 
 def validate_schwarz(c: SchwarzCoefficients) -> bool:

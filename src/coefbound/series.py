@@ -25,12 +25,16 @@ version:
 
 The slices are short (4 to 13 terms), so the cost is per-call overhead, not
 arithmetic.  A single slice therefore runs the recurrences on a Python list
-of ``complex``: the coefficient array goes in once and comes out once.  A
-block of many slices, as the general-bound probe expands, runs the same
-recurrences down the rows of one array (_exp_rows, _ratio_rows) on its real
-and imaginary parts, since numpy's complex multiply on arrays may fuse a
-multiply and an add into one rounding; each row gets the bits the one-slice
-route gives it.
+of ``complex``.  coefficients_from_schwarz and blaschke_schwarz are thin
+wrappers around list kernels with the same checks (_schwarz_coeffs,
+_blaschke_coeffs): the wrapper turns the coefficient array into a list once
+and the result back once, and a caller that holds plain numbers, as
+oracle.series_cross_check and the general-bound probe do, calls the kernel
+with no TruncatedSeries or ndarray in between.  A block of many slices, as
+the general-bound probe expands, runs the same recurrences down the rows of
+one array (_exp_rows, _ratio_rows) on its real and imaginary parts, since
+numpy's complex multiply on arrays may fuse a multiply and an add into one
+rounding; each row gets the bits the one-slice route gives it.
 """
 
 from __future__ import annotations
@@ -233,6 +237,14 @@ def coefficients_from_schwarz(
     ``starlike`` solves z*f'/f = exp(lam*w).  ``convex`` solves the analogous
     condition on 1 + z*f''/f': there g = z*f' satisfies the starlike equation
     with the same w, so a_n = b_n / n with b_n the starlike coefficients.
+    The work is _schwarz_coeffs' on the coefficient list.
+    """
+    return np.array(_schwarz_coeffs(omega.coeffs.tolist(), lam, cls, n_max), dtype=np.complex128)
+
+
+def _schwarz_coeffs(w: list[complex], lam: float, cls: str, n_max: int) -> list[complex]:
+    """coefficients_from_schwarz on the list w of a Schwarz function's coefficients, with its checks.
+
     Every step rounds by the module's rule, on one Python list: lam*w and
     b_n / n act on each part apart, and exp and the ratio recurrence are
     exp_series' and ratio_to_coefficients'.
@@ -240,9 +252,9 @@ def coefficients_from_schwarz(
     check_lambda(lam)
     if cls not in ("starlike", "convex"):
         raise ValueError(f"unknown class {cls!r}")
-    if omega.coeffs[0] != 0:
+    if w[0] != 0:
         raise SeriesError("Schwarz series must vanish at the origin")
-    scaled = [complex(lam * z.real, lam * z.imag) for z in omega.coeffs.tolist()]
+    scaled = [complex(lam * z.real, lam * z.imag) for z in w]
     _check_finite_list(scaled)
     c = _exp_coeffs(scaled)
     _check_finite_list(c)
@@ -250,7 +262,7 @@ def coefficients_from_schwarz(
     a = _ratio_coeffs(c, n_max)
     if cls == "convex":
         a = [complex(b.real / n, b.imag / n) for n, b in enumerate(a, start=2)]
-    return np.array(a, dtype=np.complex128)
+    return a
 
 
 def blaschke_schwarz(
@@ -260,7 +272,14 @@ def blaschke_schwarz(
 
     Finite Blaschke products give valid Schwarz functions of arbitrary
     polynomial degree, used to probe coefficient bounds beyond n = 4.
-    ``n_max`` must be at least 1, the order of the z term.
+    ``n_max`` must be at least 1, the order of the z term.  The work is
+    _blaschke_coeffs'.
+    """
+    return TruncatedSeries(_blaschke_coeffs(theta, zeros, n_max))
+
+
+def _blaschke_coeffs(theta: float, zeros: Sequence[complex], n_max: int) -> list[complex]:
+    """blaschke_schwarz's coefficient list, with its checks; the list may hold inf or NaN.
 
     Each factor takes one O(n_max) pass by the module's rule: it multiplies
     by (a - z), t_k = a*w_k - w_{k-1}, and divides by (1 - conj(a) z) through
@@ -284,4 +303,4 @@ def blaschke_schwarz(
             r.append(r_k)
             w_prev = w_k
         w = r
-    return TruncatedSeries(w)
+    return w

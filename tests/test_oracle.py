@@ -123,6 +123,49 @@ class TestFunctionalValue:
             assert series_cross_check(0.9, "convex", params) < 1e-12
 
 
+def _fraction_functional(fn, lam, params):
+    """F as exact (Re F, Im F) in Fractions, the moment formulas term by term: the reference for _exact_functional."""
+    lam, p = Fraction(lam), Fraction(params.p1)
+    u, v, *y = map(Fraction, (params.x.real, params.x.imag, params.y.real, params.y.imag))
+    q, x, x2, one = 4 - p * p, [u, v], [u * u - v * v, 2 * u * v], [1, 0]
+    ky = 2 * q * (1 - u * u - v * v)
+    p2 = [(p * p * one[i] + q * x[i]) / 2 for i in (0, 1)]
+    p3 = [(p**3 * one[i] + 2 * q * p * x[i] - q * p * x2[i] + ky * y[i]) / 4 for i in (0, 1)]
+    c3, c4 = (3 * lam - 2) / 4 * p * p, (17 * lam**2 - 30 * lam + 12) / 48 * p**3
+    inner3 = [p2[i] + c3 * one[i] for i in (0, 1)]
+    inner4 = [p3[i] + (5 * lam - 4) / 4 * p * p2[i] + c4 * one[i] for i in (0, 1)]
+    s2, s3, s4 = (lam / 2, lam / 4, lam / 6) if fn.cls == "starlike" else (lam / 4, lam / 12, lam / 24)
+    a2, a3, a4 = [s2 * p, Fraction(0)], [s3 * w for w in inner3], [s4 * w for w in inner4]
+    f = {"abs_a2": a2, "abs_a3": a3, "abs_a4": a4, "abs_a3_minus_a2": (a3, a2), "abs_a4_minus_a3": (a4, a3)}
+    return f[fn.kind] if fn.kind not in oracle._DIFFERENCE_KINDS else [hi - lo for hi, lo in zip(*f[fn.kind])]
+
+
+class TestIntegerReplay:
+    """_exact_functional's integers are F exactly, and functional_value rounds them to the Fraction route's bits."""
+
+    @pytest.mark.parametrize("kind", FUNCTIONAL_KINDS)
+    @pytest.mark.parametrize("cls", ["starlike", "convex"])
+    def test_seeded_witnesses_replay_as_through_fractions(self, kind, cls):
+        ps = [None] if kind not in oracle._DIFFERENCE_KINDS else [0.0, 0.37 * P_MAX[cls], P_MAX[cls]]
+        rng = np.random.default_rng(3402)
+        lams = [LAMBDA_MIN, 1e-20, 0.7817284, 1.0, math.pi / 2, *rng.uniform(LAMBDA_MIN, math.pi / 2, 3)]
+        for p in ps:
+            fn = Functional(kind, cls, fixed_p=p)
+            witnesses = [
+                (lam, extremal_search(fn, lam, budget=1000, seed=seed).witness) for lam in lams for seed in (1, 2)
+            ]
+            witnesses += zip(rng.uniform(0.01, 1.5, 40).tolist(), sample_params(3403, 40, "random"))
+            for lam, params in witnesses:
+                value = functional_value(fn, lam, params)
+                if fn.effective_p1 is not None:
+                    params = CaratheodoryParams(fn.effective_p1, params.x, params.y)
+                re, im, den = _exact_functional(fn, lam, params)
+                want = _fraction_functional(fn, lam, params)
+                assert [Fraction(re, den), Fraction(im, den)] == want
+                square = want[0] ** 2 + want[1] ** 2
+                assert value.hex() == oracle._nearest_sqrt(square.numerator, square.denominator).hex()
+
+
 class TestExtremalSearch:
     def test_a3_attains_sharp_bound(self):
         fn = Functional("abs_a3", "starlike")
@@ -520,8 +563,10 @@ def _bits(result):
     return repr((result.value, result.witness, result.samples))
 
 
-#: The lambdas of the free |a4| digest: a grid across thm3.1-a4's break
-#: lambda* = 0.7817284, lambda* itself, and two more in other branches.
+#: The lambdas of the free |a4| digest: a grid across thm3.1-a4's first
+#: switch lambda* ~ 0.78172700 (the root in (0.7, 0.85) of 250 lambda^3 +
+#: 147 lambda^2 - 150 lambda - 92), 0.7817284 just above it (by 1.4e-6), and
+#: two more in other branches.
 _SEARCH_LAMBDAS = [*np.linspace(0.5, 0.87, 38).tolist(), 0.7817284, 0.2, 0.505177]
 
 #: sha256 over _bits of free |a4| searches, both classes, at every lambda of
@@ -748,8 +793,8 @@ class TestMaximumOverY:
             assert isinstance(v, float)
 
         def moments_route(xv, yv):  # F exactly, whose modulus functional_value rounds
-            re, im = _exact_functional(fn, lam, CaratheodoryParams(p1, xv, yv))
-            return complex(float(re), float(im))
+            re, im, den = _exact_functional(fn, lam, CaratheodoryParams(p1, xv, yv))
+            return complex(re / den, im / den)
 
         f0, f1 = moments_route(x, 0.0), moments_route(x, 1.0)
         scale = 1e-13 * max(1.0, abs(f0), abs(f1))
@@ -824,7 +869,8 @@ class TestMaximumOverY:
 
     @pytest.mark.parametrize("cls, want", [("starlike", 0.2605763713364155), ("convex", 0.06514409283410387)])
     def test_free_a4_at_the_branch_switch_finds_the_narrow_maximum(self, cls, want):
-        # at lam* ~ 0.7817284 the maximum sits on |x| = 1 in a p1 bump 0.0015
+        # at 0.7817284, 1.4e-6 above the switch lam* ~ 0.78172700 where lam/3
+        # stops being the maximum, the maximum sits on |x| = 1 in a p1 bump 0.0015
         # wide, 2.4e-7 (starlike) above the z^3 witness value lam/3 at p1 = 0;
         # ``want`` is what budget 1,200,000 returns
         out = extremal_search(Functional("abs_a4", cls), 0.7817284)
@@ -867,8 +913,8 @@ class TestMaximumOverY:
         fn = Functional(kind, cls, fixed_p=fixed_p)
         params = CaratheodoryParams(p1 if fixed_p is None else fn.effective_p1, x, y)
         value = functional_value(fn, lam, params)
-        re, im = _exact_functional(fn, lam, params)
-        square = re * re + im * im
+        re, im, den = _exact_functional(fn, lam, params)
+        square = Fraction(re * re + im * im, den * den)
         below, above = ((Fraction(value) + Fraction(math.nextafter(value, to))) / 2 for to in (0.0, math.inf))
         assert below * below <= square <= above * above
 

@@ -9,16 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coefbound.bounds import LAMBDA_MIN, general_coeff_bound
-from coefbound.oracle import DEFAULT_SEED, PROBE_BLOCK, ProbeReport, general_bound_probe, series_cross_check
+from coefbound.bounds import BREAK_TOL, LAMBDA_MAX, LAMBDA_MIN, general_coeff_bound
+from coefbound.oracle import (
+    DEFAULT_SEED,
+    PROBE_BLOCK,
+    ProbeReport,
+    _coefficient_values,
+    general_bound_probe,
+    series_cross_check,
+)
 from coefbound.series import (
     DEFAULT_ORDER,
     SeriesError,
     TruncatedSeries,
+    _blaschke_coeffs,
     _exp_coeffs,
     _exp_rows,
     _ratio_coeffs,
     _ratio_rows,
+    _schwarz_coeffs,
     blaschke_schwarz,
     coefficients_from_schwarz,
     exp_series,
@@ -27,7 +36,14 @@ from coefbound.series import (
     reciprocal,
     unit_series,
 )
-from coefbound.schwarz import CaratheodoryParams, SchwarzCoefficients, validate_schwarz
+from coefbound.schwarz import (
+    CaratheodoryParams,
+    SchwarzCoefficients,
+    caratheodory_moments,
+    caratheodory_to_schwarz,
+    sample_params,
+    validate_schwarz,
+)
 
 
 def ts(*coeffs):
@@ -654,6 +670,51 @@ class TestProbeMatchesTheReferenceLoop:
         for samples in (1, 2, 300, PROBE_BLOCK + 1):
             got = general_bound_probe(lam, n_max=DEFAULT_ORDER, samples=samples, seed=seed)
             assert repr(got) == repr(_reference_probe(lam, DEFAULT_ORDER, samples, seed))
+
+
+def _public_cross_check(lam, cls, params):
+    """series_cross_check through the public calls: dataclasses, a TruncatedSeries and an ndarray."""
+    m = caratheodory_moments(params)
+    c = caratheodory_to_schwarz(m)
+    a_series = coefficients_from_schwarz(TruncatedSeries([0.0, c.c1, c.c2, c.c3]), lam, cls, 4).tolist()
+    closed = _coefficient_values(lam, m.p1, m.p2, m.p3, cls)
+    return max(abs(s - c) for s, c in zip(a_series, closed))
+
+
+class TestListKernels:
+    """The list kernels behind coefficients_from_schwarz and blaschke_schwarz are the public routes' one route."""
+
+    @pytest.mark.parametrize("lam", [LAMBDA_MIN, 1.0, math.pi / 2, LAMBDA_MAX + BREAK_TOL])
+    @pytest.mark.parametrize("cls", ["starlike", "convex"])
+    def test_cross_check_has_the_bits_of_the_public_route(self, lam, cls):
+        for params in sample_params(3401, 200, "random") + [CaratheodoryParams(-1.5, 0.5, -0.25j)]:
+            assert series_cross_check(lam, cls, params).hex() == _public_cross_check(lam, cls, params).hex()
+
+    @pytest.mark.parametrize(
+        "lam, cls, w",
+        [
+            (LAMBDA_MAX + 1e-9, "starlike", [0j, 1 + 0j]),
+            (1.0, "spiral", [0j, 1 + 0j]),
+            (1.0, "convex", [0.5 + 0j, 1 + 0j]),
+            (1.0, "starlike", [0j, complex(math.inf, 0.0)]),
+            (math.pi / 2, "convex", [0j, 1.5e308 + 0j, 0j, 0j]),  # lam * w overflows
+        ],
+        ids=["lambda", "class", "constant-term", "non-finite", "overflow"],
+    )
+    def test_schwarz_coeffs_raises_as_the_public_route(self, lam, cls, w):
+        with pytest.raises(ValueError) as public:
+            coefficients_from_schwarz(TruncatedSeries(w), lam, cls, 2)
+        with pytest.raises(ValueError) as kernel:
+            _schwarz_coeffs(w, lam, cls, 2)
+        assert (type(kernel.value), str(kernel.value)) == (type(public.value), str(public.value))
+
+    @pytest.mark.parametrize("zeros, n_max", [([0.5], 0), ([0.3, 1.0], 4)], ids=["order", "zero"])
+    def test_blaschke_coeffs_raises_as_the_public_route(self, zeros, n_max):
+        with pytest.raises(ValueError) as public:
+            blaschke_schwarz(0.3, zeros, n_max)
+        with pytest.raises(ValueError) as kernel:
+            _blaschke_coeffs(0.3, zeros, n_max)
+        assert (type(kernel.value), str(kernel.value)) == (type(public.value), str(public.value))
 
 
 #: sha256 of the float64 bytes of _digest_values().  A change that moves
