@@ -8,7 +8,8 @@ exp(lam*z) with 0 < lam <= pi/2:
 * the successive-difference bounds |a3 - a2| and |a4 - a3| for fixed,
   normalized second coefficient p (p in [0, 2] starlike, [0, 1] convex);
 * sup over p of each difference bound;
-* the general |a_n| product bounds for every n >= 2.
+* the general |a_n| product bounds for every n >= 2, through the closed
+  form of the sequence A_m.
 
 ``bound`` picks the evaluator for one point.  ``check_lambda``,
 ``check_p``, ``P_MAX`` and ``DEFAULT_PS`` are the (lam, p) domain that
@@ -24,6 +25,11 @@ anchor (1/36) lam^2 (27 - 17 lam).  The proof version is the default; the
 printed statement stays available behind psi2_variant="statement" so the
 oracle can refute it.
 
+The module imports no numpy, so that the commands that only evaluate bounds
+start without it.  For the same reason it holds the oracle's default budget,
+seed and tolerance, which the command line offers as defaults, and
+record_dict, the rule that names a record's output keys.
+
 The convex bounds are the shared kernel and the starlike coefficient bounds
 are n times them; this makes the correspondence k_bound * n == s_bound hold
 bitwise, which floating point would not grant to the quotient direction.
@@ -32,11 +38,9 @@ bitwise, which floating point would not grant to the quotient direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional
-
-from .lemmas import a_sequence_closed
 
 LAMBDA_MAX = math.pi / 2
 
@@ -54,6 +58,14 @@ P_MAX = {"starlike": 2.0, "convex": 1.0}
 
 #: Default p grid per class: five evenly spaced points of [0, P_MAX].
 DEFAULT_PS = {"starlike": (0.0, 0.5, 1.0, 1.5, 2.0), "convex": (0.0, 0.25, 0.5, 0.75, 1.0)}
+
+#: Default evaluation budget per (claim, grid point), violation tolerance and seed of the oracle.
+DEFAULT_BUDGET = 100_000
+DEFAULT_TOL = 1e-9
+DEFAULT_SEED = 42
+
+#: Output keys that are not their field's name.
+_OUTPUT_KEYS = {"lam": "lambda", "cls": "class"}
 
 _SQRT_32_43 = math.sqrt(32.0 / 43.0)
 
@@ -89,6 +101,17 @@ class BoundResult:
     p: Optional[float] = None
     which: Optional[str] = None
     variant: Optional[str] = None
+
+
+@lru_cache(maxsize=None)
+def _field_keys(cls) -> tuple[tuple[str, str], ...]:
+    """(field name, output key) of a record dataclass, in declaration order; lam is "lambda", cls "class"."""
+    return tuple((f.name, _OUTPUT_KEYS.get(f.name, f.name)) for f in fields(cls))
+
+
+def record_dict(record) -> dict:
+    """A record dataclass as its output row: one key per field, as _field_keys names them."""
+    return {key: getattr(record, name) for name, key in _field_keys(type(record))}
 
 
 def _r0_poly(t: float) -> float:
@@ -334,6 +357,20 @@ def sup_over_p(
         if v > best_v:
             best_p, best_v = x, v
     return best_p, best_v
+
+
+def a_sequence_closed(lam, m: int):
+    """A_m = prod_{k=0}^{m-2} (lam + k) / (m-1)!.
+
+    Exact for Fraction/int inputs; float inputs give the float product, which
+    is how the general coefficient bounds consume it.
+    """
+    if m < 2:
+        raise ValueError("the sequence starts at m = 2")
+    num = lam
+    for k in range(1, m - 1):
+        num = num * (lam + k)
+    return num / math.factorial(m - 1)
 
 
 def general_coeff_bound(cls: str, n: int, lam: float) -> float:

@@ -22,6 +22,9 @@ Exit codes:
         that is negative, inf or nan
     3   internal error: an exception other than ValueError escaped a command;
         its traceback goes to stderr
+    141 stdout was closed before the output was written, as by
+        `coefbound table ... | head -n 1` (128 + SIGPIPE, as a shell
+        reports a process that SIGPIPE ended); nothing goes to stderr
 Data goes to stdout, diagnostics (one "error:" line) to stderr.  One writer,
 _write, renders every command's output in every format.  JSON floats are
 emitted value-preserving (shortest round-trip form); CSV cells use the
@@ -34,19 +37,24 @@ the 106 records of `report`), else at most 23 below it.  Every search
 draws its own levels, so a record's duration_ms is its own search.  The
 search is single-threaded: --workers is accepted for compatibility and
 must be a positive integer, but it changes nothing.
+
+Only verify and report import the oracle, and with it numpy, and only when
+they run: the module imports bounds alone, so bound, table, roots, --help
+and a usage error start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import traceback
 from functools import lru_cache
 from typing import Optional
 
-from . import bounds, oracle
+from . import bounds
 
 _FORMATS = ("text", "json", "csv")
 
@@ -161,9 +169,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, with_oracle: bool, formats=_FORMATS, with_psi2: bool = True):
         sp.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
         if with_oracle:
-            sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-            sp.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
-            sp.add_argument("--tol", type=float, default=oracle.DEFAULT_TOL)
+            sp.add_argument("--budget", type=int, default=bounds.DEFAULT_BUDGET)
+            sp.add_argument("--seed", type=int, default=bounds.DEFAULT_SEED)
+            sp.add_argument("--tol", type=float, default=bounds.DEFAULT_TOL)
             sp.add_argument(
                 "--workers", type=int, default=1, help="accepted for compatibility; no effect"
             )
@@ -220,13 +228,25 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     cfg.lambdas = _parse_floats(cfg.lambdas, "--lambda")
     _usage(bounds.check_lambda, cfg.lambdas or ())
     cfg.ps = _parse_floats(cfg.ps, "--p")
-    if hasattr(cfg, "workers"):
+    if hasattr(cfg, "workers"):  # verify and report, the oracle's commands
+        from . import oracle
+
         _usage(oracle.check_budget, [cfg.budget], "--budget")
         _usage(oracle.check_seed, [cfg.seed], "--seed")
         _usage(oracle.check_tol, [cfg.tol], "--tol")
         if cfg.workers < 1:  # the only use of --workers: the search is single-threaded
             raise UsageError(f"--workers must be positive, got {cfg.workers}")
         del cfg.workers
+        for claim in cfg.claims or ():
+            if claim not in oracle.CLAIMS:
+                raise UsageError(
+                    f"unknown claim {claim!r}; registered: {', '.join(sorted(oracle.CLAIMS))}"
+                )
+            spec = oracle.CLAIMS[claim]
+            if cfg.ps is not None:
+                if spec.default_ps is None:
+                    raise UsageError(f"{claim} has no p grid; drop --p")
+                _usage(bounds.check_p, cfg.ps, spec.cls)
     if cfg.command == "bound":
         if cfg.n is not None and cfg.ps is not None:
             raise UsageError(f"--n {cfg.n} takes no --p")
@@ -234,16 +254,6 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             raise UsageError(f"--which {cfg.which} needs --p")
     if cfg.command in ("bound", "table"):
         _usage(bounds.check_p, cfg.ps or (), cfg.cls)
-    for claim in cfg.claims or ():
-        if claim not in oracle.CLAIMS:
-            raise UsageError(
-                f"unknown claim {claim!r}; registered: {', '.join(sorted(oracle.CLAIMS))}"
-            )
-        spec = oracle.CLAIMS[claim]
-        if cfg.ps is not None:
-            if spec.default_ps is None:
-                raise UsageError(f"{claim} has no p grid; drop --p")
-            _usage(bounds.check_p, cfg.ps, spec.cls)
     if cfg.psi2_variant is None:
         cfg.psi2_variant = "proof"
     else:
@@ -260,6 +270,8 @@ def _check_psi2_variant_used(cfg: argparse.Namespace) -> None:
     if cfg.command == "report":
         return
     if cfg.command == "verify":
+        from . import oracle
+
         specs = [oracle.CLAIMS[c] for c in cfg.claims]
         if not any(
             s.cls == "starlike" and s.which == "d43" and s.pinned_variant is None for s in specs
@@ -303,7 +315,7 @@ def _write(fmt: str, doc, columns, rows, lines) -> None:
 
 def _cmd_bound(cfg: argparse.Namespace) -> int:
     rows = [
-        oracle.record_dict(bounds.bound(cfg.cls, lam, cfg.n, cfg.which, p, cfg.psi2_variant))
+        bounds.record_dict(bounds.bound(cfg.cls, lam, cfg.n, cfg.which, p, cfg.psi2_variant))
         for lam in cfg.lambdas
         for p in cfg.ps or [None]
     ]
@@ -338,6 +350,8 @@ def _cmd_table(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_verify(cfg: argparse.Namespace) -> int:
+    from . import oracle
+
     reports = [
         r
         for claim in cfg.claims
@@ -361,6 +375,8 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_report(cfg: argparse.Namespace) -> int:
+    from . import oracle
+
     reports = oracle.run_claim_suite(
         budget=cfg.budget,
         seed=cfg.seed,
@@ -398,6 +414,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return cfg.handler(cfg)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # stdout was closed early; point it at devnull, so that the flush at
+        # interpreter exit has nowhere to fail and prints no second traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,8 @@ Three ingredients used by the theorem-level bounds:
   (schwarz.circle_max settles arg z, and the polish is the extremal
   search's);
 * the sequence A_m defined by A_2 = lam, A_m = lam/(m-1) * (1 + sum A_k),
-  together with its closed product form, in exact rational arithmetic.
+  in exact rational arithmetic; its closed product form lives in bounds,
+  which needs no numpy, and is re-exported here.
 
 The region classifier applies the printed inequalities verbatim with a small
 slack, so boundary points may carry several labels; phi_bound then evaluates
@@ -31,6 +32,7 @@ from typing import Union
 
 import numpy as np
 
+from .bounds import a_sequence_closed  # noqa: F401  (defined in bounds, which needs no numpy)
 from .schwarz import SchwarzCoefficients, circle_max, polish
 
 #: Slack on each printed region inequality.
@@ -193,17 +195,3 @@ def a_sequence_recursive(lam: RationalLike, m: int) -> Fraction:
         total += a
         a = lam * (1 + total) / (k - 1)
     return a
-
-
-def a_sequence_closed(lam, m: int):
-    """A_m = prod_{k=0}^{m-2} (lam + k) / (m-1)!.
-
-    Exact for Fraction/int inputs; float inputs give the float product, which
-    is how the general coefficient bounds consume it.
-    """
-    if m < 2:
-        raise ValueError("the sequence starts at m = 2")
-    num = lam
-    for k in range(1, m - 1):
-        num = num * (lam + k)
-    return num / math.factorial(m - 1)

@@ -54,14 +54,14 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import bounds, series
-from .bounds import DEFAULT_PS
+from .bounds import DEFAULT_BUDGET, DEFAULT_PS, DEFAULT_SEED, DEFAULT_TOL, _field_keys, record_dict
 from .schwarz import (
     CaratheodoryParams,
     _moments,
@@ -108,13 +108,9 @@ _COEFFICIENTS = {
 FUNCTIONAL_KINDS = tuple(_COEFFICIENTS)
 _DIFFERENCE_KINDS = ("abs_a3_minus_a2", "abs_a4_minus_a3")
 
-#: Default evaluation budget per (claim, grid point) and violation tolerance.
-DEFAULT_BUDGET = 100_000
-DEFAULT_TOL = 1e-9
-DEFAULT_SEED = 42
-
-#: The budget domain.  Memory does not grow with the budget, so the upper
-#: end only keeps a single search to minutes rather than days.
+#: The budget domain (DEFAULT_BUDGET, like the default seed and tol, is in
+#: bounds).  Memory does not grow with the budget, so the upper end only
+#: keeps a single search to minutes rather than days.
 MIN_BUDGET = 1000
 MAX_BUDGET = 10**9
 
@@ -473,22 +469,8 @@ def _search_result(found, samples: int) -> SearchResult:
     )
 
 
-#: Output keys that are not their field's name.
-_OUTPUT_KEYS = {"lam": "lambda", "cls": "class"}
-
 #: A witness (p1, x, y) nested in a report record.
 _WITNESS_KEYS = ("p1", "x_re", "x_im", "y_re", "y_im")
-
-
-@functools.lru_cache(maxsize=None)
-def _field_keys(cls) -> tuple[tuple[str, str], ...]:
-    """(field name, output key) of a record dataclass, in declaration order; lam is "lambda", cls "class"."""
-    return tuple((f.name, _OUTPUT_KEYS.get(f.name, f.name)) for f in fields(cls))
-
-
-def record_dict(record) -> dict:
-    """A record dataclass as its output row: one key per field, as _field_keys names them."""
-    return {key: getattr(record, name) for name, key in _field_keys(type(record))}
 
 
 @dataclass(frozen=True)

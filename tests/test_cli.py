@@ -667,13 +667,17 @@ class TestModuleEntryPoint:
     """``python -m coefbound`` in a fresh process: __main__ passes main's code to the exit status."""
 
     @staticmethod
-    def run(*argv):
+    def command(*argv):
+        """The argv and environment of ``python -m coefbound`` run from src."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-m", "coefbound", *argv], env=env, capture_output=True, text=True, timeout=120
-        )
+        return [sys.executable, "-m", "coefbound", *argv], env
+
+    @classmethod
+    def run(cls, *argv):
+        args, env = cls.command(*argv)
+        return subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
 
     def test_a_clean_verify_exits_0(self):
         proc = self.run("verify", "--claim", "thm3.3-d43", "--lambda", "1", "--p", "1", "--budget", "1000")
@@ -690,3 +694,16 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == ["error: argument --budget: invalid int value: '1e3'"]
+
+    def test_a_closed_stdout_exits_141_with_nothing_on_stderr(self):
+        # about 2 MB of CSV, far over a pipe's 64 KiB buffer, so the command
+        # is still writing when the reader closes the pipe, as `| head -n 1` does
+        lambdas = ",".join(str(0.1 + k * 1e-4) for k in range(3000))
+        args, env = self.command("table", "--class", "starlike", "--lambda", lambdas, "--format", "csv")
+        with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            header = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert header.decode() == ",".join(cli.TABLE_COLUMNS) + "\n"
+        assert (code, err) == (141, b"")
